@@ -22,6 +22,7 @@ from .surface import build_surface, surface_summary
 from .tensors import Tensor2, transposition_p
 from .trig import (
     CheckReport,
+    PoleError,
     TrigSolution,
     check_aybe,
     check_cybe,
@@ -32,10 +33,25 @@ from .trig import (
 )
 
 
+def _load_json(path: str, parse):
+    """parse(json of the file at path); unreadable or malformed input raises ValueError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read %s: %s" % (path, exc.strerror or exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s is not JSON: %s" % (path, exc)) from exc
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ValueError("malformed input in %s: missing key %s" % (path, exc)) from exc
+    except TypeError as exc:
+        raise ValueError("malformed input in %s: %s" % (path, exc)) from exc
+
+
 def load_abd(path: str) -> ABDStructure:
-    with open(path) as fh:
-        data = json.load(fh)
-    s = ABDStructure.from_json_dict(data)
+    s = _load_json(path, ABDStructure.from_json_dict)
     problems = validate_abd(s)
     if problems:
         raise SystemExit("invalid structure in %s: %s" % (path, "; ".join(problems)))
@@ -43,8 +59,7 @@ def load_abd(path: str) -> ABDStructure:
 
 
 def load_bundle(path: str) -> bundles_mod.BundleData:
-    with open(path) as fh:
-        return bundles_mod.BundleData.from_json_dict(json.load(fh))
+    return _load_json(path, bundles_mod.BundleData.from_json_dict)
 
 
 def emit(payload, args) -> None:
@@ -368,9 +383,7 @@ def run_suite(structures, points, seed, field, jet_order, mutate=False):
 
 def cmd_suite(args):
     field = field_from_name(args.field)
-    structures = catalog.suite_catalog()
-    if args.nmax < 4:
-        structures = [s for s in structures if s.n <= args.nmax]
+    structures = [s for s in catalog.suite_catalog() if s.n <= args.nmax]
     reports = run_suite(
         structures,
         args.points,
@@ -466,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_abd_iso)
 
     p = sub.add_parser("suite", parents=[common], help="run the built-in catalog")
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--nmax", type=int, default=4, help="largest n to check (1..4)")
     p.add_argument("--mutate", choices=("one-coefficient",), default=None)
     p.set_defaults(func=cmd_suite)
 
@@ -481,11 +494,14 @@ def main(argv=None) -> int:
     if getattr(args, "jet_order", 2) < 2:
         print("error: --jet-order must be >= 2", file=sys.stderr)
         return 2
+    if not 1 <= getattr(args, "nmax", 1) <= 4:
+        print("error: --nmax must be between 1 and 4", file=sys.stderr)
+        return 2
     if getattr(args, "point_seed", None) is not None:
         args.seed = args.point_seed
     try:
         return args.func(args)
-    except (PermutationError, ValueError) as exc:
+    except (PermutationError, ValueError, PoleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -5,8 +5,8 @@ random points, so the scalar layer never touches floating point.  Two
 backends are provided:
 
 - ``RationalField`` -- plain ``fractions.Fraction`` arithmetic.
-- ``PrimeField(p)`` -- GF(p) for a prime p > 10**9, elements wrapped in
-  ``PrimeFieldElement`` with operator overloading.
+- ``PrimeField(p)`` -- GF(p) for a prime 10**9 < p < ``MR_EXACT_BOUND``,
+  elements wrapped in ``PrimeFieldElement`` with operator overloading.
 
 Both expose the same small interface (``zero``, ``one``, ``of_int``,
 ``of_fraction``, ``sample``) so the rest of the code is generic.
@@ -31,11 +31,22 @@ class SamplingError(RuntimeError):
     """Could not find a sample satisfying all constraints."""
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: the prime witnesses 2..41 decide primality exactly below this bound
+#: (Sorenson and Webster, arXiv:1509.00864); 2..37 alone are fooled by
+#: 318665857834031151167461 = 399165290221 * 798330580441
+MR_EXACT_BOUND = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10**24."""
+    """Deterministic Miller-Rabin, exact for n < MR_EXACT_BOUND = 3317044064679887385961981.
+
+    Raises ``ValueError`` for larger n, where the fixed witness set proves nothing.
+    """
+    if n >= MR_EXACT_BOUND:
+        raise ValueError("%d is too large for the deterministic primality test "
+                         "(exact below %d)" % (n, MR_EXACT_BOUND))
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -151,7 +162,7 @@ class PrimeFieldElement:
 
 
 class PrimeField:
-    """GF(p) backend for a prime modulus p > 10**9."""
+    """GF(p) backend for a prime modulus 10**9 < p < MR_EXACT_BOUND."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if p <= MIN_PRIME:

@@ -1,10 +1,13 @@
 """Exact arithmetic on Mat_n (x) Mat_n and Mat_n (x) Mat_n (x) Mat_n.
 
-Tensors are stored densely (entry (i,j,k,l) is the coefficient of
-e_ij (x) e_kl), which is fine for the sizes this package targets (n <= ~8,
-so at most n^6 = 262144 scalars for a triple tensor).  The algebra products
-iterate over nonzero entries only, so sparse inputs multiply fast despite
-the dense storage.
+A tensor is a sparse map from flat index to nonzero scalar: entry
+(i,j,k,l) of a ``Tensor2``, the coefficient of e_ij (x) e_kl, sits at flat
+index ((i*n + j)*n + k)*n + l, and a ``Tensor3`` appends a third index pair
+the same way.  Zeros are never stored, so the zero test is an emptiness
+test and equality is map equality; ``items()`` yields entries in ascending
+flat index, which fixes the order of every serialized tensor.  Products,
+sums and structural maps build sparse maps directly, and only the
+determinant densifies (the reshaped n^2 x n^2 matrix).
 """
 
 from __future__ import annotations
@@ -14,28 +17,143 @@ from fractions import Fraction
 from .scalars import BackendMismatchError, PrimeField, PrimeFieldElement
 
 
-class Tensor2:
+class _SparseTensor:
+    """Shared storage and algebra of ``Tensor2`` (two factors) and ``Tensor3``."""
+
     __slots__ = ("n", "ring", "data")
+    factors = 0
 
     def __init__(self, n, ring, data=None):
         self.n = n
         self.ring = ring
-        self.data = data if data is not None else [ring.zero] * (n ** 4)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, n, ring):
-        return cls(n, ring)
+        self.data = data if data is not None else {}
 
     @classmethod
     def unit(cls, n, ring):
-        """1 (x) 1."""
-        t = cls(n, ring)
-        for i in range(n):
-            for k in range(n):
-                t[i, i, k, k] = ring.one
-        return t
+        """1 (x) 1 (x) ... : the diagonal e_ii entry in every factor."""
+        flats = [0]
+        for _ in range(cls.factors):
+            flats = [f * n * n + i * (n + 1) for f in flats for i in range(n)]
+        return cls(n, ring, dict.fromkeys(flats, ring.one))
+
+    # -- indexing ----------------------------------------------------------
+
+    def _flat(self, *idx):
+        n = self.n
+        f = 0
+        for x in idx:
+            f = f * n + x
+        return f
+
+    def _index(self, flat):
+        n = self.n
+        idx = []
+        for _ in range(2 * self.factors):
+            flat, x = divmod(flat, n)
+            idx.append(x)
+        return tuple(reversed(idx))
+
+    def __getitem__(self, idx):
+        return self.data.get(self._flat(*idx), self.ring.zero)
+
+    def __setitem__(self, idx, value):
+        f = self._flat(*idx)
+        if value:
+            self.data[f] = value
+        else:
+            self.data.pop(f, None)
+
+    def items(self):
+        """Yield (index tuple, value) over nonzero entries, in ascending flat index."""
+        data = self.data
+        for f in sorted(data):
+            yield self._index(f), data[f]
+
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def is_zero(self) -> bool:
+        return not self.data
+
+    # -- linear structure --------------------------------------------------
+
+    def _check(self, other):
+        if self.n != other.n:
+            raise BackendMismatchError("tensor size mismatch")
+        if self.ring != other.ring:
+            raise BackendMismatchError("tensor backend mismatch")
+
+    def _combine(self, other, sign):
+        self._check(other)
+        data = dict(self.data)
+        for f, v in other.data.items():
+            if sign < 0:
+                v = -v
+            w = data.pop(f, None)
+            w = v if w is None else w + v
+            if w:
+                data[f] = w
+        return type(self)(self.n, self.ring, data)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return type(self)(self.n, self.ring, {f: -v for f, v in self.data.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.data == other.data
+
+    __hash__ = None
+
+    # -- algebra product ---------------------------------------------------
+
+    def _col_parts(self, flats):
+        """The part of each flat index carried by the column index of every factor."""
+        n, nn = self.n, self.n * self.n
+        cols = [f % n for f in flats]
+        w = 1
+        for _ in range(self.factors - 1):
+            w *= nn
+            cols = [c + f // w % n * w for c, f in zip(cols, flats)]
+        return cols
+
+    def __mul__(self, other):
+        """Componentwise algebra product (a (x) b)(c (x) d) = ac (x) bd.
+
+        Entry (row r, column x) of self meets entry (row x, column c) of other
+        at (r, c); a row part is n times the column part with the same digits.
+        """
+        self._check(other)
+        n, a, b = self.n, self.data, other.data
+        left = [(c, f - c, v) for (f, v), c in zip(a.items(), self._col_parts(a))]
+        right = [((f - c) // n, c, v) for (f, v), c in zip(b.items(), self._col_parts(b))]
+        return _contract(type(self), n, self.ring, [(1, left, right)])
+
+    def __repr__(self):
+        return "%s(n=%d, nnz=%d)" % (type(self).__name__, self.n, self.nnz())
+
+
+class Tensor2(_SparseTensor):
+    __slots__ = ()
+    factors = 2
+
+    # unrolled index maps: r evaluation reads and writes entries one at a time
+    def _flat(self, i, j, k, l):
+        n = self.n
+        return ((i * n + j) * n + k) * n + l
+
+    def _index(self, flat):
+        n = self.n
+        flat, l = divmod(flat, n)
+        flat, k = divmod(flat, n)
+        i, j = divmod(flat, n)
+        return i, j, k, l
 
     @classmethod
     def basis(cls, n, ring, i, j, k, l):
@@ -44,122 +162,56 @@ class Tensor2:
         t[i, j, k, l] = ring.one
         return t
 
-    # -- indexing ----------------------------------------------------------
-
-    def _flat(self, i, j, k, l):
-        n = self.n
-        return ((i * n + j) * n + k) * n + l
-
-    def __getitem__(self, idx):
-        return self.data[self._flat(*idx)]
-
-    def __setitem__(self, idx, value):
-        self.data[self._flat(*idx)] = value
-
-    def items(self):
-        """Yield ((i,j,k,l), value) over nonzero entries."""
-        n = self.n
-        for flat, v in enumerate(self.data):
-            if v:
-                l = flat % n
-                k = (flat // n) % n
-                j = (flat // (n * n)) % n
-                i = flat // (n * n * n)
-                yield (i, j, k, l), v
-
-    def nnz(self) -> int:
-        return sum(1 for v in self.data if v)
-
-    def is_zero(self) -> bool:
-        return not any(self.data)
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise BackendMismatchError("tensor size mismatch")
-        if self.ring != other.ring:
-            raise BackendMismatchError("tensor backend mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return Tensor2(self.n, self.ring, [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return Tensor2(self.n, self.ring, [a - b for a, b in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return Tensor2(self.n, self.ring, [-a for a in self.data])
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor2):
-            return NotImplemented
-        return self.n == other.n and self.data == other.data
-
-    __hash__ = None
-
     def scale(self, c):
-        return Tensor2(self.n, self.ring, [c * a if a else a for a in self.data])
-
-    # -- algebra product ------------------------------------------------------
-
-    def __mul__(self, other):
-        """Componentwise algebra product (a (x) b)(c (x) d) = ac (x) bd."""
-        self._check(other)
-        n = self.n
-        rows = {}
-        for (x, j, y, l), v in other.items():
-            rows.setdefault((x, y), []).append((j, l, v))
-        out = Tensor2(n, self.ring)
-        data = out.data
-        for (i, x, k, y), va in self.items():
-            for j, l, vb in rows.get((x, y), ()):
-                f = ((i * n + j) * n + k) * n + l
-                data[f] = data[f] + va * vb
-        return out
+        data = {}
+        for f, v in self.data.items():
+            w = c * v
+            if w:
+                data[f] = w
+        return Tensor2(self.n, self.ring, data)
 
     # -- structural maps ------------------------------------------------------
 
     def flip(self):
         """Transposition of tensor factors: sum a (x) b -> sum b (x) a."""
-        out = Tensor2(self.n, self.ring)
-        for (i, j, k, l), v in self.items():
-            out[k, l, i, j] = v
-        return out
+        nn = self.n * self.n
+        return Tensor2(self.n, self.ring,
+                       {f % nn * nn + f // nn: v for f, v in self.data.items()})
 
     def transpose(self):
         """Factorwise matrix transpose: sum a (x) b -> sum a^t (x) b^t."""
-        out = Tensor2(self.n, self.ring)
-        for (i, j, k, l), v in self.items():
-            out[j, i, l, k] = v
-        return out
+        n = self.n
+        data = {}
+        for f, v in self.data.items():
+            (i, j, k, l) = self._index(f)
+            data[((j * n + i) * n + l) * n + k] = v
+        return Tensor2(n, self.ring, data)
 
     def project_sl(self):
         """Apply pr (x) pr, pr(X) = X - (tr X / n) 1, in both slots."""
         n = self.n
         ring = self.ring
         inv_n = ring.one / ring.of_int(n)
-        # partial traces
-        out = Tensor2(n, ring, list(self.data))
-        # subtract (tr_1 part) (x) id/n and id/n (x) (tr_2 part), add back the double trace
-        tr1 = [[ring.zero] * n for _ in range(n)]  # tr over slot 1 -> matrix in slot 2
-        tr2 = [[ring.zero] * n for _ in range(n)]  # tr over slot 2 -> matrix in slot 1
+        # partial traces: tr1 over slot 1 is a matrix in slot 2, tr2 the reverse
+        tr1, tr2 = {}, {}
         full = ring.zero
-        for (i, j, k, l), v in self.items():
+        for f, v in self.data.items():
+            (i, j, k, l) = self._index(f)
             if i == j:
-                tr1[k][l] = tr1[k][l] + v
+                tr1[k, l] = tr1.get((k, l), ring.zero) + v
             if k == l:
-                tr2[i][j] = tr2[i][j] + v
+                tr2[i, j] = tr2.get((i, j), ring.zero) + v
             if i == j and k == l:
                 full = full + v
+        # subtract (tr_1 part) (x) id/n and id/n (x) (tr_2 part), add back the double trace
+        out = Tensor2(n, ring, dict(self.data))
         for i in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if tr1[k][l]:
-                        out[i, i, k, l] = out[i, i, k, l] - inv_n * tr1[k][l]
-                    if tr2[k][l]:
-                        out[k, l, i, i] = out[k, l, i, i] - inv_n * tr2[k][l]
+            for (k, l), v in tr1.items():
+                if v:
+                    out[i, i, k, l] = out[i, i, k, l] - inv_n * v
+            for (k, l), v in tr2.items():
+                if v:
+                    out[k, l, i, i] = out[k, l, i, i] - inv_n * v
         if full:
             c = inv_n * inv_n * full
             for i in range(n):
@@ -170,13 +222,12 @@ class Tensor2:
     # -- nondegeneracy ---------------------------------------------------------
 
     def as_matrix(self):
-        """Reshape to the n^2 x n^2 matrix M[(i,j),(k,l)] = t[i,j,k,l]."""
-        n = self.n
-        return [
-            [self.data[((i * n + j) * n + k) * n + l] for k in range(n) for l in range(n)]
-            for i in range(n)
-            for j in range(n)
-        ]
+        """Reshape to the dense n^2 x n^2 matrix M[(i,j),(k,l)] = t[i,j,k,l]."""
+        nn = self.n * self.n
+        rows = [[self.ring.zero] * nn for _ in range(nn)]
+        for f, v in self.data.items():
+            rows[f // nn][f % nn] = v
+        return rows
 
     def tensor_rank(self):
         """(determinant of the reshaped matrix, invertible flag)."""
@@ -197,124 +248,17 @@ class Tensor2:
             out.append({"i": i, "j": j, "k": k, "l": l, "c": c})
         return out
 
-    def __repr__(self):
-        return "Tensor2(n=%d, nnz=%d)" % (self.n, self.nnz())
-
 
 def transposition_p(n, ring) -> Tensor2:
     """P = sum e_ij (x) e_ji, the transposition operator P(x (x) y) = y (x) x."""
-    t = Tensor2(n, ring)
-    for i in range(n):
-        for j in range(n):
-            t[i, j, j, i] = ring.one
-    return t
+    one = ring.one
+    return Tensor2(n, ring, {((i * n + j) * n + j) * n + i: one
+                             for i in range(n) for j in range(n)})
 
 
-class Tensor3:
-    __slots__ = ("n", "ring", "data")
-
-    def __init__(self, n, ring, data=None):
-        self.n = n
-        self.ring = ring
-        self.data = data if data is not None else [ring.zero] * (n ** 6)
-
-    @classmethod
-    def unit(cls, n, ring):
-        t = cls(n, ring)
-        for i in range(n):
-            for k in range(n):
-                for p in range(n):
-                    t[i, i, k, k, p, p] = ring.one
-        return t
-
-    def _flat(self, i, j, k, l, p, q):
-        n = self.n
-        return ((((i * n + j) * n + k) * n + l) * n + p) * n + q
-
-    def __getitem__(self, idx):
-        return self.data[self._flat(*idx)]
-
-    def __setitem__(self, idx, value):
-        self.data[self._flat(*idx)] = value
-
-    def items(self):
-        n = self.n
-        for flat, v in enumerate(self.data):
-            if v:
-                q = flat % n
-                p = (flat // n) % n
-                l = (flat // n ** 2) % n
-                k = (flat // n ** 3) % n
-                j = (flat // n ** 4) % n
-                i = flat // n ** 5
-                yield (i, j, k, l, p, q), v
-
-    def nnz(self) -> int:
-        return sum(1 for v in self.data if v)
-
-    def is_zero(self) -> bool:
-        return not any(self.data)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise BackendMismatchError("tensor size mismatch")
-        if self.ring != other.ring:
-            raise BackendMismatchError("tensor backend mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return Tensor3(self.n, self.ring, [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return Tensor3(self.n, self.ring, [a - b for a, b in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return Tensor3(self.n, self.ring, [-a for a in self.data])
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.n == other.n and self.data == other.data
-
-    __hash__ = None
-
-    def __mul__(self, other):
-        self._check(other)
-        n = self.n
-        rows = {}
-        for (x, j, y, l, z, q), v in other.items():
-            rows.setdefault((x, y, z), []).append(((j * n + l) * n + q, v))
-        out = Tensor3(n, self.ring)
-        data = out.data
-        fast = isinstance(self.ring, PrimeField)
-        if fast:
-            p = self.ring.p
-            acc = {}
-            for (i, x, k, y, pp, z), va in self.items():
-                va_v = va.v
-                for cols, vb in rows.get((x, y, z), ()):
-                    jj = cols // (n * n)
-                    ll = (cols // n) % n
-                    qq = cols % n
-                    f = ((((i * n + jj) * n + k) * n + ll) * n + pp) * n + qq
-                    acc[f] = (acc.get(f, 0) + va_v * vb.v) % p
-            field = self.ring
-            for f, v in acc.items():
-                if v:
-                    data[f] = PrimeFieldElement(v, field)
-            return out
-        for (i, x, k, y, pp, z), va in self.items():
-            for cols, vb in rows.get((x, y, z), ()):
-                jj = cols // (n * n)
-                ll = (cols // n) % n
-                qq = cols % n
-                f = ((((i * n + jj) * n + k) * n + ll) * n + pp) * n + qq
-                data[f] = data[f] + va * vb
-        return out
-
-    def __repr__(self):
-        return "Tensor3(n=%d, nnz=%d)" % (self.n, self.nnz())
+class Tensor3(_SparseTensor):
+    __slots__ = ()
+    factors = 3
 
 
 def embed_triple(t: Tensor2, slot: int) -> Tensor3:
@@ -323,22 +267,59 @@ def embed_triple(t: Tensor2, slot: int) -> Tensor3:
     ``slot`` is one of 12, 13, 23.
     """
     n = t.n
-    out = Tensor3(n, t.ring)
-    if slot == 12:
-        for (i, j, k, l), v in t.items():
-            for p in range(n):
-                out[i, j, k, l, p, p] = v
-    elif slot == 13:
-        for (i, j, k, l), v in t.items():
-            for p in range(n):
-                out[i, j, p, p, k, l] = v
-    elif slot == 23:
-        for (i, j, k, l), v in t.items():
-            for p in range(n):
-                out[p, p, i, j, k, l] = v
-    else:
+    nn = n * n
+    # weights of the first pair, the second pair and the identity pair
+    weights = {12: (nn * nn, nn, 1), 13: (nn * nn, 1, nn), 23: (nn, 1, nn * nn)}
+    if slot not in weights:
         raise ValueError("slot must be 12, 13 or 23, got %r" % slot)
-    return out
+    wa, wb, wd = weights[slot]
+    diag = [p * (n + 1) * wd for p in range(n)]
+    data = {}
+    for f, v in t.data.items():
+        base = f // nn * wa + f % nn * wb
+        for d in diag:
+            data[base + d] = v
+    return Tensor3(n, t.ring, data)
+
+
+def _contract(cls, n, ring, jobs):
+    """A ``cls`` tensor summing sign * va * vb at flat index base + off.
+
+    Each job is (sign, left, right), with left entries (key, base, va) and
+    right entries (key, off, vb); entries meet when their keys agree.  In
+    GF(p) the raw ints are summed and reduced once per output entry.
+    """
+    fast_p = isinstance(ring, PrimeField)
+    acc = {}
+    for sign, left, right in jobs:
+        by_key = {}
+        for key, off, v in right:
+            by_key.setdefault(key, []).append((off, v.v if fast_p else v))
+        get = by_key.get
+        for key, base, v in left:
+            matches = get(key)
+            if not matches:
+                continue
+            va = v.v if fast_p else v
+            if sign < 0:
+                va = -va
+            for off, vb in matches:
+                flat = base + off
+                prev = acc.get(flat)
+                term = va * vb
+                acc[flat] = term if prev is None else prev + term
+    data = {}
+    if fast_p:
+        p = ring.p
+        for flat, v in acc.items():
+            v %= p
+            if v:
+                data[flat] = PrimeFieldElement(v, ring)
+    else:
+        for flat, v in acc.items():
+            if v:
+                data[flat] = v
+    return cls(n, ring, data)
 
 
 # products of identity-padded tensors collapse to one-index contractions of
@@ -355,46 +336,24 @@ _PAIR_RULES = {
 }
 
 
-def _accumulate_pair(acc, sign, a: Tensor2, sa: int, b: Tensor2, sb: int, fast_p):
-    """acc[flat6] += sign * (a^sa . b^sb) using the collapsed contraction."""
-    n = a.n
-    a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
-    a_weights = tuple(n ** (5 - s) for s in a_slots)
-    b_weights = tuple(n ** (5 - s) for s in b_slots)
-    by_key = {}
-    for idx, v in b.items():
-        rest = [idx[t] for t in range(4) if t != b_cpos]
-        off = rest[0] * b_weights[0] + rest[1] * b_weights[1] + rest[2] * b_weights[2]
-        by_key.setdefault(idx[b_cpos], []).append((off, v.v if fast_p else v))
-    get = by_key.get
-    for idx, v in a.items():
-        matches = get(idx[a_cpos])
-        if not matches:
-            continue
-        rest = [idx[t] for t in range(4) if t != a_cpos]
-        base = rest[0] * a_weights[0] + rest[1] * a_weights[1] + rest[2] * a_weights[2]
-        va = (v.v if fast_p else v) if sign > 0 else -(v.v if fast_p else v)
-        for off, vb in matches:
-            flat = base + off
-            prev = acc.get(flat)
-            term = va * vb
-            acc[flat] = term if prev is None else prev + term
+def _pair_side(t: Tensor2, cpos, slots):
+    """(contracted index, offset in the 6-index output, value) per entry of t."""
+    n = t.n
+    weights = [n ** (5 - s) for s in slots]
+    weights.insert(cpos, 0)
+    w0, w1, w2, w3 = weights
+    for f, v in t.data.items():
+        idx = i, j, k, l = t._index(f)
+        yield idx[cpos], i * w0 + j * w1 + k * w2 + l * w3, v
 
 
-def _materialize(acc, n, ring, fast_p) -> Tensor3:
-    out = Tensor3(n, ring)
-    data = out.data
-    if fast_p:
-        p = ring.p
-        for flat, v in acc.items():
-            v %= p
-            if v:
-                data[flat] = PrimeFieldElement(v, ring)
-    else:
-        for flat, v in acc.items():
-            if v:
-                data[flat] = v
-    return out
+def _pair_jobs(*terms):
+    """Contraction jobs for signed products a^sa . b^sb given as (sign, a, sa, b, sb)."""
+    jobs = []
+    for sign, a, sa, b, sb in terms:
+        a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
+        jobs.append((sign, _pair_side(a, a_cpos, a_slots), _pair_side(b, b_cpos, b_slots)))
+    return jobs
 
 
 def pair_embed_product(a: Tensor2, sa: int, b: Tensor2, sb: int) -> Tensor3:
@@ -402,34 +361,22 @@ def pair_embed_product(a: Tensor2, sa: int, b: Tensor2, sb: int) -> Tensor3:
     embed_triple(a, sa) * embed_triple(b, sb)."""
     if (sa, sb) not in _PAIR_RULES:
         raise ValueError("unsupported slot pair (%r, %r)" % (sa, sb))
-    fast_p = isinstance(a.ring, PrimeField)
-    acc = {}
-    _accumulate_pair(acc, 1, a, sa, b, sb, fast_p)
-    return _materialize(acc, a.n, a.ring, fast_p)
+    return _contract(Tensor3, a.n, a.ring, _pair_jobs((1, a, sa, b, sb)))
 
 
 def aybe_combine(r_a, r_b, r_c, r_d, r_e, r_f) -> Tensor3:
     """r_a^12 r_b^13 - r_c^23 r_d^12 + r_e^13 r_f^23 for six evaluated tensors
     (the triple-space product being the componentwise algebra product)."""
-    fast_p = isinstance(r_a.ring, PrimeField)
-    acc = {}
-    _accumulate_pair(acc, 1, r_a, 12, r_b, 13, fast_p)
-    _accumulate_pair(acc, -1, r_c, 23, r_d, 12, fast_p)
-    _accumulate_pair(acc, 1, r_e, 13, r_f, 23, fast_p)
-    return _materialize(acc, r_a.n, r_a.ring, fast_p)
+    return _contract(Tensor3, r_a.n, r_a.ring, _pair_jobs(
+        (1, r_a, 12, r_b, 13), (-1, r_c, 23, r_d, 12), (1, r_e, 13, r_f, 23)))
 
 
 def cybe_residual(x: Tensor2, y: Tensor2, z: Tensor2) -> Tensor3:
     """[x^12, y^13] + [x^12, z^23] + [y^13, z^23]."""
-    fast_p = isinstance(x.ring, PrimeField)
-    acc = {}
-    _accumulate_pair(acc, 1, x, 12, y, 13, fast_p)
-    _accumulate_pair(acc, -1, y, 13, x, 12, fast_p)
-    _accumulate_pair(acc, 1, x, 12, z, 23, fast_p)
-    _accumulate_pair(acc, -1, z, 23, x, 12, fast_p)
-    _accumulate_pair(acc, 1, y, 13, z, 23, fast_p)
-    _accumulate_pair(acc, -1, z, 23, y, 13, fast_p)
-    return _materialize(acc, x.n, x.ring, fast_p)
+    return _contract(Tensor3, x.n, x.ring, _pair_jobs(
+        (1, x, 12, y, 13), (-1, y, 13, x, 12),
+        (1, x, 12, z, 23), (-1, z, 23, x, 12),
+        (1, y, 13, z, 23), (-1, z, 23, y, 13)))
 
 
 # -- exact linear algebra -----------------------------------------------------

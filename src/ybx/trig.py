@@ -157,17 +157,6 @@ class HatSolution:
         return self.base.eval(ring, q_v, q_u).transpose() * transposition_p(self.n, ring)
 
 
-class FlipSolution:
-    """flip(r), used to state hat(hat(r)) = flip(r) as an evaluator identity."""
-
-    def __init__(self, base):
-        self.base = base
-        self.n = base.n
-
-    def eval(self, ring, q_u, q_v) -> Tensor2:
-        return self.base.eval(ring, q_u, q_v).flip()
-
-
 class GaugeSolution:
     """(phi (x) phi) r (phi (x) phi)^-1 for a constant invertible matrix phi."""
 
@@ -216,7 +205,7 @@ def _pole_free(field, rng, n, count, extra=()):
 
 
 def _mutated(t: Tensor2, slot, ring) -> Tensor2:
-    out = Tensor2(t.n, ring, list(t.data))
+    out = Tensor2(t.n, ring, dict(t.data))
     out[slot] = out[slot] + ring.one
     return out
 

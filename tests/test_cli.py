@@ -2,11 +2,12 @@ import json
 
 import pytest
 
+from ybx import cli
 from ybx.catalog import example_structure
 from ybx.cli import main, report_payload
 from ybx.perms import Permutation, format_cycles, parse_cycles
 from ybx.scalars import derive_rng
-from ybx.trig import CheckReport
+from ybx.trig import CheckReport, PoleError
 
 FP = "fp:2305843009213693951"
 
@@ -217,3 +218,44 @@ def test_parser_roundtrip_corpus():
         rng.shuffle(images)
         p = Permutation(tuple(images))
         assert parse_cycles(format_cycles(p), n) == p
+
+
+
+def _assert_one_error_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("content, command", [
+    (None, ["check-aybe", "--abd"]),
+    (None, ["bundle", "--in"]),
+    ("{n: 4", ["check-aybe", "--abd"]),
+    ({"n": 4, "c1": [3, 2, 0, 1]}, ["check-aybe", "--abd"]),
+    ({"n": 4, "c1": 5, "c2": [1, 2, 3, 0], "a": []}, ["validate", "--abd"]),
+    ([4, [3, 2, 0, 1]], ["surface", "--abd"]),
+    ({"r": 2, "n": 1}, ["bundle", "--in"]),
+    ({"r": 2, "n": 1, "m": [0, 1]}, ["bundle", "--in"]),
+], ids=["missing-abd", "missing-bundle", "not-json", "missing-key", "wrong-type",
+        "not-an-object", "bundle-missing-key", "bundle-wrong-type"])
+def test_bad_input_file_is_one_error_line(content, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    _assert_one_error_line(capsys, command + [str(path)])
+
+
+@pytest.mark.parametrize("nmax", ["0", "5"])
+def test_suite_nmax_out_of_range_is_one_error_line(nmax, capsys):
+    _assert_one_error_line(capsys, ["suite", "--nmax", nmax, "--points", "1", "--field", FP])
+
+
+def test_pole_error_is_one_error_line(abd_file, capsys, monkeypatch):
+    def no_point(*args, **kwargs):
+        raise PoleError("could not find a pole-free sample tuple")
+
+    monkeypatch.setattr(cli, "check_aybe", no_point)
+    _assert_one_error_line(capsys, ["check-aybe", "--abd", abd_file, "--field", FP])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ybx.scalars import (
     DEFAULT_PRIME,
+    MR_EXACT_BOUND,
     BackendMismatchError,
     PrimeField,
     RATIONAL,
@@ -104,3 +105,20 @@ def test_smoke_no_constraint_violations(fp):
 def test_derive_rng_stable():
     assert derive_rng(1, "x").random() == derive_rng(1, "x").random()
     assert derive_rng(1, "x").random() != derive_rng(2, "x").random()
+
+
+def test_strong_pseudoprime_to_witnesses_up_to_37_is_rejected():
+    # psi_12: the least strong pseudoprime to every prime base 2..37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_probable_prime(psi12)
+    with pytest.raises(ValueError):
+        PrimeField(psi12)
+
+
+def test_primality_refuses_moduli_beyond_exact_bound():
+    assert is_probable_prime(MR_EXACT_BOUND - 1) is False  # even, still answered
+    with pytest.raises(ValueError):
+        is_probable_prime(MR_EXACT_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(MR_EXACT_BOUND + 2)

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybx.scalars import RATIONAL, derive_rng
 from ybx.tensors import (
@@ -155,8 +158,6 @@ def test_p_conjugation_acts_as_transposition_exhaustive(field):
             pairs[1], pairs[2] = pairs[2], pairs[1]
         return pairs
 
-    import itertools
-
     for which, pt in embeds.items():
         for idx in itertools.product(range(n), repeat=6):
             t = Tensor3(n, field)
@@ -279,3 +280,110 @@ def test_sparse_json(field):
     t = Tensor2.basis(2, field, 0, 1, 1, 0)
     js = t.to_sparse_json()
     assert js == [{"i": 0, "j": 1, "k": 1, "l": 0, "c": js[0]["c"]}]
+
+
+# -- the sparse representation against a dense componentwise reference ---------
+
+
+def _entries(n, slots):
+    """Random entries, zeros included, keyed by index tuple."""
+    index = st.tuples(*[st.integers(0, n - 1)] * slots)
+    return st.dictionaries(index, st.integers(-3, 3), max_size=2 * n ** 2)
+
+
+def _build(cls, n, field, entries):
+    t = cls(n, field)
+    for idx, v in entries.items():
+        t[idx] = field.of_int(v)
+    return t
+
+
+def _dense(t, slots):
+    """Every entry of t, zeros included, keyed by index tuple."""
+    return {idx: t[idx] for idx in itertools.product(range(t.n), repeat=slots)}
+
+
+def _dense_mul2(a, b, n, field):
+    # (a b)[i,j,k,l] = sum_{x,y} a[i,x,k,y] b[x,j,y,l]
+    out = {}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        acc = field.zero
+        for x, y in itertools.product(range(n), repeat=2):
+            acc = acc + a[i, x, k, y] * b[x, j, y, l]
+        out[i, j, k, l] = acc
+    return out
+
+
+def _stores_no_zero(t):
+    return all(v for _, v in t.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_tensor2_matches_dense_reference(field, data):
+    n = data.draw(st.sampled_from((2, 3)))
+    a = _build(Tensor2, n, field, data.draw(_entries(n, 4)))
+    b = _build(Tensor2, n, field, data.draw(_entries(n, 4)))
+    c = field.of_int(data.draw(st.integers(-3, 3)))
+    da, db = _dense(a, 4), _dense(b, 4)
+    cases = {
+        "+": (a + b, {idx: da[idx] + db[idx] for idx in da}),
+        "-": (a - b, {idx: da[idx] - db[idx] for idx in da}),
+        "scale": (a.scale(c), {idx: c * da[idx] for idx in da}),
+        "flip": (a.flip(), {(i, j, k, l): da[k, l, i, j] for i, j, k, l in da}),
+        "transpose": (a.transpose(), {(i, j, k, l): da[j, i, l, k] for i, j, k, l in da}),
+        "*": (a * b, _dense_mul2(a, b, n, field)),
+    }
+    for name, (got, want) in cases.items():
+        assert _dense(got, 4) == want, name
+        assert _stores_no_zero(got), name
+        assert got.nnz() == sum(1 for v in want.values() if v), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_sparse_tensor3_matches_dense_reference(field, data):
+    n = 2
+    a = _build(Tensor3, n, field, data.draw(_entries(n, 6)))
+    b = _build(Tensor3, n, field, data.draw(_entries(n, 6)))
+    da, db = _dense(a, 6), _dense(b, 6)
+    want = {}
+    for i, j, k, l, p, q in da:
+        acc = field.zero
+        for x, y, z in itertools.product(range(n), repeat=3):
+            acc = acc + a[i, x, k, y, p, z] * b[x, j, y, l, z, q]
+        want[i, j, k, l, p, q] = acc
+    assert _dense(a * b, 6) == want
+    assert _dense(a - b, 6) == {idx: da[idx] - db[idx] for idx in da}
+    assert _stores_no_zero(a * b) and _stores_no_zero(a - b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_cancelling_sum_is_zero(field, data):
+    n = data.draw(st.sampled_from((2, 3)))
+    a = _build(Tensor2, n, field, data.draw(_entries(n, 4)))
+    b = _build(Tensor2, n, field, data.draw(_entries(n, 4)))
+    for zero in (a + (-a), a - a, a.scale(field.zero), (a + b) - b - a):
+        assert zero.is_zero()
+        assert zero == Tensor2(n, field)
+        assert zero.nnz() == 0
+    for idx, _ in list(a.items()):
+        a[idx] = field.zero
+    assert a.is_zero() and a == Tensor2(n, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_items_ascending_flat_order(field, data):
+    n = data.draw(st.sampled_from((2, 3)))
+    for cls, slots in ((Tensor2, 4), (Tensor3, 6)):
+        t = _build(cls, n, field, data.draw(_entries(n, slots)))
+        flats = []
+        for idx, _ in t.items():
+            f = 0
+            for x in idx:
+                f = f * n + x
+            flats.append(f)
+        assert flats == sorted(set(flats))
+        assert len(flats) == t.nnz()
