@@ -3,21 +3,21 @@
 Every command is deterministic for a fixed (inputs, seed, backend) triple;
 the JSON report format is schema-stable and carries no wall-clock fields so
 identical runs emit identical bytes.  Wall-clock timings are kept on the
-report objects and shown in the text format.
+report objects (``CheckReport.elapsed_ms``); neither output format shows them.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
-import time
 
 from . import bundles as bundles_mod
-from . import catalog
+from . import catalog, trig
 from .massey import massey_tensor, novikov_check
 from .perms import ABDStructure, PermutationError, validate_abd
-from .scalars import field_from_name
+from .scalars import derive_rng, field_from_name
 from .surface import build_surface, surface_summary
 from .tensors import Tensor2, transposition_p
 from .trig import (
@@ -54,7 +54,7 @@ def load_abd(path: str) -> ABDStructure:
     s = _load_json(path, ABDStructure.from_json_dict)
     problems = validate_abd(s)
     if problems:
-        raise SystemExit("invalid structure in %s: %s" % (path, "; ".join(problems)))
+        raise ValueError("invalid structure in %s: %s" % (path, "; ".join(problems)))
     return s
 
 
@@ -99,7 +99,7 @@ def report_payload(reports, with_timing=False) -> dict:
 
 
 def cmd_validate(args):
-    s = load_abd(args.abd)
+    s = _load_json(args.abd, ABDStructure.from_json_dict)
     problems = validate_abd(s)
     emit({"structure": s.label(), "violations": problems, "valid": not problems}, args)
     return 0 if not problems else 1
@@ -115,77 +115,61 @@ def cmd_build_r(args):
     s = load_abd(args.abd)
     field = field_from_name(args.field)
     sol = TrigSolution(s)
-    from .scalars import derive_rng
-    from .trig import _pole_free
-
     rng = derive_rng(args.seed, "build-r", field.name)
-    qu, qv = _pole_free(field, rng, s.n, 2)
+    qu, qv = trig._pole_free(field, rng, s.n, 2)
     t = sol.eval(field, qu, qv)
     emit({"n": s.n, "entries": t.to_sparse_json()}, args)
     return 0
 
 
-def _single_check(args, runner, name):
+def _emit_checks(args, run):
+    """Load --abd, emit the reports of ``run(sol, points, seed, field)``;
+    exit 1 unless every report passed."""
     s = load_abd(args.abd)
     field = field_from_name(args.field)
-    sol = TrigSolution(s)
-    mutate = (0, 0, 0, 0) if args.mutate else None
-    if mutate is not None:
-        rep = runner(sol, args.points, args.seed, field, mutate=mutate)
-    else:
-        rep = runner(sol, args.points, args.seed, field)
-    emit(report_payload([rep]), args)
-    return 0 if rep.passed else 1
+    reports = run(TrigSolution(s), args.points, args.seed, field)
+    emit(report_payload(reports), args)
+    return 0 if all(r.passed for r in reports) else 1
+
+
+def _mutation(enabled):
+    """The slot a mutated run corrupts, or None for an honest run."""
+    return (0, 0, 0, 0) if enabled else None
 
 
 def cmd_check_aybe(args):
-    return _single_check(args, check_aybe, "aybe")
+    return _emit_checks(args, lambda *a: [check_aybe(*a, mutate=_mutation(args.mutate))])
 
 
 def cmd_check_skew(args):
-    return _single_check(args, check_skew, "skew")
+    return _emit_checks(args, lambda *a: [check_skew(*a, mutate=_mutation(args.mutate))])
 
 
 def cmd_cybe(args):
-    s = load_abd(args.abd)
-    field = field_from_name(args.field)
-    sol = TrigSolution(s)
-    rep = check_cybe(sol, args.points, args.seed, field, jet_order=args.jet_order)
-    emit(report_payload([rep]), args)
-    return 0 if rep.passed else 1
+    return _emit_checks(args, lambda *a: [check_cybe(*a, jet_order=args.jet_order)])
 
 
 def cmd_qybe(args):
-    s = load_abd(args.abd)
-    field = field_from_name(args.field)
-    rep = qybe_unitarity(TrigSolution(s), args.points, args.seed, field)
-    emit(report_payload([rep]), args)
-    return 0 if rep.passed else 1
+    return _emit_checks(args, lambda *a: [qybe_unitarity(*a)])
 
 
 def cmd_hat(args):
-    s = load_abd(args.abd)
-    field = field_from_name(args.field)
-    hat = hat_involution(TrigSolution(s))
-    reports = [
-        check_aybe(hat, args.points, args.seed, field),
-        check_skew(hat, args.points, args.seed, field),
-    ]
-    for r in reports:
-        r.check = "hat-" + r.check
-    emit(report_payload(reports), args)
-    return 0 if all(r.passed for r in reports) else 1
+    def run(sol, *rest):
+        hat = hat_involution(sol)
+        reports = [check_aybe(hat, *rest), check_skew(hat, *rest)]
+        for r in reports:
+            r.check = "hat-" + r.check
+        return reports
+
+    return _emit_checks(args, run)
 
 
 def cmd_residues(args):
     s = load_abd(args.abd)
     field = field_from_name(args.field)
     sol = TrigSolution(s)
-    from .scalars import derive_rng
-    from .trig import _pole_free
-
     rng = derive_rng(args.seed, "residues", field.name)
-    (other,) = _pole_free(field, rng, s.n, 1)
+    (other,) = trig._pole_free(field, rng, s.n, 1)
     res_u = residues(sol, "u", other, field, jet_order=args.jet_order)
     res_v = residues(sol, "v", other, field, jet_order=args.jet_order)
     ok_u = res_u == Tensor2.unit(s.n, field)
@@ -206,11 +190,8 @@ def cmd_massey(args):
     field = field_from_name(args.field)
     surf = build_surface(s)
     sol = TrigSolution(s)
-    from .scalars import derive_rng
-    from .trig import _pole_free
-
     rng = derive_rng(args.seed, "massey", field.name)
-    qu, qv = _pole_free(field, rng, s.n, 2)
+    qu, qv = trig._pole_free(field, rng, s.n, 2)
     mt = massey_tensor(surf, qu, qv, field)
     payload = {
         "families": [
@@ -236,7 +217,11 @@ def cmd_massey(args):
 
 
 def cmd_novikov(args):
-    result = novikov_check(complex(args.u), complex(args.v), args.terms)
+    u, v = complex(args.u), complex(args.v)
+    for flag, x in (("--u", u), ("--v", v), ("--tolerance", args.tolerance)):
+        if not cmath.isfinite(x):
+            raise ValueError("%s must be finite" % flag)
+    result = novikov_check(u, v, args.terms)
     emit(
         {
             "partial": repr(result.partial),
@@ -295,15 +280,13 @@ def run_suite(structures, points, seed, field, jet_order, mutate=False):
     of bundle-chain checks.  In mutation mode the randomized checks and the
     comparison run with one corrupted coefficient and are expected to fail.
     """
-    from .scalars import derive_rng
-    from .trig import _pole_free
+    from .surface import puncture_analysis, topological_invariants
 
     reports = []
-    unit_cache = {}
+    mut = _mutation(mutate)
     for s in structures:
         sol = TrigSolution(s)
         tag = s.label()
-        mut = (0, 0, 0, 0) if mutate else None
         rep = check_aybe(sol, points, seed, field, mutate=mut)
         rep.check = "aybe[%s]" % tag
         reports.append(rep)
@@ -311,73 +294,37 @@ def run_suite(structures, points, seed, field, jet_order, mutate=False):
         rep.check = "skew[%s]" % tag
         reports.append(rep)
         rng = derive_rng(seed, "suite-res", field.name, tag)
-        (other,) = _pole_free(field, rng, s.n, 1)
-        t0 = time.perf_counter()
-        if s.n not in unit_cache:
-            unit_cache[s.n] = (
-                Tensor2.unit(s.n, field),
-                transposition_p(s.n, field),
-            )
-        unit, ptens = unit_cache[s.n]
-        res_u = residues(sol, "u", other, field, jet_order=jet_order)
-        res_v = residues(sol, "v", other, field, jet_order=jet_order)
-        bad = int(res_u != unit) + int(res_v != ptens)
-        reports.append(CheckReport(
-            check="residues[%s]" % tag,
-            points=2,
-            failures=bad,
-            seed=seed,
-            backend=field.name,
-            elapsed_ms=(time.perf_counter() - t0) * 1000,
-        ))
-        t0 = time.perf_counter()
-        surf = build_surface(s)
-        from .surface import puncture_analysis, topological_invariants
-
-        topo = topological_invariants(surf)
-        punct = puncture_analysis(surf)
-        euler_bad = int(2 - 2 * topo.genus - punct.b != -s.n)
-        reports.append(CheckReport(
-            check="surface-euler[%s]" % tag,
-            points=1,
-            failures=euler_bad,
-            seed=seed,
-            backend=field.name,
-            elapsed_ms=(time.perf_counter() - t0) * 1000,
-        ))
-        t0 = time.perf_counter()
-        qu, qv = _pole_free(field, rng, s.n, 2)
-        mt = massey_tensor(surf, qu, qv, field).tensor
-        if mutate:
-            mt[0, 0, 0, 0] = mt[0, 0, 0, 0] + field.one
-        reports.append(CheckReport(
-            check="massey-compare[%s]" % tag,
-            points=1,
-            failures=int(mt != sol.eval(field, qu, qv)),
-            seed=seed,
-            backend=field.name,
-            elapsed_ms=(time.perf_counter() - t0) * 1000,
-        ))
+        (other,) = trig._pole_free(field, rng, s.n, 1)
+        with CheckReport.timed("residues[%s]" % tag, 2, seed, field.name) as rep:
+            res_u = residues(sol, "u", other, field, jet_order=jet_order)
+            res_v = residues(sol, "v", other, field, jet_order=jet_order)
+            rep.failures = (int(res_u != Tensor2.unit(s.n, field))
+                            + int(res_v != transposition_p(s.n, field)))
+        reports.append(rep)
+        with CheckReport.timed("surface-euler[%s]" % tag, 1, seed, field.name) as rep:
+            surf = build_surface(s)
+            topo = topological_invariants(surf)
+            punct = puncture_analysis(surf)
+            rep.failures = int(2 - 2 * topo.genus - punct.b != -s.n)
+        reports.append(rep)
+        with CheckReport.timed("massey-compare[%s]" % tag, 1, seed, field.name) as rep:
+            qu, qv = trig._pole_free(field, rng, s.n, 2)
+            mt = massey_tensor(surf, qu, qv, field).tensor
+            if mutate:
+                mt[0, 0, 0, 0] = mt[0, 0, 0, 0] + field.one
+            rep.failures = int(mt != sol.eval(field, qu, qv))
+        reports.append(rep)
     # seeded bundle-chain batch
     rng = derive_rng(seed, "suite-bundles", field.name)
-    t0 = time.perf_counter()
-    bundle_bad = 0
-    for _ in range(10):
-        b = bundles_mod.random_simple_bundle(rng)
-        abd = bundles_mod.abd_of_bundle(b)
-        if validate_abd(abd) or not bundles_mod.is_power_of(abd.c2, abd.c1):
-            bundle_bad += 1
-            continue
-        if check_aybe(TrigSolution(abd), min(points, 3), seed, field).failures:
-            bundle_bad += 1
-    reports.append(CheckReport(
-        check="bundle-chain",
-        points=10,
-        failures=bundle_bad,
-        seed=seed,
-        backend=field.name,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
-    ))
+    with CheckReport.timed("bundle-chain", 10, seed, field.name) as rep:
+        for _ in range(10):
+            b = bundles_mod.random_simple_bundle(rng)
+            abd = bundles_mod.abd_of_bundle(b)
+            if validate_abd(abd) or not bundles_mod.is_power_of(abd.c2, abd.c1):
+                rep.failures += 1
+            elif check_aybe(TrigSolution(abd), min(points, 3), seed, field).failures:
+                rep.failures += 1
+    reports.append(rep)
     return reports
 
 
@@ -456,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("massey", parents=[common], help="rectangle-count tensor")
     p.add_argument("--abd", required=True)
-    p.add_argument("--point-seed", type=int, default=None, dest="point_seed")
     p.add_argument("--compare", action="store_true",
                    help="compare against the closed form")
     p.set_defaults(func=cmd_massey)
@@ -497,8 +443,6 @@ def main(argv=None) -> int:
     if not 1 <= getattr(args, "nmax", 1) <= 4:
         print("error: --nmax must be between 1 and 4", file=sys.stderr)
         return 2
-    if getattr(args, "point_seed", None) is not None:
-        args.seed = args.point_seed
     try:
         return args.func(args)
     except (PermutationError, ValueError, PoleError) as exc:

@@ -14,6 +14,7 @@ evaluation at seeded random points avoiding the poles.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -45,6 +46,15 @@ class CheckReport:
     backend: str
     elapsed_ms: float = 0.0
     details: list = dc_field(default_factory=list)
+
+    @classmethod
+    @contextmanager
+    def timed(cls, check, points, seed, backend):
+        """A report with no failures yet; ``elapsed_ms`` times the with-block."""
+        report = cls(check=check, points=points, failures=0, seed=seed, backend=backend)
+        t0 = time.perf_counter()
+        yield report
+        report.elapsed_ms = (time.perf_counter() - t0) * 1000
 
     @property
     def passed(self) -> bool:
@@ -205,9 +215,36 @@ def _pole_free(field, rng, n, count, extra=()):
 
 
 def _mutated(t: Tensor2, slot, ring) -> Tensor2:
+    """t with ring.one added at ``slot``; t itself when ``slot`` is None."""
+    if slot is None:
+        return t
     out = Tensor2(t.n, ring, dict(t.data))
     out[slot] = out[slot] + ring.one
     return out
+
+
+def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
+                   extra=(), mutate=None) -> CheckReport:
+    """The seeded Schwartz-Zippel loop behind every identity check.
+
+    Draws ``num_points`` pole-free ``count``-tuples (subject to ``extra``)
+    from the RNG derived from (seed, tag, backend) and calls ``fails(*qs)``
+    at each.  ``fails`` returns a falsy value where the identity holds, and
+    True or a note naming the failure where it does not; the first three
+    notes become the report's details.  A run with ``mutate`` set is
+    reported as ``check(mutated)``.
+    """
+    if mutate is not None:
+        check += "(mutated)"
+    with CheckReport.timed(check, num_points, seed, field.name) as report:
+        rng = derive_rng(seed, tag, field.name)
+        for _ in range(num_points):
+            failed = fails(*_pole_free(field, rng, sol.n, count, extra))
+            if failed:
+                report.failures += 1
+                if failed is not True and len(report.details) < 3:
+                    report.details.append(failed)
+    return report
 
 
 # -- identity checks -----------------------------------------------------------
@@ -222,95 +259,52 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     points where the corruption was detected (the honest reading: the
     identity fails there), so a working check reports a failing run.
     """
-    t0 = time.perf_counter()
-    n = sol.n
-    rng = derive_rng(seed, "aybe", field.name)
-    one = field.one
-    failures = 0
-    for _ in range(num_points):
-        qu, qup, qv, qvp = _pole_free(
-            field,
-            rng,
-            n,
-            4,
-            extra=(
-                lambda a, b, c, d: (a * b) ** (2 * n) - one,
-                lambda a, b, c, d: (c * d) ** (2 * n) - one,
-            ),
-        )
+    n, one = sol.n, field.one
+
+    def fails(qu, qup, qv, qvp):
         r_a = sol.eval(field, qup ** -1, qv)          # r(-u', v)
         r_b = sol.eval(field, qu * qup, qv * qvp)     # r(u+u', v+v')
         r_c = sol.eval(field, qu * qup, qvp)          # r(u+u', v')
         r_d = sol.eval(field, qu, qv)                 # r(u, v)
         r_e = sol.eval(field, qu, qv * qvp)           # r(u, v+v')
         r_f = sol.eval(field, qup, qvp)               # r(u', v')
-        if mutate is not None:
-            r_a = _mutated(r_a, mutate, field)
-        residual = aybe_combine(r_a, r_b, r_c, r_d, r_e, r_f)
-        if not residual.is_zero():
-            failures += 1
-    report = CheckReport(
-        check="aybe" if mutate is None else "aybe(mutated)",
-        points=num_points,
-        failures=failures,
-        seed=seed,
-        backend=field.name,
+        r_a = _mutated(r_a, mutate, field)
+        return not aybe_combine(r_a, r_b, r_c, r_d, r_e, r_f).is_zero()
+
+    extra = (
+        lambda a, b, c, d: (a * b) ** (2 * n) - one,
+        lambda a, b, c, d: (c * d) ** (2 * n) - one,
     )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return _sampled_check("aybe", "aybe", sol, num_points, seed, field, 4, fails,
+                          extra, mutate)
 
 
 def check_skew(sol, num_points, seed, field, mutate=None) -> CheckReport:
     """Skew-symmetry: flip(r(-u,-v)) + r(u,v) = 0 at seeded points."""
-    t0 = time.perf_counter()
-    n = sol.n
-    rng = derive_rng(seed, "skew", field.name)
-    failures = 0
-    for _ in range(num_points):
-        (qu, qv) = _pole_free(field, rng, n, 2)
-        r = sol.eval(field, qu, qv)
-        if mutate is not None:
-            r = _mutated(r, mutate, field)
+
+    def fails(qu, qv):
+        r = _mutated(sol.eval(field, qu, qv), mutate, field)
         r_neg = sol.eval(field, qu ** -1, qv ** -1)
-        if not (r_neg.flip() + r).is_zero():
-            failures += 1
-    report = CheckReport(
-        check="skew" if mutate is None else "skew(mutated)",
-        points=num_points,
-        failures=failures,
-        seed=seed,
-        backend=field.name,
-    )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+        return not (r_neg.flip() + r).is_zero()
+
+    return _sampled_check("skew", "skew", sol, num_points, seed, field, 2, fails,
+                          mutate=mutate)
 
 
 def check_strong_nondegeneracy(sol, num_points, seed, field) -> CheckReport:
     """Both r and transpose(r).P invertible as n^2 x n^2 matrices at each point."""
-    t0 = time.perf_counter()
-    n = sol.n
-    rng = derive_rng(seed, "nondeg", field.name)
-    p_tensor = transposition_p(n, field)
-    failures = 0
-    details = []
-    for _ in range(num_points):
-        (qu, qv) = _pole_free(field, rng, n, 2)
+    p_tensor = transposition_p(sol.n, field)
+
+    def fails(qu, qv):
         r = sol.eval(field, qu, qv)
         _, inv1 = r.tensor_rank()
         _, inv2 = (r.transpose() * p_tensor).tensor_rank()
         if not (inv1 and inv2):
-            failures += 1
-            details.append("degenerate point found")
-    report = CheckReport(
-        check="strong-nondegeneracy",
-        points=num_points,
-        failures=failures,
-        seed=seed,
-        backend=field.name,
-        details=details,
-    )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+            return "degenerate point found"
+        return None
+
+    return _sampled_check("strong-nondegeneracy", "nondeg", sol, num_points, seed,
+                          field, 2, fails)
 
 
 # -- residues and the CYBE limit -------------------------------------------------
@@ -337,12 +331,11 @@ def tensor_valuation(t: Tensor2):
     return min(vals) if vals else None
 
 
-def residues(sol, which, at_other, field, jet_order=6) -> Tensor2:
-    """The coefficient of 1/u (resp. 1/v) of r, with the other variable held
-    at a generic point.  Raises if any entry has a pole worse than simple.
+def _jet_coefficient(sol, field, jet_order, which, at_other, power) -> Tensor2:
+    """The coefficient of ``which``**power in the jet expansion of r, with the
+    other variable at ``at_other``.  Raises if any entry has a pole worse
+    than simple.
     """
-    if which not in ("u", "v"):
-        raise ValueError("which must be 'u' or 'v'")
     t = _jet_eval(sol, field, jet_order, which, at_other)
     val = tensor_valuation(t)
     if val is not None and val < -1:
@@ -351,50 +344,38 @@ def residues(sol, which, at_other, field, jet_order=6) -> Tensor2:
         )
     out = Tensor2(sol.n, field)
     for idx, v in t.items():
-        out[idx] = v.coefficient(-1)
+        out[idx] = v.coefficient(power)
     return out
+
+
+def residues(sol, which, at_other, field, jet_order=6) -> Tensor2:
+    """The coefficient of 1/u (resp. 1/v) of r, with the other variable held
+    at a generic point.  Raises if any entry has a pole worse than simple.
+    """
+    if which not in ("u", "v"):
+        raise ValueError("which must be 'u' or 'v'")
+    return _jet_coefficient(sol, field, jet_order, which, at_other, -1)
 
 
 def r0_tensor(sol, q_v, field, jet_order=6) -> Tensor2:
     """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0."""
-    t = _jet_eval(sol, field, jet_order, "u", q_v)
-    val = tensor_valuation(t)
-    if val is not None and val < -1:
-        raise ArithmeticError("valuation %d < -1 while extracting r0" % val)
-    out = Tensor2(sol.n, field)
-    for idx, v in t.items():
-        out[idx] = v.coefficient(0)
-    return out
+    return _jet_coefficient(sol, field, jet_order, "u", q_v, 0)
 
 
 def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckReport:
     """CYBE for rbar0 = (pr (x) pr) r0:  [X12,Y13] + [X12,Z23] + [Y13,Z23] = 0
     with X = rbar0(v), Y = rbar0(v+v'), Z = rbar0(v')."""
-    t0 = time.perf_counter()
-    n = sol.n
-    rng = derive_rng(seed, "cybe", field.name)
-    one = field.one
-    failures = 0
-    for _ in range(num_points):
-        qv, qvp = _pole_free(
-            field, rng, n, 2, extra=(lambda a, b: (a * b) ** (2 * n) - one,)
-        )
+    n, one = sol.n, field.one
+
+    def fails(qv, qvp):
         x = r0_tensor(sol, qv, field, jet_order).project_sl()
         y = r0_tensor(sol, qv * qvp, field, jet_order).project_sl()
         z = r0_tensor(sol, qvp, field, jet_order).project_sl()
-        if mutate is not None:
-            x = _mutated(x, mutate, field)
-        if not cybe_residual(x, y, z).is_zero():
-            failures += 1
-    report = CheckReport(
-        check="cybe" if mutate is None else "cybe(mutated)",
-        points=num_points,
-        failures=failures,
-        seed=seed,
-        backend=field.name,
-    )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+        return not cybe_residual(_mutated(x, mutate, field), y, z).is_zero()
+
+    extra = (lambda a, b: (a * b) ** (2 * n) - one,)
+    return _sampled_check("cybe", "cybe", sol, num_points, seed, field, 2, fails,
+                          extra, mutate)
 
 
 # -- QYBE / unitarity --------------------------------------------------------------
@@ -410,23 +391,11 @@ def _sigma(field, n, q_u, q_v):
     return a * b / den
 
 
-def qybe_unitarity(sol, num_points, seed, field, reading="fixed-u") -> CheckReport:
+def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
     """Unitarity R(u,v) flip(R(u,-v)) = 1 (x) 1 and the fixed-u QYBE
-    R12(u,v) R13(u,v+v') R23(u,v') = R23(u,v') R13(u,v+v') R12(u,v).
-
-    ``reading="fixed-v"`` exercises the alternative variable convention
-    (spectral parameter in the first slot, second slot held fixed); it is
-    kept only for inspection, and observably fails for n >= 2.
-    """
-    if reading not in ("fixed-u", "fixed-v"):
-        raise ValueError("reading must be 'fixed-u' or 'fixed-v'")
-    t0 = time.perf_counter()
-    n = sol.n
-    rng = derive_rng(seed, "qybe", field.name)
-    one = field.one
+    R12(u,v) R13(u,v+v') R23(u,v') = R23(u,v') R13(u,v+v') R12(u,v)."""
+    n, one = sol.n, field.one
     unit2 = Tensor2.unit(n, field)
-    failures = 0
-    details = []
 
     def sigma_den(qa, qb):
         return (qa ** n - qa ** (-n)) + (qb ** n - qb ** (-n))
@@ -434,48 +403,29 @@ def qybe_unitarity(sol, num_points, seed, field, reading="fixed-u") -> CheckRepo
     def r_scaled(qa, qb):
         return sol.eval(field, qa, qb).scale(_sigma(field, n, qa, qb))
 
-    for _ in range(num_points):
-        qu, qv, qvp = _pole_free(
-            field,
-            rng,
-            n,
-            3,
-            extra=(
-                lambda a, b, c: ((b * c) if reading == "fixed-u" else (a * c)) ** (2 * n) - one,
-                lambda a, b, c: sigma_den(a, b),
-                lambda a, b, c: sigma_den(a, b * c) if reading == "fixed-u" else sigma_den(a * c, b),
-                lambda a, b, c: sigma_den(a, c) if reading == "fixed-u" else sigma_den(c, b),
-                # unitarity partner at -v: denominator A - B
-                lambda a, b, c: sigma_den(a, b ** -1),
-            ),
-        )
+    def fails(qu, qv, qvp):
         big_r = r_scaled(qu, qv)
         big_r_neg = r_scaled(qu, qv ** -1)
         if big_r * big_r_neg.flip() != unit2:
-            failures += 1
-            details.append("unitarity failed")
-            continue
-        if reading == "fixed-u":
-            r13_t2 = r_scaled(qu, qv * qvp)
-            r23_t2 = r_scaled(qu, qvp)
-        else:
-            r13_t2 = r_scaled(qu * qvp, qv)
-            r23_t2 = r_scaled(qvp, qv)
+            return "unitarity failed"
+        r13_t2 = r_scaled(qu, qv * qvp)
+        r23_t2 = r_scaled(qu, qvp)
         lhs = pair_embed_product(big_r, 12, r13_t2, 13) * embed_triple(r23_t2, 23)
         rhs = pair_embed_product(r23_t2, 23, r13_t2, 13) * embed_triple(big_r, 12)
         if lhs != rhs:
-            failures += 1
-            details.append("qybe failed")
-    report = CheckReport(
-        check="qybe-unitarity",
-        points=num_points,
-        failures=failures,
-        seed=seed,
-        backend=field.name,
-        details=details[:3],
+            return "qybe failed"
+        return None
+
+    extra = (
+        lambda a, b, c: (b * c) ** (2 * n) - one,
+        lambda a, b, c: sigma_den(a, b),
+        lambda a, b, c: sigma_den(a, b * c),
+        lambda a, b, c: sigma_den(a, c),
+        # unitarity partner at -v: denominator A - B
+        lambda a, b, c: sigma_den(a, b ** -1),
     )
-    report.elapsed_ms = (time.perf_counter() - t0) * 1000
-    return report
+    return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field, 3,
+                          fails, extra)
 
 
 def qybe_float_shadow(u: float, v: float) -> float:

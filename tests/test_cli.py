@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from ybx.scalars import derive_rng
 from ybx.trig import CheckReport, PoleError
 
 FP = "fp:2305843009213693951"
+# c1 = (1 4 2 3) and c2 = (1 2 3 4) do not commute at the point of A
+NONCOMMUTING = {"n": 4, "c1": [3, 2, 0, 1], "c2": [1, 2, 3, 0], "a": [0]}
 
 
 @pytest.fixture()
@@ -40,9 +43,12 @@ def test_validate(abd_file, capsys):
 
 def test_validate_rejects_bad_structure(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 4, "c1": [3, 2, 0, 1], "c2": [1, 2, 3, 0], "a": [0]}))
-    with pytest.raises(SystemExit):
-        main(["validate", "--abd", str(bad)])
+    bad.write_text(json.dumps(NONCOMMUTING))
+    code, out = run(capsys, "validate", "--abd", str(bad))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["valid"] is False
+    assert payload["violations"] == ["c1 and c2 do not commute at {1}"]
 
 
 def test_surface_command(abd_file, capsys):
@@ -239,8 +245,9 @@ def _assert_one_error_line(capsys, argv):
     ([4, [3, 2, 0, 1]], ["surface", "--abd"]),
     ({"r": 2, "n": 1}, ["bundle", "--in"]),
     ({"r": 2, "n": 1, "m": [0, 1]}, ["bundle", "--in"]),
+    (NONCOMMUTING, ["check-aybe", "--abd"]),
 ], ids=["missing-abd", "missing-bundle", "not-json", "missing-key", "wrong-type",
-        "not-an-object", "bundle-missing-key", "bundle-wrong-type"])
+        "not-an-object", "bundle-missing-key", "bundle-wrong-type", "invalid-structure"])
 def test_bad_input_file_is_one_error_line(content, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     if content is not None:
@@ -253,9 +260,29 @@ def test_suite_nmax_out_of_range_is_one_error_line(nmax, capsys):
     _assert_one_error_line(capsys, ["suite", "--nmax", nmax, "--points", "1", "--field", FP])
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--u", "nan"), ("--v", "nan"), ("--u", "inf"), ("--v", "-inf"), ("--u", "1+nanj"),
+    ("--tolerance", "nan"), ("--tolerance", "inf"),
+])
+def test_novikov_non_finite_input_is_one_error_line(flag, value, capsys):
+    _assert_one_error_line(capsys, ["novikov", "%s=%s" % (flag, value)])
+
+
 def test_pole_error_is_one_error_line(abd_file, capsys, monkeypatch):
     def no_point(*args, **kwargs):
         raise PoleError("could not find a pole-free sample tuple")
 
     monkeypatch.setattr(cli, "check_aybe", no_point)
     _assert_one_error_line(capsys, ["check-aybe", "--abd", abd_file, "--field", FP])
+
+
+@pytest.mark.parametrize("extra, sha256", [
+    (["--field", FP], "d97c7db4f88b9548bd856de01d9f0733260aa72f8bbcf27dbec80bd196186eaa"),
+    (["--field", "q"], "d6581b8f8159909e763e141f2b60abde02b4c5ea7f7b7324dd761b72af86e84c"),
+    (["--field", FP, "--mutate", "one-coefficient"],
+     "509e3428508c3abfa156a076fd6802da6545f3ead777b5773933888aa6d9587b"),
+], ids=["fp", "q", "fp-mutated"])
+def test_suite_bytes_are_pinned(extra, sha256, capsys):
+    # a small-size twin of the `ybx suite --points 25 --seed 7` behaviour contract
+    _, out = run(capsys, "suite", "--nmax", "3", "--points", "3", "--seed", "7", *extra)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

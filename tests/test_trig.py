@@ -176,15 +176,6 @@ def test_qybe_float_shadow():
     assert qybe_float_shadow(1.0, 0.7) < 1e-9
 
 
-def test_qybe_alternative_reading_fails(fp):
-    # the fixed-v convention is kept behind a flag for inspection only; it
-    # does not hold for n >= 2, which is why fixed-u is the adopted reading
-    rep = qybe_unitarity(TrigSolution(example_structure()), 4, 7, fp, reading="fixed-v")
-    assert rep.failures == 4
-    with pytest.raises(ValueError):
-        qybe_unitarity(TrigSolution(example_structure()), 1, 7, fp, reading="bogus")
-
-
 def test_gauge_transform_identity(fp):
     sol = TrigSolution(example_structure())
     phi = [[fp.one if i == j else fp.zero for j in range(4)] for i in range(4)]
@@ -230,15 +221,64 @@ def test_n5_spot_check_both_backends(field):
         assert check_skew(sol, 3, 7, field).passed, s.label()
 
 
-def test_report_shape(fp):
-    rep = check_aybe(trivial_solution(), 3, 5, fp)
-    d = rep.to_json_dict()
-    assert d == {
-        "check": "aybe",
+@pytest.mark.parametrize("check, mutate, name, failures", [
+    (check_aybe, None, "aybe", 0),
+    (check_skew, None, "skew", 0),
+    (check_cybe, None, "cybe", 0),
+    (qybe_unitarity, None, "qybe-unitarity", 0),
+    (check_strong_nondegeneracy, None, "strong-nondegeneracy", 0),
+    (check_aybe, (0, 1, 2, 2), "aybe(mutated)", 3),
+    (check_skew, (1, 1, 0, 0), "skew(mutated)", 3),
+    (check_cybe, (0, 1, 2, 2), "cybe(mutated)", 3),
+], ids=["aybe", "skew", "cybe", "qybe", "nondeg", "aybe-mutated", "skew-mutated",
+        "cybe-mutated"])
+def test_report_shape(check, mutate, name, failures, fp):
+    # mutated runs count failing points but carry no details
+    kwargs = {} if mutate is None else {"mutate": mutate}
+    rep = check(TrigSolution(example_structure()), 3, 5, fp, **kwargs)
+    assert rep.to_json_dict() == {
+        "check": name,
         "points": 3,
-        "failures": 0,
-        "pass": True,
+        "failures": failures,
+        "pass": failures == 0,
         "seed": 5,
         "backend": fp.name,
     }
     assert rep.elapsed_ms >= 0
+
+
+class _Doubled:
+    """2 r: unitarity fails at every point."""
+
+    def __init__(self, base):
+        self.base, self.n = base, base.n
+
+    def eval(self, ring, q_u, q_v):
+        return self.base.eval(ring, q_u, q_v).scale(ring.of_int(2))
+
+
+class _Zero:
+    """The zero r-matrix: degenerate at every point."""
+
+    n = 2
+
+    def eval(self, ring, q_u, q_v):
+        return Tensor2(2, ring)
+
+
+@pytest.mark.parametrize("check, sol, name, note", [
+    (qybe_unitarity, _Doubled(TrigSolution(example_structure())), "qybe-unitarity",
+     "unitarity failed"),
+    (check_strong_nondegeneracy, _Zero(), "strong-nondegeneracy", "degenerate point found"),
+], ids=["qybe", "nondeg"])
+def test_failure_details_are_capped_at_three(check, sol, name, note, fp):
+    rep = check(sol, 4, 5, fp)
+    assert rep.to_json_dict() == {
+        "check": name,
+        "points": 4,
+        "failures": 4,
+        "pass": False,
+        "seed": 5,
+        "backend": fp.name,
+        "details": [note] * 3,
+    }
