@@ -146,7 +146,7 @@ def cmd_check_skew(args):
 
 
 def cmd_cybe(args):
-    return _emit_checks(args, lambda *a: [check_cybe(*a, jet_order=args.jet_order)])
+    return _emit_checks(args, lambda *a: [check_cybe(*a)])
 
 
 def cmd_qybe(args):
@@ -170,8 +170,8 @@ def cmd_residues(args):
     sol = TrigSolution(s)
     rng = derive_rng(args.seed, "residues", field.name)
     (other,) = trig._pole_free(field, rng, s.n, 1)
-    res_u = residues(sol, "u", other, field, jet_order=args.jet_order)
-    res_v = residues(sol, "v", other, field, jet_order=args.jet_order)
+    res_u = residues(sol, "u", other, field)
+    res_v = residues(sol, "v", other, field)
     ok_u = res_u == Tensor2.unit(s.n, field)
     ok_v = res_v == transposition_p(s.n, field)
     emit(
@@ -271,7 +271,7 @@ def cmd_abd_iso(args):
     return 0 if sigma is not None else 1
 
 
-def run_suite(structures, points, seed, field, jet_order, mutate=False):
+def run_suite(structures, points, seed, field, mutate=False):
     """Run the identity checks over a catalog; deterministic given inputs.
 
     Per structure: the randomized AYBE and skew checks, the polar-term
@@ -296,8 +296,8 @@ def run_suite(structures, points, seed, field, jet_order, mutate=False):
         rng = derive_rng(seed, "suite-res", field.name, tag)
         (other,) = trig._pole_free(field, rng, s.n, 1)
         with CheckReport.timed("residues[%s]" % tag, 2, seed, field.name) as rep:
-            res_u = residues(sol, "u", other, field, jet_order=jet_order)
-            res_v = residues(sol, "v", other, field, jet_order=jet_order)
+            res_u = residues(sol, "u", other, field)
+            res_v = residues(sol, "v", other, field)
             rep.failures = (int(res_u != Tensor2.unit(s.n, field))
                             + int(res_v != transposition_p(s.n, field)))
         reports.append(rep)
@@ -336,7 +336,6 @@ def cmd_suite(args):
         args.points,
         args.seed,
         field,
-        args.jet_order,
         mutate=args.mutate == "one-coefficient",
     )
     payload = report_payload(reports)
@@ -354,77 +353,78 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of trigonometric associative "
         "Yang-Baxter solutions and their combinatorics.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="q", help="scalar backend: q or fp:<prime>")
-    common.add_argument("--points", type=int, default=25, help="points per check")
-    common.add_argument("--seed", type=int, default=7, help="root RNG seed")
-    common.add_argument("--jet-order", type=int, default=6, dest="jet_order",
-                        help="truncation order for Laurent jets (>= 2)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
+    # the shared flags, each given only to the commands that read it
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    sampled.add_argument("--field", default="q", help="scalar backend: q or fp:<prime>")
+    sampled.add_argument("--seed", type=int, default=7, help="root RNG seed")
+    checked = argparse.ArgumentParser(add_help=False, parents=[sampled])
+    checked.add_argument("--points", type=int, default=25, help="points per check")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="validate a structure file")
+    p = sub.add_parser("validate", parents=[fmt], help="validate a structure file")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("surface", parents=[common], help="square-tiled surface summary")
+    p = sub.add_parser("surface", parents=[fmt], help="square-tiled surface summary")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("build-r", parents=[common], help="emit r at a sample point")
+    p = sub.add_parser("build-r", parents=[sampled], help="emit r at a sample point")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_build_r)
 
-    p = sub.add_parser("check-aybe", parents=[common], help="AYBE residual check")
+    p = sub.add_parser("check-aybe", parents=[checked], help="AYBE residual check")
     p.add_argument("--abd", required=True)
     p.add_argument("--mutate", action="store_true", help="corrupt one coefficient")
     p.set_defaults(func=cmd_check_aybe)
 
-    p = sub.add_parser("check-skew", parents=[common], help="skew-symmetry check")
+    p = sub.add_parser("check-skew", parents=[checked], help="skew-symmetry check")
     p.add_argument("--abd", required=True)
     p.add_argument("--mutate", action="store_true")
     p.set_defaults(func=cmd_check_skew)
 
-    p = sub.add_parser("residues", parents=[common], help="polar term extraction")
+    p = sub.add_parser("residues", parents=[sampled], help="polar term extraction")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_residues)
 
-    p = sub.add_parser("cybe", parents=[common], help="CYBE check for rbar0")
+    p = sub.add_parser("cybe", parents=[checked], help="CYBE check for rbar0")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_cybe)
 
-    p = sub.add_parser("qybe", parents=[common], help="QYBE and unitarity check")
+    p = sub.add_parser("qybe", parents=[checked], help="QYBE and unitarity check")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_qybe)
 
-    p = sub.add_parser("hat", parents=[common], help="checks for the involution image")
+    p = sub.add_parser("hat", parents=[checked], help="checks for the involution image")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_hat)
 
-    p = sub.add_parser("massey", parents=[common], help="rectangle-count tensor")
+    p = sub.add_parser("massey", parents=[sampled], help="rectangle-count tensor")
     p.add_argument("--abd", required=True)
     p.add_argument("--compare", action="store_true",
                    help="compare against the closed form")
     p.set_defaults(func=cmd_massey)
 
-    p = sub.add_parser("novikov", parents=[common], help="Novikov series cross-check")
+    p = sub.add_parser("novikov", parents=[fmt], help="Novikov series cross-check")
     p.add_argument("--u", default="1.0")
     p.add_argument("--v", default="1.0")
     p.add_argument("--terms", type=int, default=60, dest="terms")
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.set_defaults(func=cmd_novikov)
 
-    p = sub.add_parser("bundle", parents=[common], help="bundle combinatorics")
+    p = sub.add_parser("bundle", parents=[fmt], help="bundle combinatorics")
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--emit-abd", action="store_true", dest="emit_abd")
     p.set_defaults(func=cmd_bundle)
 
-    p = sub.add_parser("abd-iso", parents=[common], help="structure isomorphism")
+    p = sub.add_parser("abd-iso", parents=[fmt], help="structure isomorphism")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=cmd_abd_iso)
 
-    p = sub.add_parser("suite", parents=[common], help="run the built-in catalog")
+    p = sub.add_parser("suite", parents=[checked], help="run the built-in catalog")
     p.add_argument("--nmax", type=int, default=4, help="largest n to check (1..4)")
     p.add_argument("--mutate", choices=("one-coefficient",), default=None)
     p.set_defaults(func=cmd_suite)
@@ -436,9 +436,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "points", 1) < 1:
         print("error: --points must be >= 1", file=sys.stderr)
-        return 2
-    if getattr(args, "jet_order", 2) < 2:
-        print("error: --jet-order must be >= 2", file=sys.stderr)
         return 2
     if not 1 <= getattr(args, "nmax", 1) <= 4:
         print("error: --nmax must be between 1 and 4", file=sys.stderr)

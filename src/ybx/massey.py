@@ -23,10 +23,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .perms import a_km
+from .perms import rectangle_terms, term_target
 from .surface import SquareTiledSurface
 from .tensors import Tensor2
-from .trig import _invert
+from .trig import _invert, assemble_terms
 
 
 @dataclass(frozen=True)
@@ -40,50 +40,22 @@ class RectangleFamily:
     target: tuple        # ((i,j),(k,l)) basis tensor receiving the contribution
 
 
+def _families(n, terms) -> list:
+    """(family, group number) for every family of a ``rectangle_terms`` table,
+    sorted by (kind, k, m, base, sign)."""
+    out = []
+    for g, (kind, k, m, sign, bases, flats) in enumerate(terms):
+        holonomy = (-sign * k, -sign * m) if kind == "a_rect" else (k, m)
+        for base, f in zip(bases, flats):
+            out.append((RectangleFamily(kind, k, m, base, sign, holonomy,
+                                        term_target(n, f)), g))
+    out.sort(key=lambda fg: (fg[0].kind, fg[0].k, fg[0].m, fg[0].base, -fg[0].sign))
+    return out
+
+
 def enumerate_rectangles(s: SquareTiledSurface) -> list:
     """All contributing rectangle families, sorted by (kind, k, m, base, sign)."""
-    abd = s.abd
-    n = abd.n
-    pow1 = [tuple(range(n))]
-    pow2 = [tuple(range(n))]
-    for _ in range(1, n):
-        pow1.append(tuple(abd.c1(x) for x in pow1[-1]))
-        pow2.append(tuple(abd.c2(x) for x in pow2[-1]))
-    fams = []
-    for i in range(n):
-        fams.append(
-            RectangleFamily("diagonal", 0, 0, i, +1, (0, 0), ((i, i), (i, i)))
-        )
-    for k in range(1, n):
-        for i in range(n):
-            j = pow1[k][i]
-            fams.append(
-                RectangleFamily("horizontal", k, 0, i, +1, (k, 0), ((j, j), (i, i)))
-            )
-    for m in range(1, n):
-        for i in range(n):
-            j = pow2[m][i]
-            fams.append(
-                RectangleFamily("vertical", 0, m, i, +1, (0, m), ((i, j), (j, i)))
-            )
-    for k in range(1, n):
-        for m in range(1, n):
-            for a in a_km(abd, k, m):
-                ca = pow2[m][a]
-                ra = pow1[k][a]
-                rca = pow1[k][ca]
-                fams.append(
-                    RectangleFamily(
-                        "a_rect", k, m, a, +1, (-k, -m), ((ca, a), (ra, rca))
-                    )
-                )
-                fams.append(
-                    RectangleFamily(
-                        "a_rect", k, m, a, -1, (k, m), ((ra, rca), (ca, a))
-                    )
-                )
-    fams.sort(key=lambda f: (f.kind, f.k, f.m, f.base, -f.sign))
-    return fams
+    return [fam for fam, _ in _families(s.n, rectangle_terms(s.abd))]
 
 
 def develop_rectangle(s: SquareTiledSurface, a: int, k: int, m: int) -> bool:
@@ -132,40 +104,37 @@ def massey_tensor(s: SquareTiledSurface, q_u, q_v, ring) -> MasseyTensor:
 
     The diagonal family carries both corrections, the horizontal family the
     h1 correction, the vertical one the h2 correction, and the A-rectangle
-    pair none; dualization multiplies everything by -1.
+    pair none; dualization multiplies everything by -1.  Every family of a
+    ``rectangle_terms`` group gets the same coefficient, so each group is
+    priced once.
     """
-    abd = s.abd
-    n = abd.n
+    n = s.n
     one = ring.one
     eu = q_u ** (2 * n)
     ev = q_v ** (2 * n)
-    inv_one_m_eu = _invert(ring, one - eu)     # 1/(1 - e^u)
-    inv_one_m_ev = _invert(ring, one - ev)     # 1/(1 - e^v)
-    corr_u = eu * inv_one_m_eu                 # -mu2(., h1) = e^u/(1-e^u)
-    corr_v = ev * inv_one_m_ev                 # -mu2(h2, .) = e^v/(1-e^v)
+    corr_u = eu * _invert(ring, one - eu)      # -mu2(., h1) = e^u/(1-e^u)
+    corr_v = ev * _invert(ring, one - ev)      # -mu2(h2, .) = e^v/(1-e^v)
     eu_n = q_u * q_u
     ev_n = q_v * q_v
 
-    t = Tensor2(n, ring)
-    breakdown = []
-    for fam in enumerate_rectangles(s):
-        if fam.kind == "diagonal":
+    terms = rectangle_terms(s.abd)
+    prices = []
+    for kind, k, m, sign, _, _ in terms:
+        if kind == "diagonal":
             mp = one + corr_u + corr_v
-        elif fam.kind == "horizontal":
-            mp = (eu_n ** fam.k) * (one + corr_u)
-        elif fam.kind == "vertical":
-            mp = (ev_n ** fam.m) * (one + corr_v)
+        elif kind == "horizontal":
+            mp = (eu_n ** k) * (one + corr_u)
+        elif kind == "vertical":
+            mp = (ev_n ** m) * (one + corr_v)
         else:
             # the rectangle pair over a filled block; the orientation count is
             # -e^{-(ku+mv)/n} for the +1 family and +e^{(ku+mv)/n} for the -1
             # family (both signs fixed, not re-derived from Spin data)
-            hol = (eu_n ** fam.holonomy[0]) * (ev_n ** fam.holonomy[1])
-            mp = -hol if fam.sign > 0 else hol
-        coeff = -mp  # dualization brings in an overall sign
-        (i, j), (k, l) = fam.target
-        t[i, j, k, l] = t[i, j, k, l] + coeff
-        breakdown.append((fam, coeff))
-    return MasseyTensor(tensor=t, breakdown=breakdown)
+            hol = (eu_n ** (-sign * k)) * (ev_n ** (-sign * m))
+            mp = -hol if sign > 0 else hol
+        prices.append(-mp)  # dualization brings in an overall sign
+    breakdown = [(fam, prices[g]) for fam, g in _families(n, terms)]
+    return MasseyTensor(tensor=assemble_terms(n, ring, terms, prices), breakdown=breakdown)
 
 
 @dataclass
@@ -229,7 +198,9 @@ def novikov_check(u: complex, v: complex, terms: int) -> NovikovResult:
     for l in range(1, terms + 1):
         series += cmath.exp(-l * u) + cmath.exp(-l * v)
     partial = -area_weight * series
-    closed = area_weight * (1.0 / (1.0 - cmath.exp(u)) + 1.0 / (cmath.exp(-v) - 1.0))
+    # 1/(1 - e^u) = -e^-u/(1 - e^-u): only e^-u and e^-v, which cannot overflow
+    eu_inv, ev_inv = cmath.exp(-u), cmath.exp(-v)
+    closed = area_weight * (-eu_inv / (1.0 - eu_inv) + 1.0 / (ev_inv - 1.0))
     return NovikovResult(
         partial=partial,
         closed=closed,

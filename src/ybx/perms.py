@@ -291,6 +291,59 @@ def a_km(s: ABDStructure, k: int, m: int) -> tuple:
     return tuple(out)
 
 
+def rectangle_terms(s: ABDStructure) -> tuple:
+    """The rectangle families of ``s``, grouped by the coefficient they share in r.
+
+    Each group is a tuple ``(kind, k, m, sign, bases, flats)``: ``bases``
+    lists the base square of every family in the group and ``flats`` the
+    flat index ((i*n + j)*n + k)*n + l of the basis tensor e_ij (x) e_kl it
+    contributes to, in the same order.  With j = C1^k(i) or C2^m(i):
+
+    - ("diagonal", 0, 0, +1): e_ii (x) e_ii for every square i;
+    - ("horizontal", k, 0, +1), 1 <= k < n: e_jj (x) e_ii, j = C1^k(i);
+    - ("vertical", 0, m, +1), 1 <= m < n: e_ij (x) e_ji, j = C2^m(i);
+    - ("a_rect", k, m, +1) and ("a_rect", k, m, -1) for every nonempty
+      A(k,m): e_{C2^m a, a} (x) e_{C1^k a, C1^k C2^m a}, and the same two
+      factors swapped.
+    """
+    n = s.n
+    pow1, pow2 = [tuple(range(n))], [tuple(range(n))]
+    for _ in range(1, n):
+        pow1.append(tuple(s.c1(x) for x in pow1[-1]))
+        pow2.append(tuple(s.c2(x) for x in pow2[-1]))
+
+    def flat(i, j, k, l):
+        return ((i * n + j) * n + k) * n + l
+
+    squares = pow1[0]
+    terms = [("diagonal", 0, 0, 1, squares, tuple(flat(i, i, i, i) for i in squares))]
+    for k in range(1, n):
+        terms.append(("horizontal", k, 0, 1, squares,
+                      tuple(flat(j, j, i, i) for i, j in enumerate(pow1[k]))))
+    for m in range(1, n):
+        terms.append(("vertical", 0, m, 1, squares,
+                      tuple(flat(i, j, j, i) for i, j in enumerate(pow2[m]))))
+    for k in range(1, n):
+        for m in range(1, n):
+            members = a_km(s, k, m)
+            if not members:
+                continue
+            blocks = [((pow2[m][a], a), (pow1[k][a], pow1[k][pow2[m][a]])) for a in members]
+            terms.append(("a_rect", k, m, 1, members,
+                          tuple(flat(*left, *right) for left, right in blocks)))
+            terms.append(("a_rect", k, m, -1, members,
+                          tuple(flat(*right, *left) for left, right in blocks)))
+    return tuple(terms)
+
+
+def term_target(n: int, flat: int) -> tuple:
+    """The basis tensor ((i, j), (k, l)) at a flat index of ``rectangle_terms``."""
+    flat, l = divmod(flat, n)
+    flat, k = divmod(flat, n)
+    i, j = divmod(flat, n)
+    return (i, j), (k, l)
+
+
 def gamma_pair(s: ABDStructure):
     """The graph-subset form: Gamma1 = {(a, C1 a)}, Gamma2 = {(C2 a, C1 C2 a)}."""
     g1 = frozenset((x, s.c1(x)) for x in s.a)

@@ -27,10 +27,6 @@ class BackendMismatchError(TypeError):
     """Mixed arithmetic between elements of different scalar backends."""
 
 
-class SamplingError(RuntimeError):
-    """Could not find a sample satisfying all constraints."""
-
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 #: the prime witnesses 2..41 decide primality exactly below this bound
@@ -250,21 +246,3 @@ def derive_rng(root_seed: int, *tags) -> random.Random:
     blob = repr((root_seed,) + tags).encode()
     digest = hashlib.sha256(blob).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def sample_point(field, rng, forbidden=(), max_tries: int = 500):
-    """Sample a nonzero scalar avoiding the given vanishing loci.
-
-    ``forbidden`` is an iterable of callables; a candidate q is rejected
-    whenever some constraint evaluates to zero at q.  Raises
-    ``SamplingError`` after ``max_tries`` rejections.
-    """
-    if isinstance(rng, int):
-        rng = derive_rng(rng)
-    for _ in range(max_tries):
-        q = field.sample(rng)
-        if not q:
-            continue
-        if all(bool(c(q)) for c in forbidden):
-            return q
-    raise SamplingError("no admissible sample after %d tries" % max_tries)

@@ -38,17 +38,6 @@ class SquareTiledSurface:
     def n(self) -> int:
         return self.abd.n
 
-    @property
-    def filled_squares(self) -> tuple:
-        return self.abd.a
-
-    def orbit_of(self, square: int) -> PunctureOrbit:
-        """The puncture whose commutator cycle contains ``square``."""
-        for orb in self.orbits:
-            if square in orb.squares:
-                return orb
-        raise KeyError(square)
-
 
 def _corner_walk(abd: ABDStructure):
     """Group the 4n square corners into vertex orbits.

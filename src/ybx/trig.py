@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .jets import JetRing, LaurentJet, exp_jet
-from .perms import ABDStructure, a_km, validate_abd
+from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
 from .tensors import (
     Tensor2,
@@ -88,7 +88,12 @@ def _invert(ring, x):
 
 
 class TrigSolution:
-    """Evaluator for the closed-form trigonometric solution of an ABD structure."""
+    """Evaluator for the closed-form trigonometric solution of an ABD structure.
+
+    ``terms`` is the rectangle-family table of ``perms.rectangle_terms``;
+    ``eval`` prices each of its groups once and adds the price at the
+    group's target entries.
+    """
 
     def __init__(self, abd: ABDStructure):
         problems = validate_abd(abd)
@@ -96,64 +101,52 @@ class TrigSolution:
             raise ValueError("invalid structure: " + "; ".join(problems))
         self.abd = abd
         self.n = abd.n
-        n = abd.n
-        # image tables of c1^k and c2^m for 0 <= k, m <= n-1
-        self.pow1 = [tuple(range(n))]
-        self.pow2 = [tuple(range(n))]
-        for _ in range(1, n):
-            self.pow1.append(tuple(abd.c1(x) for x in self.pow1[-1]))
-            self.pow2.append(tuple(abd.c2(x) for x in self.pow2[-1]))
-        # A(k,m) tables, nonempty only for k, m < n
-        self.akm = {
-            (k, m): members
-            for k in range(1, n)
-            for m in range(1, n)
-            if (members := a_km(abd, k, m))
-        }
+        self.terms = rectangle_terms(abd)
 
     def eval(self, ring, q_u, q_v) -> Tensor2:
-        """r at the point (q_u, q_v); entries live in ``ring``."""
+        """r at the point (q_u, q_v); entries live in ``ring``.
+
+        Group prices: diagonal 1/(e^u - 1) + 1/(1 - e^-v), horizontal
+        e^{ku/n}/(e^u - 1), vertical e^{mv/n}/(e^v - 1), and the A-rectangle
+        pair e^{-(ku+mv)/n} (sign +1) and -e^{(ku+mv)/n} (sign -1).
+        """
         n = self.n
-        pow1, pow2 = self.pow1, self.pow2
         one = ring.one
         eu = q_u ** (2 * n)        # exp(u)
         ev = q_v ** (2 * n)        # exp(v)
         inv_eu_m1 = _invert(ring, eu - one)          # 1/(e^u - 1)
         inv_ev_m1 = _invert(ring, ev - one)          # 1/(e^v - 1)
-        inv_one_m_emv = _invert(ring, one - ev ** -1)  # 1/(1 - e^-v)
-
-        t = Tensor2(n, ring)
-        diag = inv_eu_m1 + inv_one_m_emv
-        for i in range(n):
-            t[i, i, i, i] = t[i, i, i, i] + diag
+        diag = inv_eu_m1 + _invert(ring, one - ev ** -1)  # ... + 1/(1 - e^-v)
         eu_n = q_u * q_u           # exp(u/n)
         ev_n = q_v * q_v           # exp(v/n)
-        pw_u = one
-        for k in range(1, n):
-            pw_u = pw_u * eu_n
-            coeff = pw_u * inv_eu_m1
-            row = pow1[k]
-            for i in range(n):
-                j = row[i]
-                t[j, j, i, i] = t[j, j, i, i] + coeff
-        pw_v = one
-        for m in range(1, n):
-            pw_v = pw_v * ev_n
-            coeff = pw_v * inv_ev_m1
-            row = pow2[m]
-            for i in range(n):
-                j = row[i]
-                t[i, j, j, i] = t[i, j, j, i] + coeff
-        for (k, m), members in self.akm.items():
-            w = (eu_n ** k) * (ev_n ** m)        # exp((ku+mv)/n)
-            w_inv = _invert(ring, w)
-            for a in members:
-                ca = pow2[m][a]
-                ra = pow1[k][a]
-                rca = pow1[k][ca]
-                t[ca, a, ra, rca] = t[ca, a, ra, rca] + w_inv
-                t[ra, rca, ca, a] = t[ra, rca, ca, a] - w
-        return t
+        pw_u, pw_v = [one], [one]  # exp(ku/n) and exp(mv/n) for 0 <= k, m < n
+        for _ in range(1, n):
+            pw_u.append(pw_u[-1] * eu_n)
+            pw_v.append(pw_v[-1] * ev_n)
+        prices = []
+        for kind, k, m, sign, _, _ in self.terms:
+            if kind == "diagonal":
+                prices.append(diag)
+            elif kind == "horizontal":
+                prices.append(pw_u[k] * inv_eu_m1)
+            elif kind == "vertical":
+                prices.append(pw_v[m] * inv_ev_m1)
+            else:
+                w = pw_u[k] * pw_v[m]                # exp((ku+mv)/n)
+                prices.append(_invert(ring, w) if sign > 0 else -w)
+        return assemble_terms(n, ring, self.terms, prices)
+
+
+def assemble_terms(n, ring, terms, prices) -> Tensor2:
+    """The tensor with each group's price added at every target of the group."""
+    data = {}
+    for (*_, flats), price in zip(terms, prices):
+        for f in flats:
+            v = data.pop(f, None)
+            v = price if v is None else v + price
+            if v:
+                data[f] = v
+    return Tensor2(n, ring, data)
 
 
 class HatSolution:

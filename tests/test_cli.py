@@ -286,3 +286,41 @@ def test_suite_bytes_are_pinned(extra, sha256, capsys):
     # a small-size twin of the `ybx suite --points 25 --seed 7` behaviour contract
     _, out = run(capsys, "suite", "--nmax", "3", "--points", "3", "--seed", "7", *extra)
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("field, sha256", [
+    ("q", "42d6c16e592f47cb506920c977f2ba582a2c74e5e643ce6b1bf39be6dd9d59bf"),
+    (FP, "5117567272db5383bf8f70361d2f31ff58b96861416080ffbbea7fb67744f5f0"),
+], ids=["q", "fp"])
+def test_build_r_bytes_are_pinned(field, sha256, abd_file, capsys):
+    # pins the entries of r for the worked example independently of the
+    # Massey assembly, which reads the same rectangle-family table
+    _, out = run(capsys, "build-r", "--abd", abd_file, "--field", field, "--seed", "7")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["novikov"], ["--field", "garbage"]),
+    (["novikov"], ["--jet-order", "99"]),
+    (["validate", "--abd", "{abd}"], ["--points", "0"]),
+    (["surface", "--abd", "{abd}"], ["--seed", "3"]),
+    (["build-r", "--abd", "{abd}"], ["--points", "2"]),
+    (["residues", "--abd", "{abd}"], ["--jet-order", "4"]),
+    (["massey", "--abd", "{abd}"], ["--points", "2"]),
+    (["cybe", "--abd", "{abd}"], ["--jet-order", "4"]),
+    (["bundle", "--in", "{abd}"], ["--field", "q"]),
+    (["abd-iso", "{abd}", "{abd}"], ["--seed", "1"]),
+    (["suite"], ["--jet-order", "4"]),
+], ids=lambda x: " ".join(x).replace("{abd}", "x.json"))
+def test_flag_the_command_does_not_read_is_rejected(command, flag, abd_file, capsys):
+    argv = [a.format(abd=abd_file) for a in command + flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
+
+
+def test_novikov_large_u_does_not_overflow(capsys):
+    code, out = run(capsys, "novikov", "--u", "1000")
+    assert code == 0
+    assert json.loads(out)["pass"] is True

@@ -24,7 +24,9 @@ from ybx.perms import (
     inverse,
     is_valid_abd,
     parse_cycles,
+    rectangle_terms,
     relabel_abd,
+    term_target,
     validate_abd,
 )
 from ybx.scalars import derive_rng
@@ -152,6 +154,28 @@ def test_a_km_monotone(s, k, m):
     assert set(a_km(s, k + 1, m)) <= set(a_km(s, k, m))
     assert set(a_km(s, k, m + 1)) <= set(a_km(s, k, m))
     assert a_km(s, 1, 1) == s.a
+
+
+def test_rectangle_terms_example():
+    s = example_structure()
+    terms = rectangle_terms(s)
+    assert [t[:4] for t in terms] == [
+        ("diagonal", 0, 0, 1),
+        ("horizontal", 1, 0, 1), ("horizontal", 2, 0, 1), ("horizontal", 3, 0, 1),
+        ("vertical", 0, 1, 1), ("vertical", 0, 2, 1), ("vertical", 0, 3, 1),
+        ("a_rect", 1, 1, 1), ("a_rect", 1, 1, -1),
+    ]
+    c1, c2 = s.c1, s.c2
+    targets = {t[:4]: [term_target(4, f) for f in t[5]] for t in terms}
+    assert all(len(t[4]) == len(t[5]) for t in terms)
+    assert targets[("diagonal", 0, 0, 1)] == [((i, i), (i, i)) for i in range(4)]
+    assert targets[("horizontal", 2, 0, 1)] == [
+        ((c1(c1(i)), c1(c1(i))), (i, i)) for i in range(4)]
+    assert targets[("vertical", 0, 1, 1)] == [((i, c2(i)), (c2(i), i)) for i in range(4)]
+    # 1-based: C2(3)=4, C1(3)=1, C1C2(3)=2 -> 0-based rows (3,2) and (0,1)
+    assert terms[-2][4] == terms[-1][4] == (2,)
+    assert targets[("a_rect", 1, 1, 1)] == [((3, 2), (0, 1))]
+    assert targets[("a_rect", 1, 1, -1)] == [((0, 1), (3, 2))]
 
 
 def test_gamma_pair():

@@ -10,12 +10,11 @@ from ybx.scalars import (
     BackendMismatchError,
     PrimeField,
     RATIONAL,
-    SamplingError,
     derive_rng,
     field_from_name,
     is_probable_prime,
-    sample_point,
 )
+from ybx.trig import PoleError, _pole_free
 
 
 def test_rational_arithmetic():
@@ -67,30 +66,32 @@ def test_fraction_embedding(fp):
     assert x * fp.of_int(3) == fp.of_int(2)
 
 
-def test_sample_point_determinism(fp):
-    a = sample_point(fp, 99, forbidden=(lambda q: q - fp.one,))
-    b = sample_point(fp, 99, forbidden=(lambda q: q - fp.one,))
-    assert a == b
+def test_pole_free_is_deterministic(fp):
+    assert _pole_free(fp, derive_rng(99), 3, 2) == _pole_free(fp, derive_rng(99), 3, 2)
 
 
-def test_sample_point_respects_constraints(fp):
-    rng = derive_rng(5, "sampling")
+def test_pole_free_respects_constraints(field):
+    # each forbidden locus holds a sizeable share of raw draws: the quadratic
+    # residues of GF(p), and q = +-2 among the small sampled rationals
+    one = field.one
+    if field is RATIONAL:
+        def allowed(q):
+            return q * q - 4
+    else:
+        def allowed(q):
+            return q ** ((field.p - 1) // 2) - one
+    rng = derive_rng(5, "sampling", field.name)
     for _ in range(200):
-        q = sample_point(fp, rng, forbidden=(lambda q: q, lambda q: q * q - fp.one))
-        assert q and q * q != fp.one
+        qs = _pole_free(field, rng, 2, 2, extra=(lambda a, b: allowed(a),
+                                                 lambda a, b: allowed(b)))
+        for q in qs:
+            assert q and q ** 4 != one and allowed(q)
 
 
-def test_sample_point_rational_constraints():
-    rng = derive_rng(5, "sampling-q")
-    for _ in range(200):
-        q = sample_point(RATIONAL, rng, forbidden=(lambda q: q * q - 1,))
-        assert q not in (0, 1, -1)
-
-
-def test_sample_point_gives_up():
+def test_pole_free_gives_up():
     rng = derive_rng(5, "hopeless")
-    with pytest.raises(SamplingError):
-        sample_point(RATIONAL, rng, forbidden=(lambda q: RATIONAL.zero,), max_tries=10)
+    with pytest.raises(PoleError):
+        _pole_free(RATIONAL, rng, 2, 1, extra=(lambda q: RATIONAL.zero,))
 
 
 def test_smoke_no_constraint_violations(fp):
