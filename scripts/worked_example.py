@@ -54,7 +54,7 @@ def main():
     sol = TrigSolution(s)
     rng = derive_rng(args.seed, "worked-example", field.name)
     qu, qv = _pole_free(field, rng, s.n, 2)
-    mt = massey_tensor(surf, qu, qv, field)
+    mt = massey_tensor(sol, qu, qv, field)
     closed = sol.eval(field, qu, qv)
     print("\nmassey tensor == closed form at the sample point:", mt.tensor == closed)
 

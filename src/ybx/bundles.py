@@ -9,7 +9,6 @@ unrolled degree sequence d.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,23 +57,14 @@ class BundleData:
         )
 
 
-class UnrolledSequence:
-    """d_{qn+j} = m[(-q) mod r][j]; rn-periodic in t."""
+def unroll_d(b: BundleData):
+    """The sequence t -> d_t with d_{qn+j} = m[(-q) mod r][j]; rn-periodic in t."""
 
-    def __init__(self, bundle: BundleData):
-        self.bundle = bundle
-        self.period = bundle.r * bundle.n
+    def d(t: int) -> int:
+        q, j = divmod(t, b.n)
+        return b.m[(-q) % b.r][j]
 
-    def at(self, t: int) -> int:
-        n = self.bundle.n
-        q, j = divmod(t, n)
-        return self.bundle.m[(-q) % self.bundle.r][j]
-
-    __call__ = at
-
-
-def unroll_d(b: BundleData) -> UnrolledSequence:
-    return UnrolledSequence(b)
+    return d
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,7 @@ def is_simple(b: BundleData) -> SimplicityReport:
         d = unroll_d(b)
         period = b.r * b.n
         for q in range(1, b.r):
-            diff = [d.at(q * b.n + t) - d.at(t) for t in range(period)]
+            diff = [d(q * b.n + t) - d(t) for t in range(period)]
             signs = [x for x in diff if x]
             if not signs:
                 violations.append("difference sequence at shift %d vanishes" % q)
@@ -144,49 +134,44 @@ def twist(b: BundleData, shift: int) -> BundleData:
     )
 
 
+def _order_keys(b: BundleData) -> list:
+    """Per row i, the one-period window (d_{j-in})_{j<rn} of the unrolled sequence.
+
+    The complete order on Z/r is the lexicographic order of these keys: the
+    first nonzero of (d_{j-in} - d_{j-i'n})_j is negative exactly when row
+    i's key is the smaller, and one period rn covers every difference.
+    """
+    d = unroll_d(b)
+    period = b.r * b.n
+    return [tuple(d(j - i * b.n) for j in range(period)) for i in range(b.r)]
+
+
 def compare_prec(b: BundleData, i: int, ip: int) -> bool:
     """i < i' in the complete order: the first nonzero of
     (d_{j-in} - d_{j-i'n})_{j=0,1,..} is negative.
 
-    The scan is capped at one full period rn; an all-zero window means the
-    bundle was not simple after all.
+    Equal windows (see ``_order_keys``) for i != i' mean the bundle was not
+    simple after all.
     """
     if i == ip:
         return False
-    d = unroll_d(b)
-    for j in range(b.r * b.n):
-        delta = d.at(j - i * b.n) - d.at(j - ip * b.n)
-        if delta:
-            return delta < 0
-    raise SimplicityError(
-        "rows %d and %d are incomparable; inconsistent with simplicity" % (i, ip)
-    )
+    keys = _order_keys(b)
+    if keys[i] == keys[ip]:
+        raise SimplicityError(
+            "rows %d and %d are incomparable; inconsistent with simplicity" % (i, ip)
+        )
+    return keys[i] < keys[ip]
 
 
 def order_prec(b: BundleData) -> tuple:
-    """The chain of Z/r sorted by the complete order (least first).
-
-    Totality and antisymmetry are asserted pairwise on the way.
-    """
+    """The chain of Z/r sorted by the complete order (least first)."""
     rep = is_simple(b)
     if not rep:
         raise SimplicityError("; ".join(rep.violations))
-    for i in range(b.r):
-        for ip in range(i + 1, b.r):
-            if compare_prec(b, i, ip) == compare_prec(b, ip, i):
-                raise SimplicityError(
-                    "order is not antisymmetric/total on rows %d, %d" % (i, ip)
-                )
-    chain = sorted(
-        range(b.r),
-        key=functools.cmp_to_key(lambda i, ip: -1 if compare_prec(b, i, ip) else 1),
-    )
-    # transitivity sanity: every pair along the chain must compare upward
-    for pos, row in enumerate(chain):
-        for later in chain[pos + 1:]:
-            if not compare_prec(b, row, later):
-                raise SimplicityError("pairwise comparisons are not a total order")
-    return tuple(chain)
+    keys = _order_keys(b)
+    if len(set(keys)) < b.r:
+        raise SimplicityError("two rows are incomparable; inconsistent with simplicity")
+    return tuple(sorted(range(b.r), key=keys.__getitem__))
 
 
 def abd_of_bundle(b: BundleData) -> ABDStructure:
@@ -197,16 +182,16 @@ def abd_of_bundle(b: BundleData) -> ABDStructure:
     chain = order_prec(b)
     r = b.r
     images = [0] * r
+    rank = [0] * r           # position in the chain: the order of the keys
     for pos, row in enumerate(chain):
         images[row] = chain[(pos + 1) % r]
+        rank[row] = pos
     c1 = Permutation(tuple(images))
     c2 = Permutation(tuple((i - 1) % r for i in range(r)))
     a = []
     for i in range(r):
         succ = c1(i)
-        if i == succ:
-            continue
-        if not compare_prec(b, (i - 1) % r, (succ - 1) % r):
+        if i == succ or rank[(i - 1) % r] > rank[(succ - 1) % r]:
             continue
         if all(b.m[i][j] == b.m[succ][j] for j in range(1, b.n)):
             a.append(i)

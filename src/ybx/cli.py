@@ -188,11 +188,10 @@ def cmd_residues(args):
 def cmd_massey(args):
     s = load_abd(args.abd)
     field = field_from_name(args.field)
-    surf = build_surface(s)
     sol = TrigSolution(s)
     rng = derive_rng(args.seed, "massey", field.name)
     qu, qv = trig._pole_free(field, rng, s.n, 2)
-    mt = massey_tensor(surf, qu, qv, field)
+    mt = massey_tensor(sol, qu, qv, field)
     payload = {
         "families": [
             {
@@ -309,7 +308,7 @@ def run_suite(structures, points, seed, field, mutate=False):
         reports.append(rep)
         with CheckReport.timed("massey-compare[%s]" % tag, 1, seed, field.name) as rep:
             qu, qv = trig._pole_free(field, rng, s.n, 2)
-            mt = massey_tensor(surf, qu, qv, field).tensor
+            mt = massey_tensor(sol, qu, qv, field).tensor
             if mutate:
                 mt[0, 0, 0, 0] = mt[0, 0, 0, 0] + field.one
             rep.failures = int(mt != sol.eval(field, qu, qv))
@@ -347,8 +346,16 @@ def cmd_suite(args):
     return 0 if payload["pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line on stderr and exit 2, like every
+    other bad input; ``add_subparsers`` gives the subcommands this class too."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ybx",
         description="Exact verification of trigonometric associative "
         "Yang-Baxter solutions and their combinatorics.",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .perms import rectangle_terms, term_target
 from .surface import SquareTiledSurface
 from .tensors import Tensor2
-from .trig import _invert, assemble_terms
+from .trig import TrigSolution, _invert, assemble_terms
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,9 @@ class MasseyTensor:
     breakdown: list      # (RectangleFamily, coefficient) pairs
 
 
-def massey_tensor(s: SquareTiledSurface, q_u, q_v, ring) -> MasseyTensor:
-    """Assemble MP = mu3 - mu2(h2, .) - mu2(., h1) per family and dualize.
+def massey_tensor(sol: TrigSolution, q_u, q_v, ring) -> MasseyTensor:
+    """Assemble MP = mu3 - mu2(h2, .) - mu2(., h1) per family of ``sol.terms``
+    and dualize.
 
     The diagonal family carries both corrections, the horizontal family the
     h1 correction, the vertical one the h2 correction, and the A-rectangle
@@ -108,7 +109,7 @@ def massey_tensor(s: SquareTiledSurface, q_u, q_v, ring) -> MasseyTensor:
     ``rectangle_terms`` group gets the same coefficient, so each group is
     priced once.
     """
-    n = s.n
+    n, terms = sol.n, sol.terms
     one = ring.one
     eu = q_u ** (2 * n)
     ev = q_v ** (2 * n)
@@ -117,7 +118,6 @@ def massey_tensor(s: SquareTiledSurface, q_u, q_v, ring) -> MasseyTensor:
     eu_n = q_u * q_u
     ev_n = q_v * q_v
 
-    terms = rectangle_terms(s.abd)
     prices = []
     for kind, k, m, sign, _, _ in terms:
         if kind == "diagonal":

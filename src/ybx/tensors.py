@@ -383,15 +383,13 @@ def cybe_residual(x: Tensor2, y: Tensor2, z: Tensor2) -> Tensor3:
 
 
 def exact_determinant(matrix, ring):
-    """Determinant over the scalar backend.
+    """Determinant over the scalar backend, by Gaussian elimination.
 
-    Rationals go through fraction-free Bareiss elimination on a
-    denominator-cleared integer matrix; prime fields use ordinary Gaussian
-    elimination.
+    A prime field eliminates on raw residues reduced mod p, which is faster
+    than boxed elements; every other backend runs ``_eliminate`` on its own
+    elements and takes the signed product of the pivots.
     """
     m = len(matrix)
-    if m == 0:
-        return ring.one
     if isinstance(ring, PrimeField):
         p = ring.p
         a = [[int(x) % p for x in row] for row in matrix]
@@ -410,62 +408,62 @@ def exact_determinant(matrix, ring):
                     factor = a[r][col] * inv % p
                     a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
         return ring.of_int(det)
-    # rational backend: clear denominators row by row, then integer Bareiss
-    scale = Fraction(1)
-    a = []
-    for row in matrix:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        scale *= lcm
-        a.append([int(x * lcm) for x in row])
-    det_int = _bareiss(a)
-    return Fraction(det_int) / scale
+    a = [list(row) for row in matrix]
+    sign = _eliminate(a, ring)
+    if not sign:
+        return ring.zero
+    det = ring.of_int(sign)
+    for i, row in enumerate(a):
+        det = det * row[i]
+    return det
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _eliminate(a, ring):
+    """Forward Gaussian elimination of the rows ``a`` in place over the field.
 
-
-def _bareiss(a):
-    """Fraction-free determinant of an integer matrix (destroys a)."""
+    Pivots run down the leading square block; every row operation acts on
+    whole rows, so columns appended to the block follow along.  Returns the
+    sign of the row swaps, or 0 (leaving ``a`` half reduced) if the block is
+    singular.
+    """
     m = len(a)
     sign = 1
-    prev = 1
-    for col in range(m - 1):
+    for col in range(m):
         piv = next((r for r in range(col, m) if a[r][col]), None)
         if piv is None:
             return 0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
+        pivot_row = a[col]
+        inv = ring.one / pivot_row[col]
         for r in range(col + 1, m):
-            for c in range(col + 1, m):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
-    return sign * a[m - 1][m - 1]
+            if a[r][col]:
+                factor = a[r][col] * inv
+                a[r] = [x - factor * y for x, y in zip(a[r], pivot_row)]
+    return sign
 
 
 def matrix_inverse(matrix, ring):
-    """Gauss-Jordan inverse over the field; raises ZeroDivisionError if singular."""
+    """Inverse over the field: eliminate [A | I], then back-substitute.
+
+    Raises ZeroDivisionError if A is singular.
+    """
     m = len(matrix)
     a = [list(row) + [ring.one if i == j else ring.zero for j in range(m)]
          for i, row in enumerate(matrix)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = ring.one / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[m:] for row in a]
+    if not _eliminate(a, ring):
+        raise ZeroDivisionError("singular matrix")
+    inv = [None] * m
+    for i in reversed(range(m)):
+        row = a[i]
+        x = row[m:]
+        for k in range(i + 1, m):
+            if row[k]:
+                x = [y - row[k] * z for y, z in zip(x, inv[k])]
+        pivot_inv = ring.one / row[i]
+        inv[i] = [y * pivot_inv for y in x]
+    return inv
 
 
 def kron2(phi, psi, ring) -> Tensor2:

@@ -137,11 +137,10 @@ def test_criterion_4_n1_closed_form():
 def test_criterion_5_massey_equals_closed_form(solutions):
     with criterion(5, "combinatorial oracle"):
         for s, sol in solutions:
-            surf = build_surface(s)
             rng = derive_rng(SEED, "massey-acc", s.label())
             for _ in range(10):
                 qu, qv = _pole_free(FP, rng, s.n, 2)
-                assert massey_tensor(surf, qu, qv, FP).tensor == sol.eval(FP, qu, qv)
+                assert massey_tensor(sol, qu, qv, FP).tensor == sol.eval(FP, qu, qv)
 
 
 def test_criterion_6_develop_oracle(corpus):

@@ -45,15 +45,15 @@ def test_unroll_rank_one():
     d = unroll_d(b)
     for q in range(-3, 4):
         for j in range(3):
-            assert d.at(q * 3 + j) == b.m[0][j]
+            assert d(q * 3 + j) == b.m[0][j]
 
 
 def test_unroll_alternates():
     b = BundleData(2, 1, ((1,), (0,)))
     d = unroll_d(b)
-    assert d.at(0) == 1         # m^0_0
-    assert d.at(1) == 0         # row -1 mod 2 = 1
-    assert d.at(2) == 1
+    assert d(0) == 1         # m^0_0
+    assert d(1) == 0         # row -1 mod 2 = 1
+    assert d(2) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,7 +66,7 @@ def test_unroll_alternates():
 def test_unroll_periodicity(r, n, t, rng):
     m = tuple(tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(r))
     d = unroll_d(BundleData(r, n, m))
-    assert d.at(t + r * n) == d.at(t)
+    assert d(t + r * n) == d(t)
 
 
 def test_simplicity_rank_one_vacuous():
@@ -84,7 +84,7 @@ def test_simplicity_pinned():
     assert rep.simple
     # difference sequence at shift 1 is (+1, -1): alternating
     d = unroll_d(PINNED)
-    assert [d.at(1 + t) - d.at(t) for t in range(2)] == [1, -1]
+    assert [d(1 + t) - d(t) for t in range(2)] == [1, -1]
 
 
 def test_simplicity_constant_rows_not_simple():

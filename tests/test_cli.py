@@ -320,6 +320,21 @@ def test_flag_the_command_does_not_read_is_rejected(command, flag, abd_file, cap
     assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["novikov", "--field", "garbage"],
+    ["suite", "--points", "x"],
+    ["check-aybe", "--abd", "f", "--format", "xml"],
+], ids=" ".join)
+def test_usage_error_is_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_novikov_large_u_does_not_overflow(capsys):
     code, out = run(capsys, "novikov", "--u", "1000")
     assert code == 0

@@ -79,9 +79,9 @@ def test_develop_oracle_equals_akm_exhaustive_n5():
 
 
 def test_massey_n1_closed_form():
-    surf = build_surface(ABDStructure(1, identity(1), identity(1), ()))
+    sol = TrigSolution(ABDStructure(1, identity(1), identity(1), ()))
     qu, qv = Fraction(2), Fraction(3)
-    mt = massey_tensor(surf, qu, qv, RATIONAL)
+    mt = massey_tensor(sol, qu, qv, RATIONAL)
     eu, ev = qu ** 2, qv ** 2
     assert mt.tensor[0, 0, 0, 0] == 1 / (eu - 1) + 1 / (1 - ev ** -1)
 
@@ -89,11 +89,10 @@ def test_massey_n1_closed_form():
 def test_massey_equals_closed_form_corpus(field):
     for s in corpus(3) + [example_structure(), example_structure(filled=False)]:
         sol = TrigSolution(s)
-        surf = build_surface(s)
         rng = derive_rng(19, "massey", field.name, s.label())
         for _ in range(3):
             qu, qv = _pole_free(field, rng, s.n, 2)
-            mt = massey_tensor(surf, qu, qv, field)
+            mt = massey_tensor(sol, qu, qv, field)
             assert mt.tensor == sol.eval(field, qu, qv), s.label()
 
 
@@ -104,16 +103,15 @@ def test_massey_equals_closed_form_n5_sample(field):
     for _ in range(10):
         s = pool[rng.randrange(len(pool))]
         sol = TrigSolution(s)
-        surf = build_surface(s)
         qu, qv = _pole_free(field, rng, s.n, 2)
-        assert massey_tensor(surf, qu, qv, field).tensor == sol.eval(field, qu, qv)
+        assert massey_tensor(sol, qu, qv, field).tensor == sol.eval(field, qu, qv)
 
 
 def test_breakdown_sums_to_tensor(field):
-    surf = build_surface(example_structure())
+    sol = TrigSolution(example_structure())
     rng = derive_rng(20, "massey-sum", field.name)
     qu, qv = _pole_free(field, rng, 4, 2)
-    mt = massey_tensor(surf, qu, qv, field)
+    mt = massey_tensor(sol, qu, qv, field)
     from ybx.tensors import Tensor2
 
     total = Tensor2(4, field)
@@ -126,9 +124,9 @@ def test_breakdown_sums_to_tensor(field):
 def test_breakdown_contains_pinned_a_terms():
     # the A-rectangle pair of the worked example carries e^{-(u+v)/4} on
     # e_{C2(3),3} (x) e_{C1(3),C1C2(3)} and -e^{(u+v)/4} on the swapped slots
-    surf = build_surface(example_structure())
+    sol = TrigSolution(example_structure())
     qu, qv = Fraction(2), Fraction(3)
-    mt = massey_tensor(surf, qu, qv, RATIONAL)
+    mt = massey_tensor(sol, qu, qv, RATIONAL)
     hol = (qu * qu) * (qv * qv)   # e^{(u+v)/4}
     by_family = {
         (fam.kind, fam.sign): (fam.target, coeff) for fam, coeff in mt.breakdown

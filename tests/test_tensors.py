@@ -269,6 +269,66 @@ def test_matrix_inverse(field):
         matrix_inverse([[field.zero]], field)
 
 
+def _leibniz(matrix, zero):
+    """sum over permutations s of sign(s) * prod_i matrix[i][s(i)]."""
+    m = len(matrix)
+    total = zero
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
+
+
+# zeros force row swaps; every nonzero entry is a proper fraction
+_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(-5, 5, max_denominator=7).filter(lambda x: x.denominator > 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda m: st.lists(st.lists(_ENTRY, min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_determinant_matches_leibniz(fp, matrix):
+    dq = exact_determinant(matrix, RATIONAL)
+    assert dq == _leibniz(matrix, Fraction(0))
+    dp = exact_determinant([[fp.of_fraction(x) for x in row] for row in matrix], fp)
+    assert dp == fp.of_fraction(dq)
+
+
+def _inverse_cases(field):
+    """Invertible matrices of size 1..4; the second to fourth need a row swap."""
+    z, i = field.zero, field.of_int
+    yield [[field.of_fraction(Fraction(3, 2))]]
+    yield [[z, i(1)], [i(1), z]]
+    yield [[z, i(2), i(1)], [i(1), i(1), z], [i(2), z, i(3)]]
+    # column 0 is fine, but eliminating it zeroes the second pivot
+    yield [[i(1), i(2), z, i(1)], [i(2), i(4), i(1), z], [z, i(1), i(1), i(1)],
+           [i(1), z, z, i(2)]]
+    rng = derive_rng(11, "inverse", field.name)
+    for size in (1, 2, 3, 4, 4, 4):
+        a = [[field.of_fraction(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+              if rng.random() < 0.6 else z for _ in range(size)] for _ in range(size)]
+        if exact_determinant(a, field):
+            yield a
+
+
+def test_matrix_inverse_is_two_sided(field):
+    def mul(x, y):
+        return [[sum((x[r][k] * y[k][c] for k in range(len(y))), field.zero)
+                 for c in range(len(y[0]))] for r in range(len(x))]
+
+    for a in _inverse_cases(field):
+        m = len(a)
+        ident = [[field.one if r == c else field.zero for c in range(m)] for r in range(m)]
+        inv = matrix_inverse(a, field)
+        assert mul(a, inv) == ident, a
+        assert mul(inv, a) == ident, a
+
+
 def test_kron2(field):
     phi = [[field.of_int(1), field.of_int(2)], [field.zero, field.of_int(1)]]
     t = kron2(phi, phi, field)
