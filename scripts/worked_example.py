@@ -43,15 +43,15 @@ def main():
     surf = build_surface(s)
     print("surface:", surface_summary(surf))
 
+    sol = TrigSolution(s)
     print("\nrectangle families:")
-    for fam in enumerate_rectangles(surf):
+    for fam in enumerate_rectangles(sol):
         print(
             "  %-10s k=%d m=%d base=%d sign=%+d holonomy=%s -> e_%s (x) e_%s"
             % (fam.kind, fam.k, fam.m, fam.base, fam.sign, fam.holonomy,
                fam.target[0], fam.target[1])
         )
 
-    sol = TrigSolution(s)
     rng = derive_rng(args.seed, "worked-example", field.name)
     qu, qv = _pole_free(field, rng, s.n, 2)
     mt = massey_tensor(sol, qu, qv, field)

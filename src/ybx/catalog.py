@@ -73,26 +73,20 @@ def pinned_structures():
     ]
 
 
+def _with_pinned(structures):
+    """structures, then the pinned structures not among them, in order."""
+    unique = {}
+    for s in structures + pinned_structures():
+        unique.setdefault((s.n, s.c1.images, s.c2.images, s.a), s)
+    return list(unique.values())
+
+
 def acceptance_corpus():
     """Exhaustive n <= 4 plus the pinned structures (deduplicated)."""
-    seen = set()
-    out = []
-    for s in corpus(4) + pinned_structures():
-        key = (s.n, s.c1.images, s.c2.images, s.a)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    return _with_pinned(corpus(4))
 
 
 def suite_catalog():
     """The CLI suite catalog: commuting structures with n <= 4 plus the
     pinned examples."""
-    seen = set()
-    out = []
-    for s in corpus(4, commuting_only=True) + pinned_structures():
-        key = (s.n, s.c1.images, s.c2.images, s.a)
-        if key not in seen:
-            seen.add(key)
-            out.append(s)
-    return out
+    return _with_pinned(corpus(4, commuting_only=True))

@@ -164,16 +164,20 @@ def cmd_hat(args):
     return _emit_checks(args, run)
 
 
+def _residues_ok(sol, other, field):
+    """(residue at u = 0 is 1 (x) 1, residue at v = 0 is P), the other
+    variable held at ``other``."""
+    return (residues(sol, "u", other, field) == Tensor2.unit(sol.n, field),
+            residues(sol, "v", other, field) == transposition_p(sol.n, field))
+
+
 def cmd_residues(args):
     s = load_abd(args.abd)
     field = field_from_name(args.field)
     sol = TrigSolution(s)
     rng = derive_rng(args.seed, "residues", field.name)
     (other,) = trig._pole_free(field, rng, s.n, 1)
-    res_u = residues(sol, "u", other, field)
-    res_v = residues(sol, "v", other, field)
-    ok_u = res_u == Tensor2.unit(s.n, field)
-    ok_v = res_v == transposition_p(s.n, field)
+    ok_u, ok_v = _residues_ok(sol, other, field)
     emit(
         {
             "residue_u_is_unit": ok_u,
@@ -295,10 +299,7 @@ def run_suite(structures, points, seed, field, mutate=False):
         rng = derive_rng(seed, "suite-res", field.name, tag)
         (other,) = trig._pole_free(field, rng, s.n, 1)
         with CheckReport.timed("residues[%s]" % tag, 2, seed, field.name) as rep:
-            res_u = residues(sol, "u", other, field)
-            res_v = residues(sol, "v", other, field)
-            rep.failures = (int(res_u != Tensor2.unit(s.n, field))
-                            + int(res_v != transposition_p(s.n, field)))
+            rep.failures = sum(not ok for ok in _residues_ok(sol, other, field))
         reports.append(rep)
         with CheckReport.timed("surface-euler[%s]" % tag, 1, seed, field.name) as rep:
             surf = build_surface(s)
@@ -308,9 +309,7 @@ def run_suite(structures, points, seed, field, mutate=False):
         reports.append(rep)
         with CheckReport.timed("massey-compare[%s]" % tag, 1, seed, field.name) as rep:
             qu, qv = trig._pole_free(field, rng, s.n, 2)
-            mt = massey_tensor(sol, qu, qv, field).tensor
-            if mutate:
-                mt[0, 0, 0, 0] = mt[0, 0, 0, 0] + field.one
+            mt = trig._mutated(massey_tensor(sol, qu, qv, field).tensor, mut, field)
             rep.failures = int(mt != sol.eval(field, qu, qv))
         reports.append(rep)
     # seeded bundle-chain batch

@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .perms import rectangle_terms, term_target
+from .perms import term_target
 from .surface import SquareTiledSurface
 from .tensors import Tensor2
 from .trig import TrigSolution, _invert, assemble_terms
@@ -53,9 +53,10 @@ def _families(n, terms) -> list:
     return out
 
 
-def enumerate_rectangles(s: SquareTiledSurface) -> list:
-    """All contributing rectangle families, sorted by (kind, k, m, base, sign)."""
-    return [fam for fam, _ in _families(s.n, rectangle_terms(s.abd))]
+def enumerate_rectangles(sol: TrigSolution) -> list:
+    """All contributing rectangle families of ``sol.terms``, sorted by
+    (kind, k, m, base, sign)."""
+    return [fam for fam, _ in _families(sol.n, sol.terms)]
 
 
 def develop_rectangle(s: SquareTiledSurface, a: int, k: int, m: int) -> bool:

@@ -187,6 +187,12 @@ class Tensor2(_SparseTensor):
             data[((j * n + i) * n + l) * n + k] = v
         return Tensor2(n, self.ring, data)
 
+    def transpose_p(self):
+        """transpose(self) . P, a relabeling: entry (i,j,k,l) moves to (j,k,l,i)."""
+        n3 = self.n ** 3
+        return Tensor2(self.n, self.ring,
+                       {f % n3 * self.n + f // n3: v for f, v in self.data.items()})
+
     def project_sl(self):
         """Apply pr (x) pr, pr(X) = X - (tr X / n) 1, in both slots."""
         n = self.n

@@ -17,15 +17,15 @@ from ybx.trig import TrigSolution, _pole_free
 
 
 def test_enumerate_n1():
-    surf = build_surface(ABDStructure(1, identity(1), identity(1), ()))
-    fams = enumerate_rectangles(surf)
+    sol = TrigSolution(ABDStructure(1, identity(1), identity(1), ()))
+    fams = enumerate_rectangles(sol)
     assert [f.kind for f in fams] == ["diagonal"]
 
 
 def test_enumerate_commuting_n2():
     swap = Permutation((1, 0))
-    surf = build_surface(ABDStructure(2, swap, swap, ()))
-    fams = enumerate_rectangles(surf)
+    sol = TrigSolution(ABDStructure(2, swap, swap, ()))
+    fams = enumerate_rectangles(sol)
     kinds = sorted((f.kind, f.k, f.m, f.base) for f in fams)
     assert kinds == [
         ("diagonal", 0, 0, 0),
@@ -38,16 +38,16 @@ def test_enumerate_commuting_n2():
 
 
 def test_enumerate_example_a_rect_pair():
-    surf = build_surface(example_structure())
-    pairs = [f for f in enumerate_rectangles(surf) if f.kind == "a_rect"]
+    sol = TrigSolution(example_structure())
+    pairs = [f for f in enumerate_rectangles(sol) if f.kind == "a_rect"]
     assert len(pairs) == 2
     assert {(f.k, f.m, f.base, f.sign) for f in pairs} == {(1, 1, 2, 1), (1, 1, 2, -1)}
     assert {f.holonomy for f in pairs} == {(-1, -1), (1, 1)}
 
 
 def test_enumeration_is_order_stable():
-    surf = build_surface(example_structure())
-    assert enumerate_rectangles(surf) == enumerate_rectangles(surf)
+    sol = TrigSolution(example_structure())
+    assert enumerate_rectangles(sol) == enumerate_rectangles(sol)
 
 
 def test_develop_unit_square():

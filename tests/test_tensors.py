@@ -386,12 +386,15 @@ def test_sparse_tensor2_matches_dense_reference(field, data):
     b = _build(Tensor2, n, field, data.draw(_entries(n, 4)))
     c = field.of_int(data.draw(st.integers(-3, 3)))
     da, db = _dense(a, 4), _dense(b, 4)
+    rotated = {(i, j, k, l): da[l, i, j, k] for i, j, k, l in da}
     cases = {
         "+": (a + b, {idx: da[idx] + db[idx] for idx in da}),
         "-": (a - b, {idx: da[idx] - db[idx] for idx in da}),
         "scale": (a.scale(c), {idx: c * da[idx] for idx in da}),
         "flip": (a.flip(), {(i, j, k, l): da[k, l, i, j] for i, j, k, l in da}),
         "transpose": (a.transpose(), {(i, j, k, l): da[j, i, l, k] for i, j, k, l in da}),
+        "transpose_p": (a.transpose_p(), rotated),
+        "transpose * P": (a.transpose() * transposition_p(n, field), rotated),
         "*": (a * b, _dense_mul2(a, b, n, field)),
     }
     for name, (got, want) in cases.items():

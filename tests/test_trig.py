@@ -1,10 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from ybx.catalog import enumerate_structures, example_structure
 from ybx.perms import ABDStructure, identity
-from ybx.scalars import RATIONAL, derive_rng
+from ybx.scalars import RATIONAL, derive_rng, field_from_name
 from ybx.tensors import Tensor2, transposition_p
 from ybx.trig import (
     PoleError,
@@ -155,6 +157,20 @@ def test_hat_hat_is_flip(field):
         assert hathat.eval(field, qu, qv) == sol.eval(field, qu, qv).flip()
 
 
+@pytest.mark.parametrize("name, sha256", [
+    ("q", "b5760951716d97e05a458b2c474167dcbf4a489964f9dc5b8063c93626f51895"),
+    ("fp:2305843009213693951",
+     "ddc65a3e90fda92cbd93f4a5167abeb64d5f0a0b52ce1dba62dcc8df2faeedea"),
+], ids=["q", "fp"])
+def test_hat_entries_are_pinned(name, sha256):
+    # hat(r) of the worked example at the `ybx build-r --seed 7` point
+    field = field_from_name(name)
+    qu, qv = _pole_free(field, derive_rng(7, "build-r", field.name), 4, 2)
+    hat = hat_involution(TrigSolution(example_structure())).eval(field, qu, qv)
+    entries = json.dumps(hat.to_sparse_json(), sort_keys=True)
+    assert hashlib.sha256(entries.encode()).hexdigest() == sha256
+
+
 def test_strong_nondegeneracy(fp):
     for s in small_corpus() + [example_structure()]:
         rep = check_strong_nondegeneracy(TrigSolution(s), 4, 7, fp)
@@ -257,6 +273,19 @@ class _Doubled:
         return self.base.eval(ring, q_u, q_v).scale(ring.of_int(2))
 
 
+class _EvenGauge:
+    """r conjugated by phi(v) (x) phi(v), phi(v) = diag(1, q_v^2 + q_v^-2 + 1, 1, 1):
+    phi is even in v, so unitarity holds, but the QYBE fails."""
+
+    def __init__(self, base):
+        self.base, self.n = base, base.n
+
+    def eval(self, ring, q_u, q_v):
+        phi = [[ring.one if i == j else ring.zero for j in range(4)] for i in range(4)]
+        phi[1][1] = q_v ** 2 + q_v ** -2 + ring.one
+        return gauge_transform(self.base, phi, ring).eval(ring, q_u, q_v)
+
+
 class _Zero:
     """The zero r-matrix: degenerate at every point."""
 
@@ -269,8 +298,10 @@ class _Zero:
 @pytest.mark.parametrize("check, sol, name, note", [
     (qybe_unitarity, _Doubled(TrigSolution(example_structure())), "qybe-unitarity",
      "unitarity failed"),
+    (qybe_unitarity, _EvenGauge(TrigSolution(example_structure())), "qybe-unitarity",
+     "qybe failed"),
     (check_strong_nondegeneracy, _Zero(), "strong-nondegeneracy", "degenerate point found"),
-], ids=["qybe", "nondeg"])
+], ids=["qybe", "qybe-gauge", "nondeg"])
 def test_failure_details_are_capped_at_three(check, sol, name, note, fp):
     rep = check(sol, 4, 5, fp)
     assert rep.to_json_dict() == {
