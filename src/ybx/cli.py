@@ -46,7 +46,9 @@ def _load_json(path: str, parse):
         return parse(data)
     except KeyError as exc:
         raise ValueError("malformed input in %s: missing key %s" % (path, exc)) from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:
+        # a non-finite number (1e400, Infinity) in an integer or a Fraction
+        # field, or a zero denominator in "lambda"
         raise ValueError("malformed input in %s: %s" % (path, exc)) from exc
 
 

@@ -5,9 +5,11 @@ A tensor is a sparse map from flat index to nonzero scalar: entry
 index ((i*n + j)*n + k)*n + l, and a ``Tensor3`` appends a third index pair
 the same way.  Zeros are never stored, so the zero test is an emptiness
 test and equality is map equality; ``items()`` yields entries in ascending
-flat index, which fixes the order of every serialized tensor.  Products,
-sums and structural maps build sparse maps directly, and only the
-determinant densifies (the reshaped n^2 x n^2 matrix).
+flat index, which fixes the order of every serialized tensor.  One codec
+turns index tuples into flat indices and back, behind ``items()`` and item
+access; products, sums and the structural maps (flip, transposes, pr (x) pr,
+contraction sides) do digit arithmetic on the flat index directly, and only
+the determinant densifies (the reshaped n^2 x n^2 matrix).
 """
 
 from __future__ import annotations
@@ -143,18 +145,6 @@ class Tensor2(_SparseTensor):
     __slots__ = ()
     factors = 2
 
-    # unrolled index maps: r evaluation reads and writes entries one at a time
-    def _flat(self, i, j, k, l):
-        n = self.n
-        return ((i * n + j) * n + k) * n + l
-
-    def _index(self, flat):
-        n = self.n
-        flat, l = divmod(flat, n)
-        flat, k = divmod(flat, n)
-        i, j = divmod(flat, n)
-        return i, j, k, l
-
     @classmethod
     def basis(cls, n, ring, i, j, k, l):
         """e_ij (x) e_kl."""
@@ -180,12 +170,10 @@ class Tensor2(_SparseTensor):
 
     def transpose(self):
         """Factorwise matrix transpose: sum a (x) b -> sum a^t (x) b^t."""
-        n = self.n
-        data = {}
-        for f, v in self.data.items():
-            (i, j, k, l) = self._index(f)
-            data[((j * n + i) * n + l) * n + k] = v
-        return Tensor2(n, self.ring, data)
+        n, nn = self.n, self.n * self.n
+        swap = [x % n * n + x // n for x in range(nn)]  # e_ij -> e_ji on one factor
+        return Tensor2(n, self.ring, {swap[f // nn] * nn + swap[f % nn]: v
+                                      for f, v in self.data.items()})
 
     def transpose_p(self):
         """transpose(self) . P, a relabeling: entry (i,j,k,l) moves to (j,k,l,i)."""
@@ -195,35 +183,28 @@ class Tensor2(_SparseTensor):
 
     def project_sl(self):
         """Apply pr (x) pr, pr(X) = X - (tr X / n) 1, in both slots."""
-        n = self.n
-        ring = self.ring
+        n, nn, ring = self.n, self.n * self.n, self.ring
+        zero = ring.zero
         inv_n = ring.one / ring.of_int(n)
-        # partial traces: tr1 over slot 1 is a matrix in slot 2, tr2 the reverse
+        # a factor's flat part x is a diagonal e_ii exactly when x % (n + 1) == 0;
+        # tr1 traces slot 1, keyed by the slot-2 part, and tr2 the reverse
+        diag = range(0, nn, n + 1)
         tr1, tr2 = {}, {}
-        full = ring.zero
         for f, v in self.data.items():
-            (i, j, k, l) = self._index(f)
-            if i == j:
-                tr1[k, l] = tr1.get((k, l), ring.zero) + v
-            if k == l:
-                tr2[i, j] = tr2.get((i, j), ring.zero) + v
-            if i == j and k == l:
-                full = full + v
-        # subtract (tr_1 part) (x) id/n and id/n (x) (tr_2 part), add back the double trace
-        out = Tensor2(n, ring, dict(self.data))
-        for i in range(n):
-            for (k, l), v in tr1.items():
-                if v:
-                    out[i, i, k, l] = out[i, i, k, l] - inv_n * v
-            for (k, l), v in tr2.items():
-                if v:
-                    out[k, l, i, i] = out[k, l, i, i] - inv_n * v
-        if full:
-            c = inv_n * inv_n * full
-            for i in range(n):
-                for k in range(n):
-                    out[i, i, k, k] = out[i, i, k, k] + c
-        return out
+            a, b = divmod(f, nn)
+            if a % (n + 1) == 0:
+                tr1[b] = tr1.get(b, zero) + v
+            if b % (n + 1) == 0:
+                tr2[a] = tr2.get(a, zero) + v
+        # subtract id/n (x) tr1 and tr2 (x) id/n, add back the double trace
+        full = inv_n * inv_n * sum((tr1.get(d, zero) for d in diag), zero)
+        corrections = [(d * nn + b, -inv_n * v) for b, v in tr1.items() for d in diag]
+        corrections += [(a * nn + d, -inv_n * v) for a, v in tr2.items() for d in diag]
+        corrections += [(d * nn + e, full) for d in diag for e in diag]
+        out = dict(self.data)
+        for f, c in corrections:
+            out[f] = out.get(f, zero) + c
+        return Tensor2(n, ring, {f: v for f, v in out.items() if v})
 
     # -- nondegeneracy ---------------------------------------------------------
 
@@ -348,9 +329,12 @@ def _pair_side(t: Tensor2, cpos, slots):
     weights = [n ** (5 - s) for s in slots]
     weights.insert(cpos, 0)
     w0, w1, w2, w3 = weights
+    nn = n * n
     for f, v in t.data.items():
-        idx = i, j, k, l = t._index(f)
-        yield idx[cpos], i * w0 + j * w1 + k * w2 + l * w3, v
+        a, b = divmod(f, nn)
+        i, j = divmod(a, n)
+        k, l = divmod(b, n)
+        yield (i, j, k, l)[cpos], i * w0 + j * w1 + k * w2 + l * w3, v
 
 
 def _pair_jobs(*terms):

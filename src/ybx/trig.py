@@ -116,7 +116,7 @@ class TrigSolution:
         ev = q_v ** (2 * n)        # exp(v)
         inv_eu_m1 = _invert(ring, eu - one)          # 1/(e^u - 1)
         inv_ev_m1 = _invert(ring, ev - one)          # 1/(e^v - 1)
-        diag = inv_eu_m1 + _invert(ring, one - ev ** -1)  # ... + 1/(1 - e^-v)
+        diag = inv_eu_m1 + inv_ev_m1 + one           # 1/(1 - e^-v) = 1/(e^v - 1) + 1
         eu_n = q_u * q_u           # exp(u/n)
         ev_n = q_v * q_v           # exp(v/n)
         pw_u, pw_v = [one], [one]  # exp(ku/n) and exp(mv/n) for 0 <= k, m < n
@@ -320,7 +320,7 @@ def _jet_eval(sol, field, jet_order, which, at_other):
 
 
 def tensor_valuation(t: Tensor2):
-    vals = [v.valuation() for _, v in t.items()]
+    vals = [v.valuation() for v in t.data.values()]
     vals = [v for v in vals if v is not None]
     return min(vals) if vals else None
 
@@ -336,19 +336,20 @@ def _jet_coefficient(sol, field, jet_order, which, at_other, power) -> Tensor2:
         raise ArithmeticError(
             "valuation %d < -1: pole is not simple (invariant violation)" % val
         )
-    out = Tensor2(sol.n, field)
-    for idx, v in t.items():
-        out[idx] = v.coefficient(power)
-    return out
+    return Tensor2(sol.n, field, {f: c for f, v in t.data.items()
+                                  if (c := v.coefficient(power))})
 
 
-def residues(sol, which, at_other, field, jet_order=6) -> Tensor2:
+def residues(sol, which, at_other, field) -> Tensor2:
     """The coefficient of 1/u (resp. 1/v) of r, with the other variable held
     at a generic point.  Raises if any entry has a pole worse than simple.
+
+    Jets to order 2 determine every entry through its constant term, one
+    order past the coefficient read here.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    return _jet_coefficient(sol, field, jet_order, which, at_other, -1)
+    return _jet_coefficient(sol, field, 2, which, at_other, -1)
 
 
 def r0_tensor(sol, q_v, field, jet_order=6) -> Tensor2:

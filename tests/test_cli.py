@@ -246,8 +246,16 @@ def _assert_one_error_line(capsys, argv):
     ({"r": 2, "n": 1}, ["bundle", "--in"]),
     ({"r": 2, "n": 1, "m": [0, 1]}, ["bundle", "--in"]),
     (NONCOMMUTING, ["check-aybe", "--abd"]),
+    ('{"n": 1e400, "c1": [1, 0], "c2": [1, 0], "a": []}', ["validate", "--abd"]),
+    ('{"n": 2, "c1": [1, 0], "c2": [1, 0], "a": [Infinity]}', ["validate", "--abd"]),
+    ('{"r": 1e400, "n": 1, "m": [[0], [1]]}', ["bundle", "--in"]),
+    ('{"r": 2, "n": 1, "m": [[0], [Infinity]]}', ["bundle", "--in"]),
+    ({"r": 2, "n": 1, "m": [[0], [1]], "lambda": "1/0"}, ["bundle", "--in"]),
+    ('{"r": 2, "n": 1, "m": [[0], [1]], "lambda": Infinity}', ["bundle", "--in"]),
 ], ids=["missing-abd", "missing-bundle", "not-json", "missing-key", "wrong-type",
-        "not-an-object", "bundle-missing-key", "bundle-wrong-type", "invalid-structure"])
+        "not-an-object", "bundle-missing-key", "bundle-wrong-type", "invalid-structure",
+        "huge-n", "infinite-a", "huge-r", "infinite-m", "zero-lambda-denominator",
+        "infinite-lambda"])
 def test_bad_input_file_is_one_error_line(content, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     if content is not None:

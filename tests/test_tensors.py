@@ -374,6 +374,19 @@ def _dense_mul2(a, b, n, field):
     return out
 
 
+def _dense_project_sl(da, n, field):
+    # (pr (x) pr) t = t - 1/n (x) tr_1 t - tr_2 t (x) 1/n + tr t (1 (x) 1)/n^2
+    inv_n = field.one / field.of_int(n)
+    tr1 = {(k, l): sum((da[x, x, k, l] for x in range(n)), field.zero)
+           for k, l in itertools.product(range(n), repeat=2)}
+    tr2 = {(i, j): sum((da[i, j, y, y] for y in range(n)), field.zero)
+           for i, j in itertools.product(range(n), repeat=2)}
+    full = sum((tr1[y, y] for y in range(n)), field.zero)
+    return {(i, j, k, l): v - (i == j) * inv_n * tr1[k, l] - (k == l) * inv_n * tr2[i, j]
+            + (i == j and k == l) * inv_n * inv_n * full
+            for (i, j, k, l), v in da.items()}
+
+
 def _stores_no_zero(t):
     return all(v for _, v in t.items())
 
@@ -396,6 +409,7 @@ def test_sparse_tensor2_matches_dense_reference(field, data):
         "transpose_p": (a.transpose_p(), rotated),
         "transpose * P": (a.transpose() * transposition_p(n, field), rotated),
         "*": (a * b, _dense_mul2(a, b, n, field)),
+        "project_sl": (a.project_sl(), _dense_project_sl(da, n, field)),
     }
     for name, (got, want) in cases.items():
         assert _dense(got, 4) == want, name

@@ -100,6 +100,27 @@ def test_residue_valuation_is_exactly_minus_one(field):
         assert tensor_valuation(t) == -1
 
 
+class _SquaredEntry:
+    """r with entry (0,0,0,0) squared: a double pole at u = 0 and at v = 0."""
+
+    def __init__(self, base):
+        self.base = base
+        self.n = base.n
+
+    def eval(self, ring, q_u, q_v):
+        t = self.base.eval(ring, q_u, q_v)
+        t[0, 0, 0, 0] = t[0, 0, 0, 0] * t[0, 0, 0, 0]
+        return t
+
+
+def test_residues_reject_a_double_pole(field):
+    sol = _SquaredEntry(TrigSolution(example_structure()))
+    (other,) = _pole_free(field, derive_rng(15, "double-pole"), sol.n, 1)
+    for which in ("u", "v"):
+        with pytest.raises(ArithmeticError, match="pole is not simple"):
+            residues(sol, which, other, field)
+
+
 def test_residues_n1():
     sol = trivial_solution()
     res = residues(sol, "u", Fraction(5), RATIONAL)
