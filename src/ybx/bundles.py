@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .perms import ABDStructure, Permutation, identity
+from .perms import ABDStructure, Permutation, identity, json_int
 
 
 class SimplicityError(ValueError):
@@ -50,9 +50,9 @@ class BundleData:
         if isinstance(lam, str):
             lam = Fraction(lam)
         return cls(
-            r=int(d["r"]),
-            n=int(d["n"]),
-            m=tuple(tuple(int(x) for x in row) for row in d["m"]),
+            r=json_int(d["r"], "r"),
+            n=json_int(d["n"], "n"),
+            m=tuple(tuple(json_int(x, "m") for x in row) for row in d["m"]),
             lam=Fraction(lam),
         )
 

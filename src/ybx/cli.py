@@ -47,8 +47,8 @@ def _load_json(path: str, parse):
     except KeyError as exc:
         raise ValueError("malformed input in %s: missing key %s" % (path, exc)) from exc
     except (TypeError, OverflowError, ZeroDivisionError) as exc:
-        # a non-finite number (1e400, Infinity) in an integer or a Fraction
-        # field, or a zero denominator in "lambda"
+        # a scalar where a list or an object belongs, a non-finite "lambda"
+        # (1e400, Infinity) or a zero denominator in it
         raise ValueError("malformed input in %s: %s" % (path, exc)) from exc
 
 
@@ -113,23 +113,30 @@ def cmd_surface(args):
     return 0
 
 
-def cmd_build_r(args):
+def _sampled(args, tag=None, count=0):
+    """(TrigSolution of --abd, the --field backend, ``count`` pole-free points
+    drawn from the RNG of (--seed, tag, field))."""
     s = load_abd(args.abd)
     field = field_from_name(args.field)
     sol = TrigSolution(s)
-    rng = derive_rng(args.seed, "build-r", field.name)
-    qu, qv = trig._pole_free(field, rng, s.n, 2)
+    if not count:
+        return sol, field, ()
+    rng = derive_rng(args.seed, tag, field.name)
+    return sol, field, trig._pole_free(field, rng, s.n, count)
+
+
+def cmd_build_r(args):
+    sol, field, (qu, qv) = _sampled(args, "build-r", 2)
     t = sol.eval(field, qu, qv)
-    emit({"n": s.n, "entries": t.to_sparse_json()}, args)
+    emit({"n": sol.n, "entries": t.to_sparse_json()}, args)
     return 0
 
 
 def _emit_checks(args, run):
     """Load --abd, emit the reports of ``run(sol, points, seed, field)``;
     exit 1 unless every report passed."""
-    s = load_abd(args.abd)
-    field = field_from_name(args.field)
-    reports = run(TrigSolution(s), args.points, args.seed, field)
+    sol, field, _ = _sampled(args)
+    reports = run(sol, args.points, args.seed, field)
     emit(report_payload(reports), args)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -174,11 +181,7 @@ def _residues_ok(sol, other, field):
 
 
 def cmd_residues(args):
-    s = load_abd(args.abd)
-    field = field_from_name(args.field)
-    sol = TrigSolution(s)
-    rng = derive_rng(args.seed, "residues", field.name)
-    (other,) = trig._pole_free(field, rng, s.n, 1)
+    sol, field, (other,) = _sampled(args, "residues", 1)
     ok_u, ok_v = _residues_ok(sol, other, field)
     emit(
         {
@@ -192,11 +195,7 @@ def cmd_residues(args):
 
 
 def cmd_massey(args):
-    s = load_abd(args.abd)
-    field = field_from_name(args.field)
-    sol = TrigSolution(s)
-    rng = derive_rng(args.seed, "massey", field.name)
-    qu, qv = trig._pole_free(field, rng, s.n, 2)
+    sol, field, (qu, qv) = _sampled(args, "massey", 2)
     mt = massey_tensor(sol, qu, qv, field)
     payload = {
         "families": [
@@ -280,12 +279,12 @@ def run_suite(structures, points, seed, field, mutate=False):
     """Run the identity checks over a catalog; deterministic given inputs.
 
     Per structure: the randomized AYBE and skew checks, the polar-term
-    extraction, the surface Euler-characteristic bookkeeping, and the
+    extraction, the surface Euler characteristic counted from its cells, and the
     rectangle-count comparison against the closed form; then a seeded batch
     of bundle-chain checks.  In mutation mode the randomized checks and the
     comparison run with one corrupted coefficient and are expected to fail.
     """
-    from .surface import puncture_analysis, topological_invariants
+    from .surface import euler_characteristic, topological_invariants
 
     reports = []
     mut = _mutation(mutate)
@@ -305,9 +304,8 @@ def run_suite(structures, points, seed, field, mutate=False):
         reports.append(rep)
         with CheckReport.timed("surface-euler[%s]" % tag, 1, seed, field.name) as rep:
             surf = build_surface(s)
-            topo = topological_invariants(surf)
-            punct = puncture_analysis(surf)
-            rep.failures = int(2 - 2 * topo.genus - punct.b != -s.n)
+            genus = topological_invariants(surf).genus
+            rep.failures = int(euler_characteristic(surf) != 2 - 2 * genus)
         reports.append(rep)
         with CheckReport.timed("massey-compare[%s]" % tag, 1, seed, field.name) as rep:
             qu, qv = trig._pole_free(field, rng, s.n, 2)

@@ -98,7 +98,7 @@ class LaurentJet:
             return other
         if isinstance(other, int):
             return LaurentJet.constant(self.field, self.field.of_int(other), self.var)
-        if isinstance(other, Fraction) and not isinstance(self.field.one, Fraction):
+        if isinstance(other, Fraction):
             return LaurentJet.constant(self.field, self.field.of_fraction(other), self.var)
         try:
             return LaurentJet.constant(self.field, self.field.one * other, self.var)
@@ -240,8 +240,8 @@ class JetRing:
 def exp_jet(field, scale, order: int, var="u") -> LaurentJet:
     """The jet of exp(scale * u) truncated after degree ``order``.
 
-    ``scale`` may be a Fraction or a field element.  In a prime field the
-    modulus must exceed ``order`` so the factorials are invertible.
+    ``scale`` may be a Fraction or a field element.  The factorials are
+    invertible: every backend has characteristic 0 or p > 10**9.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -249,9 +249,6 @@ def exp_jet(field, scale, order: int, var="u") -> LaurentJet:
         scale = field.of_fraction(scale)
     elif isinstance(scale, int):
         scale = field.of_int(scale)
-    p = getattr(field, "p", None)
-    if p is not None and p <= order:
-        raise ZeroDivisionError("factorials up to %d not invertible mod %d" % (order, p))
     coeffs = [field.one]
     power = field.one
     fact = 1

@@ -233,11 +233,18 @@ class ABDStructure:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ABDStructure":
         return cls(
-            n=int(d["n"]),
-            c1=Permutation(tuple(d["c1"])),
-            c2=Permutation(tuple(d["c2"])),
-            a=tuple(int(x) for x in d["a"]),
+            n=json_int(d["n"], "n"),
+            c1=Permutation(tuple(json_int(x, "c1") for x in d["c1"])),
+            c2=Permutation(tuple(json_int(x, "c2") for x in d["c2"])),
+            a=tuple(json_int(x, "a") for x in d["a"]),
         )
+
+
+def json_int(value, key: str) -> int:
+    """``value`` if it is a JSON integer, else ValueError (no float, bool or string)."""
+    if type(value) is not int:
+        raise ValueError("%s must hold JSON integers, got %r" % (key, value))
+    return value
 
 
 def validate_abd(s: ABDStructure) -> list:

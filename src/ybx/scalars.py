@@ -9,11 +9,17 @@ backends are provided:
   elements wrapped in ``PrimeFieldElement`` with operator overloading.
 
 Both expose the same small interface (``zero``, ``one``, ``of_int``,
-``of_fraction``, ``sample``) so the rest of the code is generic.
+``of_fraction``, ``sample``) so the rest of the code is generic.  Exact
+linear algebra runs on raw values: ``raw`` unboxes an element (the residue
+int in GF(p), the ``Fraction`` in q), ``reduce`` maps a sum of products of
+raw values to canonical form, ``inverse`` inverts a reduced nonzero one,
+``box`` makes an element of one, and ``box_nonzero`` reduces and boxes the
+nonzero values of a dict.  Only this module knows how a field stores values.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -86,29 +92,21 @@ class PrimeFieldElement:
 
     def __add__(self, other):
         w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return PrimeFieldElement(self.v + w, self.field)
+        return NotImplemented if w is None else PrimeFieldElement(self.v + w, self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return PrimeFieldElement(self.v - w, self.field)
+        return NotImplemented if w is None else PrimeFieldElement(self.v - w, self.field)
 
     def __rsub__(self, other):
         w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return PrimeFieldElement(w - self.v, self.field)
+        return NotImplemented if w is None else PrimeFieldElement(w - self.v, self.field)
 
     def __mul__(self, other):
         w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return PrimeFieldElement(self.v * w, self.field)
+        return NotImplemented if w is None else PrimeFieldElement(self.v * w, self.field)
 
     __rmul__ = __mul__
 
@@ -140,9 +138,7 @@ class PrimeFieldElement:
 
     def __eq__(self, other):
         w = self._coerce(other)
-        if w is None:
-            return NotImplemented
-        return self.v == w
+        return NotImplemented if w is None else self.v == w
 
     def __hash__(self):
         return hash((self.v, self.field.p))
@@ -168,8 +164,22 @@ class PrimeField:
         self.p = p
         self.zero = PrimeFieldElement(0, self)
         self.one = PrimeFieldElement(1, self)
+        self.reduce = p.__rmod__
 
     name = property(lambda self: "fp:%d" % self.p)
+
+    # raw values are residue ints; ``reduce`` (bound in __init__) is v % p
+    raw = staticmethod(operator.attrgetter("v"))
+
+    def inverse(self, v: int) -> int:
+        return pow(v, -1, self.p)
+
+    def box(self, v: int) -> PrimeFieldElement:
+        return PrimeFieldElement(v, self)
+
+    def box_nonzero(self, acc: dict) -> dict:
+        p = self.p
+        return {key: PrimeFieldElement(r, self) for key, v in acc.items() if (r := v % p)}
 
     def of_int(self, k: int) -> PrimeFieldElement:
         return PrimeFieldElement(k, self)
@@ -206,6 +216,12 @@ class RationalField:
 
     def of_fraction(self, q: Fraction) -> Fraction:
         return Fraction(q)
+
+    # raw values are the Fractions themselves, always in lowest terms
+    raw = reduce = staticmethod(lambda x: x)
+    inverse = staticmethod(lambda v: 1 / v)
+    box = staticmethod(Fraction)  # also makes a Fraction of an int determinant
+    box_nonzero = staticmethod(lambda acc: {key: v for key, v in acc.items() if v})
 
     def sample(self, rng: random.Random) -> Fraction:
         # Small magnitudes keep downstream Fraction arithmetic cheap; the

@@ -153,6 +153,17 @@ def topological_invariants(s: SquareTiledSurface) -> TopologyReport:
     return TopologyReport(chi=chi, genus=genus2 // 2, b=b, connected=len(reach) == n)
 
 
+def euler_characteristic(s: SquareTiledSurface):
+    """chi = V - E + F = b - 2n + n of the closed surface, or None unless the
+    corner walk is a cell structure: a vertex orbit of index e holds exactly
+    4e corners, and the orbits hold all 4n."""
+    n = s.n
+    corners = [len(orb.corners) for orb in s.orbits]
+    if sum(corners) != 4 * n or any(c != 4 * orb.index for c, orb in zip(corners, s.orbits)):
+        return None
+    return len(s.orbits) - 2 * n + n
+
+
 def polygon_sides(s: SquareTiledSurface, orbit: PunctureOrbit) -> int:
     """Number of sides of the polygon cut out around this puncture by the two
     multicurves through the square centers.

@@ -10,13 +10,17 @@ turns index tuples into flat indices and back, behind ``items()`` and item
 access; products, sums and the structural maps (flip, transposes, pr (x) pr,
 contraction sides) do digit arithmetic on the flat index directly, and only
 the determinant densifies (the reshaped n^2 x n^2 matrix).
+
+Contractions and the one Gaussian elimination run on the field's raw values
+(``raw``, ``reduce``, ``inverse``, ``box`` of the scalar backend) and box
+their results once, so this module never sees how a field stores them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import BackendMismatchError, PrimeField, PrimeFieldElement
+from .scalars import BackendMismatchError
 
 
 class _SparseTensor:
@@ -208,30 +212,26 @@ class Tensor2(_SparseTensor):
 
     # -- nondegeneracy ---------------------------------------------------------
 
-    def as_matrix(self):
-        """Reshape to the dense n^2 x n^2 matrix M[(i,j),(k,l)] = t[i,j,k,l]."""
-        nn = self.n * self.n
-        rows = [[self.ring.zero] * nn for _ in range(nn)]
-        for f, v in self.data.items():
-            rows[f // nn][f % nn] = v
-        return rows
-
     def tensor_rank(self):
-        """(determinant of the reshaped matrix, invertible flag)."""
-        det = exact_determinant(self.as_matrix(), self.ring)
+        """(determinant of the reshaped matrix M[(i,j),(k,l)] = t[i,j,k,l],
+        invertible flag)."""
+        nn, ring = self.n * self.n, self.ring
+        raw = ring.raw
+        zero = raw(ring.zero)
+        rows = [[zero] * nn for _ in range(nn)]
+        for f, v in self.data.items():
+            rows[f // nn][f % nn] = raw(v)
+        det = _determinant(rows, ring)
         return det, bool(det)
 
     # -- serialization -----------------------------------------------------------
 
     def to_sparse_json(self):
+        raw = self.ring.raw
         out = []
         for (i, j, k, l), v in self.items():
-            if isinstance(v, Fraction):
-                c = "%d/%d" % (v.numerator, v.denominator)
-            elif isinstance(v, PrimeFieldElement):
-                c = str(v.v)
-            else:
-                c = str(v)
+            c = raw(v)
+            c = "%d/%d" % (c.numerator, c.denominator) if isinstance(c, Fraction) else str(c)
             out.append({"i": i, "j": j, "k": k, "l": l, "c": c})
         return out
 
@@ -273,21 +273,21 @@ def _contract(cls, n, ring, jobs):
     """A ``cls`` tensor summing sign * va * vb at flat index base + off.
 
     Each job is (sign, left, right), with left entries (key, base, va) and
-    right entries (key, off, vb); entries meet when their keys agree.  In
-    GF(p) the raw ints are summed and reduced once per output entry.
+    right entries (key, off, vb); entries meet when their keys agree.  Raw
+    values are summed, and each output entry is reduced and boxed once.
     """
-    fast_p = isinstance(ring, PrimeField)
+    raw = ring.raw
     acc = {}
     for sign, left, right in jobs:
         by_key = {}
         for key, off, v in right:
-            by_key.setdefault(key, []).append((off, v.v if fast_p else v))
+            by_key.setdefault(key, []).append((off, raw(v)))
         get = by_key.get
         for key, base, v in left:
             matches = get(key)
             if not matches:
                 continue
-            va = v.v if fast_p else v
+            va = raw(v)
             if sign < 0:
                 va = -va
             for off, vb in matches:
@@ -295,18 +295,7 @@ def _contract(cls, n, ring, jobs):
                 prev = acc.get(flat)
                 term = va * vb
                 acc[flat] = term if prev is None else prev + term
-    data = {}
-    if fast_p:
-        p = ring.p
-        for flat, v in acc.items():
-            v %= p
-            if v:
-                data[flat] = PrimeFieldElement(v, ring)
-    else:
-        for flat, v in acc.items():
-            if v:
-                data[flat] = v
-    return cls(n, ring, data)
+    return cls(n, ring, ring.box_nonzero(acc))
 
 
 # products of identity-padded tensors collapse to one-index contractions of
@@ -373,63 +362,47 @@ def cybe_residual(x: Tensor2, y: Tensor2, z: Tensor2) -> Tensor3:
 
 
 def exact_determinant(matrix, ring):
-    """Determinant over the scalar backend, by Gaussian elimination.
+    """Determinant over the field, as one of its elements (a ``Fraction`` in q):
+    the signed product of the pivots of ``_eliminate``."""
+    raw = ring.raw
+    return _determinant([[raw(x) for x in row] for row in matrix], ring)
 
-    A prime field eliminates on raw residues reduced mod p, which is faster
-    than boxed elements; every other backend runs ``_eliminate`` on its own
-    elements and takes the signed product of the pivots.
-    """
-    m = len(matrix)
-    if isinstance(ring, PrimeField):
-        p = ring.p
-        a = [[int(x) % p for x in row] for row in matrix]
-        det = 1
-        for col in range(m):
-            piv = next((r for r in range(col, m) if a[r][col]), None)
-            if piv is None:
-                return ring.zero
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col] % p
-            inv = pow(a[col][col], -1, p)
-            for r in range(col + 1, m):
-                if a[r][col]:
-                    factor = a[r][col] * inv % p
-                    a[r] = [(x - factor * y) % p for x, y in zip(a[r], a[col])]
-        return ring.of_int(det)
-    a = [list(row) for row in matrix]
-    sign = _eliminate(a, ring)
-    if not sign:
-        return ring.zero
-    det = ring.of_int(sign)
+
+def _determinant(a, ring):
+    """Determinant of the square matrix ``a`` of raw values (eliminated in place)."""
+    det = _eliminate(a, ring)  # the sign of the row swaps, 0 if singular
+    reduce = ring.reduce
     for i, row in enumerate(a):
-        det = det * row[i]
-    return det
+        det = reduce(det * row[i])
+    return ring.box(det)
 
 
 def _eliminate(a, ring):
-    """Forward Gaussian elimination of the rows ``a`` in place over the field.
+    """Forward Gaussian elimination, in place, of the rows ``a`` of raw values.
 
     Pivots run down the leading square block; every row operation acts on
-    whole rows, so columns appended to the block follow along.  Returns the
-    sign of the row swaps, or 0 (leaving ``a`` half reduced) if the block is
-    singular.
+    whole rows, so columns appended to the block follow along.  A row is
+    reduced when it becomes the pivot row, and each candidate pivot and
+    each factor before it is used; the other rows stay unreduced, as each
+    entry only gains at most one reduced product per pivot.  Returns the
+    sign of the row swaps, or 0 (leaving ``a`` half reduced) if the block
+    is singular; on success the pivot rows, and so the diagonal, are reduced.
     """
+    reduce, inverse = ring.reduce, ring.inverse
     m = len(a)
     sign = 1
     for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col]), None)
+        piv = next((r for r in range(col, m) if reduce(a[r][col])), None)
         if piv is None:
             return 0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
-        pivot_row = a[col]
-        inv = ring.one / pivot_row[col]
+        pivot_row = a[col] = [reduce(x) for x in a[col]]
+        inv = inverse(pivot_row[col])
         for r in range(col + 1, m):
             if a[r][col]:
-                factor = a[r][col] * inv
+                factor = reduce(a[r][col] * inv)
                 a[r] = [x - factor * y for x, y in zip(a[r], pivot_row)]
     return sign
 
@@ -439,8 +412,10 @@ def matrix_inverse(matrix, ring):
 
     Raises ZeroDivisionError if A is singular.
     """
+    raw, reduce, inverse, box = ring.raw, ring.reduce, ring.inverse, ring.box
+    zero, one = raw(ring.zero), raw(ring.one)
     m = len(matrix)
-    a = [list(row) + [ring.one if i == j else ring.zero for j in range(m)]
+    a = [[raw(x) for x in row] + [one if i == j else zero for j in range(m)]
          for i, row in enumerate(matrix)]
     if not _eliminate(a, ring):
         raise ZeroDivisionError("singular matrix")
@@ -451,21 +426,14 @@ def matrix_inverse(matrix, ring):
         for k in range(i + 1, m):
             if row[k]:
                 x = [y - row[k] * z for y, z in zip(x, inv[k])]
-        pivot_inv = ring.one / row[i]
-        inv[i] = [y * pivot_inv for y in x]
-    return inv
+        pivot_inv = inverse(row[i])
+        inv[i] = [reduce(y * pivot_inv) for y in x]
+    return [[box(y) for y in row] for row in inv]
 
 
 def kron2(phi, psi, ring) -> Tensor2:
     """phi (x) psi as a Tensor2 (entries phi[i][j] * psi[k][l])."""
     n = len(phi)
-    t = Tensor2(n, ring)
-    for i in range(n):
-        for j in range(n):
-            if not phi[i][j]:
-                continue
-            for k in range(n):
-                for l in range(n):
-                    if psi[k][l]:
-                        t[i, j, k, l] = phi[i][j] * psi[k][l]
-    return t
+    a = [(i * n + j, x) for i, row in enumerate(phi) for j, x in enumerate(row) if x]
+    b = [(k * n + l, y) for k, row in enumerate(psi) for l, y in enumerate(row) if y]
+    return Tensor2(n, ring, {f * n * n + g: w for f, x in a for g, y in b if (w := x * y)})

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ from ybx.catalog import example_structure
 from ybx.cli import main, report_payload
 from ybx.perms import Permutation, format_cycles, parse_cycles
 from ybx.scalars import derive_rng
+from ybx.surface import build_surface
 from ybx.trig import CheckReport, PoleError
 
 FP = "fp:2305843009213693951"
@@ -252,10 +254,19 @@ def _assert_one_error_line(capsys, argv):
     ('{"r": 2, "n": 1, "m": [[0], [Infinity]]}', ["bundle", "--in"]),
     ({"r": 2, "n": 1, "m": [[0], [1]], "lambda": "1/0"}, ["bundle", "--in"]),
     ('{"r": 2, "n": 1, "m": [[0], [1]], "lambda": Infinity}', ["bundle", "--in"]),
+    # a float, a bool or a numeric string in an integer field is rejected,
+    # not truncated or converted
+    ({"n": 2, "c1": [1.0, 0.0], "c2": [1, 0], "a": []}, ["validate", "--abd"]),
+    ({"n": 2.5, "c1": [1, 0], "c2": [1, 0], "a": []}, ["validate", "--abd"]),
+    ({"n": 2, "c1": [1, 0], "c2": [1, 0], "a": [0.7]}, ["validate", "--abd"]),
+    ({"n": True, "c1": [0], "c2": [0], "a": []}, ["validate", "--abd"]),
+    ({"n": "2", "c1": [1, 0], "c2": [1, 0], "a": []}, ["validate", "--abd"]),
+    ({"r": 2, "n": 1, "m": [[0], [1.5]]}, ["bundle", "--in"]),
 ], ids=["missing-abd", "missing-bundle", "not-json", "missing-key", "wrong-type",
         "not-an-object", "bundle-missing-key", "bundle-wrong-type", "invalid-structure",
         "huge-n", "infinite-a", "huge-r", "infinite-m", "zero-lambda-denominator",
-        "infinite-lambda"])
+        "infinite-lambda", "float-c1", "float-n", "float-a", "bool-n", "string-n",
+        "float-m"])
 def test_bad_input_file_is_one_error_line(content, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     if content is not None:
@@ -347,3 +358,18 @@ def test_novikov_large_u_does_not_overflow(capsys):
     code, out = run(capsys, "novikov", "--u", "1000")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_suite_surface_euler_fails_when_the_corner_walk_loses_a_corner(fp, monkeypatch):
+    s = example_structure()
+    check = "surface-euler[%s]" % s.label()
+
+    def lossy(abd):
+        surf = build_surface(abd)
+        first, *rest = surf.orbits
+        first = dataclasses.replace(first, corners=first.corners[:-1])
+        return dataclasses.replace(surf, orbits=(first, *rest))
+
+    assert {r.check: r.passed for r in cli.run_suite([s], 1, 7, fp)}[check]
+    monkeypatch.setattr(cli, "build_surface", lossy)
+    assert not {r.check: r.passed for r in cli.run_suite([s], 1, 7, fp)}[check]

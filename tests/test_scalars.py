@@ -61,6 +61,31 @@ def test_inverse_roundtrip(fp, k):
     assert a * (fp.one / a) == fp.one
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(-10**9, 10**9, max_denominator=10**6),
+       st.fractions(-10**9, 10**9, max_denominator=10**6))
+def test_raw_values_compute_the_field_operations(field, x, y):
+    a, b = field.of_fraction(x), field.of_fraction(y)
+    raw, reduce, box = field.raw, field.reduce, field.box
+    assert box(reduce(raw(a) * raw(b))) == a * b
+    assert box(reduce(raw(a) - raw(b))) == a - b
+    if a:
+        assert box(reduce(raw(a) * field.inverse(reduce(raw(a))))) == field.one
+
+
+def test_box_nonzero_drops_exact_multiples_of_p(fp):
+    p = fp.p
+    got = fp.box_nonzero({0: p, 1: -2 * p, 2: p + 3, 3: -1, 4: 0})
+    assert got == {2: fp.of_int(3), 3: fp.of_int(-1)}
+    assert all(type(v) is type(fp.one) for v in got.values())
+
+
+def test_box_nonzero_drops_exact_zeros_in_q():
+    got = RATIONAL.box_nonzero({0: Fraction(0), 1: Fraction(1, 3) - Fraction(1, 3),
+                                2: Fraction(2, 5)})
+    assert got == {2: Fraction(2, 5)}
+
+
 def test_fraction_embedding(fp):
     x = fp.of_fraction(Fraction(2, 3))
     assert x * fp.of_int(3) == fp.of_int(2)

@@ -329,6 +329,43 @@ def test_matrix_inverse_is_two_sided(field):
         assert mul(inv, a) == ident, a
 
 
+def _matmul(x, y, field):
+    return [[sum((x[r][k] * y[k][c] for k in range(len(y))), field.zero)
+             for c in range(len(y[0]))] for r in range(len(x))]
+
+
+@pytest.mark.parametrize("size", [8, 12, 16])
+def test_dense_fp_determinant_and_inverse(fp, size):
+    # dense entries in (-p, p): every row that is not yet a pivot row collects
+    # one unreduced product per pivot above it
+    rng = derive_rng(size, "dense-fp")
+    entries = [[rng.randrange(1 - fp.p, fp.p) for _ in range(size)] for _ in range(size)]
+    a = [[fp.of_int(x) for x in row] for row in entries]
+    dq = exact_determinant([[Fraction(x) for x in row] for row in entries], RATIONAL)
+    assert exact_determinant(a, fp) == fp.of_fraction(dq) != fp.zero
+    ident = [[fp.one if r == c else fp.zero for c in range(size)] for r in range(size)]
+    inv = matrix_inverse(a, fp)
+    assert _matmul(a, inv, fp) == ident
+    assert _matmul(inv, a, fp) == ident
+    # the last row made the sum of the first two: zero only after reduction
+    entries[-1] = [x + y for x, y in zip(entries[0], entries[1])]
+    a = [[fp.of_int(x) for x in row] for row in entries]
+    assert exact_determinant(a, fp) == fp.zero
+    with pytest.raises(ZeroDivisionError):
+        matrix_inverse(a, fp)
+
+
+@pytest.mark.parametrize("entries, det", [
+    ([], 1),
+    ([[1, 2], [2, 4]], 0),
+    ([[2, 1], [1, 1]], 1),
+], ids=["empty", "singular", "regular"])
+def test_determinant_is_a_field_element(field, entries, det):
+    got = exact_determinant([[field.of_int(x) for x in row] for row in entries], field)
+    assert type(got) is type(field.one)
+    assert got == field.of_int(det)
+
+
 def test_kron2(field):
     phi = [[field.of_int(1), field.of_int(2)], [field.zero, field.of_int(1)]]
     t = kron2(phi, phi, field)
