@@ -46,9 +46,10 @@ def _load_json(path: str, parse):
         return parse(data)
     except KeyError as exc:
         raise ValueError("malformed input in %s: missing key %s" % (path, exc)) from exc
-    except (TypeError, OverflowError, ZeroDivisionError) as exc:
-        # a scalar where a list or an object belongs, a non-finite "lambda"
-        # (1e400, Infinity) or a zero denominator in it
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        # a scalar where a list or an object belongs, a non-integer number
+        # or a non-bijective permutation, a non-finite "lambda" (1e400,
+        # Infinity) or a zero denominator in it
         raise ValueError("malformed input in %s: %s" % (path, exc)) from exc
 
 

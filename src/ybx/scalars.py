@@ -12,9 +12,13 @@ Both expose the same small interface (``zero``, ``one``, ``of_int``,
 ``of_fraction``, ``sample``) so the rest of the code is generic.  Exact
 linear algebra runs on raw values: ``raw`` unboxes an element (the residue
 int in GF(p), the ``Fraction`` in q), ``reduce`` maps a sum of products of
-raw values to canonical form, ``inverse`` inverts a reduced nonzero one,
-``box`` makes an element of one, and ``box_nonzero`` reduces and boxes the
-nonzero values of a dict.  Only this module knows how a field stores values.
+raw values to canonical form, ``inverse`` inverts a reduced nonzero one and
+``box`` makes an element of a reduced one.  Contractions run on plain ints:
+``integral`` maps elements to integer numerators over one common
+denominator (the lcm of their denominators in q, 1 in GF(p)), and
+``box_nonzero(acc, den)`` divides the nonzero values of a dict of ints by
+``den``, reduces and boxes them.  Only this module knows how a field stores
+values.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from math import lcm
 
 MIN_PRIME = 10 ** 9
 
@@ -80,6 +85,14 @@ class PrimeFieldElement:
     def __init__(self, v: int, field: "PrimeField"):
         self.v = v % field.p
         self.field = field
+
+    @classmethod
+    def of_residue(cls, v: int, field: "PrimeField") -> "PrimeFieldElement":
+        """The element of an already reduced residue 0 <= v < p, without a modulo."""
+        x = object.__new__(cls)
+        x.v = v
+        x.field = field
+        return x
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -175,11 +188,17 @@ class PrimeField:
         return pow(v, -1, self.p)
 
     def box(self, v: int) -> PrimeFieldElement:
-        return PrimeFieldElement(v, self)
+        return PrimeFieldElement.of_residue(v, self)
 
-    def box_nonzero(self, acc: dict) -> dict:
-        p = self.p
-        return {key: PrimeFieldElement(r, self) for key, v in acc.items() if (r := v % p)}
+    def integral(self, values) -> tuple:
+        return [x.v for x in values], 1
+
+    def box_nonzero(self, acc: dict, den: int = 1) -> dict:
+        p, of_residue = self.p, PrimeFieldElement.of_residue
+        if den != 1:
+            inv = pow(den, -1, p)
+            acc = {key: v * inv for key, v in acc.items()}
+        return {key: of_residue(r, self) for key, v in acc.items() if (r := v % p)}
 
     def of_int(self, k: int) -> PrimeFieldElement:
         return PrimeFieldElement(k, self)
@@ -221,7 +240,15 @@ class RationalField:
     raw = reduce = staticmethod(lambda x: x)
     inverse = staticmethod(lambda v: 1 / v)
     box = staticmethod(Fraction)  # also makes a Fraction of an int determinant
-    box_nonzero = staticmethod(lambda acc: {key: v for key, v in acc.items() if v})
+
+    @staticmethod
+    def integral(values) -> tuple:
+        den = lcm(*{x.denominator for x in values})
+        return [x.numerator * (den // x.denominator) for x in values], den
+
+    @staticmethod
+    def box_nonzero(acc: dict, den: int = 1) -> dict:
+        return {key: Fraction(v, den) for key, v in acc.items() if v}
 
     def sample(self, rng: random.Random) -> Fraction:
         # Small magnitudes keep downstream Fraction arithmetic cheap; the

@@ -11,14 +11,17 @@ access; products, sums and the structural maps (flip, transposes, pr (x) pr,
 contraction sides) do digit arithmetic on the flat index directly, and only
 the determinant densifies (the reshaped n^2 x n^2 matrix).
 
-Contractions and the one Gaussian elimination run on the field's raw values
-(``raw``, ``reduce``, ``inverse``, ``box`` of the scalar backend) and box
-their results once, so this module never sees how a field stores them.
+The one Gaussian elimination runs on the field's raw values (``raw``,
+``reduce``, ``inverse``, ``box`` of the scalar backend), and contractions
+on integer numerators over a common denominator (``integral`` and
+``box_nonzero``); both box their results once, so this module never sees
+how a field stores them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import BackendMismatchError
 
@@ -137,9 +140,10 @@ class _SparseTensor:
         """
         self._check(other)
         n, a, b = self.n, self.data, other.data
-        left = [(c, f - c, v) for (f, v), c in zip(a.items(), self._col_parts(a))]
-        right = [((f - c) // n, c, v) for (f, v), c in zip(b.items(), self._col_parts(b))]
-        return _contract(type(self), n, self.ring, [(1, left, right)])
+        left = [(c, f - c) for f, c in zip(a, self._col_parts(a))]
+        right = [((f - c) // n, c) for f, c in zip(b, self._col_parts(b))]
+        return _contract(type(self), n, self.ring,
+                         [(1, (left, a.values()), (right, b.values()))])
 
     def __repr__(self):
         return "%s(n=%d, nnz=%d)" % (type(self).__name__, self.n, self.nnz())
@@ -272,30 +276,40 @@ def embed_triple(t: Tensor2, slot: int) -> Tensor3:
 def _contract(cls, n, ring, jobs):
     """A ``cls`` tensor summing sign * va * vb at flat index base + off.
 
-    Each job is (sign, left, right), with left entries (key, base, va) and
-    right entries (key, off, vb); entries meet when their keys agree.  Raw
-    values are summed, and each output entry is reduced and boxed once.
+    Each job is (sign, left, right).  A side is a pair (entries, values) of
+    equal length, with left entries (key, base) and right entries (key, off);
+    entries meet when their keys agree.  Each side is cleared of denominators
+    once (``integral``: va = a / den_l), so the sums run on plain ints over
+    the common denominator D, the lcm of the jobs' den_l * den_r, and each
+    output entry is divided by D, reduced and boxed once.  In GF(p) every
+    den is 1.
     """
-    raw = ring.raw
+    integral = ring.integral
+    den, sides = 1, []
+    for sign, (left, lvals), (right, rvals) in jobs:
+        a, den_l = integral(lvals)
+        b, den_r = integral(rvals)
+        d = den_l * den_r
+        den = lcm(den, d)
+        sides.append((sign, d, left, a, right, b))
     acc = {}
-    for sign, left, right in jobs:
+    for sign, d, left, a, right, b in sides:
         by_key = {}
-        for key, off, v in right:
-            by_key.setdefault(key, []).append((off, raw(v)))
+        for (key, off), vb in zip(right, b):
+            by_key.setdefault(key, []).append((off, vb))
         get = by_key.get
-        for key, base, v in left:
+        scale = sign * (den // d)
+        for (key, base), va in zip(left, a):
             matches = get(key)
             if not matches:
                 continue
-            va = raw(v)
-            if sign < 0:
-                va = -va
+            va *= scale
             for off, vb in matches:
                 flat = base + off
                 prev = acc.get(flat)
                 term = va * vb
                 acc[flat] = term if prev is None else prev + term
-    return cls(n, ring, ring.box_nonzero(acc))
+    return cls(n, ring, ring.box_nonzero(acc, den))
 
 
 # products of identity-padded tensors collapse to one-index contractions of
@@ -313,17 +327,20 @@ _PAIR_RULES = {
 
 
 def _pair_side(t: Tensor2, cpos, slots):
-    """(contracted index, offset in the 6-index output, value) per entry of t."""
+    """A contraction side of t: (contracted index, offset in the 6-index
+    output) per entry, and the entries' values."""
     n = t.n
     weights = [n ** (5 - s) for s in slots]
     weights.insert(cpos, 0)
     w0, w1, w2, w3 = weights
     nn = n * n
-    for f, v in t.data.items():
+    entries = []
+    for f in t.data:
         a, b = divmod(f, nn)
         i, j = divmod(a, n)
         k, l = divmod(b, n)
-        yield (i, j, k, l)[cpos], i * w0 + j * w1 + k * w2 + l * w3, v
+        entries.append(((i, j, k, l)[cpos], i * w0 + j * w1 + k * w2 + l * w3))
+    return entries, t.data.values()
 
 
 def _pair_jobs(*terms):

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,7 @@ def _assert_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
 
 
 @pytest.mark.parametrize("content, command", [
@@ -262,16 +267,36 @@ def _assert_one_error_line(capsys, argv):
     ({"n": True, "c1": [0], "c2": [0], "a": []}, ["validate", "--abd"]),
     ({"n": "2", "c1": [1, 0], "c2": [1, 0], "a": []}, ["validate", "--abd"]),
     ({"r": 2, "n": 1, "m": [[0], [1.5]]}, ["bundle", "--in"]),
+    ({"n": 2, "c1": [0, 0], "c2": [1, 0], "a": []}, ["validate", "--abd"]),
+    ({"r": 2, "n": 1, "m": [[0], [1]], "lambda": "one half"}, ["bundle", "--in"]),
 ], ids=["missing-abd", "missing-bundle", "not-json", "missing-key", "wrong-type",
         "not-an-object", "bundle-missing-key", "bundle-wrong-type", "invalid-structure",
         "huge-n", "infinite-a", "huge-r", "infinite-m", "zero-lambda-denominator",
         "infinite-lambda", "float-c1", "float-n", "float-a", "bool-n", "string-n",
-        "float-m"])
+        "float-m", "non-bijective-c1", "unparsable-lambda"])
 def test_bad_input_file_is_one_error_line(content, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     if content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
-    _assert_one_error_line(capsys, command + [str(path)])
+    line = _assert_one_error_line(capsys, command + [str(path)])
+    assert str(path) in line, line
+
+
+def test_python_dash_m_runs_the_cli(abd_file, tmp_path):
+    # `python -m ybx` from a checkout: the package's parent directory on the path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def ybx(*argv):
+        return subprocess.run([sys.executable, "-m", "ybx", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = ybx("validate", "--abd", abd_file)
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["valid"] is True
+    missing = ybx("validate", "--abd", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2 and missing.stderr.startswith("error: cannot read ")
 
 
 @pytest.mark.parametrize("nmax", ["0", "5"])
@@ -300,7 +325,10 @@ def test_pole_error_is_one_error_line(abd_file, capsys, monkeypatch):
     (["--field", "q"], "d6581b8f8159909e763e141f2b60abde02b4c5ea7f7b7324dd761b72af86e84c"),
     (["--field", FP, "--mutate", "one-coefficient"],
      "509e3428508c3abfa156a076fd6802da6545f3ead777b5773933888aa6d9587b"),
-], ids=["fp", "q", "fp-mutated"])
+    # the one row whose q residuals have nonzero entries
+    (["--field", "q", "--mutate", "one-coefficient"],
+     "e51d02591e5b1ca75ef7ec1ed4c9e6b56790f9bdc35c0c0e4bc96c7ae7a9a49f"),
+], ids=["fp", "q", "fp-mutated", "q-mutated"])
 def test_suite_bytes_are_pinned(extra, sha256, capsys):
     # a small-size twin of the `ybx suite --points 25 --seed 7` behaviour contract
     _, out = run(capsys, "suite", "--nmax", "3", "--points", "3", "--seed", "7", *extra)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,27 @@ def test_box_nonzero_drops_exact_zeros_in_q():
     got = RATIONAL.box_nonzero({0: Fraction(0), 1: Fraction(1, 3) - Fraction(1, 3),
                                 2: Fraction(2, 5)})
     assert got == {2: Fraction(2, 5)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(-10**6, 10**6, max_denominator=10**4), max_size=8))
+def test_integral_round_trips(field, xs):
+    values = [field.of_fraction(x) for x in xs]
+    ints, den = field.integral(values)
+    assert all(type(a) is int for a in ints) and type(den) is int
+    if field is RATIONAL:
+        # the least common denominator of the values
+        assert den == math.lcm(*(x.denominator for x in values))
+    else:
+        assert den == 1 and ints == [int(x) for x in values]
+    boxed = field.box_nonzero(dict(enumerate(ints)), den)
+    assert [boxed.get(i, field.zero) for i in range(len(values))] == values
+
+
+def test_box_nonzero_divides_by_the_denominator(field):
+    got = field.box_nonzero({0: 6, 1: 4, 2: 0, 3: -3}, 4)
+    assert got == {0: field.of_fraction(Fraction(3, 2)), 1: field.one,
+                   3: field.of_fraction(Fraction(-3, 4))}
 
 
 def test_fraction_embedding(fp):

@@ -1,10 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybx.catalog import corpus
 from ybx.scalars import RATIONAL, derive_rng
 from ybx.tensors import (
     Tensor2,
@@ -18,6 +20,7 @@ from ybx.tensors import (
     pair_embed_product,
     transposition_p,
 )
+from ybx.trig import TrigSolution, _pole_free
 
 
 def random_tensor(n, field, rng, density=0.3):
@@ -501,3 +504,104 @@ def test_items_ascending_flat_order(field, data):
             flats.append(f)
         assert flats == sorted(set(flats))
         assert len(flats) == t.nnz()
+
+
+# -- contractions over mixed denominators against a Fraction reference ----------
+
+_SLOT_PAIRS = ((12, 13), (13, 12), (12, 23), (23, 12), (13, 23), (23, 13))
+
+
+def _sources(n):
+    """Entries as Fractions: an empty side, integers only, or mixed denominators."""
+    index = st.tuples(*[st.integers(0, n - 1)] * 4)
+    integers = st.integers(-5, 5).map(Fraction)
+    mixed = st.fractions(-8, 8, max_denominator=12)
+    return st.one_of(st.just({}),
+                     st.dictionaries(index, integers, max_size=2 * n ** 2),
+                     st.dictionaries(index, mixed, max_size=2 * n ** 2))
+
+
+def _tensor(src, n, field):
+    return Tensor2(n, field, {((i * n + j) * n + k) * n + l: w
+                              for (i, j, k, l), v in src.items()
+                              if (w := field.of_fraction(v))})
+
+
+def _embed_ref(src, slot, n):
+    """The identity-padded triple tensor of ``src``, entry by entry."""
+    out = {}
+    for (i, j, k, l), v in src.items():
+        for d in range(n):
+            out[{12: (i, j, k, l, d, d), 13: (i, j, d, d, k, l),
+                 23: (d, d, i, j, k, l)}[slot]] = v
+    return out
+
+
+def _reference(n, *terms):
+    """sum of sign * a^sa b^sb over (sign, a, sa, b, sb) with Fraction sources,
+    as {6-index: Fraction}: X[i,x,k,y,p,z] Y[x,j,y,l,z,q] lands at (i,j,k,l,p,q)."""
+    out = {}
+    for sign, a, sa, b, sb in terms:
+        rows = {}
+        for idx, w in _embed_ref(b, sb, n).items():
+            rows.setdefault(idx[0::2], []).append((idx[1::2], w))
+        for (i, x, k, y, p, z), v in _embed_ref(a, sa, n).items():
+            for (j, l, q), w in rows.get((x, y, z), ()):
+                key = (i, j, k, l, p, q)
+                out[key] = out.get(key, 0) + sign * v * w
+    return out
+
+
+def _assert_matches_reference(got, want, field):
+    want = {idx: w for idx, v in want.items() if (w := field.of_fraction(v))}
+    assert dict(got.items()) == want
+    for v in got.data.values():
+        if field is RATIONAL:
+            assert type(v) is Fraction and v.denominator > 0
+            assert math.gcd(v.numerator, v.denominator) == 1
+        else:
+            assert type(v) is type(field.one) and 0 < v.v < field.p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_contractions_match_fraction_reference(field, data):
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    srcs = [data.draw(_sources(n)) for _ in range(6)]
+    a, b, c, d, e, f = [_tensor(s, n, field) for s in srcs]
+    sa, sb = data.draw(st.sampled_from(_SLOT_PAIRS))
+    _assert_matches_reference(pair_embed_product(a, sa, b, sb),
+                              _reference(n, (1, srcs[0], sa, srcs[1], sb)), field)
+    _assert_matches_reference(aybe_combine(a, b, c, d, e, f), _reference(
+        n, (1, srcs[0], 12, srcs[1], 13), (-1, srcs[2], 23, srcs[3], 12),
+        (1, srcs[4], 13, srcs[5], 23)), field)
+    x, y, z = srcs[:3]
+    _assert_matches_reference(cybe_residual(a, b, c), _reference(
+        n, (1, x, 12, y, 13), (-1, y, 13, x, 12), (1, x, 12, z, 23),
+        (-1, z, 23, x, 12), (1, y, 13, z, 23), (-1, z, 23, y, 13)), field)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_corrupted_aybe_leaves_the_reference_residual(field, data):
+    # r at honest points has AYBE residual zero; one corrupted coefficient
+    # must leave exactly the Fraction reference's nonzero residual
+    s = data.draw(st.sampled_from([s for s in corpus(3) if s.n > 1]))
+    n, sol = s.n, TrigSolution(s)
+    qu, qup, qv, qvp = _pole_free(
+        RATIONAL, derive_rng(data.draw(st.integers(0, 10 ** 6)), "corrupt"), n, 4,
+        (lambda a, b, c, d: (a * b) ** (2 * n) - 1, lambda a, b, c, d: (c * d) ** (2 * n) - 1))
+    rs = [sol.eval(RATIONAL, u, v) for u, v in ((qup ** -1, qv), (qu * qup, qv * qvp),
+                                                (qu * qup, qvp), (qu, qv),
+                                                (qu, qv * qvp), (qup, qvp))]
+    assert aybe_combine(*rs).is_zero()
+    srcs = [dict(r.items()) for r in rs]
+    slot = data.draw(st.tuples(*[st.integers(0, n - 1)] * 4))
+    srcs[0][slot] = srcs[0].get(slot, 0) + data.draw(
+        st.fractions(-8, 8, max_denominator=12).filter(bool))
+    srcs[0] = {idx: v for idx, v in srcs[0].items() if v}
+    want = _reference(n, (1, srcs[0], 12, srcs[1], 13), (-1, srcs[2], 23, srcs[3], 12),
+                      (1, srcs[4], 13, srcs[5], 23))
+    assert any(want.values())
+    got = aybe_combine(*[_tensor(src, n, field) for src in srcs])
+    _assert_matches_reference(got, want, field)
