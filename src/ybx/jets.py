@@ -140,6 +140,8 @@ class LaurentJet:
         return other + (-self)
 
     def __mul__(self, other):
+        if other.__class__ is int and other == 1:
+            return self  # x * 1 is x; ``JetRing.integral`` gives the denominator 1
         other = self._wrap(other)
         if other is None:
             return NotImplemented
@@ -158,16 +160,19 @@ class LaurentJet:
         if hi is not None and hi <= lo:
             return LaurentJet(a.field, hi, (), hi, a.var)
         length = (hi - lo) if hi is not None else (len(a.coeffs) + len(b.coeffs) - 1)
-        out = [a.field.zero] * length
-        for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                if i + j >= length:
-                    break
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return LaurentJet(a.field, lo, out, hi, a.var)
+        # the convolution runs on integer numerators over one denominator
+        # per factor (``integral``), and each coefficient is boxed once
+        field = a.field
+        ra, den_a = field.integral(a.coeffs[:length])
+        rb, den_b = field.integral(b.coeffs[:length])
+        out = [0] * length
+        for i, x in enumerate(ra):
+            if x:
+                for j, y in enumerate(rb[:length - i], i):
+                    out[j] += x * y
+        boxed = field.box_nonzero(dict(enumerate(out)), den_a * den_b)
+        return LaurentJet(field, lo, [boxed.get(i, field.zero) for i in range(length)],
+                          hi, a.var)
 
     __rmul__ = __mul__
 
@@ -235,6 +240,19 @@ class JetRing:
 
     def constant(self, c) -> LaurentJet:
         return LaurentJet.constant(self.field, c, self.var)
+
+    # the raw-value interface of the fields (``ybx.scalars``), on jets: a jet
+    # is its own raw value and canonical form
+    reduce = staticmethod(lambda x: x)
+
+    @staticmethod
+    def integral(values) -> tuple:
+        return list(values), 1
+
+    @staticmethod
+    def box_nonzero(acc: dict, den: LaurentJet) -> dict:
+        inv = den.inverse()
+        return {key: w for key, v in acc.items() if v and (w := v * inv)}
 
 
 def exp_jet(field, scale, order: int, var="u") -> LaurentJet:

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from .perms import term_target
 from .surface import SquareTiledSurface
 from .tensors import Tensor2
-from .trig import TrigSolution, _invert, assemble_terms
+from .trig import PoleError, TrigSolution, assemble
+
+
+def _invert(ring, x):
+    """1/x in the field, with pole reporting."""
+    if not x:
+        raise PoleError("denominator vanished at the evaluation point")
+    return ring.one / x
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def massey_tensor(sol: TrigSolution, q_u, q_v, ring) -> MasseyTensor:
             mp = -hol if sign > 0 else hol
         prices.append(-mp)  # dualization brings in an overall sign
     breakdown = [(fam, prices[g]) for fam, g in _families(n, terms)]
-    return MasseyTensor(tensor=assemble_terms(n, ring, terms, prices), breakdown=breakdown)
+    return MasseyTensor(tensor=assemble(sol, ring, dict(enumerate(prices))), breakdown=breakdown)
 
 
 @dataclass

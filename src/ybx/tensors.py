@@ -15,13 +15,19 @@ The one Gaussian elimination runs on the field's raw values (``raw``,
 ``reduce``, ``inverse``, ``box`` of the scalar backend), and contractions
 on integer numerators over a common denominator (``integral`` and
 ``box_nonzero``); both box their results once, so this module never sees
-how a field stores them.
+how a field stores them.  A ``Residual`` is compiled once from the supports
+of its factors (``pair_residual`` builds the pair products of the AYBE from
+``_PAIR_RULES``); at each point it takes every factor's integer numerators
+and denominator and tests each output entry for zero with C-level gathers,
+products and running sums, boxing nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, chain, compress, repeat
 from math import lcm
+from operator import add, mul, ne
 
 from .scalars import BackendMismatchError
 
@@ -326,30 +332,115 @@ _PAIR_RULES = {
 }
 
 
-def _pair_side(t: Tensor2, cpos, slots):
-    """A contraction side of t: (contracted index, offset in the 6-index
-    output) per entry, and the entries' values."""
-    n = t.n
+def _pair_entries(n, flats, cpos, slots):
+    """(contracted index, offset in the 6-index output) of each flat index
+    of a contraction side."""
     weights = [n ** (5 - s) for s in slots]
     weights.insert(cpos, 0)
     w0, w1, w2, w3 = weights
     nn = n * n
-    entries = []
-    for f in t.data:
-        a, b = divmod(f, nn)
-        i, j = divmod(a, n)
-        k, l = divmod(b, n)
-        entries.append(((i, j, k, l)[cpos], i * w0 + j * w1 + k * w2 + l * w3))
-    return entries, t.data.values()
+    # flat = x1 * nn + x2 with x = row * n + col in each factor; the digits'
+    # contributions to the key and the offset are looked up per factor part
+    parts = range(nn)
+    off1 = [x // n * w0 + x % n * w1 for x in parts]
+    off2 = [x // n * w2 + x % n * w3 for x in parts]
+    key = [x % n if cpos % 2 else x // n for x in parts]
+    side = cpos // 2
+    return [(key[xs[side]], off1[xs[0]] + off2[xs[1]])
+            for xs in (divmod(f, nn) for f in flats)]
 
 
 def _pair_jobs(*terms):
-    """Contraction jobs for signed products a^sa . b^sb given as (sign, a, sa, b, sb)."""
+    """Contraction jobs for signed products a^sa . b^sb given as (sign, a, sa, b, sb);
+    a side is its tensor's ``_pair_entries`` and values."""
     jobs = []
     for sign, a, sa, b, sb in terms:
         a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
-        jobs.append((sign, _pair_side(a, a_cpos, a_slots), _pair_side(b, b_cpos, b_slots)))
+        jobs.append((sign, (_pair_entries(a.n, a.data, a_cpos, a_slots), a.data.values()),
+                     (_pair_entries(b.n, b.data, b_cpos, b_slots), b.data.values())))
     return jobs
+
+
+class Residual:
+    """A residual compiled once from the supports of its factors.
+
+    Its factors are evaluations: evaluation e is a list of ``sizes[e]``
+    values at fixed rows.  A job is (sign, evals, outs, rows): its k-th
+    term adds sign times the product, over the job's evaluations evals[p],
+    of the value at row rows[p][k] to the output entry outs[k].  Every job
+    has the same number of factors, and an evaluation is a factor of at
+    most one job.
+
+    Only the values change from point to point, so the terms are sorted by
+    output entry once: ``cols[p]`` indexes each term's p-th factor in the
+    concatenation of all evaluations, and ``last`` marks each entry's last
+    term.
+    """
+
+    def __init__(self, sizes, jobs):
+        offsets = list(accumulate(sizes, initial=0))
+        self.jobs = [(sign, evals) for sign, evals, _, _ in jobs]
+        outs = list(chain.from_iterable(job_outs for _, _, job_outs, _ in jobs))
+        order = sorted(range(len(outs)), key=outs.__getitem__)
+        outs = list(map(outs.__getitem__, order))
+        self.cols = []
+        for p in range(len(jobs[0][1])):
+            col = []
+            for _, evals, _, rows in jobs:
+                col += map(add, rows[p], repeat(offsets[evals[p]]))
+            self.cols.append(list(map(col.__getitem__, order)))
+        self.last = list(map(ne, outs, outs[1:])) + [True]
+
+    def is_zero(self, ring, values, dens) -> bool:
+        """Whether the residual vanishes when evaluation e holds
+        values[e] / dens[e]: integer numerators over one nonzero denominator.
+
+        Each job's first factor is scaled by the other evaluations' dens, so
+        the sums run on plain ints.  The running sum of the sorted terms is
+        zero at every entry's last term iff every entry is, and ``ring.reduce``
+        tests each of those sums for zero.
+        """
+        reduce = ring.reduce
+        scales = {}
+        for sign, evals in self.jobs:
+            scale = sign
+            for e, den in enumerate(dens):
+                if e not in evals:
+                    scale = reduce(scale * den)
+            scales[evals[0]] = scale
+        flat = []
+        for e, vals in enumerate(values):
+            flat += map(reduce, map(mul, vals, repeat(scales[e]))) if e in scales else vals
+        get = flat.__getitem__
+        terms = map(get, self.cols[0])
+        for col in self.cols[1:]:
+            terms = map(mul, terms, map(get, col))
+        return not any(map(reduce, compress(accumulate(terms), self.last)))
+
+
+def pair_residual(n, jobs) -> Residual:
+    """The compiled residual of signed pair products a^sa . b^sb, each job
+    given as (sign, flats_a, sa, flats_b, sb): job j's factors are
+    evaluations 2j and 2j + 1, whose values sit at the listed flat indices
+    (a flat may repeat)."""
+    sizes, compiled = [], []
+    for j, (sign, flats_a, sa, flats_b, sb) in enumerate(jobs):
+        a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
+        by_key = {}
+        for y, (key, off) in enumerate(_pair_entries(n, flats_b, b_cpos, b_slots)):
+            offs, rows = by_key.setdefault(key, ([], []))
+            offs.append(off)
+            rows.append(y)
+        outs, xs, ys = [], [], []
+        for x, (key, base) in enumerate(_pair_entries(n, flats_a, a_cpos, a_slots)):
+            if key in by_key:
+                offs, rows = by_key[key]
+                outs += map(base.__add__, offs)
+                xs += repeat(x, len(rows))
+                ys += rows
+        sizes += (len(flats_a), len(flats_b))
+        compiled.append((sign, (2 * j, 2 * j + 1), outs, (xs, ys)))
+    return Residual(sizes, compiled)
 
 
 def pair_embed_product(a: Tensor2, sa: int, b: Tensor2, sb: int) -> Tensor3:

@@ -9,6 +9,14 @@ are all Laurent monomials in q_u (and likewise for v).  This covers the 1/n
 exponents of the closed formula and the half-integer exponents of the QYBE
 rescaling with no root extraction.  Every identity is verified by exact
 evaluation at seeded random points avoiding the poles.
+
+Every solution is one linear table: r(u, v) is the sum of price_g(u, v)
+at flat index f over its rows (g, f), g a group of the rectangle-family
+table.  ``price_terms`` prices all groups at a point as integer numerators
+over one denominator, ``(nums, den)``, with no division; ``eval`` boxes
+them on any ring (fields and jets), while the AYBE and skew checks compile
+their residual from the table once per call (``tensors.Residual``) and
+test it for zero on those integers at each point.
 """
 
 from __future__ import annotations
@@ -17,18 +25,22 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import mul
 
-from .jets import JetRing, LaurentJet, exp_jet
+from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
 from .tensors import (
+    Residual,
     Tensor2,
-    aybe_combine,
+    aybe_combine,  # unused here; the benchmark tracer wraps trig.aybe_combine
     cybe_residual,
     embed_triple,
     kron2,
     matrix_inverse,
     pair_embed_product,
+    pair_residual,
     transposition_p,  # unused here; the benchmark tracer wraps trig.transposition_p
 )
 
@@ -76,23 +88,114 @@ class CheckReport:
         return d
 
 
-def _invert(ring, x):
-    """1/x with pole reporting for scalars and jets alike."""
-    if isinstance(x, LaurentJet):
-        if not x:
-            raise PoleError("jet denominator vanishes to tracked order")
-        return x.inverse()
-    if not x:
+def _even_powers(x, n, reduce):
+    """[x^0, x^2, ..., x^(2n)]."""
+    x2 = reduce(x * x)
+    out = [1]
+    for _ in range(n):
+        out.append(reduce(out[-1] * x2))
+    return out
+
+
+def price_recipe(n, terms):
+    """The three factors of each group's price, as indices into the factor
+    list of ``price_terms``.
+
+    With q_u = a/b, q_v = c/d, A = a^2n - b^2n, C = c^2n - d^2n and
+    X = (abcd)^(2n-2), each price of a ``rectangle_terms`` group is a
+    polynomial over den = A C X:
+
+    - diagonal, 1/(e^u - 1) + 1/(1 - e^-v): (b^2n C + d^2n A + A C) X;
+    - horizontal, e^{ku/n}/(e^u - 1): a^2k b^(2n-2k) . C X;
+    - vertical, e^{mv/n}/(e^v - 1): c^2m d^(2n-2m) . A X;
+    - A-rectangle, sign +1, e^{-(ku+mv)/n}:
+      b^2k a^2(n-1-k) . d^2m c^2(n-1-m) . A C (bd)^(2n-2);
+    - sign -1, -e^{(ku+mv)/n}: the same with a <-> b and c <-> d, negated.
+    """
+    pa, pb, pc, pd, up, um, vp, vm = (i * (n + 1) for i in range(8))
+    cx, ax, plus, minus, diag, one = range(8 * (n + 1), 8 * (n + 1) + 6)
+    recipe = []
+    for kind, k, m, sign, _, _ in terms:
+        if kind == "diagonal":
+            recipe.append((diag, one, one))
+        elif kind == "horizontal":
+            recipe.append((pa + k, pb + n - k, cx))
+        elif kind == "vertical":
+            recipe.append((pc + m, pd + n - m, ax))
+        elif sign > 0:
+            recipe.append((up + k, vp + m, plus))
+        else:
+            recipe.append((um + k, vm + m, minus))
+    return tuple(zip(*recipe))
+
+
+def price_terms(ring, n, recipe, q_u, q_v):
+    """(nums, den): nums[g] / den is the price of group g of a ``price_recipe``
+    at (q_u, q_v), with no division; q_u = a/b and q_v = c/d come from
+    ``ring.integral`` (b = d = 1 in GF(p)).  Raises PoleError where den = 0.
+    """
+    reduce = ring.reduce
+    (a,), b = ring.integral((q_u,))
+    (c,), d = ring.integral((q_v,))
+    pa, pb, pc, pd = (_even_powers(x, n, reduce) for x in (a, b, c, d))
+    big_a, big_c = reduce(pa[n] - pb[n]), reduce(pc[n] - pd[n])
+    ac = reduce(big_a * big_c)
+    x = reduce(reduce(pa[n - 1] * pb[n - 1]) * reduce(pc[n - 1] * pd[n - 1]))
+    den = reduce(ac * x)
+    if not den:
         raise PoleError("denominator vanished at the evaluation point")
-    return ring.one / x
+    # the factor list: the even powers, then p^2k q^2(n-1-k) for the pairs
+    # (p, q) = (b, a), (a, b), (d, c), (c, d), then the six products above
+    factors = pa + pb + pc + pd
+    for p, q in ((pb, pa), (pa, pb), (pd, pc), (pc, pd)):
+        factors += map(reduce, map(mul, p, reversed(q[:n])))
+        factors.append(0)
+    factors += (reduce(big_c * x), reduce(big_a * x),
+                reduce(ac * reduce(pb[n - 1] * pd[n - 1])),
+                reduce(-ac * reduce(pa[n - 1] * pc[n - 1])),
+                reduce((pb[n] * big_c + pd[n] * big_a + ac) * x), 1)
+    get = factors.__getitem__
+    first, second, third = recipe
+    return list(map(reduce, map(mul, map(mul, map(get, first), map(get, second)),
+                                map(get, third)))), den
 
 
-class TrigSolution:
+def assemble(sol, ring, prices) -> Tensor2:
+    """The tensor with price g at flat f for every row (g, f) of the
+    solution's table, summed; a group missing from ``prices`` is 0."""
+    data = {}
+    for g, f in zip(sol.groups, sol.flats):
+        price = prices.get(g)
+        if price is None:
+            continue
+        v = data.pop(f, None)
+        v = price if v is None else v + price
+        if v:
+            data[f] = v
+    return Tensor2(sol.n, ring, data)
+
+
+class _TableSolution:
+    """An r-matrix as one linear table: rows (groups[i], flats[i]), with
+    r(u, v) the sum of price_g(u, v) at flat f over the rows, and
+    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den."""
+
+    def eval(self, ring, q_u, q_v) -> Tensor2:
+        """r at the point (q_u, q_v); entries live in ``ring``."""
+        nums, den = self.price(ring, q_u, q_v)
+        return assemble(self, ring, ring.box_nonzero(dict(enumerate(nums)), den))
+
+    def values(self, ring, q_u, q_v):
+        """(the integer numerator of every table row, their denominator) at a point."""
+        nums, den = self.price(ring, q_u, q_v)
+        return list(map(nums.__getitem__, self.groups)), den
+
+
+class TrigSolution(_TableSolution):
     """Evaluator for the closed-form trigonometric solution of an ABD structure.
 
     ``terms`` is the rectangle-family table of ``perms.rectangle_terms``;
-    ``eval`` prices each of its groups once and adds the price at the
-    group's target entries.
+    the linear table has one row (g, f) per target f of each group g.
     """
 
     def __init__(self, abd: ABDStructure):
@@ -102,82 +205,69 @@ class TrigSolution:
         self.abd = abd
         self.n = abd.n
         self.terms = rectangle_terms(abd)
+        self._recipe = price_recipe(self.n, self.terms)
+        self.groups = tuple(chain.from_iterable(repeat(g, len(t[-1]))
+                                                for g, t in enumerate(self.terms)))
+        self.flats = tuple(chain.from_iterable(t[-1] for t in self.terms))
 
-    def eval(self, ring, q_u, q_v) -> Tensor2:
-        """r at the point (q_u, q_v); entries live in ``ring``.
-
-        Group prices: diagonal 1/(e^u - 1) + 1/(1 - e^-v), horizontal
-        e^{ku/n}/(e^u - 1), vertical e^{mv/n}/(e^v - 1), and the A-rectangle
-        pair e^{-(ku+mv)/n} (sign +1) and -e^{(ku+mv)/n} (sign -1).
-        """
-        n = self.n
-        one = ring.one
-        eu = q_u ** (2 * n)        # exp(u)
-        ev = q_v ** (2 * n)        # exp(v)
-        inv_eu_m1 = _invert(ring, eu - one)          # 1/(e^u - 1)
-        inv_ev_m1 = _invert(ring, ev - one)          # 1/(e^v - 1)
-        diag = inv_eu_m1 + inv_ev_m1 + one           # 1/(1 - e^-v) = 1/(e^v - 1) + 1
-        eu_n = q_u * q_u           # exp(u/n)
-        ev_n = q_v * q_v           # exp(v/n)
-        pw_u, pw_v = [one], [one]  # exp(ku/n) and exp(mv/n) for 0 <= k, m < n
-        for _ in range(1, n):
-            pw_u.append(pw_u[-1] * eu_n)
-            pw_v.append(pw_v[-1] * ev_n)
-        prices = []
-        for kind, k, m, sign, _, _ in self.terms:
-            if kind == "diagonal":
-                prices.append(diag)
-            elif kind == "horizontal":
-                prices.append(pw_u[k] * inv_eu_m1)
-            elif kind == "vertical":
-                prices.append(pw_v[m] * inv_ev_m1)
-            else:
-                w = pw_u[k] * pw_v[m]                # exp((ku+mv)/n)
-                prices.append(_invert(ring, w) if sign > 0 else -w)
-        return assemble_terms(n, ring, self.terms, prices)
+    def price(self, ring, q_u, q_v):
+        return price_terms(ring, self.n, self._recipe, q_u, q_v)
 
 
-def assemble_terms(n, ring, terms, prices) -> Tensor2:
-    """The tensor with each group's price added at every target of the group."""
-    data = {}
-    for (*_, flats), price in zip(terms, prices):
-        for f in flats:
-            v = data.pop(f, None)
-            v = price if v is None else v + price
-            if v:
-                data[f] = v
-    return Tensor2(n, ring, data)
-
-
-class HatSolution:
+class HatSolution(_TableSolution):
     """The involution image: hat(r)(u,v) = transpose(r(v,u)) . P.
 
-    transpose(t) . P only relabels t's entries (``Tensor2.transpose_p``), so
-    hat(hat(r)) is ``flip`` of r.
+    transpose(t) . P relabels t's entries as ``Tensor2.transpose_p`` does,
+    (i,j,k,l) -> (j,k,l,i), so hat(r)'s table is r's with every flat index
+    rotated by one digit, priced at the swapped point; hat(hat(r)) is
+    ``flip`` of r.
     """
 
     def __init__(self, base):
         self.base = base
-        self.n = base.n
+        self.n = n = base.n
+        n3 = n ** 3
+        self.groups = base.groups
+        self.flats = tuple(f % n3 * n + f // n3 for f in base.flats)
 
-    def eval(self, ring, q_u, q_v) -> Tensor2:
-        return self.base.eval(ring, q_v, q_u).transpose_p()
+    def price(self, ring, q_u, q_v):
+        return self.base.price(ring, q_v, q_u)
 
 
-class GaugeSolution:
-    """(phi (x) phi) r (phi (x) phi)^-1 for a constant invertible matrix phi."""
+class GaugeSolution(_TableSolution):
+    """(phi (x) phi) r (phi (x) phi)^-1 for a constant invertible matrix phi.
+
+    Each group's part of r's table is conjugated once, here, in ``field``,
+    and the coefficients are cleared to integers over one denominator
+    (``integral``).  Each (base group, coefficient) pair is a group of its
+    own, priced as the coefficient times the base price.
+    """
 
     def __init__(self, base, phi, field):
         self.base = base
-        self.n = base.n
+        self.n = n = base.n
         self.field = field
         self.phi = phi
         self.phi_inv = matrix_inverse(phi, field)
+        g, g_inv = kron2(phi, phi, field), kron2(self.phi_inv, self.phi_inv, field)
+        parts = {}
+        for grp, f in zip(base.groups, base.flats):
+            part = parts.setdefault(grp, {})
+            part[f] = part.get(f, field.zero) + field.one
+        rows = [(grp, f, v) for grp, part in parts.items()
+                for f, v in (g * Tensor2(n, field, part) * g_inv).data.items()]
+        coefs, self.coef_den = field.integral([v for *_, v in rows])
+        scaled = {}
+        self.groups = tuple(scaled.setdefault((grp, c), len(scaled))
+                            for (grp, _, _), c in zip(rows, coefs))
+        self.flats = tuple(f for _, f, _ in rows)
+        self._scaled = tuple(scaled)
 
-    def eval(self, ring, q_u, q_v) -> Tensor2:
-        g = kron2(self.phi, self.phi, ring)
-        g_inv = kron2(self.phi_inv, self.phi_inv, ring)
-        return g * self.base.eval(ring, q_u, q_v) * g_inv
+    def price(self, ring, q_u, q_v):
+        reduce = ring.reduce
+        nums, den = self.base.price(ring, q_u, q_v)
+        return ([reduce(c * nums[g]) for g, c in self._scaled],
+                reduce(den * self.coef_den))
 
 
 def gauge_transform(sol, phi, field) -> GaugeSolution:
@@ -211,13 +301,26 @@ def _pole_free(field, rng, n, count, extra=()):
     raise PoleError("could not find a pole-free sample tuple")
 
 
+def _slot_flat(n, slot) -> int:
+    """The flat index of a mutation slot (i, j, k, l), each index in range(n)."""
+    if len(slot) != 4 or not all(isinstance(x, int) and 0 <= x < n for x in slot):
+        raise ValueError("a mutation slot is four indices in range(%d), got %r" % (n, slot))
+    f = 0
+    for x in slot:
+        f = f * n + x
+    return f
+
+
 def _mutated(t: Tensor2, slot, ring) -> Tensor2:
     """t with ring.one added at ``slot``; t itself when ``slot`` is None."""
     if slot is None:
         return t
-    out = Tensor2(t.n, ring, dict(t.data))
-    out[slot] = out[slot] + ring.one
-    return out
+    f = _slot_flat(t.n, slot)
+    data = dict(t.data)
+    v = data.pop(f, ring.zero) + ring.one
+    if v:
+        data[f] = v
+    return Tensor2(t.n, ring, data)
 
 
 def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
@@ -247,6 +350,40 @@ def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
 # -- identity checks -----------------------------------------------------------
 
 
+def _corrupted_flats(sol, mutate):
+    """The table's flat indices, plus the mutation slot's when ``mutate`` is set.
+
+    The extra row is priced 1: its value is the evaluation's den.
+    """
+    if mutate is None:
+        return sol.flats
+    return sol.flats + (_slot_flat(sol.n, mutate),)
+
+
+def _aybe_fails(sol, field, mutate=None):
+    """The AYBE test at one point (qu, qu', qv, qv'): True where the
+    residual, compiled here once from the table, does not vanish."""
+    flats = sol.flats
+    program = pair_residual(sol.n, [(1, _corrupted_flats(sol, mutate), 12, flats, 13),
+                                    (-1, flats, 23, flats, 12),
+                                    (1, flats, 13, flats, 23)])
+
+    def fails(qu, qup, qv, qvp):
+        values, dens = zip(*(sol.values(field, *point) for point in (
+            (qup ** -1, qv),            # r(-u', v)
+            (qu * qup, qv * qvp),       # r(u+u', v+v')
+            (qu * qup, qvp),            # r(u+u', v')
+            (qu, qv),                   # r(u, v)
+            (qu, qv * qvp),             # r(u, v+v')
+            (qup, qvp),                 # r(u', v')
+        )))
+        if mutate is not None:
+            values[0].append(dens[0])
+        return not program.is_zero(field, values, dens)
+
+    return fails
+
+
 def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     """AYBE residual r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v)
     + r13(u,v+v') r23(u',v') at seeded random points (must vanish).
@@ -257,35 +394,38 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     identity fails there), so a working check reports a failing run.
     """
     n, one = sol.n, field.one
-
-    def fails(qu, qup, qv, qvp):
-        r_a = sol.eval(field, qup ** -1, qv)          # r(-u', v)
-        r_b = sol.eval(field, qu * qup, qv * qvp)     # r(u+u', v+v')
-        r_c = sol.eval(field, qu * qup, qvp)          # r(u+u', v')
-        r_d = sol.eval(field, qu, qv)                 # r(u, v)
-        r_e = sol.eval(field, qu, qv * qvp)           # r(u, v+v')
-        r_f = sol.eval(field, qup, qvp)               # r(u', v')
-        r_a = _mutated(r_a, mutate, field)
-        return not aybe_combine(r_a, r_b, r_c, r_d, r_e, r_f).is_zero()
-
     extra = (
         lambda a, b, c, d: (a * b) ** (2 * n) - one,
         lambda a, b, c, d: (c * d) ** (2 * n) - one,
     )
-    return _sampled_check("aybe", "aybe", sol, num_points, seed, field, 4, fails,
-                          extra, mutate)
+    return _sampled_check("aybe", "aybe", sol, num_points, seed, field, 4,
+                          _aybe_fails(sol, field, mutate), extra, mutate)
+
+
+def _skew_fails(sol, field, mutate=None):
+    """The skew test at one point (qu, qv): True where flip(r(-u,-v)) + r(u,v),
+    compiled here once from the table, does not vanish."""
+    nn = sol.n ** 2
+    flats, pos = sol.flats, _corrupted_flats(sol, mutate)
+    program = Residual((len(flats), len(pos)), [
+        (1, (0,), [f % nn * nn + f // nn for f in flats], (range(len(flats)),)),
+        (1, (1,), pos, (range(len(pos)),)),
+    ])
+
+    def fails(qu, qv):
+        neg, den_neg = sol.values(field, qu ** -1, qv ** -1)
+        pos, den = sol.values(field, qu, qv)
+        if mutate is not None:
+            pos.append(den)
+        return not program.is_zero(field, (neg, pos), (den_neg, den))
+
+    return fails
 
 
 def check_skew(sol, num_points, seed, field, mutate=None) -> CheckReport:
     """Skew-symmetry: flip(r(-u,-v)) + r(u,v) = 0 at seeded points."""
-
-    def fails(qu, qv):
-        r = _mutated(sol.eval(field, qu, qv), mutate, field)
-        r_neg = sol.eval(field, qu ** -1, qv ** -1)
-        return not (r_neg.flip() + r).is_zero()
-
-    return _sampled_check("skew", "skew", sol, num_points, seed, field, 2, fails,
-                          mutate=mutate)
+    return _sampled_check("skew", "skew", sol, num_points, seed, field, 2,
+                          _skew_fails(sol, field, mutate), mutate=mutate)
 
 
 def check_strong_nondegeneracy(sol, num_points, seed, field) -> CheckReport:

@@ -129,3 +129,43 @@ def test_mul_commutes_and_distributes(xs, ys):
     lhs = (a + b) * c
     rhs = a * c + b * c
     assert lhs == rhs
+
+
+def _jets(field):
+    """Truncated or exact jets, exact monomials among them, with zero coefficients."""
+    coeffs = st.lists(st.integers(-3, 3).map(field.of_int), max_size=5)
+    monomial = st.tuples(st.integers(-2, 2), st.integers(1, 3).map(lambda c: [field.of_int(c)]),
+                         st.just(True))
+    return st.one_of(st.tuples(st.integers(-2, 2), coeffs, st.booleans()), monomial).map(
+        lambda t: LaurentJet(field, t[0], t[1], None if t[2] else t[0] + len(t[1])))
+
+
+def _product_reference(a, b):
+    """a * b by the definition: coefficient e is sum over i + j = e of
+    a_i b_j, known below min(a.hi + b.lo, b.hi + a.lo)."""
+    field = a.field
+    if (not a.coeffs and a.hi is None) or (not b.coeffs and b.hi is None):
+        return a if not a.coeffs and a.hi is None else b
+    bounds = [h for h in (a.hi is not None and a.hi + b.lo, b.hi is not None and b.hi + a.lo)
+              if h is not False]
+    hi = min(bounds) if bounds else None
+    lo = a.lo + b.lo
+    if hi is not None and hi <= lo:
+        return LaurentJet(field, hi, (), hi)
+    end = hi if hi is not None else lo + len(a.coeffs) + len(b.coeffs) - 1
+    out = [field.zero] * (end - lo)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j < end - lo:
+                out[i + j] = out[i + j] + x * y
+    return LaurentJet(field, lo, out, hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mul_matches_the_convolution(field, data):
+    a, b = data.draw(_jets(field)), data.draw(_jets(field))
+    assert a * b == _product_reference(a, b)
+    assert b * a == _product_reference(a, b)
+    k = data.draw(st.integers(-3, 3))
+    assert a * k == k * a == _product_reference(a, LaurentJet.constant(field, field.of_int(k)))

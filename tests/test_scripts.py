@@ -1,5 +1,8 @@
-"""Smoke tests of the experiment scripts, each run as a subprocess."""
+"""Smoke tests of the experiment scripts, each run as a subprocess, and of the
+benchmark-pair summary on canned result lines."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +36,50 @@ def test_worked_example():
     assert "massey tensor == closed form at the sample point: True" in out
     for name in ("aybe", "skew", "cybe", "qybe"):
         assert "%-5s points=2   failures=0" % name in out
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# a result line of perfbench/run.py, cut to two metrics
+_LINE = ('{"correct": true, "attempted": 100, "failed": %d, "metrics": '
+         '{"points_per_s": {"value": %s, "unit": "1/s"}, '
+         '"structure_ms_p50": {"value": %s, "unit": "ms"}}}')
+
+
+def _result(points_per_s, p50, failed=0):
+    return json.loads(_LINE % (failed, points_per_s, p50))
+
+
+def test_bench_pairs_summary_on_canned_results():
+    metrics = [{"name": "points_per_s", "better": "higher"},
+               {"name": "structure_ms_p50", "better": "lower"}]
+    pairs = [(_result(100, 20), _result(130, 15)),
+             (_result(90, 21), _result(120, 16, failed=1)),
+             (_result(110, 19), _result(110, 19)),
+             (_result(100, 20), _result(95, 22))]
+    s = _bench_pairs().summarize(pairs, metrics)
+    pps = s["points_per_s"]
+    assert pps["parent"] == [100, 90, 110, 100] and pps["change"] == [130, 120, 110, 95]
+    assert (pps["wins"], pps["ties"], pps["pairs"]) == (2, 1, 4)
+    assert pps["parent_quartiles"] == (97.5, 100, 102.5)
+    assert pps["change_quartiles"] == (106.25, 115, 122.5)
+    assert pps["ratio"] == 115 / 100
+    p50 = s["structure_ms_p50"]
+    assert (p50["wins"], p50["ties"]) == (2, 1)
+    assert p50["ratio"] == 17.5 / 20
+    assert s["failed"] == {"parent": 0, "change": 1, "attempted": [400, 400]}
+    text = _bench_pairs().format_summary("aybe-fp", s)
+    assert "points_per_s" in text and "wins 2/4 (ties 1)" in text
+    assert "failed operations: parent 0 of 400, change 1 of 400" in text
+
+
+def test_bench_pairs_summary_of_one_pair():
+    s = _bench_pairs().summarize([(_result(100, 20), _result(150, 10))],
+                                 [{"name": "points_per_s", "better": "higher"}])
+    assert s["points_per_s"]["parent_quartiles"] == (100, 100, 100)
+    assert s["points_per_s"]["wins"] == 1

@@ -18,6 +18,7 @@ from ybx.tensors import (
     kron2,
     matrix_inverse,
     pair_embed_product,
+    pair_residual,
     transposition_p,
 )
 from ybx.trig import TrigSolution, _pole_free
@@ -605,3 +606,45 @@ def test_corrupted_aybe_leaves_the_reference_residual(field, data):
     assert any(want.values())
     got = aybe_combine(*[_tensor(src, n, field) for src in srcs])
     _assert_matches_reference(got, want, field)
+
+
+# -- the compiled pair residual ----------------------------------------------------
+
+
+def _evaluation(n):
+    """Rows of one evaluation: flats (repeats allowed), integer numerators, a den."""
+    rows = st.lists(st.tuples(st.integers(0, n ** 4 - 1), st.integers(-4, 4)), max_size=8)
+    return st.tuples(rows, st.integers(1, 5))
+
+
+def _as_source(n, rows, den):
+    """The evaluation summed per entry, as {index tuple: Fraction}."""
+    out = {}
+    for f, v in rows:
+        idx = (f // n ** 3, f // n ** 2 % n, f // n % n, f % n)
+        out[idx] = out.get(idx, 0) + Fraction(v, den)
+    return {idx: v for idx, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_residual_is_zero_iff_the_reference_is(field, data):
+    # two jobs over four evaluations; half the time the second job repeats
+    # the first with rescaled numerators and the opposite sign, so it cancels
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    evals = [data.draw(_evaluation(n)) for _ in range(4)]
+    pairs = [data.draw(st.sampled_from(_SLOT_PAIRS)) for _ in range(2)]
+    signs = [1, data.draw(st.sampled_from((1, -1)))]
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(2, 3))
+        evals[2:] = [([(f, k * v) for f, v in rows], k * den) for rows, den in evals[:2]]
+        pairs[1], signs[1] = pairs[0], -1
+    program = pair_residual(n, [(sign, [f for f, _ in evals[2 * j][0]], sa,
+                                 [f for f, _ in evals[2 * j + 1][0]], sb)
+                                for j, (sign, (sa, sb)) in enumerate(zip(signs, pairs))])
+    values = [[field.reduce(v) for _, v in rows] for rows, _ in evals]
+    got = program.is_zero(field, values, [den for _, den in evals])
+    srcs = [_as_source(n, rows, den) for rows, den in evals]
+    want = _reference(n, *[(sign, srcs[2 * j], sa, srcs[2 * j + 1], sb)
+                           for j, (sign, (sa, sb)) in enumerate(zip(signs, pairs))])
+    assert got == (not any(field.of_fraction(v) for v in want.values()))

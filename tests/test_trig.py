@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ import pytest
 from ybx.catalog import enumerate_structures, example_structure
 from ybx.perms import ABDStructure, identity
 from ybx.scalars import RATIONAL, derive_rng, field_from_name
-from ybx.tensors import Tensor2, transposition_p
+from ybx import trig as trig_module
+from ybx.tensors import (
+    Tensor2,
+    aybe_combine,
+    exact_determinant,
+    kron2,
+    matrix_inverse,
+    transposition_p,
+)
 from ybx.trig import (
     PoleError,
     TrigSolution,
@@ -334,3 +343,128 @@ def test_failure_details_are_capped_at_three(check, sol, name, note, fp):
         "backend": fp.name,
         "details": [note] * 3,
     }
+
+
+# -- the compiled AYBE and skew residuals ----------------------------------------
+
+
+def _n2_structure():
+    return next(iter(enumerate_structures(2)))
+
+
+@pytest.mark.parametrize("check", [check_aybe, check_skew, check_cybe],
+                         ids=["aybe", "skew", "cybe"])
+@pytest.mark.parametrize("slot", [(0, 0, 0, 2), (0, 0, 0), (5, 0, 0, 0), (0, -1, 0, 0)],
+                         ids=["index-n", "short", "index-5", "negative"])
+def test_bad_mutation_slot_is_rejected(check, slot, fp):
+    # each of these once aliased onto another entry or addressed a flat
+    # index outside the n^4 slots, so the "detected" failures meant nothing
+    with pytest.raises(ValueError, match="mutation slot"):
+        check(TrigSolution(_n2_structure()), 2, 7, fp, mutate=slot)
+
+
+def _sparse_phi(n, field):
+    """diag(2, 1, 3, 1, ...) plus 1 at (0, n - 1): invertible, and it mixes entries."""
+    phi = [[field.of_int((2, 1, 3)[i % 3]) if i == j else field.zero for j in range(n)]
+           for i in range(n)]
+    phi[0][n - 1] = phi[0][n - 1] + field.one
+    return phi
+
+
+def _kinds(s, field):
+    sol = TrigSolution(s)
+    return [("trig", sol), ("hat", hat_involution(sol)),
+            ("gauge", gauge_transform(sol, _sparse_phi(s.n, field), field))]
+
+
+class _Corrupted:
+    """A solution whose table has one row twice: one coefficient becomes 2."""
+
+    def __init__(self, base, row):
+        self.base, self.n = base, base.n
+        self.groups = base.groups + (base.groups[row],)
+        self.flats = base.flats + (base.flats[row],)
+
+    price = property(lambda self: self.base.price)
+    eval = trig_module._TableSolution.eval
+    values = trig_module._TableSolution.values
+
+
+def _reference_aybe_fails(sol, field, slot, qu, qup, qv, qvp):
+    evals = [sol.eval(field, *point) for point in (
+        (qup ** -1, qv), (qu * qup, qv * qvp), (qu * qup, qvp),
+        (qu, qv), (qu, qv * qvp), (qup, qvp))]
+    evals[0] = trig_module._mutated(evals[0], slot, field)
+    return not aybe_combine(*evals).is_zero()
+
+
+def _reference_skew_fails(sol, field, slot, qu, qv):
+    r = trig_module._mutated(sol.eval(field, qu, qv), slot, field)
+    return not (sol.eval(field, qu ** -1, qv ** -1).flip() + r).is_zero()
+
+
+def _pin_to_reference(sol, field, slot, points, tag):
+    """The compiled AYBE and skew verdicts equal the references' at each point."""
+    n, one = sol.n, field.one
+    aybe = trig_module._aybe_fails(sol, field, slot)
+    skew = trig_module._skew_fails(sol, field, slot)
+    rng = derive_rng(31, "compiled", tag, field.name)
+    extra = (lambda a, b, c, d: (a * b) ** (2 * n) - one,
+             lambda a, b, c, d: (c * d) ** (2 * n) - one)
+    verdicts = []
+    for _ in range(points):
+        qs = _pole_free(field, rng, n, 4, extra)
+        verdict = aybe(*qs)
+        assert verdict == _reference_aybe_fails(sol, field, slot, *qs), tag
+        assert skew(*qs[::2]) == _reference_skew_fails(sol, field, slot, *qs[::2]), tag
+        verdicts.append(verdict)
+    return verdicts
+
+
+def _compiled_corpus():
+    # 20 of the 260 acceptance structures: all of n <= 2, every 7th of n = 3
+    # and every 19th of n = 4
+    return [s for n, step in ((1, 1), (2, 1), (3, 7), (4, 19))
+            for s in list(enumerate_structures(n))[::step]]
+
+
+def test_compiled_checks_match_the_reference(field):
+    for s in _compiled_corpus():
+        for kind, sol in _kinds(s, field):
+            tag = "%s %s" % (kind, s.label())
+            assert not any(_pin_to_reference(sol, field, None, 2, tag)), tag
+            rng = derive_rng(32, "slot", tag)
+            slot = tuple(rng.randrange(s.n) for _ in range(4))
+            assert all(_pin_to_reference(sol, field, slot, 1, tag + " mutated")), tag
+
+
+def test_compiled_checks_match_the_reference_at_every_slot(field):
+    for s in [s for n in (1, 2) for s in enumerate_structures(n)]:
+        sol = TrigSolution(s)
+        for slot in itertools.product(range(s.n), repeat=4):
+            tag = "%s %s" % (s.label(), slot)
+            assert all(_pin_to_reference(sol, field, slot, 1, tag)), tag
+
+
+def test_a_corrupted_table_coefficient_is_detected(field):
+    for s in _compiled_corpus()[1::3]:
+        for kind, sol in _kinds(s, field):
+            bad = _Corrupted(sol, len(sol.flats) // 2)
+            tag = "%s %s corrupted" % (kind, s.label())
+            assert all(_pin_to_reference(bad, field, None, 1, tag)), tag
+
+
+def test_gauge_table_equals_the_conjugated_product(field):
+    # the reference: kron2(phi, phi) . r . kron2(phi^-1, phi^-1), a product of tensors
+    sol = TrigSolution(example_structure())
+    rng = derive_rng(33, "gauge-ref", field.name)
+    phi = [[field.of_int(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(4)]
+    while not exact_determinant(phi, field):
+        phi = [[field.of_int(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(4)]
+    g = gauge_transform(sol, phi, field)
+    phi_inv = matrix_inverse(phi, field)
+    for _ in range(3):
+        qu, qv = _pole_free(field, rng, 4, 2)
+        reference = kron2(phi, phi, field) * sol.eval(field, qu, qv) * kron2(
+            phi_inv, phi_inv, field)
+        assert g.eval(field, qu, qv) == reference
