@@ -113,7 +113,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seeds", default="7,11,13,17,19",
                     help="comma-separated seeds, cycled over the pairs")
-    ap.add_argument("--out", help="also append every result line to this file")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -130,12 +129,6 @@ def main(argv=None) -> int:
             print("pair %d seed %d: points_per_s parent %.1f change %.1f" % (
                 i, seed, result["parent"]["metrics"]["points_per_s"]["value"],
                 result["change"]["metrics"]["points_per_s"]["value"]), flush=True)
-            if args.out:
-                with open(args.out, "a") as fh:
-                    for side in order:
-                        fh.write(json.dumps({"workload": args.workload, "pair": i,
-                                             "seed": seed, "side": side,
-                                             "result": result[side]}) + "\n")
     print(format_summary(args.workload, summarize(pairs, metrics)))
     return 0
 

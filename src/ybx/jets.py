@@ -140,8 +140,6 @@ class LaurentJet:
         return other + (-self)
 
     def __mul__(self, other):
-        if other.__class__ is int and other == 1:
-            return self  # x * 1 is x; ``JetRing.integral`` gives the denominator 1
         other = self._wrap(other)
         if other is None:
             return NotImplemented

@@ -15,8 +15,9 @@ at flat index f over its rows (g, f), g a group of the rectangle-family
 table.  ``price_terms`` prices all groups at a point as integer numerators
 over one denominator, ``(nums, den)``, with no division; ``eval`` boxes
 them on any ring (fields and jets), while the AYBE and skew checks compile
-their residual from the table once per call (``tensors.Residual``) and
-test it for zero on those integers at each point.
+their residual once per call (``tensors.Residual``) over the support, the
+distinct flats, and test it for zero at each point on those integers, each
+flat's rows summed.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import mul
+from itertools import accumulate, chain, compress, repeat
+from operator import mul, ne, sub
 
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
@@ -97,35 +98,50 @@ def _even_powers(x, n, reduce):
     return out
 
 
+def _monomials(x, y, n, reduce):
+    """The even monomials of degrees 2n and 2n - 2 in (x, y):
+    [x^2k y^(2n-2k) for k in 0..n] and [x^2k y^(2n-2-2k) for k < n].
+
+    Where y is 1 (a field's ``integral`` in GF(p), and on jets) they are
+    x's even powers, and y's are never taken.
+    """
+    px = _even_powers(x, n, reduce)
+    if y == 1:
+        return px, px[:n]
+    py = _even_powers(y, n, reduce)
+    return ([reduce(p * q) for p, q in zip(px, reversed(py))],
+            [reduce(p * q) for p, q in zip(px, reversed(py[:n]))])
+
+
 def price_recipe(n, terms):
-    """The three factors of each group's price, as indices into the factor
+    """The two factors of each group's price, as indices into the factor
     list of ``price_terms``.
 
     With q_u = a/b, q_v = c/d, A = a^2n - b^2n, C = c^2n - d^2n and
     X = (abcd)^(2n-2), each price of a ``rectangle_terms`` group is a
     polynomial over den = A C X:
 
-    - diagonal, 1/(e^u - 1) + 1/(1 - e^-v): (b^2n C + d^2n A + A C) X;
+    - diagonal, 1/(e^u - 1) + 1/(1 - e^-v): (b^2n C + d^2n A + A C) . X;
     - horizontal, e^{ku/n}/(e^u - 1): a^2k b^(2n-2k) . C X;
     - vertical, e^{mv/n}/(e^v - 1): c^2m d^(2n-2m) . A X;
     - A-rectangle, sign +1, e^{-(ku+mv)/n}:
-      b^2k a^2(n-1-k) . d^2m c^2(n-1-m) . A C (bd)^(2n-2);
+      b^2k a^2(n-1-k) A C (bd)^(2n-2) . d^2m c^2(n-1-m);
     - sign -1, -e^{(ku+mv)/n}: the same with a <-> b and c <-> d, negated.
     """
-    pa, pb, pc, pd, up, um, vp, vm = (i * (n + 1) for i in range(8))
-    cx, ax, plus, minus, diag, one = range(8 * (n + 1), 8 * (n + 1) + 6)
+    ha, hc, mc, plus, minus = 0, n + 1, 2 * n + 2, 3 * n + 2, 4 * n + 2
+    cx, ax, x, diag = range(5 * n + 2, 5 * n + 6)
     recipe = []
     for kind, k, m, sign, _, _ in terms:
         if kind == "diagonal":
-            recipe.append((diag, one, one))
+            recipe.append((diag, x))
         elif kind == "horizontal":
-            recipe.append((pa + k, pb + n - k, cx))
+            recipe.append((ha + k, cx))
         elif kind == "vertical":
-            recipe.append((pc + m, pd + n - m, ax))
+            recipe.append((hc + m, ax))
         elif sign > 0:
-            recipe.append((up + k, vp + m, plus))
+            recipe.append((plus + k, mc + n - 1 - m))
         else:
-            recipe.append((um + k, vm + m, minus))
+            recipe.append((minus + k, mc + m))
     return tuple(zip(*recipe))
 
 
@@ -137,27 +153,27 @@ def price_terms(ring, n, recipe, q_u, q_v):
     reduce = ring.reduce
     (a,), b = ring.integral((q_u,))
     (c,), d = ring.integral((q_v,))
-    pa, pb, pc, pd = (_even_powers(x, n, reduce) for x in (a, b, c, d))
-    big_a, big_c = reduce(pa[n] - pb[n]), reduce(pc[n] - pd[n])
+    ha, ma = _monomials(a, b, n, reduce)
+    hc, mc = _monomials(c, d, n, reduce)
+    big_a, big_c = reduce(ha[n] - ha[0]), reduce(hc[n] - hc[0])
     ac = reduce(big_a * big_c)
-    x = reduce(reduce(pa[n - 1] * pb[n - 1]) * reduce(pc[n - 1] * pd[n - 1]))
+    # (bd)^(2n-2) and (ac)^(2n-2)
+    low, high = reduce(ma[0] * mc[0]), reduce(ma[n - 1] * mc[n - 1])
+    x = reduce(high * low)
     den = reduce(ac * x)
     if not den:
         raise PoleError("denominator vanished at the evaluation point")
-    # the factor list: the even powers, then p^2k q^2(n-1-k) for the pairs
-    # (p, q) = (b, a), (a, b), (d, c), (c, d), then the six products above
-    factors = pa + pb + pc + pd
-    for p, q in ((pb, pa), (pa, pb), (pd, pc), (pc, pd)):
-        factors += map(reduce, map(mul, p, reversed(q[:n])))
-        factors.append(0)
-    factors += (reduce(big_c * x), reduce(big_a * x),
-                reduce(ac * reduce(pb[n - 1] * pd[n - 1])),
-                reduce(-ac * reduce(pa[n - 1] * pc[n - 1])),
-                reduce((pb[n] * big_c + pd[n] * big_a + ac) * x), 1)
+    # the factor list: the degree-2n monomials in (a, b) and in (c, d), the
+    # degree-(2n-2) ones in (c, d), the sign +1 and sign -1 rectangles' u
+    # factors, then C X, A X, X and the diagonal's first factor
+    factors = ha + hc + mc
+    factors += map(reduce, map(mul, reversed(ma), repeat(reduce(ac * low))))
+    factors += map(reduce, map(mul, ma, repeat(reduce(-ac * high))))
+    factors += (reduce(big_c * x), reduce(big_a * x), x,
+                reduce(ha[0] * big_c + hc[0] * big_a + ac))
     get = factors.__getitem__
-    first, second, third = recipe
-    return list(map(reduce, map(mul, map(mul, map(get, first), map(get, second)),
-                                map(get, third)))), den
+    first, second = recipe
+    return list(map(reduce, map(mul, map(get, first), map(get, second)))), den
 
 
 def assemble(sol, ring, prices) -> Tensor2:
@@ -178,7 +194,17 @@ def assemble(sol, ring, prices) -> Tensor2:
 class _TableSolution:
     """An r-matrix as one linear table: rows (groups[i], flats[i]), with
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
-    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den."""
+    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den.
+    ``support`` lists the distinct flats in ascending order.
+    """
+
+    def _set_rows(self, groups, flats):
+        self.groups, self.flats = tuple(groups), tuple(flats)
+        order = sorted(range(len(self.flats)), key=self.flats.__getitem__)
+        by_flat = list(map(self.flats.__getitem__, order))
+        self._groups_by_flat = list(map(self.groups.__getitem__, order))
+        self._last = list(map(ne, by_flat, by_flat[1:])) + [True]
+        self.support = tuple(compress(by_flat, self._last))
 
     def eval(self, ring, q_u, q_v) -> Tensor2:
         """r at the point (q_u, q_v); entries live in ``ring``."""
@@ -186,9 +212,13 @@ class _TableSolution:
         return assemble(self, ring, ring.box_nonzero(dict(enumerate(nums)), den))
 
     def values(self, ring, q_u, q_v):
-        """(the integer numerator of every table row, their denominator) at a point."""
+        """(the integer numerator at every flat of ``support``, their
+        denominator) at a point: each flat's rows summed, as running sums
+        over the rows sorted by flat."""
         nums, den = self.price(ring, q_u, q_v)
-        return list(map(nums.__getitem__, self.groups)), den
+        ends = list(compress(accumulate(map(nums.__getitem__, self._groups_by_flat)),
+                             self._last))
+        return list(map(sub, ends, [0] + ends[:-1])), den
 
 
 class TrigSolution(_TableSolution):
@@ -206,9 +236,9 @@ class TrigSolution(_TableSolution):
         self.n = abd.n
         self.terms = rectangle_terms(abd)
         self._recipe = price_recipe(self.n, self.terms)
-        self.groups = tuple(chain.from_iterable(repeat(g, len(t[-1]))
-                                                for g, t in enumerate(self.terms)))
-        self.flats = tuple(chain.from_iterable(t[-1] for t in self.terms))
+        self._set_rows(chain.from_iterable(repeat(g, len(t[-1]))
+                                           for g, t in enumerate(self.terms)),
+                       chain.from_iterable(t[-1] for t in self.terms))
 
     def price(self, ring, q_u, q_v):
         return price_terms(ring, self.n, self._recipe, q_u, q_v)
@@ -227,8 +257,7 @@ class HatSolution(_TableSolution):
         self.base = base
         self.n = n = base.n
         n3 = n ** 3
-        self.groups = base.groups
-        self.flats = tuple(f % n3 * n + f // n3 for f in base.flats)
+        self._set_rows(base.groups, (f % n3 * n + f // n3 for f in base.flats))
 
     def price(self, ring, q_u, q_v):
         return self.base.price(ring, q_v, q_u)
@@ -240,16 +269,15 @@ class GaugeSolution(_TableSolution):
     Each group's part of r's table is conjugated once, here, in ``field``,
     and the coefficients are cleared to integers over one denominator
     (``integral``).  Each (base group, coefficient) pair is a group of its
-    own, priced as the coefficient times the base price.
+    own, priced as the coefficient times the base price; a flat may carry
+    one row per base group, and ``values`` sums them.
     """
 
     def __init__(self, base, phi, field):
         self.base = base
         self.n = n = base.n
-        self.field = field
-        self.phi = phi
-        self.phi_inv = matrix_inverse(phi, field)
-        g, g_inv = kron2(phi, phi, field), kron2(self.phi_inv, self.phi_inv, field)
+        phi_inv = matrix_inverse(phi, field)
+        g, g_inv = kron2(phi, phi, field), kron2(phi_inv, phi_inv, field)
         parts = {}
         for grp, f in zip(base.groups, base.flats):
             part = parts.setdefault(grp, {})
@@ -258,9 +286,9 @@ class GaugeSolution(_TableSolution):
                 for f, v in (g * Tensor2(n, field, part) * g_inv).data.items()]
         coefs, self.coef_den = field.integral([v for *_, v in rows])
         scaled = {}
-        self.groups = tuple(scaled.setdefault((grp, c), len(scaled))
-                            for (grp, _, _), c in zip(rows, coefs))
-        self.flats = tuple(f for _, f, _ in rows)
+        self._set_rows([scaled.setdefault((grp, c), len(scaled))
+                        for (grp, _, _), c in zip(rows, coefs)],
+                       [f for _, f, _ in rows])
         self._scaled = tuple(scaled)
 
     def price(self, ring, q_u, q_v):
@@ -351,19 +379,20 @@ def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
 
 
 def _corrupted_flats(sol, mutate):
-    """The table's flat indices, plus the mutation slot's when ``mutate`` is set.
+    """The solution's support, plus the mutation slot's flat when ``mutate``
+    is set.
 
-    The extra row is priced 1: its value is the evaluation's den.
+    The extra entry is priced 1: its value is the evaluation's den.
     """
     if mutate is None:
-        return sol.flats
-    return sol.flats + (_slot_flat(sol.n, mutate),)
+        return sol.support
+    return sol.support + (_slot_flat(sol.n, mutate),)
 
 
 def _aybe_fails(sol, field, mutate=None):
     """The AYBE test at one point (qu, qu', qv, qv'): True where the
-    residual, compiled here once from the table, does not vanish."""
-    flats = sol.flats
+    residual, compiled here once from the support, does not vanish."""
+    flats = sol.support
     program = pair_residual(sol.n, [(1, _corrupted_flats(sol, mutate), 12, flats, 13),
                                     (-1, flats, 23, flats, 12),
                                     (1, flats, 13, flats, 23)])
@@ -404,9 +433,9 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
 
 def _skew_fails(sol, field, mutate=None):
     """The skew test at one point (qu, qv): True where flip(r(-u,-v)) + r(u,v),
-    compiled here once from the table, does not vanish."""
+    compiled here once from the support, does not vanish."""
     nn = sol.n ** 2
-    flats, pos = sol.flats, _corrupted_flats(sol, mutate)
+    flats, pos = sol.support, _corrupted_flats(sol, mutate)
     program = Residual((len(flats), len(pos)), [
         (1, (0,), [f % nn * nn + f // nn for f in flats], (range(len(flats)),)),
         (1, (1,), pos, (range(len(pos)),)),

@@ -377,17 +377,15 @@ def _kinds(s, field):
             ("gauge", gauge_transform(sol, _sparse_phi(s.n, field), field))]
 
 
-class _Corrupted:
+class _Corrupted(trig_module._TableSolution):
     """A solution whose table has one row twice: one coefficient becomes 2."""
 
     def __init__(self, base, row):
         self.base, self.n = base, base.n
-        self.groups = base.groups + (base.groups[row],)
-        self.flats = base.flats + (base.flats[row],)
+        self._set_rows(base.groups + (base.groups[row],), base.flats + (base.flats[row],))
 
-    price = property(lambda self: self.base.price)
-    eval = trig_module._TableSolution.eval
-    values = trig_module._TableSolution.values
+    def price(self, ring, q_u, q_v):
+        return self.base.price(ring, q_u, q_v)
 
 
 def _reference_aybe_fails(sol, field, slot, qu, qup, qv, qvp):
@@ -454,13 +452,19 @@ def test_a_corrupted_table_coefficient_is_detected(field):
             assert all(_pin_to_reference(bad, field, None, 1, tag)), tag
 
 
+def _dense_phi(n, field, rng):
+    """A random invertible n x n matrix with entries in -3..3."""
+    while True:
+        phi = [[field.of_int(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
+        if exact_determinant(phi, field):
+            return phi
+
+
 def test_gauge_table_equals_the_conjugated_product(field):
     # the reference: kron2(phi, phi) . r . kron2(phi^-1, phi^-1), a product of tensors
     sol = TrigSolution(example_structure())
     rng = derive_rng(33, "gauge-ref", field.name)
-    phi = [[field.of_int(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(4)]
-    while not exact_determinant(phi, field):
-        phi = [[field.of_int(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(4)]
+    phi = _dense_phi(4, field, rng)
     g = gauge_transform(sol, phi, field)
     phi_inv = matrix_inverse(phi, field)
     for _ in range(3):
@@ -468,3 +472,15 @@ def test_gauge_table_equals_the_conjugated_product(field):
         reference = kron2(phi, phi, field) * sol.eval(field, qu, qv) * kron2(
             phi_inv, phi_inv, field)
         assert g.eval(field, qu, qv) == reference
+
+
+def test_dense_gauge_checks_stay_within_the_support(field):
+    # a dense phi gives one table row per (base group, entry); the compiled
+    # residuals run over the distinct flats, at most n^4 of them
+    sol = TrigSolution(example_structure())
+    g = gauge_transform(sol, _dense_phi(4, field, derive_rng(34, "dense", field.name)), field)
+    assert len(g.flats) > 4 ** 4 >= len(g.support)
+    assert check_aybe(g, 2, 7, field).passed
+    assert check_skew(g, 3, 7, field).passed
+    assert check_aybe(g, 1, 7, field, mutate=(1, 2, 3, 0)).failures == 1
+    assert not any(_pin_to_reference(g, field, None, 1, "dense gauge"))
