@@ -115,7 +115,7 @@ def _monomials(x, y, n, reduce):
 
 def price_recipe(n, terms):
     """The two factors of each group's price, as indices into the factor
-    list of ``price_terms``.
+    list of ``price_terms``, and the rectangles' k values.
 
     With q_u = a/b, q_v = c/d, A = a^2n - b^2n, C = c^2n - d^2n and
     X = (abcd)^(2n-2), each price of a ``rectangle_terms`` group is a
@@ -128,8 +128,14 @@ def price_recipe(n, terms):
       b^2k a^2(n-1-k) A C (bd)^(2n-2) . d^2m c^2(n-1-m);
     - sign -1, -e^{(ku+mv)/n}: the same with a <-> b and c <-> d, negated.
     """
-    ha, hc, mc, plus, minus = 0, n + 1, 2 * n + 2, 3 * n + 2, 4 * n + 2
-    cx, ax, x, diag = range(5 * n + 2, 5 * n + 6)
+    # the factor list of price_terms: the degree-2n monomials in (a, b) and
+    # in (c, d), the degree-(2n-2) ones in (c, d), C X, A X, X, the
+    # diagonal's first factor, then the u factors of the rectangles' k values
+    # with sign +1 and with sign -1
+    ha, hc, mc = 0, n + 1, 2 * n + 2
+    cx, ax, x, diag = range(3 * n + 2, 3 * n + 6)
+    ks = sorted({k for kind, k, *_ in terms if kind == "a_rect"})
+    plus, minus = 3 * n + 6, 3 * n + 6 + len(ks)
     recipe = []
     for kind, k, m, sign, _, _ in terms:
         if kind == "diagonal":
@@ -139,10 +145,10 @@ def price_recipe(n, terms):
         elif kind == "vertical":
             recipe.append((hc + m, ax))
         elif sign > 0:
-            recipe.append((plus + k, mc + n - 1 - m))
+            recipe.append((plus + ks.index(k), mc + n - 1 - m))
         else:
-            recipe.append((minus + k, mc + m))
-    return tuple(zip(*recipe))
+            recipe.append((minus + ks.index(k), mc + m))
+    return tuple(zip(*recipe)) + (ks,)
 
 
 def price_terms(ring, n, recipe, q_u, q_v):
@@ -163,16 +169,14 @@ def price_terms(ring, n, recipe, q_u, q_v):
     den = reduce(ac * x)
     if not den:
         raise PoleError("denominator vanished at the evaluation point")
-    # the factor list: the degree-2n monomials in (a, b) and in (c, d), the
-    # degree-(2n-2) ones in (c, d), the sign +1 and sign -1 rectangles' u
-    # factors, then C X, A X, X and the diagonal's first factor
+    first, second, ks = recipe
     factors = ha + hc + mc
-    factors += map(reduce, map(mul, reversed(ma), repeat(reduce(ac * low))))
-    factors += map(reduce, map(mul, ma, repeat(reduce(-ac * high))))
     factors += (reduce(big_c * x), reduce(big_a * x), x,
                 reduce(ha[0] * big_c + hc[0] * big_a + ac))
+    if ks:
+        factors += map(reduce, map(mul, [ma[n - 1 - k] for k in ks], repeat(reduce(ac * low))))
+        factors += map(reduce, map(mul, [ma[k] for k in ks], repeat(reduce(-ac * high))))
     get = factors.__getitem__
-    first, second = recipe
     return list(map(reduce, map(mul, map(get, first), map(get, second)))), den
 
 
