@@ -3,7 +3,7 @@
 Usage, from the repository root:
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload aybe-fp \
-        --pairs 10 --seconds 30 --seeds 7,11,13,17,19
+        --pairs 10 --seconds 30 --seeds 7,11,13,17,19 [--json BENCH_k.json]
 
 ``git archive`` writes each commit into its own fresh directory, so no
 working-tree state (``__pycache__``, ``.hypothesis``, untracked files) can
@@ -14,6 +14,11 @@ benchmark runs unchanged; this script only reads the JSON result line it
 prints last.  The summary gives, per end-to-end metric of the parent's
 ``BENCHMARK.json``, each side's median and quartiles, the change's wins
 (ties count for neither side) and the ratio of the medians.
+
+``--workload`` may list several workloads, comma-separated; each runs its
+own pairs in turn.  ``--json PATH`` also writes the record as JSON: the two
+commits, the run settings, the host (CPU count, Python version) and, per
+workload, every pair's two result lines and the summary.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -104,32 +111,62 @@ def format_summary(workload, summary) -> str:
     return "\n".join(lines)
 
 
+def run_pairs(copies, workload, pairs, seconds, seeds, metrics):
+    """The pairs of one workload, alternating which side runs first, and
+    their summary."""
+    out = []
+    for i in range(pairs):
+        seed = seeds[i % len(seeds)]
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        result = {side: run_benchmark(copies[side], workload, seed, seconds) for side in order}
+        out.append({"seed": seed, "first": order[0], **result})
+        print("pair %d seed %d: points_per_s parent %.1f change %.1f" % (
+            i, seed, result["parent"]["metrics"]["points_per_s"]["value"],
+            result["change"]["metrics"]["points_per_s"]["value"]), flush=True)
+    return out, summarize([(p["parent"], p["change"]) for p in out], metrics)
+
+
+def record(revs, settings, runs) -> dict:
+    """The JSON record of a set of runs: ``revs`` maps each side to its
+    commit, ``runs`` each workload to its (pairs, summary)."""
+    return {
+        "commits": revs,
+        "settings": settings,
+        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                 "machine": platform.machine()},
+        "workloads": {w: {"pairs": pairs, "summary": summary}
+                      for w, (pairs, summary) in runs.items()},
+    }
+
+
+def resolve(rev) -> str:
+    return subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="commit of the parent side")
     ap.add_argument("change", help="commit of the change side")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="one workload, or several comma-separated")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seeds", default="7,11,13,17,19",
                     help="comma-separated seeds, cycled over the pairs")
+    ap.add_argument("--json", metavar="PATH", help="also write the record as JSON to PATH")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
+    revs = {"parent": resolve(args.parent), "change": resolve(args.change)}
+    runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        copies = {side: checkout(rev, Path(tmp) / side)
-                  for side, rev in (("parent", args.parent), ("change", args.change))}
+        copies = {side: checkout(rev, Path(tmp) / side) for side, rev in revs.items()}
         metrics = json.loads((copies["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
-        pairs = []
-        for i in range(args.pairs):
-            seed = seeds[i % len(seeds)]
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            result = {side: run_benchmark(copies[side], args.workload, seed, args.seconds)
-                      for side in order}
-            pairs.append((result["parent"], result["change"]))
-            print("pair %d seed %d: points_per_s parent %.1f change %.1f" % (
-                i, seed, result["parent"]["metrics"]["points_per_s"]["value"],
-                result["change"]["metrics"]["points_per_s"]["value"]), flush=True)
-    print(format_summary(args.workload, summarize(pairs, metrics)))
+        for workload in args.workload.split(","):
+            runs[workload] = run_pairs(copies, workload, args.pairs, args.seconds, seeds, metrics)
+            print(format_summary(workload, runs[workload][1]), flush=True)
+    if args.json:
+        settings = {"pairs": args.pairs, "seconds": args.seconds, "seeds": seeds}
+        Path(args.json).write_text(json.dumps(record(revs, settings, runs), indent=1) + "\n")
     return 0
 
 

@@ -136,7 +136,11 @@ def from_cycles(cycs, n: int) -> Permutation:
 def all_n_cycles(n: int):
     """All transitive cycles on {0,..,n-1} ((n-1)! of them)."""
     for rest in itertools.permutations(range(1, n)):
-        yield from_cycles([(0,) + rest], n)
+        images = [0] * n
+        x = 0
+        for y in rest:
+            images[x] = x = y
+        yield Permutation(tuple(images))
 
 
 # -- 1-based cycle-notation text form ---------------------------------------
@@ -298,6 +302,35 @@ def a_km(s: ABDStructure, k: int, m: int) -> tuple:
     return tuple(out)
 
 
+def _rectangle_members(s: ABDStructure) -> dict:
+    """{(k, m): A(k,m)} for every nonempty A(k,m), 1 <= k, m < n, in (k, m)
+    order, each listing its members in the order of ``s.a``, in one pass.
+
+    x is in A(k,m) exactly when each of x, C2 x, ..., C2^(m-1) x starts a
+    run of at least k points of A along C1; ``run`` holds those run
+    lengths, capped at n.
+    """
+    n, c1, c2 = s.n, s.c1.images, s.c2.images
+    inside = [False] * n
+    for x in s.a:
+        inside[x] = True
+    run = [0] * n
+    for x in s.a:
+        y = x
+        while inside[y] and run[x] < n:
+            run[x] += 1
+            y = c1[y]
+    members = {}
+    for x in s.a:
+        low, y = n, x
+        for m in range(1, n):
+            low = min(low, run[y])
+            y = c2[y]
+            for k in range(1, min(low, n - 1) + 1):
+                members.setdefault((k, m), []).append(x)
+    return {km: tuple(members[km]) for km in sorted(members)}
+
+
 def rectangle_terms(s: ABDStructure) -> tuple:
     """The rectangle families of ``s``, grouped by the coefficient they share in r.
 
@@ -313,33 +346,28 @@ def rectangle_terms(s: ABDStructure) -> tuple:
       A(k,m): e_{C2^m a, a} (x) e_{C1^k a, C1^k C2^m a}, and the same two
       factors swapped.
     """
-    n = s.n
+    n, nn = s.n, s.n * s.n
+    c1, c2 = s.c1.images, s.c2.images
     pow1, pow2 = [tuple(range(n))], [tuple(range(n))]
     for _ in range(1, n):
-        pow1.append(tuple(s.c1(x) for x in pow1[-1]))
-        pow2.append(tuple(s.c2(x) for x in pow2[-1]))
-
-    def flat(i, j, k, l):
-        return ((i * n + j) * n + k) * n + l
-
-    squares = pow1[0]
-    terms = [("diagonal", 0, 0, 1, squares, tuple(flat(i, i, i, i) for i in squares))]
+        pow1.append(tuple(map(c1.__getitem__, pow1[-1])))
+        pow2.append(tuple(map(c2.__getitem__, pow2[-1])))
+    # a factor's flat part of e_ij is i * n + j, and e_ii's is i * (n + 1)
+    squares, diag = pow1[0], range(0, nn, n + 1)
+    terms = [("diagonal", 0, 0, 1, squares, tuple(d * nn + d for d in diag))]
     for k in range(1, n):
         terms.append(("horizontal", k, 0, 1, squares,
-                      tuple(flat(j, j, i, i) for i, j in enumerate(pow1[k]))))
+                      tuple(diag[j] * nn + d for d, j in zip(diag, pow1[k]))))
     for m in range(1, n):
         terms.append(("vertical", 0, m, 1, squares,
-                      tuple(flat(i, j, j, i) for i, j in enumerate(pow2[m]))))
-    for k in range(1, n):
-        for m in range(1, n):
-            members = a_km(s, k, m)
-            if not members:
-                continue
-            blocks = [((pow2[m][a], a), (pow1[k][a], pow1[k][pow2[m][a]])) for a in members]
-            terms.append(("a_rect", k, m, 1, members,
-                          tuple(flat(*left, *right) for left, right in blocks)))
-            terms.append(("a_rect", k, m, -1, members,
-                          tuple(flat(*right, *left) for left, right in blocks)))
+                      tuple((i * n + j) * nn + j * n + i for i, j in enumerate(pow2[m]))))
+    for (k, m), members in _rectangle_members(s).items():
+        left = [pow2[m][a] * n + a for a in members]
+        right = [pow1[k][a] * n + pow1[k][pow2[m][a]] for a in members]
+        terms.append(("a_rect", k, m, 1, members,
+                      tuple(x * nn + y for x, y in zip(left, right))))
+        terms.append(("a_rect", k, m, -1, members,
+                      tuple(y * nn + x for x, y in zip(left, right))))
     return tuple(terms)
 
 

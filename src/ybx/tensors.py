@@ -16,10 +16,13 @@ The one Gaussian elimination runs on the field's raw values (``raw``,
 on integer numerators over a common denominator (``integral`` and
 ``box_nonzero``); both box their results once, so this module never sees
 how a field stores them.  A ``Residual`` is compiled once from the supports
-of its factors (``pair_residual`` builds the pair products of the AYBE from
-``_PAIR_RULES``); at each point it takes every factor's integer numerators
-and denominator and tests each output entry for zero with C-level gathers,
-products and running sums, boxing nothing.
+of its factors (``pair_residual`` builds pair products from ``_PAIR_RULES``,
+``triple_residual`` joins a third factor to them, and ``flip_product_terms``
+pairs Tensor2 entries by ``_FLIP_PRODUCT_RULE``); at each point it takes
+every factor's integer numerators and denominator and tests each output
+entry for zero with C-level gathers, products and running sums, boxing
+nothing.  The tensor products stay as the reference those residuals are
+tested against.
 """
 
 from __future__ import annotations
@@ -284,7 +287,7 @@ def _contract(cls, n, ring, jobs):
 
     Each job is (sign, left, right).  A side is a pair (entries, values) of
     equal length, with left entries (key, base) and right entries (key, off);
-    entries meet when their keys agree.  Each side is cleared of denominators
+    entries meet when their keys agree (``_join``).  Each side is cleared of denominators
     once (``integral``: va = a / den_l), so the sums run on plain ints over
     the common denominator D, the lcm of the jobs' den_l * den_r, and each
     output entry is divided by D, reduced and boxed once.  In GF(p) every
@@ -300,21 +303,9 @@ def _contract(cls, n, ring, jobs):
         sides.append((sign, d, left, a, right, b))
     acc = {}
     for sign, d, left, a, right, b in sides:
-        by_key = {}
-        for (key, off), vb in zip(right, b):
-            by_key.setdefault(key, []).append((off, vb))
-        get = by_key.get
         scale = sign * (den // d)
-        for (key, base), va in zip(left, a):
-            matches = get(key)
-            if not matches:
-                continue
-            va *= scale
-            for off, vb in matches:
-                flat = base + off
-                prev = acc.get(flat)
-                term = va * vb
-                acc[flat] = term if prev is None else prev + term
+        for flat, x, y in zip(*_join(left, right)):
+            acc[flat] = acc.get(flat, 0) + scale * a[x] * b[y]
     return cls(n, ring, ring.box_nonzero(acc, den))
 
 
@@ -331,33 +322,43 @@ _PAIR_RULES = {
     (23, 13): (3, (2, 3, 4), 2, (0, 1, 5)),
 }
 
+# the Tensor2 product a . flip(b) in the same form, with the key digits of
+# each factor and the output positions of its others: a's column digits
+# (positions 1 and 3) meet flip(b)'s row digits, which are b's digits 2 and
+# 0; a's rows land at 0 and 2 of the output, and b's digits 1 and 3 at 3 and 1
+_FLIP_PRODUCT_RULE = ((1, 3), (0, 2), (2, 0), (3, 1))
 
-def _pair_entries(n, flats, cpos, slots):
-    """(contracted index, offset in the 6-index output) of each flat index
-    of a contraction side."""
-    weights = [n ** (5 - s) for s in slots]
-    weights.insert(cpos, 0)
-    w0, w1, w2, w3 = weights
+
+def _join_entries(n, flats, key_pos, out_pos, width):
+    """(key, offset) of each flat index of a join side.
+
+    Of a flat index's four digits (row, column of the first factor, row,
+    column of the second), the digits at ``key_pos`` form the key, the
+    first most significant, and the others, in order, land at ``out_pos``
+    of a ``width``-digit output.
+    """
+    kweights, oweights = [0] * 4, [0] * 4
+    for i, p in enumerate(key_pos):
+        kweights[p] = n ** (len(key_pos) - 1 - i)
+    for p, o in zip([p for p in range(4) if p not in key_pos], out_pos):
+        oweights[p] = n ** (width - 1 - o)
     nn = n * n
     # flat = x1 * nn + x2 with x = row * n + col in each factor; the digits'
     # contributions to the key and the offset are looked up per factor part
     parts = range(nn)
-    off1 = [x // n * w0 + x % n * w1 for x in parts]
-    off2 = [x // n * w2 + x % n * w3 for x in parts]
-    key = [x % n if cpos % 2 else x // n for x in parts]
-    side = cpos // 2
-    return [(key[xs[side]], off1[xs[0]] + off2[xs[1]])
-            for xs in (divmod(f, nn) for f in flats)]
+    k1, k2, o1, o2 = ([x // n * w[0] + x % n * w[1] for x in parts]
+                      for w in (kweights[:2], kweights[2:], oweights[:2], oweights[2:]))
+    return [(k1[x1] + k2[x2], o1[x1] + o2[x2]) for x1, x2 in (divmod(f, nn) for f in flats)]
 
 
 def _pair_jobs(*terms):
     """Contraction jobs for signed products a^sa . b^sb given as (sign, a, sa, b, sb);
-    a side is its tensor's ``_pair_entries`` and values."""
+    a side is its tensor's ``_join_entries`` and values."""
     jobs = []
     for sign, a, sa, b, sb in terms:
         a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
-        jobs.append((sign, (_pair_entries(a.n, a.data, a_cpos, a_slots), a.data.values()),
-                     (_pair_entries(b.n, b.data, b_cpos, b_slots), b.data.values())))
+        jobs.append((sign, (_join_entries(a.n, a.data, (a_cpos,), a_slots, 6), a.data.values()),
+                     (_join_entries(b.n, b.data, (b_cpos,), b_slots, 6), b.data.values())))
     return jobs
 
 
@@ -418,6 +419,31 @@ class Residual:
         return not any(map(reduce, compress(accumulate(terms), self.last)))
 
 
+def _join(left, right):
+    """(outs, xs, ys) over every two entries of two join sides with equal
+    keys: output base + off, left row x and right row y."""
+    by_key = {}
+    for y, (key, off) in enumerate(right):
+        offs, rows = by_key.setdefault(key, ([], []))
+        offs.append(off)
+        rows.append(y)
+    outs, xs, ys = [], [], []
+    for x, (key, base) in enumerate(left):
+        if key in by_key:
+            offs, rows = by_key[key]
+            outs += map(base.__add__, offs)
+            xs += repeat(x, len(rows))
+            ys += rows
+    return outs, xs, ys
+
+
+def _pair_terms(n, flats_a, sa, flats_b, sb):
+    """The terms (outs, xs, ys) of a^sa . b^sb, a and b at the listed flats."""
+    a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
+    return _join(_join_entries(n, flats_a, (a_cpos,), a_slots, 6),
+                 _join_entries(n, flats_b, (b_cpos,), b_slots, 6))
+
+
 def pair_residual(n, jobs) -> Residual:
     """The compiled residual of signed pair products a^sa . b^sb, each job
     given as (sign, flats_a, sa, flats_b, sb): job j's factors are
@@ -425,22 +451,43 @@ def pair_residual(n, jobs) -> Residual:
     (a flat may repeat)."""
     sizes, compiled = [], []
     for j, (sign, flats_a, sa, flats_b, sb) in enumerate(jobs):
-        a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
-        by_key = {}
-        for y, (key, off) in enumerate(_pair_entries(n, flats_b, b_cpos, b_slots)):
-            offs, rows = by_key.setdefault(key, ([], []))
-            offs.append(off)
-            rows.append(y)
-        outs, xs, ys = [], [], []
-        for x, (key, base) in enumerate(_pair_entries(n, flats_a, a_cpos, a_slots)):
-            if key in by_key:
-                offs, rows = by_key[key]
-                outs += map(base.__add__, offs)
-                xs += repeat(x, len(rows))
-                ys += rows
+        outs, xs, ys = _pair_terms(n, flats_a, sa, flats_b, sb)
         sizes += (len(flats_a), len(flats_b))
         compiled.append((sign, (2 * j, 2 * j + 1), outs, (xs, ys)))
     return Residual(sizes, compiled)
+
+
+def triple_residual(n, jobs) -> Residual:
+    """The compiled residual of signed triple products a^sa . b^sb . c^sc,
+    each job given as (sign, flats_a, sa, flats_b, sb, flats_c, sc), with
+    (sa, sb) a ``_PAIR_RULES`` pair and sc one of 12, 13, 23: job j's factors are
+    evaluations 3j, 3j + 1 and 3j + 2.
+
+    Each term of a^sa . b^sb meets the entries of c whose row digits equal
+    its column digits in c's two slots; the product puts c's column digits
+    there.
+    """
+    sizes, compiled = [], []
+    for j, (sign, flats_a, sa, flats_b, sb, flats_c, sc) in enumerate(jobs):
+        outs, xs, ys = _pair_terms(n, flats_a, sa, flats_b, sb)
+        # the column digit of slot s sits at position 2s - 1 of six
+        s, t = divmod(sc, 10)
+        ws, wt = n ** (6 - 2 * s), n ** (6 - 2 * t)
+        cols = [(o // ws % n, o // wt % n) for o in outs]
+        left = [(cs * n + ct, o - cs * ws - ct * wt) for o, (cs, ct) in zip(outs, cols)]
+        outs, ts, zs = _join(left, _join_entries(n, flats_c, (0, 2), (2 * s - 1, 2 * t - 1), 6))
+        sizes += (len(flats_a), len(flats_b), len(flats_c))
+        compiled.append((sign, (3 * j, 3 * j + 1, 3 * j + 2), outs,
+                         (list(map(xs.__getitem__, ts)), list(map(ys.__getitem__, ts)), zs)))
+    return Residual(sizes, compiled)
+
+
+def flip_product_terms(n, flats_a, flats_b):
+    """The terms (outs, xs, ys) of the Tensor2 product a . flip(b), a and b
+    at the listed flat indices."""
+    a_key, a_out, b_key, b_out = _FLIP_PRODUCT_RULE
+    return _join(_join_entries(n, flats_a, a_key, a_out, 4),
+                 _join_entries(n, flats_b, b_key, b_out, 4))
 
 
 def pair_embed_product(a: Tensor2, sa: int, b: Tensor2, sb: int) -> Tensor3:

@@ -14,10 +14,16 @@ Every solution is one linear table: r(u, v) is the sum of price_g(u, v)
 at flat index f over its rows (g, f), g a group of the rectangle-family
 table.  ``price_terms`` prices all groups at a point as integer numerators
 over one denominator, ``(nums, den)``, with no division; ``eval`` boxes
-them on any ring (fields and jets), while the AYBE and skew checks compile
-their residual once per call (``tensors.Residual``) over the support, the
-distinct flats, and test it for zero at each point on those integers, each
-flat's rows summed.
+them on any ring (fields and jets).  ``limit_prices`` prices the constant
+term of each group at u = 0 (or v = 0) the same way, so r0 is exact, with
+no jets.  A gauge and pr (x) pr are linear images of a table, fixed per
+solution, with integer coefficients over one denominator.
+
+The AYBE, skew, CYBE, QYBE and unitarity checks compile their residual once
+per call (``tensors.Residual``) over the support, the distinct flats, and
+test it for zero at each point on those integers, each flat's rows summed:
+no field element is boxed and no tensor is built.  Only the residues (jets)
+and strong nondegeneracy (a determinant) evaluate r as a tensor.
 """
 
 from __future__ import annotations
@@ -35,14 +41,19 @@ from .scalars import derive_rng
 from .tensors import (
     Residual,
     Tensor2,
-    aybe_combine,  # unused here; the benchmark tracer wraps trig.aybe_combine
-    cybe_residual,
-    embed_triple,
+    flip_product_terms,
     kron2,
     matrix_inverse,
-    pair_embed_product,
     pair_residual,
-    transposition_p,  # unused here; the benchmark tracer wraps trig.transposition_p
+    triple_residual,
+)
+# unused here: the benchmark tracer wraps these at their trig names
+from .tensors import (  # noqa: F401
+    aybe_combine,
+    cybe_residual,
+    embed_triple,
+    pair_embed_product,
+    transposition_p,
 )
 
 
@@ -180,6 +191,51 @@ def price_terms(ring, n, recipe, q_u, q_v):
     return list(map(reduce, map(mul, map(get, first), map(get, second)))), den
 
 
+def limit_prices(ring, n, terms, which, q):
+    """(nums, den): nums[g] / den is the constant term of the price of group
+    g of ``terms`` in the Laurent expansion at u = 0 (``which`` "u", q = q_v)
+    or at v = 0 (``which`` "v", q = q_u), exactly and with no division.
+
+    At u = 0, with q_v = c/d, C = c^2n - d^2n and Y = (cd)^(2n-2), each
+    price is a polynomial over den = 2n C Y:
+
+    - diagonal, -1/2 + e^v/(e^v - 1): n (c^2n + d^2n) Y;
+    - horizontal, k/n - 1/2: (2k - n) C Y;
+    - vertical, e^{mv/n}/(e^v - 1): 2n c^2m d^(2n-2m) Y;
+    - A-rectangle, sign +1, e^{-mv/n}: 2n C d^(2n-2) . d^2m c^2(n-1-m);
+    - sign -1, -e^{mv/n}: -2n C c^(2n-2) . c^2m d^2(n-1-m).
+
+    At v = 0 the same holds with q_u = a/b for q_v, k for m, and the
+    horizontal and vertical groups swapped.
+    """
+    reduce = ring.reduce
+    (c,), d = ring.integral((q,))
+    h, m = _monomials(c, d, n, reduce)
+    big_c = reduce(h[n] - h[0])
+    y = reduce(m[0] * m[n - 1])
+    cy = reduce(big_c * y)
+    den = reduce(2 * n * cy)
+    if not den:
+        raise PoleError("denominator vanished at the evaluation point")
+    diag, two_n_y = reduce(n * (h[n] + h[0]) * y), 2 * n * y
+    plus, minus = reduce(2 * n * big_c * m[0]), reduce(-2 * n * big_c * m[n - 1])
+    constant = "horizontal" if which == "u" else "vertical"
+    nums = []
+    for kind, k, mm, sign, _, _ in terms:
+        j = mm if which == "u" else k
+        if kind == "diagonal":
+            nums.append(diag)
+        elif kind == constant:
+            nums.append(reduce((2 * (k + mm) - n) * cy))
+        elif kind != "a_rect":
+            nums.append(reduce(two_n_y * h[j]))
+        elif sign > 0:
+            nums.append(reduce(plus * m[n - 1 - j]))
+        else:
+            nums.append(reduce(minus * m[j]))
+    return nums, den
+
+
 def assemble(sol, ring, prices) -> Tensor2:
     """The tensor with price g at flat f for every row (g, f) of the
     solution's table, summed; a group missing from ``prices`` is 0."""
@@ -198,8 +254,10 @@ def assemble(sol, ring, prices) -> Tensor2:
 class _TableSolution:
     """An r-matrix as one linear table: rows (groups[i], flats[i]), with
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
-    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den.
-    ``support`` lists the distinct flats in ascending order.
+    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den, and
+    ``price_limit(ring, which, q)`` their constant terms at u = 0 or v = 0
+    the same way (``limit_prices``).  ``support`` lists the distinct flats
+    in ascending order.
     """
 
     def _set_rows(self, groups, flats):
@@ -210,16 +268,16 @@ class _TableSolution:
         self._last = list(map(ne, by_flat, by_flat[1:])) + [True]
         self.support = tuple(compress(by_flat, self._last))
 
-    def eval(self, ring, q_u, q_v) -> Tensor2:
+    def eval(self, ring, *point) -> Tensor2:
         """r at the point (q_u, q_v); entries live in ``ring``."""
-        nums, den = self.price(ring, q_u, q_v)
+        nums, den = self.price(ring, *point)
         return assemble(self, ring, ring.box_nonzero(dict(enumerate(nums)), den))
 
-    def values(self, ring, q_u, q_v):
+    def values(self, ring, *point):
         """(the integer numerator at every flat of ``support``, their
         denominator) at a point: each flat's rows summed, as running sums
         over the rows sorted by flat."""
-        nums, den = self.price(ring, q_u, q_v)
+        nums, den = self.price(ring, *point)
         ends = list(compress(accumulate(map(nums.__getitem__, self._groups_by_flat)),
                              self._last))
         return list(map(sub, ends, [0] + ends[:-1])), den
@@ -247,6 +305,9 @@ class TrigSolution(_TableSolution):
     def price(self, ring, q_u, q_v):
         return price_terms(ring, self.n, self._recipe, q_u, q_v)
 
+    def price_limit(self, ring, which, q):
+        return limit_prices(ring, self.n, self.terms, which, q)
+
 
 class HatSolution(_TableSolution):
     """The involution image: hat(r)(u,v) = transpose(r(v,u)) . P.
@@ -266,15 +327,47 @@ class HatSolution(_TableSolution):
     def price(self, ring, q_u, q_v):
         return self.base.price(ring, q_v, q_u)
 
+    def price_limit(self, ring, which, q):
+        return self.base.price_limit(ring, "v" if which == "u" else "u", q)
 
-class GaugeSolution(_TableSolution):
+
+def _group_parts(sol):
+    """Each group's part of the solution's table: {group: {flat: multiplicity}}."""
+    parts = {}
+    for grp, f in zip(sol.groups, sol.flats):
+        part = parts.setdefault(grp, {})
+        part[f] = part.get(f, 0) + 1
+    return parts
+
+
+class _LinearImage(_TableSolution):
+    """A linear image of a table, fixed per solution.
+
+    A row (g, f, c) of the image puts c / ``coef_den`` times the price of
+    group g at flat f, c an integer.  Each (g, c) pair is a group of its
+    own, priced as c times the base price; a flat may carry one row per
+    base group, and ``values`` sums them.
+    """
+
+    def _set_image(self, rows, coef_den):
+        scaled = {}
+        self._set_rows([scaled.setdefault((grp, c), len(scaled)) for grp, _, c in rows],
+                       [f for _, f, _ in rows])
+        self._scaled, self.coef_den = tuple(scaled), coef_den
+
+    def _scale(self, ring, prices):
+        reduce = ring.reduce
+        nums, den = prices
+        return ([reduce(c * nums[g]) for g, c in self._scaled],
+                reduce(den * self.coef_den))
+
+
+class GaugeSolution(_LinearImage):
     """(phi (x) phi) r (phi (x) phi)^-1 for a constant invertible matrix phi.
 
     Each group's part of r's table is conjugated once, here, in ``field``,
     and the coefficients are cleared to integers over one denominator
-    (``integral``).  Each (base group, coefficient) pair is a group of its
-    own, priced as the coefficient times the base price; a flat may carry
-    one row per base group, and ``values`` sums them.
+    (``integral``).
     """
 
     def __init__(self, base, phi, field):
@@ -282,24 +375,46 @@ class GaugeSolution(_TableSolution):
         self.n = n = base.n
         phi_inv = matrix_inverse(phi, field)
         g, g_inv = kron2(phi, phi, field), kron2(phi_inv, phi_inv, field)
-        parts = {}
-        for grp, f in zip(base.groups, base.flats):
-            part = parts.setdefault(grp, {})
-            part[f] = part.get(f, field.zero) + field.one
-        rows = [(grp, f, v) for grp, part in parts.items()
-                for f, v in (g * Tensor2(n, field, part) * g_inv).data.items()]
-        coefs, self.coef_den = field.integral([v for *_, v in rows])
-        scaled = {}
-        self._set_rows([scaled.setdefault((grp, c), len(scaled))
-                        for (grp, _, _), c in zip(rows, coefs)],
-                       [f for _, f, _ in rows])
-        self._scaled = tuple(scaled)
+        rows = [(grp, f, v) for grp, part in _group_parts(base).items()
+                for f, v in (g * Tensor2(n, field, {f: field.of_int(m) for f, m in part.items()})
+                             * g_inv).data.items()]
+        coefs, coef_den = field.integral([v for *_, v in rows])
+        self._set_image([(grp, f, c) for (grp, f, _), c in zip(rows, coefs)], coef_den)
 
     def price(self, ring, q_u, q_v):
-        reduce = ring.reduce
-        nums, den = self.base.price(ring, q_u, q_v)
-        return ([reduce(c * nums[g]) for g, c in self._scaled],
-                reduce(den * self.coef_den))
+        return self._scale(ring, self.base.price(ring, q_u, q_v))
+
+    def price_limit(self, ring, which, q):
+        return self._scale(ring, self.base.price_limit(ring, which, q))
+
+
+class _ProjectedR0(_LinearImage):
+    """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as a table
+    priced at q_v.
+
+    n pr(e_x) = n e_x, minus every diagonal e_d when e_x is diagonal (a
+    factor's flat part x is e_ii's exactly when x % (n + 1) == 0), so the
+    image of e_x1 (x) e_x2 is the product of its factors' over n^2.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.n = n = base.n
+        nn = n * n
+        diag = [(d, -1) for d in range(0, nn, n + 1)]
+        factor = [[(x, n)] + (diag if x % (n + 1) == 0 else []) for x in range(nn)]
+        rows = []
+        for grp, part in _group_parts(base).items():
+            image = {}
+            for f, mult in part.items():
+                for x1, c1 in factor[f // nn]:
+                    for x2, c2 in factor[f % nn]:
+                        image[x1 * nn + x2] = image.get(x1 * nn + x2, 0) + mult * c1 * c2
+            rows += [(grp, g, c) for g, c in image.items() if c]
+        self._set_image(rows, nn)
+
+    def price(self, ring, q_v):
+        return self._scale(ring, self.base.price_limit(ring, "u", q_v))
 
 
 def gauge_transform(sol, phi, field) -> GaugeSolution:
@@ -525,28 +640,88 @@ def residues(sol, which, at_other, field) -> Tensor2:
     return _jet_coefficient(sol, field, 2, which, at_other, -1)
 
 
-def r0_tensor(sol, q_v, field, jet_order=6) -> Tensor2:
-    """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0."""
-    return _jet_coefficient(sol, field, jet_order, "u", q_v, 0)
+def r0_tensor(sol, q_v, field) -> Tensor2:
+    """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0, priced
+    exactly from the solution's table (``limit_prices``) and boxed."""
+    nums, den = sol.price_limit(field, "u", q_v)
+    return assemble(sol, field, field.box_nonzero(dict(enumerate(nums)), den))
+
+
+def _cybe_fails(sol, field, mutate=None):
+    """The CYBE test at one point (qv, qv'): True where
+    [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once from the support
+    of rbar0 = (pr (x) pr) r0, does not vanish."""
+    rbar0 = _ProjectedR0(sol)
+    flats, xs = rbar0.support, _corrupted_flats(rbar0, mutate)
+    program = pair_residual(sol.n, [(1, xs, 12, flats, 13), (-1, flats, 13, xs, 12),
+                                    (1, xs, 12, flats, 23), (-1, flats, 23, xs, 12),
+                                    (1, flats, 13, flats, 23), (-1, flats, 23, flats, 13)])
+
+    def fails(qv, qvp):
+        (x, dx), (y, dy), (z, dz) = (rbar0.values(field, q) for q in (qv, qv * qvp, qvp))
+        if mutate is not None:
+            x.append(dx)
+        return not program.is_zero(field, [x, y, y, x, x, z, z, x, y, z, z, y],
+                                   [dx, dy, dy, dx, dx, dz, dz, dx, dy, dz, dz, dy])
+
+    return fails
 
 
 def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckReport:
     """CYBE for rbar0 = (pr (x) pr) r0:  [X12,Y13] + [X12,Z23] + [Y13,Z23] = 0
-    with X = rbar0(v), Y = rbar0(v+v'), Z = rbar0(v')."""
+    with X = rbar0(v), Y = rbar0(v+v'), Z = rbar0(v').
+
+    r0 is priced exactly from the solution's table, and pr (x) pr is a
+    linear image of that table, so ``jet_order`` no longer changes the
+    result; it is accepted for callers that pass it.  With ``mutate`` set
+    to an index 4-tuple, 1 is added to X at that entry.
+    """
     n, one = sol.n, field.one
-
-    def fails(qv, qvp):
-        x = r0_tensor(sol, qv, field, jet_order).project_sl()
-        y = r0_tensor(sol, qv * qvp, field, jet_order).project_sl()
-        z = r0_tensor(sol, qvp, field, jet_order).project_sl()
-        return not cybe_residual(_mutated(x, mutate, field), y, z).is_zero()
-
     extra = (lambda a, b: (a * b) ** (2 * n) - one,)
-    return _sampled_check("cybe", "cybe", sol, num_points, seed, field, 2, fails,
-                          extra, mutate)
+    return _sampled_check("cybe", "cybe", sol, num_points, seed, field, 2,
+                          _cybe_fails(sol, field, mutate), extra, mutate)
 
 
 # -- QYBE / unitarity --------------------------------------------------------------
+
+
+def _half(q, n):
+    """e^{w/2} - e^{-w/2} at q = e^{w/(2n)}."""
+    return q ** n - q ** (-n)
+
+
+def _qybe_fails(sol, field):
+    """The unitarity and QYBE tests at one point (qu, qv, qv'): a note naming
+    the first that fails, from residuals compiled here once from the support.
+
+    Unitarity is r(u,v) . flip(r(u,-v)) - s (1 (x) 1), with the scalar s
+    one evaluation and the unit's n^2 entries, each 1, another; the QYBE
+    is r12 r13 r23 - r23 r13 r12, two three-factor jobs.
+    """
+    n, flats = sol.n, sol.support
+    nn = n * n
+    outs, xs, ys = flip_product_terms(n, flats, flats)
+    unit = [d * nn + e for d in range(0, nn, n + 1) for e in range(0, nn, n + 1)]
+    unitarity = Residual((len(flats), len(flats), 1, nn), [
+        (1, (0, 1), outs, (xs, ys)), (-1, (2, 3), unit, ([0] * nn, range(nn)))])
+    qybe = triple_residual(n, [(1, flats, 12, flats, 13, flats, 23),
+                               (-1, flats, 23, flats, 13, flats, 12)])
+    ones = [1] * nn
+
+    def fails(qu, qv, qvp):
+        r12, d12 = sol.values(field, qu, qv)
+        neg, dneg = sol.values(field, qu, qv ** -1)
+        scale, ds = field.integral((_half(qu, n) ** -2 - _half(qv, n) ** -2,))
+        if not unitarity.is_zero(field, (r12, neg, scale, ones), (d12, dneg, ds, 1)):
+            return "unitarity failed"
+        r13, d13 = sol.values(field, qu, qv * qvp)
+        r23, d23 = sol.values(field, qu, qvp)
+        if not qybe.is_zero(field, (r12, r13, r23, r23, r13, r12),
+                            (d12, d13, d23, d23, d13, d12)):
+            return "qybe failed"
+        return None
+
+    return fails
 
 
 def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
@@ -558,39 +733,23 @@ def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
     sigma is a nonzero scalar at every sampled point, so both QYBE sides carry
     the same factor sigma(u,v) sigma(u,v+v') sigma(u,v') and the QYBE is
     tested on r itself; unitarity is r(u,v) flip(r(u,-v)) = (1 (x) 1) times
-    1/(sigma(u,v) sigma(u,-v)) = 1/a^2 - 1/b^2.
+    1/(sigma(u,v) sigma(u,-v)) = 1/a^2 - 1/b^2.  Both residuals are compiled
+    once per call from the solution's support and tested on its integer
+    numerators at each point.
     """
     n, one = sol.n, field.one
-    unit2 = Tensor2.unit(n, field)
-
-    def half(q):  # e^{w/2} - e^{-w/2} at q = e^{w/(2n)}
-        return q ** n - q ** (-n)
-
-    def fails(qu, qv, qvp):
-        r12 = sol.eval(field, qu, qv)
-        r_neg = sol.eval(field, qu, qv ** -1)
-        if r12 * r_neg.flip() != unit2.scale(half(qu) ** -2 - half(qv) ** -2):
-            return "unitarity failed"
-        r13 = sol.eval(field, qu, qv * qvp)
-        r23 = sol.eval(field, qu, qvp)
-        lhs = pair_embed_product(r12, 12, r13, 13) * embed_triple(r23, 23)
-        rhs = pair_embed_product(r23, 23, r13, 13) * embed_triple(r12, 12)
-        if lhs != rhs:
-            return "qybe failed"
-        return None
-
     # R = sigma r is defined only where sigma's denominators at (u,v),
     # (u,v+v'), (u,v') and (u,-v) are nonzero, so the points avoid them even
     # though the tests above divide by none of them
     extra = (
         lambda a, b, c: (b * c) ** (2 * n) - one,
-        lambda a, b, c: half(a) + half(b),
-        lambda a, b, c: half(a) + half(b * c),
-        lambda a, b, c: half(a) + half(c),
-        lambda a, b, c: half(a) - half(b),
+        lambda a, b, c: _half(a, n) + _half(b, n),
+        lambda a, b, c: _half(a, n) + _half(b * c, n),
+        lambda a, b, c: _half(a, n) + _half(c, n),
+        lambda a, b, c: _half(a, n) - _half(b, n),
     )
     return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field, 3,
-                          fails, extra)
+                          _qybe_fails(sol, field), extra)
 
 
 def qybe_float_shadow(u: float, v: float) -> float:

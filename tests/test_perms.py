@@ -1,15 +1,17 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx.catalog import enumerate_structures, example_structure
+from ybx.catalog import acceptance_corpus, enumerate_structures, example_structure
 from ybx.perms import (
     ABDStructure,
     Permutation,
     PermutationError,
     a_km,
+    all_n_cycles,
     abd_isomorphic,
     abd_isomorphic_bruteforce,
     commutator,
@@ -154,6 +156,55 @@ def test_a_km_monotone(s, k, m):
     assert set(a_km(s, k + 1, m)) <= set(a_km(s, k, m))
     assert set(a_km(s, k, m + 1)) <= set(a_km(s, k, m))
     assert a_km(s, 1, 1) == s.a
+
+
+def _rectangle_terms_by_a_km(s):
+    """The rectangle-family table built from ``a_km``, one call per (k, m)."""
+    n = s.n
+    pow1, pow2 = [tuple(range(n))], [tuple(range(n))]
+    for _ in range(1, n):
+        pow1.append(tuple(s.c1(x) for x in pow1[-1]))
+        pow2.append(tuple(s.c2(x) for x in pow2[-1]))
+
+    def flat(i, j, k, l):
+        return ((i * n + j) * n + k) * n + l
+
+    sq = pow1[0]
+    terms = [("diagonal", 0, 0, 1, sq, tuple(flat(i, i, i, i) for i in sq))]
+    terms += [("horizontal", k, 0, 1, sq, tuple(flat(j, j, i, i) for i, j in enumerate(pow1[k])))
+              for k in range(1, n)]
+    terms += [("vertical", 0, m, 1, sq, tuple(flat(i, j, j, i) for i, j in enumerate(pow2[m])))
+              for m in range(1, n)]
+    for k, m in itertools.product(range(1, n), repeat=2):
+        members = a_km(s, k, m)
+        if members:
+            blocks = [((pow2[m][a], a), (pow1[k][a], pow1[k][pow2[m][a]])) for a in members]
+            terms.append(("a_rect", k, m, 1, members, tuple(flat(*x, *y) for x, y in blocks)))
+            terms.append(("a_rect", k, m, -1, members, tuple(flat(*y, *x) for x, y in blocks)))
+    return tuple(terms)
+
+
+def test_rectangle_terms_equal_the_a_km_construction():
+    # the acceptance corpus, then seeded n = 5..7 structures: half with
+    # c2 a power of c1, so every point commutes and A(k,m) has long runs
+    structures = list(acceptance_corpus())
+    rng = derive_rng(41, "rectangle-terms")
+    for n in (5, 6, 7):
+        cycles_n = list(all_n_cycles(n))
+        for i in range(20):
+            c1 = rng.choice(cycles_n)
+            if i % 2:
+                c2 = c1 ** rng.choice([j for j in range(1, n) if math.gcd(j, n) == 1])
+            else:
+                c2 = rng.choice(cycles_n)
+            fixed = fixed_points(commutator(c1, c2))
+            a = tuple(x for x in fixed if rng.random() < 0.7)[: n - 1]
+            structures.append(ABDStructure(n, c1, c2, a))
+    rects = [t[1:3] for s in structures[-60:] for t in rectangle_terms(s) if t[0] == "a_rect"]
+    assert max(k for k, _ in rects) >= 3 and max(m for _, m in rects) >= 3
+    for s in structures:
+        assert is_valid_abd(s)
+        assert rectangle_terms(s) == _rectangle_terms_by_a_km(s), s.label()
 
 
 def test_rectangle_terms_example():

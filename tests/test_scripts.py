@@ -83,3 +83,45 @@ def test_bench_pairs_summary_of_one_pair():
                                  [{"name": "points_per_s", "better": "higher"}])
     assert s["points_per_s"]["parent_quartiles"] == (100, 100, 100)
     assert s["points_per_s"]["wins"] == 1
+
+
+def test_bench_pairs_writes_the_json_record(tmp_path, monkeypatch):
+    # two canned result lines per pair; no commit is checked out or run
+    bench = _bench_pairs()
+    lines = {"parent": [_result(100, 20), _result(90, 22)],
+             "change": [_result(150, 12), _result(160, 11)]}
+    calls = []
+
+    def fake_checkout(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "points_per_s", "better": "higher"},
+            {"name": "structure_ms_p50", "better": "lower"}]}))
+        return dest
+
+    def fake_run(copy, workload, seed, seconds):
+        side = copy.name
+        calls.append((side, workload, seed))
+        return lines[side][sum(c[0] == side for c in calls) - 1]
+
+    monkeypatch.setattr(bench, "checkout", fake_checkout)
+    monkeypatch.setattr(bench, "run_benchmark", fake_run)
+    monkeypatch.setattr(bench, "resolve", lambda rev: "commit-" + rev)
+    out = tmp_path / "BENCH_test.json"
+    assert bench.main(["p", "c", "--workload", "limits-fp", "--pairs", "2",
+                       "--seeds", "7,11", "--seconds", "1", "--json", str(out)]) == 0
+    # the parent runs first in even pairs, the change in odd ones
+    assert calls == [("parent", "limits-fp", 7), ("change", "limits-fp", 7),
+                     ("change", "limits-fp", 11), ("parent", "limits-fp", 11)]
+    rec = json.loads(out.read_text())
+    assert rec["commits"] == {"parent": "commit-p", "change": "commit-c"}
+    assert rec["settings"] == {"pairs": 2, "seconds": 1.0, "seeds": [7, 11]}
+    assert set(rec["host"]) == {"cpu_count", "python", "machine"}
+    pairs = rec["workloads"]["limits-fp"]["pairs"]
+    assert [(p["seed"], p["first"]) for p in pairs] == [(7, "parent"), (11, "change")]
+    assert pairs[1]["change"] == lines["change"][1]
+    summary = rec["workloads"]["limits-fp"]["summary"]
+    assert summary["points_per_s"]["wins"] == 2
+    assert summary["points_per_s"]["parent_quartiles"] == [92.5, 95, 97.5]
+    assert summary["structure_ms_p50"]["ratio"] == 11.5 / 21
+    assert summary["failed"] == {"parent": 0, "change": 0, "attempted": [200, 200]}

@@ -17,9 +17,12 @@ from ybx.tensors import (
     exact_determinant,
     kron2,
     matrix_inverse,
+    Residual,
+    flip_product_terms,
     pair_embed_product,
     pair_residual,
     transposition_p,
+    triple_residual,
 )
 from ybx.trig import TrigSolution, _pole_free
 
@@ -648,3 +651,68 @@ def test_pair_residual_is_zero_iff_the_reference_is(field, data):
     want = _reference(n, *[(sign, srcs[2 * j], sa, srcs[2 * j + 1], sb)
                            for j, (sign, (sa, sb)) in enumerate(zip(signs, pairs))])
     assert got == (not any(field.of_fraction(v) for v in want.values()))
+
+
+def _times_embedded(x, c, sc, n):
+    """The 6-index product of ``x`` and c^sc, entry by entry."""
+    rows = {}
+    for idx, w in _embed_ref(c, sc, n).items():
+        rows.setdefault(idx[0::2], []).append((idx[1::2], w))
+    out = {}
+    for (i, x1, k, y1, p, z1), v in x.items():
+        for (j, l, q), w in rows.get((x1, y1, z1), ()):
+            key = (i, j, k, l, p, q)
+            out[key] = out.get(key, 0) + v * w
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_triple_residual_is_zero_iff_the_reference_is(field, data):
+    # a^sa b^sb c^sc - a'^sa' b'^sb' c'^sc'; half the time the second job
+    # repeats the first with rescaled numerators, so it cancels
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    evals = [data.draw(_evaluation(n)) for _ in range(6)]
+    slots = [data.draw(st.sampled_from(_SLOT_PAIRS)) + (data.draw(st.sampled_from((12, 13, 23))),)
+             for _ in range(2)]
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(2, 3))
+        evals[3:] = [([(f, k * v) for f, v in rows], k * den) for rows, den in evals[:3]]
+        slots[1] = slots[0]
+    program = triple_residual(n, [
+        (sign, [f for f, _ in evals[3 * j][0]], sa, [f for f, _ in evals[3 * j + 1][0]], sb,
+         [f for f, _ in evals[3 * j + 2][0]], sc)
+        for j, (sign, (sa, sb, sc)) in enumerate(zip((1, -1), slots))])
+    values = [[field.reduce(v) for _, v in rows] for rows, _ in evals]
+    got = program.is_zero(field, values, [den for _, den in evals])
+    srcs = [_as_source(n, rows, den) for rows, den in evals]
+    want = {}
+    for j, (sign, (sa, sb, sc)) in enumerate(zip((1, -1), slots)):
+        term = _times_embedded(_reference(n, (sign, srcs[3 * j], sa, srcs[3 * j + 1], sb)),
+                               srcs[3 * j + 2], sc, n)
+        for idx, v in term.items():
+            want[idx] = want.get(idx, 0) + v
+    assert got == (not any(field.of_fraction(v) for v in want.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_flip_product_terms_match_the_tensor_product(field, data):
+    # a . flip(b) - c, with c the product itself half the time
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    (rows_a, den_a), (rows_b, den_b) = (data.draw(_evaluation(n)) for _ in range(2))
+    a, b = (_tensor(_as_source(n, rows, den), n, field)
+            for rows, den in ((rows_a, den_a), (rows_b, den_b)))
+    if data.draw(st.booleans()):
+        c = a * b.flip()
+    else:
+        c = _tensor(_as_source(n, *data.draw(_evaluation(n))), n, field)
+    outs, xs, ys = flip_product_terms(n, [f for f, _ in rows_a], [f for f, _ in rows_b])
+    c_vals, c_den = field.integral(c.data.values())
+    scalar_rows = [0] * len(c_vals)
+    program = Residual((len(rows_a), len(rows_b), 1, len(c_vals)), [
+        (1, (0, 1), outs, (xs, ys)), (-1, (2, 3), list(c.data), (scalar_rows, range(len(c_vals))))])
+    got = program.is_zero(field, ([field.reduce(v) for _, v in rows_a],
+                                  [field.reduce(v) for _, v in rows_b], [1], c_vals),
+                          (den_a, den_b, 1, c_den))
+    assert got == (a * b.flip() == c)

@@ -12,9 +12,12 @@ from ybx import trig as trig_module
 from ybx.tensors import (
     Tensor2,
     aybe_combine,
+    cybe_residual,
+    embed_triple,
     exact_determinant,
     kron2,
     matrix_inverse,
+    pair_embed_product,
     transposition_p,
 )
 from ybx.trig import (
@@ -293,27 +296,54 @@ def test_report_shape(check, mutate, name, failures, fp):
     assert rep.elapsed_ms >= 0
 
 
-class _Doubled:
+class _Doubled(trig_module._TableSolution):
     """2 r: unitarity fails at every point."""
 
     def __init__(self, base):
         self.base, self.n = base, base.n
+        self._set_rows(base.groups, base.flats)
 
-    def eval(self, ring, q_u, q_v):
-        return self.base.eval(ring, q_u, q_v).scale(ring.of_int(2))
+    def price(self, ring, q_u, q_v):
+        nums, den = self.base.price(ring, q_u, q_v)
+        return [2 * x for x in nums], den
 
 
-class _EvenGauge:
+class _EvenGauge(trig_module._TableSolution):
     """r conjugated by phi(v) (x) phi(v), phi(v) = diag(1, q_v^2 + q_v^-2 + 1, 1, 1):
-    phi is even in v, so unitarity holds, but the QYBE fails."""
+    phi is even in v, so unitarity holds, but the QYBE fails.
+
+    Entry (i,j,k,l) gains the factor t^e, t = phi(v)_11 and
+    e = [i = 1] - [j = 1] + [k = 1] - [l = 1]; group (g, e) prices it.
+    """
 
     def __init__(self, base):
         self.base, self.n = base, base.n
+        groups = {}
+        n = base.n
+        exps = [sum(w for w, d in zip((1, -1, 1, -1), (f // n ** 3, f // n ** 2, f // n, f))
+                    if d % n == 1)
+                for f in base.flats]
+        self._set_rows([groups.setdefault((g, e), len(groups))
+                        for g, e in zip(base.groups, exps)], base.flats)
+        self._groups = tuple(groups)
 
-    def eval(self, ring, q_u, q_v):
-        phi = [[ring.one if i == j else ring.zero for j in range(4)] for i in range(4)]
-        phi[1][1] = q_v ** 2 + q_v ** -2 + ring.one
-        return gauge_transform(self.base, phi, ring).eval(ring, q_u, q_v)
+    def price(self, ring, q_u, q_v):
+        nums, den = self.base.price(ring, q_u, q_v)
+        (t,), t_den = ring.integral((q_v ** 2 + q_v ** -2 + ring.one,))
+        # t^e = t_num^(e+2) t_den^(2-e) / (t_num t_den)^2
+        return ([ring.reduce(nums[g] * t ** (e + 2) * t_den ** (2 - e))
+                 for g, e in self._groups], ring.reduce(den * (t * t_den) ** 2))
+
+
+def test_even_gauge_table_is_the_conjugated_r(field):
+    base = TrigSolution(example_structure())
+    rng = derive_rng(38, "even-gauge", field.name)
+    for _ in range(3):
+        qu, qv = _pole_free(field, rng, 4, 2)
+        phi = [[field.one if i == j else field.zero for j in range(4)] for i in range(4)]
+        phi[1][1] = qv ** 2 + qv ** -2 + field.one
+        assert (_EvenGauge(base).eval(field, qu, qv)
+                == gauge_transform(base, phi, field).eval(field, qu, qv))
 
 
 class _Zero:
@@ -386,6 +416,9 @@ class _Corrupted(trig_module._TableSolution):
 
     def price(self, ring, q_u, q_v):
         return self.base.price(ring, q_u, q_v)
+
+    def price_limit(self, ring, which, q):
+        return self.base.price_limit(ring, which, q)
 
 
 def _reference_aybe_fails(sol, field, slot, qu, qup, qv, qvp):
@@ -484,3 +517,104 @@ def test_dense_gauge_checks_stay_within_the_support(field):
     assert check_skew(g, 3, 7, field).passed
     assert check_aybe(g, 1, 7, field, mutate=(1, 2, 3, 0)).failures == 1
     assert not any(_pin_to_reference(g, field, None, 1, "dense gauge"))
+
+
+# -- the compiled CYBE, QYBE and unitarity residuals ------------------------------
+
+
+def _jet_r0(sol, field, qv):
+    """The reference r0(v): the u^0 coefficient of r's jet, to order 6."""
+    return trig_module._jet_coefficient(sol, field, 6, "u", qv, 0)
+
+
+def _reference_cybe_fails(sol, field, slot, qv, qvp):
+    x, y, z = (_jet_r0(sol, field, q).project_sl() for q in (qv, qv * qvp, qvp))
+    return not cybe_residual(trig_module._mutated(x, slot, field), y, z).is_zero()
+
+
+def _reference_qybe_note(sol, field, qu, qv, qvp):
+    """The first of unitarity and the QYBE to fail, by tensor products."""
+    n = sol.n
+    r12 = sol.eval(field, qu, qv)
+    unit = Tensor2.unit(n, field).scale((qu ** n - qu ** -n) ** -2 - (qv ** n - qv ** -n) ** -2)
+    if r12 * sol.eval(field, qu, qv ** -1).flip() != unit:
+        return "unitarity failed"
+    r13, r23 = sol.eval(field, qu, qv * qvp), sol.eval(field, qu, qvp)
+    if (pair_embed_product(r12, 12, r13, 13) * embed_triple(r23, 23)
+            != pair_embed_product(r23, 23, r13, 13) * embed_triple(r12, 12)):
+        return "qybe failed"
+    return None
+
+
+def _pin_limits_to_reference(sol, field, slot, points, tag, qybe=True):
+    """The compiled CYBE verdicts, and the QYBE/unitarity notes, equal the
+    references' at each point; returns the CYBE verdicts and the notes."""
+    n, one = sol.n, field.one
+    cybe = trig_module._cybe_fails(sol, field, slot)
+    qybe_fails = trig_module._qybe_fails(sol, field) if qybe else None
+    rng = derive_rng(35, "compiled-limits", tag, field.name)
+    verdicts, notes = [], []
+    for _ in range(points):
+        qu, qv, qvp = _pole_free(field, rng, n, 3, (lambda a, b, c: (b * c) ** (2 * n) - one,))
+        verdict = cybe(qv, qvp)
+        assert verdict == _reference_cybe_fails(sol, field, slot, qv, qvp), tag
+        verdicts.append(verdict)
+        if qybe:
+            note = qybe_fails(qu, qv, qvp)
+            assert note == _reference_qybe_note(sol, field, qu, qv, qvp), tag
+            notes.append(note)
+    return verdicts, notes
+
+
+def test_table_r0_equals_the_jet_coefficient(field):
+    for s in _compiled_corpus():
+        for kind, sol in _kinds(s, field):
+            rng = derive_rng(36, "r0", kind, s.label(), field.name)
+            for _ in range(2):
+                (qv,) = _pole_free(field, rng, s.n, 1)
+                assert r0_tensor(sol, qv, field) == _jet_r0(sol, field, qv), (kind, s.label())
+
+
+def test_projected_table_equals_project_sl(field):
+    for s in _compiled_corpus():
+        for kind, sol in _kinds(s, field):
+            rng = derive_rng(39, "rbar0", kind, s.label(), field.name)
+            (qv,) = _pole_free(field, rng, s.n, 1)
+            rbar0 = trig_module._ProjectedR0(sol).eval(field, qv)
+            assert rbar0 == r0_tensor(sol, qv, field).project_sl(), (kind, s.label())
+
+
+def test_compiled_limits_match_the_reference(field):
+    for s in _compiled_corpus():
+        for kind, sol in _kinds(s, field):
+            tag = "%s %s" % (kind, s.label())
+            verdicts, notes = _pin_limits_to_reference(sol, field, None, 2, tag)
+            assert not any(verdicts) and not any(notes), tag
+            rng = derive_rng(37, "slot", tag)
+            slot = tuple(rng.randrange(s.n) for _ in range(4))
+            verdicts, _ = _pin_limits_to_reference(sol, field, slot, 1, tag + " mutated",
+                                                   qybe=False)
+            # pr (x) pr leaves nothing of an n = 1 structure to corrupt
+            assert all(verdicts) == (s.n > 1), tag
+
+
+def test_compiled_cybe_matches_the_reference_at_every_slot(field):
+    for s in [s for n in (1, 2) for s in enumerate_structures(n)]:
+        sol = TrigSolution(s)
+        for slot in itertools.product(range(s.n), repeat=4):
+            _pin_limits_to_reference(sol, field, slot, 1, "%s %s" % (s.label(), slot),
+                                     qybe=False)
+
+
+def test_a_corrupted_table_coefficient_fails_the_limits(field):
+    # the first row doubled in the table, a diagonal group's, whose r0 price
+    # never vanishes (a horizontal row with 2k = n would leave r0 as it is):
+    # CYBE and QYBE/unitarity must fail where the references do, at every point
+    for s in [s for s in _compiled_corpus() if s.n > 1][::2]:
+        for kind, sol in _kinds(s, field):
+            bad = _Corrupted(sol, 0)
+            tag = "%s %s corrupted" % (kind, s.label())
+            verdicts, notes = _pin_limits_to_reference(bad, field, None, 1, tag)
+            assert all(verdicts) and all(notes), tag
+            assert not check_cybe(bad, 1, 7, field).passed, tag
+            assert not qybe_unitarity(bad, 1, 7, field).passed, tag
