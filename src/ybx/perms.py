@@ -136,10 +136,10 @@ def from_cycles(cycs, n: int) -> Permutation:
 def all_n_cycles(n: int):
     """All transitive cycles on {0,..,n-1} ((n-1)! of them)."""
     for rest in itertools.permutations(range(1, n)):
+        # each point maps to the next along (0,) + rest, the last back to 0
         images = [0] * n
-        x = 0
-        for y in rest:
-            images[x] = x = y
+        for x, y in zip((0,) + rest, rest):
+            images[x] = y
         yield Permutation(tuple(images))
 
 
@@ -346,28 +346,30 @@ def rectangle_terms(s: ABDStructure) -> tuple:
       A(k,m): e_{C2^m a, a} (x) e_{C1^k a, C1^k C2^m a}, and the same two
       factors swapped.
     """
-    n, nn = s.n, s.n * s.n
+    n = s.n
     c1, c2 = s.c1.images, s.c2.images
     pow1, pow2 = [tuple(range(n))], [tuple(range(n))]
     for _ in range(1, n):
         pow1.append(tuple(map(c1.__getitem__, pow1[-1])))
         pow2.append(tuple(map(c2.__getitem__, pow2[-1])))
-    # a factor's flat part of e_ij is i * n + j, and e_ii's is i * (n + 1)
-    squares, diag = pow1[0], range(0, nn, n + 1)
-    terms = [("diagonal", 0, 0, 1, squares, tuple(d * nn + d for d in diag))]
+
+    def flat(i, j, k, l):
+        return ((i * n + j) * n + k) * n + l
+
+    squares = pow1[0]
+    terms = [("diagonal", 0, 0, 1, squares, tuple(flat(i, i, i, i) for i in squares))]
     for k in range(1, n):
         terms.append(("horizontal", k, 0, 1, squares,
-                      tuple(diag[j] * nn + d for d, j in zip(diag, pow1[k]))))
+                      tuple(flat(j, j, i, i) for i, j in enumerate(pow1[k]))))
     for m in range(1, n):
         terms.append(("vertical", 0, m, 1, squares,
-                      tuple((i * n + j) * nn + j * n + i for i, j in enumerate(pow2[m]))))
+                      tuple(flat(i, j, j, i) for i, j in enumerate(pow2[m]))))
     for (k, m), members in _rectangle_members(s).items():
-        left = [pow2[m][a] * n + a for a in members]
-        right = [pow1[k][a] * n + pow1[k][pow2[m][a]] for a in members]
+        blocks = [((pow2[m][a], a), (pow1[k][a], pow1[k][pow2[m][a]])) for a in members]
         terms.append(("a_rect", k, m, 1, members,
-                      tuple(x * nn + y for x, y in zip(left, right))))
+                      tuple(flat(*left, *right) for left, right in blocks)))
         terms.append(("a_rect", k, m, -1, members,
-                      tuple(y * nn + x for x, y in zip(left, right))))
+                      tuple(flat(*right, *left) for left, right in blocks)))
     return tuple(terms)
 
 

@@ -122,6 +122,13 @@ def test_validate_abd_proper_subset():
     assert validate_abd(ABDStructure(2, swap, swap, (0, 1)))
 
 
+def test_all_n_cycles_follow_the_cycle_notation():
+    # (0 r1 r2 ...) for every ordering r of 1..n-1, in itertools order
+    for n in range(1, 8):
+        assert list(all_n_cycles(n)) == [from_cycles([(0,) + rest], n)
+                                         for rest in itertools.permutations(range(1, n))]
+
+
 def test_validate_equals_commutator_fixed_points_exhaustive():
     # validity of (c1, c2, a) is exactly a <= Fix([c1,c2]), for all n <= 5
     from ybx.perms import all_n_cycles
