@@ -28,6 +28,7 @@ tested against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from math import lcm
 from operator import add, mul, ne
@@ -287,11 +288,11 @@ def _contract(cls, n, ring, jobs):
 
     Each job is (sign, left, right).  A side is a pair (entries, values) of
     equal length, with left entries (key, base) and right entries (key, off);
-    entries meet when their keys agree (``_join``).  Each side is cleared of denominators
-    once (``integral``: va = a / den_l), so the sums run on plain ints over
-    the common denominator D, the lcm of the jobs' den_l * den_r, and each
-    output entry is divided by D, reduced and boxed once.  In GF(p) every
-    den is 1.
+    entries meet when their keys agree (``_join``).  Each side is cleared of
+    denominators once (``integral``: va = a / den_l), so the sums run on
+    plain ints over the common denominator D, the lcm of the jobs' den_l *
+    den_r, and each output entry is divided by D, reduced and boxed once.
+    In GF(p) every den is 1.
     """
     integral = ring.integral
     den, sides = 1, []
@@ -329,6 +330,20 @@ _PAIR_RULES = {
 _FLIP_PRODUCT_RULE = ((1, 3), (0, 2), (2, 0), (3, 1))
 
 
+@lru_cache(maxsize=None)
+def _digit_tables(n, key_pos, out_pos, width):
+    """Per factor part x = row * n + col of the first and of the second
+    factor, its share of the key and of the offset of ``_join_entries``."""
+    kweights, oweights = [0] * 4, [0] * 4
+    for i, p in enumerate(key_pos):
+        kweights[p] = n ** (len(key_pos) - 1 - i)
+    for p, o in zip([p for p in range(4) if p not in key_pos], out_pos):
+        oweights[p] = n ** (width - 1 - o)
+    parts = range(n * n)
+    return tuple(tuple(x // n * w[0] + x % n * w[1] for x in parts)
+                 for w in (kweights[:2], kweights[2:], oweights[:2], oweights[2:]))
+
+
 def _join_entries(n, flats, key_pos, out_pos, width):
     """(key, offset) of each flat index of a join side.
 
@@ -337,17 +352,8 @@ def _join_entries(n, flats, key_pos, out_pos, width):
     first most significant, and the others, in order, land at ``out_pos``
     of a ``width``-digit output.
     """
-    kweights, oweights = [0] * 4, [0] * 4
-    for i, p in enumerate(key_pos):
-        kweights[p] = n ** (len(key_pos) - 1 - i)
-    for p, o in zip([p for p in range(4) if p not in key_pos], out_pos):
-        oweights[p] = n ** (width - 1 - o)
+    k1, k2, o1, o2 = _digit_tables(n, tuple(key_pos), tuple(out_pos), width)
     nn = n * n
-    # flat = x1 * nn + x2 with x = row * n + col in each factor; the digits'
-    # contributions to the key and the offset are looked up per factor part
-    parts = range(nn)
-    k1, k2, o1, o2 = ([x // n * w[0] + x % n * w[1] for x in parts]
-                      for w in (kweights[:2], kweights[2:], oweights[:2], oweights[2:]))
     return [(k1[x1] + k2[x2], o1[x1] + o2[x2]) for x1, x2 in (divmod(f, nn) for f in flats)]
 
 
