@@ -140,6 +140,7 @@ def record(revs, settings, runs) -> dict:
 
 
 def resolve(rev) -> str:
+    """The full hash of commit ``rev`` of this repository."""
     return subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
                           capture_output=True, text=True, check=True).stdout.strip()
 
