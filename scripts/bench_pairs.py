@@ -19,6 +19,10 @@ prints last.  The summary gives, per end-to-end metric of the parent's
 own pairs in turn.  ``--json PATH`` also writes the record as JSON: the two
 commits, the run settings, the host (CPU count, Python version) and, per
 workload, every pair's two result lines and the summary.
+
+A bad argument, an unknown commit or a benchmark run that exits nonzero is
+one ``error:`` line on stderr and exit 2; a failed run is named by side,
+workload, seed and exit code, with the last line of its stderr.
 """
 
 from __future__ import annotations
@@ -38,6 +42,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+class BenchError(Exception):
+    """A bad argument or a failed command, reported as one ``error:`` line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise BenchError(message)
+
+
 def checkout(rev, dest: Path) -> Path:
     """A clean copy of commit ``rev`` of this repository in ``dest``."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
@@ -49,11 +62,16 @@ def checkout(rev, dest: Path) -> Path:
 
 
 def run_benchmark(copy: Path, workload, seed, seconds) -> dict:
-    """The JSON result line of one untraced benchmark run in ``copy``."""
+    """The JSON result line of one untraced benchmark run in ``copy``, a
+    directory named after its side."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=copy, capture_output=True, text=True, check=True)
+        cwd=copy, capture_output=True, text=True)
+    if proc.returncode:
+        last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
+        raise BenchError("%s run of workload %s at seed %s exited %d: %s"
+                         % (copy.name, workload, seed, proc.returncode, last))
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -141,12 +159,17 @@ def record(revs, settings, runs) -> dict:
 
 def resolve(rev) -> str:
     """The full hash of commit ``rev`` of this repository."""
-    return subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
-                          capture_output=True, text=True, check=True).stdout.strip()
+    proc = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise BenchError("%r is not a commit of this repository" % rev)
+    return proc.stdout.strip()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def parse_args(argv):
+    """The parsed arguments, with ``seeds`` a list of ints; raises
+    BenchError on a bad one."""
+    ap = _Parser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="commit of the parent side")
     ap.add_argument("change", help="commit of the change side")
     ap.add_argument("--workload", required=True, help="one workload, or several comma-separated")
@@ -156,18 +179,38 @@ def main(argv=None) -> int:
                     help="comma-separated seeds, cycled over the pairs")
     ap.add_argument("--json", metavar="PATH", help="also write the record as JSON to PATH")
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        args.seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise BenchError("--seeds must be comma-separated integers, got %r" % args.seeds) from None
+    if args.pairs < 1:
+        raise BenchError("--pairs must be at least 1, got %d" % args.pairs)
+    return args
+
+
+def run(args) -> None:
+    """Check out both commits, run every workload's pairs, print their
+    summaries and write the JSON record if asked."""
     revs = {"parent": resolve(args.parent), "change": resolve(args.change)}
     runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         copies = {side: checkout(rev, Path(tmp) / side) for side, rev in revs.items()}
         metrics = json.loads((copies["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
         for workload in args.workload.split(","):
-            runs[workload] = run_pairs(copies, workload, args.pairs, args.seconds, seeds, metrics)
+            runs[workload] = run_pairs(copies, workload, args.pairs, args.seconds, args.seeds,
+                                       metrics)
             print(format_summary(workload, runs[workload][1]), flush=True)
     if args.json:
-        settings = {"pairs": args.pairs, "seconds": args.seconds, "seeds": seeds}
+        settings = {"pairs": args.pairs, "seconds": args.seconds, "seeds": args.seeds}
         Path(args.json).write_text(json.dumps(record(revs, settings, runs), indent=1) + "\n")
+
+
+def main(argv=None) -> int:
+    try:
+        run(parse_args(argv))
+    except BenchError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
     return 0
 
 

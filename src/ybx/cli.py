@@ -175,8 +175,8 @@ def cmd_hat(args):
 
 
 def _residues_ok(sol, other, field):
-    """(residue at u = 0 is 1 (x) 1, residue at v = 0 is P), the other
-    variable held at ``other``."""
+    """(residue at u = 0 is 1 (x) 1, residue at v = 0 is P), both exact;
+    ``other`` is read only by an evaluator with no table (``residues``)."""
     return (residues(sol, "u", other, field) == Tensor2.unit(sol.n, field),
             residues(sol, "v", other, field) == transposition_p(sol.n, field))
 

@@ -16,14 +16,18 @@ table.  ``price_terms`` prices all groups at a point as integer numerators
 over one denominator, ``(nums, den)``, with no division; ``eval`` boxes
 them on any ring (fields and jets).  ``limit_prices`` prices the constant
 term of each group at u = 0 (or v = 0) the same way, so r0 is exact, with
-no jets.  A gauge and pr (x) pr are linear images of a table, fixed per
-solution, with integer coefficients over one denominator.
+no jets, and ``residue_prices`` the coefficient of 1/u (or 1/v).  A gauge
+and pr (x) pr are linear images of a table, fixed per solution, with
+integer coefficients over one denominator.
 
 The AYBE, skew, CYBE, QYBE and unitarity checks compile their residual once
 per call (``tensors.Residual``) over the support, the distinct flats, and
 test it for zero at each point on those integers, each flat's rows summed:
-no field element is boxed and no tensor is built.  Only the residues (jets)
-and strong nondegeneracy (a determinant) evaluate r as a tensor.
+no field element is boxed and no tensor is built.  The residues are read
+off the table exactly (``residue_prices``), with no point and no jets.
+Only strong nondegeneracy (a determinant) evaluates r as a tensor; jets
+serve only ``_jet_eval``, for evaluators with no table and as the
+reference for the exact pricings.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
-from operator import mul, ne, sub
+from operator import mul, ne, pos, sub
 
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
@@ -236,6 +240,19 @@ def limit_prices(ring, n, terms, which, q):
     return nums, den
 
 
+def residue_prices(terms, which):
+    """(nums, den): nums[g] / den is the coefficient of 1/u (``which`` "u")
+    or of 1/v ("v") in the price of group g of ``terms``, exactly.
+
+    Every pole of a price is simple, with residue 1: the diagonal's
+    1/(e^u - 1) + 1/(1 - e^-v) has one at u = 0 and one at v = 0, a
+    horizontal group's e^{ku/n}/(e^u - 1) one at u = 0, and a vertical
+    group's e^{mv/n}/(e^v - 1) one at v = 0; the A-rectangles have none.
+    """
+    polar = ("diagonal", "horizontal" if which == "u" else "vertical")
+    return [int(t[0] in polar) for t in terms], 1
+
+
 def assemble(sol, ring, prices) -> Tensor2:
     """The tensor with price g at flat f for every row (g, f) of the
     solution's table, summed; a group missing from ``prices`` is 0."""
@@ -251,13 +268,21 @@ def assemble(sol, ring, prices) -> Tensor2:
     return Tensor2(sol.n, ring, data)
 
 
+def _boxed(sol, ring, prices) -> Tensor2:
+    """The tensor of the solution's table at prices (nums, den), boxed in
+    ``ring``."""
+    nums, den = prices
+    return assemble(sol, ring, ring.box_nonzero(dict(enumerate(nums)), den))
+
+
 class _TableSolution:
     """An r-matrix as one linear table: rows (groups[i], flats[i]), with
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
-    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den, and
+    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den,
     ``price_limit(ring, which, q)`` their constant terms at u = 0 or v = 0
-    the same way (``limit_prices``).  ``support`` lists the distinct flats
-    in ascending order.
+    the same way (``limit_prices``), and ``price_residue(which)`` their
+    residues there (``residue_prices``).  ``support`` lists the distinct
+    flats in ascending order.
     """
 
     def _set_rows(self, groups, flats):
@@ -270,8 +295,7 @@ class _TableSolution:
 
     def eval(self, ring, *point) -> Tensor2:
         """r at the point (q_u, q_v); entries live in ``ring``."""
-        nums, den = self.price(ring, *point)
-        return assemble(self, ring, ring.box_nonzero(dict(enumerate(nums)), den))
+        return _boxed(self, ring, self.price(ring, *point))
 
     def values(self, ring, *point):
         """(the integer numerator at every flat of ``support``, their
@@ -308,6 +332,9 @@ class TrigSolution(_TableSolution):
     def price_limit(self, ring, which, q):
         return limit_prices(ring, self.n, self.terms, which, q)
 
+    def price_residue(self, which):
+        return residue_prices(self.terms, which)
+
 
 class HatSolution(_TableSolution):
     """The involution image: hat(r)(u,v) = transpose(r(v,u)) . P.
@@ -329,6 +356,9 @@ class HatSolution(_TableSolution):
 
     def price_limit(self, ring, which, q):
         return self.base.price_limit(ring, "v" if which == "u" else "u", q)
+
+    def price_residue(self, which):
+        return self.base.price_residue("v" if which == "u" else "u")
 
 
 def _group_parts(sol):
@@ -355,8 +385,9 @@ class _LinearImage(_TableSolution):
                        [f for _, f, _ in rows])
         self._scaled, self.coef_den = tuple(scaled), coef_den
 
-    def _scale(self, ring, prices):
-        reduce = ring.reduce
+    def _scale(self, prices, reduce=pos):
+        """The base's prices (nums, den) as the image's; plain integer
+        prices, such as the residues', need no ``reduce``."""
         nums, den = prices
         return ([reduce(c * nums[g]) for g, c in self._scaled],
                 reduce(den * self.coef_den))
@@ -382,10 +413,13 @@ class GaugeSolution(_LinearImage):
         self._set_image([(grp, f, c) for (grp, f, _), c in zip(rows, coefs)], coef_den)
 
     def price(self, ring, q_u, q_v):
-        return self._scale(ring, self.base.price(ring, q_u, q_v))
+        return self._scale(self.base.price(ring, q_u, q_v), ring.reduce)
 
     def price_limit(self, ring, which, q):
-        return self._scale(ring, self.base.price_limit(ring, which, q))
+        return self._scale(self.base.price_limit(ring, which, q), ring.reduce)
+
+    def price_residue(self, which):
+        return self._scale(self.base.price_residue(which))
 
 
 class _ProjectedR0(_LinearImage):
@@ -414,7 +448,7 @@ class _ProjectedR0(_LinearImage):
         self._set_image(rows, nn)
 
     def price(self, ring, q_v):
-        return self._scale(ring, self.base.price_limit(ring, "u", q_v))
+        return self._scale(self.base.price_limit(ring, "u", q_v), ring.reduce)
 
 
 def gauge_transform(sol, phi, field) -> GaugeSolution:
@@ -629,22 +663,25 @@ def _jet_coefficient(sol, field, jet_order, which, at_other, power) -> Tensor2:
 
 
 def residues(sol, which, at_other, field) -> Tensor2:
-    """The coefficient of 1/u (resp. 1/v) of r, with the other variable held
-    at a generic point.  Raises if any entry has a pole worse than simple.
+    """The coefficient of 1/u (resp. 1/v) of r.
 
-    Jets to order 2 determine every entry through its constant term, one
-    order past the coefficient read here.
+    A table solution prices it exactly from its table (``residue_prices``),
+    with no point, so ``at_other`` is not read.  An evaluator with only
+    ``eval`` is expanded as a jet to order 2, which determines every entry
+    through its constant term, with the other variable at ``at_other``;
+    that raises if any entry has a pole worse than simple.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    return _jet_coefficient(sol, field, 2, which, at_other, -1)
+    if not isinstance(sol, _TableSolution):
+        return _jet_coefficient(sol, field, 2, which, at_other, -1)
+    return _boxed(sol, field, sol.price_residue(which))
 
 
 def r0_tensor(sol, q_v, field) -> Tensor2:
     """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0, priced
     exactly from the solution's table (``limit_prices``) and boxed."""
-    nums, den = sol.price_limit(field, "u", q_v)
-    return assemble(sol, field, field.box_nonzero(dict(enumerate(nums)), den))
+    return _boxed(sol, field, sol.price_limit(field, "u", q_v))
 
 
 def _cybe_fails(sol, field, mutate=None):

@@ -125,3 +125,55 @@ def test_bench_pairs_writes_the_json_record(tmp_path, monkeypatch):
     assert summary["points_per_s"]["parent_quartiles"] == [92.5, 95, 97.5]
     assert summary["structure_ms_p50"]["ratio"] == 11.5 / 21
     assert summary["failed"] == {"parent": 0, "change": 0, "attempted": [200, 200]}
+
+
+def _no_subprocess(*args, **kwargs):
+    raise AssertionError("no command may run: %r" % (args,))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--pairs", "0"], "error: --pairs must be at least 1, got 0\n"),
+    (["--seeds", ""], "error: --seeds must be comma-separated integers, got ''\n"),
+    (["--seeds", "7,x"], "error: --seeds must be comma-separated integers, got '7,x'\n"),
+    (["--pairs", "ten"], "error: argument --pairs: invalid int value: 'ten'\n"),
+], ids=["no-pairs", "no-seeds", "bad-seed", "bad-pairs"])
+def test_bench_pairs_rejects_a_bad_argument(args, message, monkeypatch, capsys):
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench.subprocess, "run", _no_subprocess)
+    assert bench.main(["p", "c", "--workload", "suite-q", *args]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_bench_pairs_rejects_an_unknown_commit(monkeypatch, capsys):
+    bench = _bench_pairs()
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw: subprocess.CompletedProcess(
+        cmd, 128, stdout="", stderr="fatal: Needed a single revision\n"))
+    assert bench.main(["nosuch", "c", "--workload", "suite-q"]) == 2
+    assert capsys.readouterr().err == "error: 'nosuch' is not a commit of this repository\n"
+
+
+def test_bench_pairs_names_a_failed_run(tmp_path, monkeypatch, capsys):
+    # the benchmark exits 2 on the parent side; its own last stderr line is kept
+    bench = _bench_pairs()
+    runs = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        runs.append((Path(cwd).name, cmd))
+        return subprocess.CompletedProcess(cmd, 2, stdout="", stderr=(
+            "usage: run.py [-h] --workload {aybe-fp,limits-fp,suite-q}\n"
+            "run.py: error: argument --workload: invalid choice: 'nosuch'\n"))
+
+    def fake_checkout(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+        return dest
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench, "checkout", fake_checkout)
+    monkeypatch.setattr(bench, "resolve", lambda rev: "commit-" + rev)
+    assert bench.main(["p", "c", "--workload", "nosuch", "--seeds", "11"]) == 2
+    assert capsys.readouterr().err == (
+        "error: parent run of workload nosuch at seed 11 exited 2: "
+        "run.py: error: argument --workload: invalid choice: 'nosuch'\n")
+    assert [side for side, _ in runs] == ["parent"]
+    assert runs[0][1][2:6] == ["--workload", "nosuch", "--seed", "11"]

@@ -420,6 +420,9 @@ class _Corrupted(trig_module._TableSolution):
     def price_limit(self, ring, which, q):
         return self.base.price_limit(ring, which, q)
 
+    def price_residue(self, which):
+        return self.base.price_residue(which)
+
 
 def _reference_aybe_fails(sol, field, slot, qu, qup, qv, qvp):
     evals = [sol.eval(field, *point) for point in (
@@ -573,6 +576,26 @@ def test_table_r0_equals_the_jet_coefficient(field):
             for _ in range(2):
                 (qv,) = _pole_free(field, rng, s.n, 1)
                 assert r0_tensor(sol, qv, field) == _jet_r0(sol, field, qv), (kind, s.label())
+
+
+def test_table_residues_equal_the_jet_coefficient(field):
+    # the first row doubled, a diagonal group's: its residue in u is no
+    # longer 1 (x) 1, and the table still reads what the jets read
+    for s in _compiled_corpus():
+        for kind, sol in _kinds(s, field):
+            rng = derive_rng(40, "residues", kind, s.label(), field.name)
+            points = _pole_free(field, rng, s.n, 2)
+            bad = _Corrupted(sol, 0)
+            for which in ("u", "v"):
+                for r in (sol, bad):
+                    res = residues(r, which, points[0], field)
+                    assert residues(r, which, points[1], field) == res, (kind, s.label())
+                    for other in points:
+                        jet = trig_module._jet_coefficient(r, field, 2, which, other, -1)
+                        assert res == jet, (kind, s.label(), which)
+            assert residues(bad, "u", points[0], field) != Tensor2.unit(s.n, field)
+            with pytest.raises(ValueError):
+                residues(sol, "w", points[0], field)
 
 
 def test_projected_table_equals_project_sl(field):
