@@ -20,9 +20,11 @@ own pairs in turn.  ``--json PATH`` also writes the record as JSON: the two
 commits, the run settings, the host (CPU count, Python version) and, per
 workload, every pair's two result lines and the summary.
 
-A bad argument, an unknown commit or a benchmark run that exits nonzero is
-one ``error:`` line on stderr and exit 2; a failed run is named by side,
-workload, seed and exit code, with the last line of its stderr.
+A bad argument, an unknown commit, a benchmark run that exits nonzero and
+one whose last stdout line is missing or not JSON are each one ``error:``
+line on stderr and exit 2; a failed run is named by side, workload and
+seed, with its exit code and the last line of its stderr, or with the line
+it printed last.
 """
 
 from __future__ import annotations
@@ -68,11 +70,17 @@ def run_benchmark(copy: Path, workload, seed, seconds) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=copy, capture_output=True, text=True)
+    run = "%s run of workload %s at seed %s" % (copy.name, workload, seed)
     if proc.returncode:
         last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
-        raise BenchError("%s run of workload %s at seed %s exited %d: %s"
-                         % (copy.name, workload, seed, proc.returncode, last))
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        raise BenchError("%s exited %d: %s" % (run, proc.returncode, last))
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise BenchError("%s printed no result line" % run)
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise BenchError("%s printed no JSON result line: %s" % (run, lines[-1])) from None
 
 
 def _quartiles(values):

@@ -47,8 +47,8 @@ class BundleData:
     @classmethod
     def from_json_dict(cls, d: dict) -> "BundleData":
         lam = d.get("lambda", "1/1")
-        if isinstance(lam, str):
-            lam = Fraction(lam)
+        if type(lam) not in (str, int, float):
+            raise ValueError("lambda must be a JSON string or number, got %r" % (lam,))
         return cls(
             r=json_int(d["r"], "r"),
             n=json_int(d["n"], "n"),

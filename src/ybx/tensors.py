@@ -15,10 +15,16 @@ The one Gaussian elimination runs on the field's raw values (``raw``,
 ``reduce``, ``inverse``, ``box`` of the scalar backend), and contractions
 on integer numerators over a common denominator (``integral`` and
 ``box_nonzero``); both box their results once, so this module never sees
-how a field stores them.  A ``Residual`` is compiled once from the supports
-of its factors (``pair_residual`` builds pair products from ``_PAIR_RULES``,
-``triple_residual`` joins a third factor to them, and ``flip_product_terms``
-pairs Tensor2 entries by ``_FLIP_PRODUCT_RULE``); at each point it takes
+how a field stores them.
+
+Every join of two Tensor2s, a pair product a^sa . b^sb (``_PAIR_RULES``)
+or the product a . flip(b) (``_FLIP_PRODUCT_RULE``), is one rule of the
+same shape: each factor's key digits and the output positions of its
+others.  ``_rule_terms`` reads any rule into terms (outs, xs, ys), and the
+reference products (``_contract``) and the compiled residuals
+(``Residual``) both consume those terms.  A ``Residual`` is compiled once
+from the supports of its factors (``pair_residual`` of pair products,
+``triple_residual`` joining a third factor to them); at each point it takes
 every factor's integer numerators and denominator and tests each output
 entry for zero with C-level gathers, products and running sums, boxing
 nothing.  The tensor products stay as the reference those residuals are
@@ -153,7 +159,7 @@ class _SparseTensor:
         left = [(c, f - c) for f, c in zip(a, self._col_parts(a))]
         right = [((f - c) // n, c) for f, c in zip(b, self._col_parts(b))]
         return _contract(type(self), n, self.ring,
-                         [(1, (left, a.values()), (right, b.values()))])
+                         [(1, _join(left, right), a.values(), b.values())])
 
     def __repr__(self):
         return "%s(n=%d, nnz=%d)" % (type(self).__name__, self.n, self.nnz())
@@ -284,47 +290,48 @@ def embed_triple(t: Tensor2, slot: int) -> Tensor3:
 
 
 def _contract(cls, n, ring, jobs):
-    """A ``cls`` tensor summing sign * va * vb at flat index base + off.
+    """A ``cls`` tensor summing sign * va[x] * vb[y] at flat index out.
 
-    Each job is (sign, left, right).  A side is a pair (entries, values) of
-    equal length, with left entries (key, base) and right entries (key, off);
-    entries meet when their keys agree (``_join``).  Each side is cleared of
-    denominators once (``integral``: va = a / den_l), so the sums run on
-    plain ints over the common denominator D, the lcm of the jobs' den_l *
-    den_r, and each output entry is divided by D, reduced and boxed once.
-    In GF(p) every den is 1.
+    Each job is (sign, (outs, xs, ys), va, vb): the terms of a join
+    (``_join``), as a ``Residual`` takes them, and the values of its two
+    sides.  Each side is cleared of denominators once (``integral``: va =
+    a / den_a), so the sums run on plain ints over the common denominator
+    D, the lcm of the jobs' den_a * den_b, and each output entry is divided
+    by D, reduced and boxed once.  In GF(p) every den is 1.
     """
     integral = ring.integral
     den, sides = 1, []
-    for sign, (left, lvals), (right, rvals) in jobs:
-        a, den_l = integral(lvals)
-        b, den_r = integral(rvals)
-        d = den_l * den_r
+    for sign, terms, va, vb in jobs:
+        a, den_a = integral(va)
+        b, den_b = integral(vb)
+        d = den_a * den_b
         den = lcm(den, d)
-        sides.append((sign, d, left, a, right, b))
+        sides.append((sign, d, terms, a, b))
     acc = {}
-    for sign, d, left, a, right, b in sides:
+    for sign, d, (outs, xs, ys), a, b in sides:
         scale = sign * (den // d)
-        for flat, x, y in zip(*_join(left, right)):
+        for flat, x, y in zip(outs, xs, ys):
             acc[flat] = acc.get(flat, 0) + scale * a[x] * b[y]
     return cls(n, ring, ring.box_nonzero(acc, den))
 
 
-# products of identity-padded tensors collapse to one-index contractions of
-# the underlying Tensor2s; for each ordered slot pair this table records the
-# contracted position of each factor and where its remaining indices land in
-# the 6-index output
+# A join rule of two Tensor2s is (a's key digits, the output positions of
+# a's other digits, b's key digits, those of b's), a factor's digits
+# numbered 0..3 as (row, column) of its first and of its second factor.
+#
+# Products of identity-padded tensors collapse to one-index contractions of
+# the underlying Tensor2s; for each ordered slot pair the key is the
+# contracted digit of each factor, and the others land in the 6-digit output
 _PAIR_RULES = {
-    (12, 13): (1, (0, 2, 3), 0, (1, 4, 5)),
-    (13, 12): (1, (0, 4, 5), 0, (1, 2, 3)),
-    (12, 23): (3, (0, 1, 2), 0, (3, 4, 5)),
-    (23, 12): (1, (2, 4, 5), 2, (0, 1, 3)),
-    (13, 23): (3, (0, 1, 4), 2, (2, 3, 5)),
-    (23, 13): (3, (2, 3, 4), 2, (0, 1, 5)),
+    (12, 13): ((1,), (0, 2, 3), (0,), (1, 4, 5)),
+    (13, 12): ((1,), (0, 4, 5), (0,), (1, 2, 3)),
+    (12, 23): ((3,), (0, 1, 2), (0,), (3, 4, 5)),
+    (23, 12): ((1,), (2, 4, 5), (2,), (0, 1, 3)),
+    (13, 23): ((3,), (0, 1, 4), (2,), (2, 3, 5)),
+    (23, 13): ((3,), (2, 3, 4), (2,), (0, 1, 5)),
 }
 
-# the Tensor2 product a . flip(b) in the same form, with the key digits of
-# each factor and the output positions of its others: a's column digits
+# the Tensor2 product a . flip(b), into a 4-digit output: a's column digits
 # (positions 1 and 3) meet flip(b)'s row digits, which are b's digits 2 and
 # 0; a's rows land at 0 and 2 of the output, and b's digits 1 and 3 at 3 and 1
 _FLIP_PRODUCT_RULE = ((1, 3), (0, 2), (2, 0), (3, 1))
@@ -352,20 +359,9 @@ def _join_entries(n, flats, key_pos, out_pos, width):
     first most significant, and the others, in order, land at ``out_pos``
     of a ``width``-digit output.
     """
-    k1, k2, o1, o2 = _digit_tables(n, tuple(key_pos), tuple(out_pos), width)
+    k1, k2, o1, o2 = _digit_tables(n, key_pos, out_pos, width)
     nn = n * n
     return [(k1[x1] + k2[x2], o1[x1] + o2[x2]) for x1, x2 in (divmod(f, nn) for f in flats)]
-
-
-def _pair_jobs(*terms):
-    """Contraction jobs for signed products a^sa . b^sb given as (sign, a, sa, b, sb);
-    a side is its tensor's ``_join_entries`` and values."""
-    jobs = []
-    for sign, a, sa, b, sb in terms:
-        a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
-        jobs.append((sign, (_join_entries(a.n, a.data, (a_cpos,), a_slots, 6), a.data.values()),
-                     (_join_entries(b.n, b.data, (b_cpos,), b_slots, 6), b.data.values())))
-    return jobs
 
 
 class Residual:
@@ -443,11 +439,17 @@ def _join(left, right):
     return outs, xs, ys
 
 
+def _rule_terms(n, rule, width, flats_a, flats_b):
+    """The terms (outs, xs, ys) of the join of a and b by ``rule``, into a
+    ``width``-digit output, a and b at the listed flat indices."""
+    a_key, a_out, b_key, b_out = rule
+    return _join(_join_entries(n, flats_a, a_key, a_out, width),
+                 _join_entries(n, flats_b, b_key, b_out, width))
+
+
 def _pair_terms(n, flats_a, sa, flats_b, sb):
     """The terms (outs, xs, ys) of a^sa . b^sb, a and b at the listed flats."""
-    a_cpos, a_slots, b_cpos, b_slots = _PAIR_RULES[(sa, sb)]
-    return _join(_join_entries(n, flats_a, (a_cpos,), a_slots, 6),
-                 _join_entries(n, flats_b, (b_cpos,), b_slots, 6))
+    return _rule_terms(n, _PAIR_RULES[(sa, sb)], 6, flats_a, flats_b)
 
 
 def pair_residual(n, jobs) -> Residual:
@@ -491,9 +493,15 @@ def triple_residual(n, jobs) -> Residual:
 def flip_product_terms(n, flats_a, flats_b):
     """The terms (outs, xs, ys) of the Tensor2 product a . flip(b), a and b
     at the listed flat indices."""
-    a_key, a_out, b_key, b_out = _FLIP_PRODUCT_RULE
-    return _join(_join_entries(n, flats_a, a_key, a_out, 4),
-                 _join_entries(n, flats_b, b_key, b_out, 4))
+    return _rule_terms(n, _FLIP_PRODUCT_RULE, 4, flats_a, flats_b)
+
+
+def _pair_products(*products) -> Tensor3:
+    """The sum of signed products a^sa . b^sb given as (sign, a, sa, b, sb)."""
+    a = products[0][1]
+    return _contract(Tensor3, a.n, a.ring, [
+        (sign, _pair_terms(a.n, a.data, sa, b.data, sb), a.data.values(), b.data.values())
+        for sign, a, sa, b, sb in products])
 
 
 def pair_embed_product(a: Tensor2, sa: int, b: Tensor2, sb: int) -> Tensor3:
@@ -501,22 +509,21 @@ def pair_embed_product(a: Tensor2, sa: int, b: Tensor2, sb: int) -> Tensor3:
     embed_triple(a, sa) * embed_triple(b, sb)."""
     if (sa, sb) not in _PAIR_RULES:
         raise ValueError("unsupported slot pair (%r, %r)" % (sa, sb))
-    return _contract(Tensor3, a.n, a.ring, _pair_jobs((1, a, sa, b, sb)))
+    return _pair_products((1, a, sa, b, sb))
 
 
 def aybe_combine(r_a, r_b, r_c, r_d, r_e, r_f) -> Tensor3:
     """r_a^12 r_b^13 - r_c^23 r_d^12 + r_e^13 r_f^23 for six evaluated tensors
     (the triple-space product being the componentwise algebra product)."""
-    return _contract(Tensor3, r_a.n, r_a.ring, _pair_jobs(
-        (1, r_a, 12, r_b, 13), (-1, r_c, 23, r_d, 12), (1, r_e, 13, r_f, 23)))
+    return _pair_products((1, r_a, 12, r_b, 13), (-1, r_c, 23, r_d, 12),
+                          (1, r_e, 13, r_f, 23))
 
 
 def cybe_residual(x: Tensor2, y: Tensor2, z: Tensor2) -> Tensor3:
     """[x^12, y^13] + [x^12, z^23] + [y^13, z^23]."""
-    return _contract(Tensor3, x.n, x.ring, _pair_jobs(
-        (1, x, 12, y, 13), (-1, y, 13, x, 12),
-        (1, x, 12, z, 23), (-1, z, 23, x, 12),
-        (1, y, 13, z, 23), (-1, z, 23, y, 13)))
+    return _pair_products((1, x, 12, y, 13), (-1, y, 13, x, 12),
+                          (1, x, 12, z, 23), (-1, z, 23, x, 12),
+                          (1, y, 13, z, 23), (-1, z, 23, y, 13))
 
 
 # -- exact linear algebra -----------------------------------------------------

@@ -16,9 +16,10 @@ table.  ``price_terms`` prices all groups at a point as integer numerators
 over one denominator, ``(nums, den)``, with no division; ``eval`` boxes
 them on any ring (fields and jets).  ``limit_prices`` prices the constant
 term of each group at u = 0 (or v = 0) the same way, so r0 is exact, with
-no jets, and ``residue_prices`` the coefficient of 1/u (or 1/v).  A gauge
-and pr (x) pr are linear images of a table, fixed per solution, with
-integer coefficients over one denominator.
+no jets, and ``residue_prices`` the coefficient of 1/u (or 1/v).  The
+hat, a gauge and pr (x) pr are one linear image of a table (``_Image``),
+fixed per solution: rows with integer coefficients over one denominator,
+the hat's a rotation of the flat indices priced with u and v exchanged.
 
 The AYBE, skew, CYBE, QYBE and unitarity checks compile their residual once
 per call (``tensors.Residual``) over the support, the distinct flats, and
@@ -336,31 +337,6 @@ class TrigSolution(_TableSolution):
         return residue_prices(self.terms, which)
 
 
-class HatSolution(_TableSolution):
-    """The involution image: hat(r)(u,v) = transpose(r(v,u)) . P.
-
-    transpose(t) . P relabels t's entries as ``Tensor2.transpose_p`` does,
-    (i,j,k,l) -> (j,k,l,i), so hat(r)'s table is r's with every flat index
-    rotated by one digit, priced at the swapped point; hat(hat(r)) is
-    ``flip`` of r.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.n = n = base.n
-        n3 = n ** 3
-        self._set_rows(base.groups, (f % n3 * n + f // n3 for f in base.flats))
-
-    def price(self, ring, q_u, q_v):
-        return self.base.price(ring, q_v, q_u)
-
-    def price_limit(self, ring, which, q):
-        return self.base.price_limit(ring, "v" if which == "u" else "u", q)
-
-    def price_residue(self, which):
-        return self.base.price_residue("v" if which == "u" else "u")
-
-
 def _group_parts(sol):
     """Each group's part of the solution's table: {group: {flat: multiplicity}}."""
     parts = {}
@@ -370,61 +346,57 @@ def _group_parts(sol):
     return parts
 
 
-class _LinearImage(_TableSolution):
-    """A linear image of a table, fixed per solution.
+class _Image(_TableSolution):
+    """A linear image of a base table, fixed per solution: the hat, a gauge
+    and pr (x) pr.
 
     A row (g, f, c) of the image puts c / ``coef_den`` times the price of
-    group g at flat f, c an integer.  Each (g, c) pair is a group of its
-    own, priced as c times the base price; a flat may carry one row per
-    base group, and ``values`` sums them.
+    base group g at flat f, c an integer; with ``swap`` set, the base is
+    priced with u and v exchanged.  Each (g, c) pair is a group of its own,
+    priced as c times the base price; a flat may carry one row per base
+    group, and ``values`` sums them.  Where every coefficient is 1 (the
+    hat), the image keeps the base's groups and prices, unscaled: scaling
+    them by 1 took about 1.5% of the ``aybe-fp`` benchmark's time.
     """
 
-    def _set_image(self, rows, coef_den):
-        scaled = {}
-        self._set_rows([scaled.setdefault((grp, c), len(scaled)) for grp, _, c in rows],
-                       [f for _, f, _ in rows])
-        self._scaled, self.coef_den = tuple(scaled), coef_den
+    def __init__(self, base, rows, coef_den=1, swap=False):
+        self.base, self.n, self.coef_den, self.swap = base, base.n, coef_den, swap
+        if coef_den == 1 and all(c == 1 for *_, c in rows):
+            self._scaled = None
+            groups = [grp for grp, _, _ in rows]
+        else:
+            scaled = {}
+            groups = [scaled.setdefault((grp, c), len(scaled)) for grp, _, c in rows]
+            self._scaled = tuple(scaled)
+        self._set_rows(groups, [f for _, f, _ in rows])
 
     def _scale(self, prices, reduce=pos):
         """The base's prices (nums, den) as the image's; plain integer
         prices, such as the residues', need no ``reduce``."""
+        if self._scaled is None:
+            return prices
         nums, den = prices
         return ([reduce(c * nums[g]) for g, c in self._scaled],
                 reduce(den * self.coef_den))
 
-
-class GaugeSolution(_LinearImage):
-    """(phi (x) phi) r (phi (x) phi)^-1 for a constant invertible matrix phi.
-
-    Each group's part of r's table is conjugated once, here, in ``field``,
-    and the coefficients are cleared to integers over one denominator
-    (``integral``).
-    """
-
-    def __init__(self, base, phi, field):
-        self.base = base
-        self.n = n = base.n
-        phi_inv = matrix_inverse(phi, field)
-        g, g_inv = kron2(phi, phi, field), kron2(phi_inv, phi_inv, field)
-        rows = [(grp, f, v) for grp, part in _group_parts(base).items()
-                for f, v in (g * Tensor2(n, field, {f: field.of_int(m) for f, m in part.items()})
-                             * g_inv).data.items()]
-        coefs, coef_den = field.integral([v for *_, v in rows])
-        self._set_image([(grp, f, c) for (grp, f, _), c in zip(rows, coefs)], coef_den)
+    def _base_which(self, which):
+        return ("v" if which == "u" else "u") if self.swap else which
 
     def price(self, ring, q_u, q_v):
+        if self.swap:
+            q_u, q_v = q_v, q_u
         return self._scale(self.base.price(ring, q_u, q_v), ring.reduce)
 
     def price_limit(self, ring, which, q):
-        return self._scale(self.base.price_limit(ring, which, q), ring.reduce)
+        return self._scale(self.base.price_limit(ring, self._base_which(which), q), ring.reduce)
 
     def price_residue(self, which):
-        return self._scale(self.base.price_residue(which))
+        return self._scale(self.base.price_residue(self._base_which(which)))
 
 
-class _ProjectedR0(_LinearImage):
+class _ProjectedR0(_Image):
     """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as a table
-    priced at q_v.
+    priced at q_v: the image of the base's r0.
 
     n pr(e_x) = n e_x, minus every diagonal e_d when e_x is diagonal (a
     factor's flat part x is e_ii's exactly when x % (n + 1) == 0), so the
@@ -432,8 +404,7 @@ class _ProjectedR0(_LinearImage):
     """
 
     def __init__(self, base):
-        self.base = base
-        self.n = n = base.n
+        n = base.n
         nn = n * n
         diag = [(d, -1) for d in range(0, nn, n + 1)]
         factor = [[(x, n)] + (diag if x % (n + 1) == 0 else []) for x in range(nn)]
@@ -445,18 +416,39 @@ class _ProjectedR0(_LinearImage):
                     for x2, c2 in factor[f % nn]:
                         image[x1 * nn + x2] = image.get(x1 * nn + x2, 0) + mult * c1 * c2
             rows += [(grp, g, c) for g, c in image.items() if c]
-        self._set_image(rows, nn)
+        super().__init__(base, rows, nn)
 
     def price(self, ring, q_v):
-        return self._scale(self.base.price_limit(ring, "u", q_v), ring.reduce)
+        return self.price_limit(ring, "u", q_v)
 
 
-def gauge_transform(sol, phi, field) -> GaugeSolution:
-    return GaugeSolution(sol, phi, field)
+def gauge_transform(sol, phi, field) -> _Image:
+    """(phi (x) phi) r (phi (x) phi)^-1 for a constant invertible matrix phi.
+
+    Each group's part of r's table is conjugated once, here, in ``field``,
+    and the coefficients are cleared to integers over one denominator
+    (``integral``).
+    """
+    phi_inv = matrix_inverse(phi, field)
+    g, g_inv = kron2(phi, phi, field), kron2(phi_inv, phi_inv, field)
+    rows = [(grp, f, v) for grp, part in _group_parts(sol).items()
+            for f, v in (g * Tensor2(sol.n, field, {f: field.of_int(m) for f, m in part.items()})
+                         * g_inv).data.items()]
+    coefs, coef_den = field.integral([v for *_, v in rows])
+    return _Image(sol, [(grp, f, c) for (grp, f, _), c in zip(rows, coefs)], coef_den)
 
 
-def hat_involution(sol) -> HatSolution:
-    return HatSolution(sol)
+def hat_involution(sol) -> _Image:
+    """The involution image: hat(r)(u,v) = transpose(r(v,u)) . P.
+
+    transpose(t) . P relabels t's entries as ``Tensor2.transpose_p`` does,
+    (i,j,k,l) -> (j,k,l,i), so hat(r)'s table is r's with every flat index
+    rotated by one digit, priced at the swapped point; hat(hat(r)) is
+    ``flip`` of r.
+    """
+    n3 = sol.n ** 3
+    return _Image(sol, [(g, f % n3 * sol.n + f // n3, 1) for g, f in zip(sol.groups, sol.flats)],
+                  swap=True)
 
 
 # -- point sampling -----------------------------------------------------------

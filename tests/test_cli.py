@@ -269,11 +269,12 @@ def _assert_one_error_line(capsys, argv):
     ({"r": 2, "n": 1, "m": [[0], [1.5]]}, ["bundle", "--in"]),
     ({"n": 2, "c1": [0, 0], "c2": [1, 0], "a": []}, ["validate", "--abd"]),
     ({"r": 2, "n": 1, "m": [[0], [1]], "lambda": "one half"}, ["bundle", "--in"]),
+    ({"r": 1, "n": 2, "m": [[0, 1]], "lambda": True}, ["bundle", "--in"]),
 ], ids=["missing-abd", "missing-bundle", "not-json", "missing-key", "wrong-type",
         "not-an-object", "bundle-missing-key", "bundle-wrong-type", "invalid-structure",
         "huge-n", "infinite-a", "huge-r", "infinite-m", "zero-lambda-denominator",
         "infinite-lambda", "float-c1", "float-n", "float-a", "bool-n", "string-n",
-        "float-m", "non-bijective-c1", "unparsable-lambda"])
+        "float-m", "non-bijective-c1", "unparsable-lambda", "bool-lambda"])
 def test_bad_input_file_is_one_error_line(content, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     if content is not None:

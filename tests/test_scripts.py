@@ -177,3 +177,28 @@ def test_bench_pairs_names_a_failed_run(tmp_path, monkeypatch, capsys):
         "run.py: error: argument --workload: invalid choice: 'nosuch'\n")
     assert [side for side, _ in runs] == ["parent"]
     assert runs[0][1][2:6] == ["--workload", "nosuch", "--seed", "11"]
+
+
+@pytest.mark.parametrize("stdout, message", [
+    ("", "error: parent run of workload aybe-fp at seed 13 printed no result line\n"),
+    ("  \n\n", "error: parent run of workload aybe-fp at seed 13 printed no result line\n"),
+    ('{"metrics": {}}\nwarming up\n', "error: parent run of workload aybe-fp at seed 13 "
+     "printed no JSON result line: warming up\n"),
+], ids=["empty", "blank", "not-json"])
+def test_bench_pairs_names_a_run_with_no_result_line(stdout, message, tmp_path, monkeypatch,
+                                                      capsys):
+    # the benchmark exits 0 but its last line is no result: one error line,
+    # not an IndexError or a JSONDecodeError traceback
+    bench = _bench_pairs()
+
+    def fake_checkout(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+        return dest
+
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, cwd, **kw: (
+        subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")))
+    monkeypatch.setattr(bench, "checkout", fake_checkout)
+    monkeypatch.setattr(bench, "resolve", lambda rev: "commit-" + rev)
+    assert bench.main(["p", "c", "--workload", "aybe-fp", "--seeds", "13"]) == 2
+    assert capsys.readouterr().err == message

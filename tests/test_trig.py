@@ -402,9 +402,14 @@ def _sparse_phi(n, field):
 
 
 def _kinds(s, field):
+    # single images, and compositions: a swap of a swap, a scale of a swap
+    # and a swap of a scale
     sol = TrigSolution(s)
-    return [("trig", sol), ("hat", hat_involution(sol)),
-            ("gauge", gauge_transform(sol, _sparse_phi(s.n, field), field))]
+    phi = _sparse_phi(s.n, field)
+    hat, gauge = hat_involution(sol), gauge_transform(sol, phi, field)
+    return [("trig", sol), ("hat", hat), ("gauge", gauge),
+            ("hat-hat", hat_involution(hat)), ("gauge-hat", gauge_transform(hat, phi, field)),
+            ("hat-gauge", hat_involution(gauge))]
 
 
 class _Corrupted(trig_module._TableSolution):
