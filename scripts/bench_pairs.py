@@ -24,7 +24,8 @@ A bad argument, an unknown commit, a benchmark run that exits nonzero and
 one whose last stdout line is missing or not JSON are each one ``error:``
 line on stderr and exit 2; a failed run is named by side, workload and
 seed, with its exit code and the last line of its stderr, or with the line
-it printed last.
+it printed last.  A SIGTERM is one ``error:`` line too, and it removes the
+clean copies, as any error does.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -196,18 +198,31 @@ def parse_args(argv):
     return args
 
 
+def _terminated(signum, frame):
+    raise BenchError("stopped by SIGTERM")
+
+
 def run(args) -> None:
     """Check out both commits, run every workload's pairs, print their
-    summaries and write the JSON record if asked."""
+    summaries and write the JSON record if asked.
+
+    SIGTERM raises inside the temporary directory's block, so the clean
+    copies are removed on the way out (and ``subprocess.run`` kills a
+    benchmark still running).
+    """
     revs = {"parent": resolve(args.parent), "change": resolve(args.change)}
     runs = {}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        copies = {side: checkout(rev, Path(tmp) / side) for side, rev in revs.items()}
-        metrics = json.loads((copies["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
-        for workload in args.workload.split(","):
-            runs[workload] = run_pairs(copies, workload, args.pairs, args.seconds, args.seeds,
-                                       metrics)
-            print(format_summary(workload, runs[workload][1]), flush=True)
+    previous = signal.signal(signal.SIGTERM, _terminated)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            copies = {side: checkout(rev, Path(tmp) / side) for side, rev in revs.items()}
+            metrics = json.loads((copies["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+            for workload in args.workload.split(","):
+                runs[workload] = run_pairs(copies, workload, args.pairs, args.seconds,
+                                           args.seeds, metrics)
+                print(format_summary(workload, runs[workload][1]), flush=True)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if args.json:
         settings = {"pairs": args.pairs, "seconds": args.seconds, "seeds": args.seeds}
         Path(args.json).write_text(json.dumps(record(revs, settings, runs), indent=1) + "\n")

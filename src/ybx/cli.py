@@ -226,6 +226,8 @@ def cmd_novikov(args):
     for flag, x in (("--u", u), ("--v", v), ("--tolerance", args.tolerance)):
         if not cmath.isfinite(x):
             raise ValueError("%s must be finite" % flag)
+    if args.tolerance <= 0:
+        raise ValueError("--tolerance must be positive")
     result = novikov_check(u, v, args.terms)
     emit(
         {

@@ -238,7 +238,8 @@ class RationalField:
 
     # raw values are the Fractions themselves, always in lowest terms
     raw = reduce = staticmethod(lambda x: x)
-    inverse = staticmethod(lambda v: 1 / v)
+    # exact for an int too: the integer numerators of a table are raw values
+    inverse = staticmethod(lambda v: Fraction(1, v))
     box = staticmethod(Fraction)  # also makes a Fraction of an int determinant
 
     @staticmethod

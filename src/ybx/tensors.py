@@ -9,7 +9,8 @@ flat index, which fixes the order of every serialized tensor.  One codec
 turns index tuples into flat indices and back, behind ``items()`` and item
 access; products, sums and the structural maps (flip, transposes, pr (x) pr,
 contraction sides) do digit arithmetic on the flat index directly, and only
-the determinant densifies (the reshaped n^2 x n^2 matrix).
+``tensor_rank``, the reference for the block-by-block nondegeneracy test
+of ``trig``, densifies (the reshaped n^2 x n^2 matrix).
 
 The one Gaussian elimination runs on the field's raw values (``raw``,
 ``reduce``, ``inverse``, ``box`` of the scalar backend), and contractions

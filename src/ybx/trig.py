@@ -26,8 +26,10 @@ per call (``tensors.Residual``) over the support, the distinct flats, and
 test it for zero at each point on those integers, each flat's rows summed:
 no field element is boxed and no tensor is built.  The residues are read
 off the table exactly (``residue_prices``), with no point and no jets.
-Only strong nondegeneracy (a determinant) evaluates r as a tensor; jets
-serve only ``_jet_eval``, for evaluators with no table and as the
+Strong nondegeneracy compiles the block-diagonal structure of r and of
+transpose(r).P, as n^2 x n^2 matrices, once per call from the support, and
+tests each block on those integers.  No check evaluates r as a tensor;
+jets serve only ``_jet_eval``, for evaluators with no table and as the
 reference for the exact pricings.
 """
 
@@ -46,6 +48,7 @@ from .scalars import derive_rng
 from .tensors import (
     Residual,
     Tensor2,
+    _eliminate,
     flip_product_terms,
     kron2,
     matrix_inverse,
@@ -398,24 +401,34 @@ class _ProjectedR0(_Image):
     """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as a table
     priced at q_v: the image of the base's r0.
 
-    n pr(e_x) = n e_x, minus every diagonal e_d when e_x is diagonal (a
-    factor's flat part x is e_ii's exactly when x % (n + 1) == 0), so the
-    image of e_x1 (x) e_x2 is the product of its factors' over n^2.
+    n^2 (pr (x) pr) X = n^2 X - n (1 (x) tr1 X) - n (tr2 X (x) 1)
+    + (tr (x) tr)(X) (1 (x) 1) for each group's part X, the identity of
+    ``Tensor2.project_sl``: a factor's flat part x is e_ii's exactly when
+    x % (n + 1) == 0, tr1 traces the first factor, keyed by the second's
+    part, and tr2 the reverse.
     """
 
     def __init__(self, base):
         n = base.n
         nn = n * n
-        diag = [(d, -1) for d in range(0, nn, n + 1)]
-        factor = [[(x, n)] + (diag if x % (n + 1) == 0 else []) for x in range(nn)]
+        diag = range(0, nn, n + 1)
         rows = []
         for grp, part in _group_parts(base).items():
-            image = {}
+            image = {f: nn * mult for f, mult in part.items()}
+            tr1, tr2 = {}, {}
             for f, mult in part.items():
-                for x1, c1 in factor[f // nn]:
-                    for x2, c2 in factor[f % nn]:
-                        image[x1 * nn + x2] = image.get(x1 * nn + x2, 0) + mult * c1 * c2
-            rows += [(grp, g, c) for g, c in image.items() if c]
+                a, b = divmod(f, nn)
+                if a % (n + 1) == 0:
+                    tr1[b] = tr1.get(b, 0) + mult
+                if b % (n + 1) == 0:
+                    tr2[a] = tr2.get(a, 0) + mult
+            full = sum(tr1.get(d, 0) for d in diag)
+            corrections = [(d * nn + b, -n * t) for b, t in tr1.items() for d in diag]
+            corrections += [(a * nn + d, -n * t) for a, t in tr2.items() for d in diag]
+            corrections += [(d * nn + e, full) for d in diag for e in diag]
+            for f, c in corrections:
+                image[f] = image.get(f, 0) + c
+            rows += [(grp, f, c) for f, c in image.items() if c]
         super().__init__(base, rows, nn)
 
     def price(self, ring, q_v):
@@ -602,17 +615,84 @@ def check_skew(sol, num_points, seed, field, mutate=None) -> CheckReport:
                           _skew_fails(sol, field, mutate), mutate=mutate)
 
 
-def check_strong_nondegeneracy(sol, num_points, seed, field) -> CheckReport:
-    """Both r and transpose(r).P invertible as n^2 x n^2 matrices at each point."""
+def _block_plan(edges, m):
+    """The diagonal blocks of an m x m matrix whose entry e can be nonzero
+    only at edges[e] = (row, column), up to a permutation of its rows and
+    of its columns: the connected components of its row-column graph.
+
+    Each block is its size and its entries (row, column within the block,
+    e).  None when a block is not square, an empty row for one: the matrix
+    is then singular wherever it is evaluated.
+    """
+    parent = list(range(2 * m))  # the rows, then the columns
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row, col in edges:
+        parent[root(row)] = root(m + col)
+    blocks, place = {}, []
+    for x in range(2 * m):
+        lines = blocks.setdefault(root(x), ([], []))[x >= m]
+        place.append(len(lines))
+        lines.append(x)
+    if any(len(rows) != len(cols) for rows, cols in blocks.values()):
+        return None
+    entries = {b: [] for b in blocks}
+    for e, (row, col) in enumerate(edges):
+        entries[root(row)].append((place[row], place[m + col], e))
+    return [(len(blocks[b][0]), entries[b]) for b in blocks]
+
+
+def _nondegeneracy_fails(sol, field):
+    """The strong nondegeneracy test at one point (qu, qv): a note where r
+    or transpose_p(r), as an n^2 x n^2 matrix, is singular.
+
+    Both matrices hold the numerators at the support over den, in rows and
+    columns read off each flat (``transpose_p`` rotates its digits), so
+    their block plans are compiled here once from the support.  den != 0,
+    so the numerators decide: a 1 x 1 block by a nonzero test, a larger one
+    by ``_eliminate``.
+    """
+    n = sol.n
+    nn, n3 = n * n, n ** 3
+    plans = [_block_plan([divmod(f, nn) for f in sol.support], nn),
+             _block_plan([divmod(f % n3 * n + f // n3, nn) for f in sol.support], nn)]
+    if None in plans:
+        return lambda qu, qv: "degenerate point found"
+    blocks = list(chain.from_iterable(plans))
+    singles = [entries[0][2] for size, entries in blocks if size == 1]
+    blocks = [block for block in blocks if block[0] > 1]
+    reduce = field.reduce
 
     def fails(qu, qv):
-        r = sol.eval(field, qu, qv)
-        if r.tensor_rank()[1] and r.transpose_p().tensor_rank()[1]:
-            return None
-        return "degenerate point found"
+        vals, _ = sol.values(field, qu, qv)
+        if not all(map(reduce, map(vals.__getitem__, singles))):
+            return "degenerate point found"
+        for size, entries in blocks:
+            a = [[0] * size for _ in range(size)]
+            for i, j, e in entries:
+                a[i][j] = vals[e]
+            if not _eliminate(a, field):
+                return "degenerate point found"
+        return None
 
+    return fails
+
+
+def check_strong_nondegeneracy(sol, num_points, seed, field) -> CheckReport:
+    """Both r and transpose(r).P invertible as n^2 x n^2 matrices at each
+    point, tested block by block on the integer numerators of the table
+    (``_nondegeneracy_fails``); no tensor is built.
+
+    One point with an invertible r shows that det r is not identically
+    zero, so a PASS here is exact, not a sampled bound.
+    """
     return _sampled_check("strong-nondegeneracy", "nondeg", sol, num_points, seed,
-                          field, 2, fails)
+                          field, 2, _nondegeneracy_fails(sol, field))
 
 
 # -- residues and the CYBE limit -------------------------------------------------

@@ -313,6 +313,12 @@ def test_novikov_non_finite_input_is_one_error_line(flag, value, capsys):
     _assert_one_error_line(capsys, ["novikov", "%s=%s" % (flag, value)])
 
 
+@pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
+def test_novikov_non_positive_tolerance_is_one_error_line(value, capsys):
+    # no error could be below it, so every input failed with exit 1
+    _assert_one_error_line(capsys, ["novikov", "--tolerance=%s" % value])
+
+
 def test_pole_error_is_one_error_line(abd_file, capsys, monkeypatch):
     def no_point(*args, **kwargs):
         raise PoleError("could not find a pole-free sample tuple")

@@ -74,6 +74,12 @@ def test_raw_values_compute_the_field_operations(field, x, y):
         assert box(reduce(raw(a) * field.inverse(reduce(raw(a))))) == field.one
 
 
+def test_an_integer_numerator_inverts_exactly(field):
+    # integer numerators are raw values too: the nondegeneracy test
+    # eliminates blocks of a table's numerators
+    assert field.box(field.inverse(3)) == field.one / field.of_int(3)
+
+
 def test_box_nonzero_drops_exact_multiples_of_p(fp):
     p = fp.p
     got = fp.box_nonzero({0: p, 1: -2 * p, 2: p + 3, 3: -1, 4: 0})

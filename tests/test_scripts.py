@@ -3,6 +3,7 @@ benchmark-pair summary on canned result lines."""
 
 import importlib.util
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -202,3 +203,33 @@ def test_bench_pairs_names_a_run_with_no_result_line(stdout, message, tmp_path, 
     monkeypatch.setattr(bench, "resolve", lambda rev: "commit-" + rev)
     assert bench.main(["p", "c", "--workload", "aybe-fp", "--seeds", "13"]) == 2
     assert capsys.readouterr().err == message
+
+
+def test_bench_pairs_removes_its_copies_when_terminated(monkeypatch, capsys):
+    # SIGTERM during the first benchmark run, delivered by calling the
+    # handler the script installed: one error line, no copy left behind,
+    # and the previous handler back in place
+    bench = _bench_pairs()
+    copies = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        copies.append(Path(cwd))
+        handler = signal.getsignal(signal.SIGTERM)
+        assert callable(handler), "no SIGTERM handler is installed"
+        handler(signal.SIGTERM, None)
+        raise AssertionError("the SIGTERM handler returned")
+
+    def fake_checkout(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+        return dest
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench, "checkout", fake_checkout)
+    monkeypatch.setattr(bench, "resolve", lambda rev: "commit-" + rev)
+    before = signal.getsignal(signal.SIGTERM)
+    assert bench.main(["p", "c", "--workload", "limits-fp", "--seeds", "7"]) == 2
+    assert capsys.readouterr().err == "error: stopped by SIGTERM\n"
+    assert [copy.name for copy in copies] == ["parent"]
+    assert not copies[0].parent.exists()
+    assert signal.getsignal(signal.SIGTERM) is before

@@ -346,13 +346,16 @@ def test_even_gauge_table_is_the_conjugated_r(field):
                 == gauge_transform(base, phi, field).eval(field, qu, qv))
 
 
-class _Zero:
-    """The zero r-matrix: degenerate at every point."""
+class _Zero(trig_module._TableSolution):
+    """The zero r-matrix, an empty table: degenerate at every point."""
 
     n = 2
 
-    def eval(self, ring, q_u, q_v):
-        return Tensor2(2, ring)
+    def __init__(self):
+        self._set_rows((), ())
+
+    def price(self, ring, q_u, q_v):
+        return [], 1
 
 
 @pytest.mark.parametrize("check, sol, name, note", [
@@ -646,3 +649,57 @@ def test_a_corrupted_table_coefficient_fails_the_limits(field):
             assert all(verdicts) and all(notes), tag
             assert not check_cybe(bad, 1, 7, field).passed, tag
             assert not qybe_unitarity(bad, 1, 7, field).passed, tag
+
+
+# -- the compiled strong nondegeneracy test ---------------------------------------
+
+
+def _block_tables():
+    """n = 2 tables, (name, table, singular at every point), each flat
+    priced as group 0 (diagonal) or 1 (horizontal) of an n = 2 solution;
+    flat row * 4 + column of the 4 x 4 matrix.
+
+    The singular ones: a zero row, a 2 x 2 block of equal entries after an
+    invertible one, a 1 x 1 block whose rows cancel, P (invertible, but its
+    transpose_p has empty rows) and the empty table.  The invertible one
+    has a block on rows {0, 1} and columns {2, 3}: its rows and columns
+    are different index sets.
+    """
+    sol = TrigSolution(_n2_structure())
+    image = trig_module._Image
+    return [
+        ("zero-row", image(sol, [(g, f, 1) for g, f in zip(sol.groups, sol.flats) if f // 4]),
+         True),
+        ("proportional", image(sol, [(0, 0, 1), (1, 1, 1), (1, 4, 1), (0, 5, 1)]
+                               + [(0, f, 1) for f in (10, 11, 14, 15)]), True),
+        ("cancelled", image(sol, [(0, f, 1) for f in (0, 5, 10, 15)] + [(0, 5, -1)]), True),
+        ("p", image(sol, [(0, f, 1) for f in (0, 6, 9, 15)]), True),
+        ("empty", _Zero(), True),
+        ("crossed", image(sol, [(0, 2, 1), (1, 3, 1), (1, 6, 1), (0, 7, 1), (0, 8, 1),
+                                (0, 13, 1)]), False),
+    ]
+
+
+def _pin_nondegeneracy(sol, field, tag):
+    """The compiled verdicts equal the dense determinants' at two points."""
+    fails = trig_module._nondegeneracy_fails(sol, field)
+    rng = derive_rng(41, "nondeg", tag, field.name)
+    verdicts = []
+    for _ in range(2):
+        qu, qv = _pole_free(field, rng, sol.n, 2)
+        r = sol.eval(field, qu, qv)
+        invertible = r.tensor_rank()[1] and r.transpose_p().tensor_rank()[1]
+        verdict = fails(qu, qv)
+        assert (verdict is None) == invertible, tag
+        verdicts.append(verdict)
+    return verdicts
+
+
+def test_compiled_nondegeneracy_matches_the_dense_reference(field):
+    for s in _compiled_corpus():
+        for kind, sol in _kinds(s, field):
+            tag = "%s %s" % (kind, s.label())
+            assert not any(_pin_nondegeneracy(sol, field, tag)), tag
+    for name, sol, singular in _block_tables():
+        verdicts = _pin_nondegeneracy(sol, field, name)
+        assert [bool(v) for v in verdicts] == [singular] * len(verdicts), name
