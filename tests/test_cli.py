@@ -315,7 +315,7 @@ def test_novikov_non_finite_input_is_one_error_line(flag, value, capsys):
 
 @pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
 def test_novikov_non_positive_tolerance_is_one_error_line(value, capsys):
-    # no error could be below it, so every input failed with exit 1
+    # no error is below such a tolerance, so every input would fail with exit 1
     _assert_one_error_line(capsys, ["novikov", "--tolerance=%s" % value])
 
 
