@@ -174,16 +174,16 @@ def cmd_hat(args):
     return _emit_checks(args, run)
 
 
-def _residues_ok(sol, other, field):
-    """(residue at u = 0 is 1 (x) 1, residue at v = 0 is P), both exact;
-    ``other`` is read only by an evaluator with no table (``residues``)."""
-    return (residues(sol, "u", other, field) == Tensor2.unit(sol.n, field),
-            residues(sol, "v", other, field) == transposition_p(sol.n, field))
+def _residues_ok(sol, field):
+    """(residue at u = 0 is 1 (x) 1, residue at v = 0 is P), both read
+    exactly off the table, with no point."""
+    return (residues(sol, "u", None, field) == Tensor2.unit(sol.n, field),
+            residues(sol, "v", None, field) == transposition_p(sol.n, field))
 
 
 def cmd_residues(args):
-    sol, field, (other,) = _sampled(args, "residues", 1)
-    ok_u, ok_v = _residues_ok(sol, other, field)
+    sol, field, _ = _sampled(args)
+    ok_u, ok_v = _residues_ok(sol, field)
     emit(
         {
             "residue_u_is_unit": ok_u,
@@ -281,11 +281,12 @@ def cmd_abd_iso(args):
 def run_suite(structures, points, seed, field, mutate=False):
     """Run the identity checks over a catalog; deterministic given inputs.
 
-    Per structure: the randomized AYBE and skew checks, the polar-term
-    extraction, the surface Euler characteristic counted from its cells, and the
-    rectangle-count comparison against the closed form; then a seeded batch
-    of bundle-chain checks.  In mutation mode the randomized checks and the
-    comparison run with one corrupted coefficient and are expected to fail.
+    Per structure: the randomized AYBE and skew checks, the residues read
+    exactly off the table, the surface Euler characteristic counted from its
+    cells, and the rectangle-count comparison against the closed form at a
+    point; then a seeded batch of bundle-chain checks.  In mutation mode the
+    randomized checks and the comparison read r's table with one more row,
+    priced 1, at (0, 0, 0, 0) (``trig._corrupted``), and are expected to fail.
     """
     from .surface import euler_characteristic, topological_invariants
 
@@ -300,10 +301,8 @@ def run_suite(structures, points, seed, field, mutate=False):
         rep = check_skew(sol, points, seed, field, mutate=mut)
         rep.check = "skew[%s]" % tag
         reports.append(rep)
-        rng = derive_rng(seed, "suite-res", field.name, tag)
-        (other,) = trig._pole_free(field, rng, s.n, 1)
         with CheckReport.timed("residues[%s]" % tag, 2, seed, field.name) as rep:
-            rep.failures = sum(not ok for ok in _residues_ok(sol, other, field))
+            rep.failures = sum(not ok for ok in _residues_ok(sol, field))
         reports.append(rep)
         with CheckReport.timed("surface-euler[%s]" % tag, 1, seed, field.name) as rep:
             surf = build_surface(s)
@@ -311,9 +310,10 @@ def run_suite(structures, points, seed, field, mutate=False):
             rep.failures = int(euler_characteristic(surf) != 2 - 2 * genus)
         reports.append(rep)
         with CheckReport.timed("massey-compare[%s]" % tag, 1, seed, field.name) as rep:
+            rng = derive_rng(seed, "suite-res", field.name, tag)
             qu, qv = trig._pole_free(field, rng, s.n, 2)
-            mt = trig._mutated(massey_tensor(sol, qu, qv, field).tensor, mut, field)
-            rep.failures = int(mt != sol.eval(field, qu, qv))
+            mt = massey_tensor(sol, qu, qv, field).tensor
+            rep.failures = int(mt != trig._corrupted(sol, mut).eval(field, qu, qv))
         reports.append(rep)
     # seeded bundle-chain batch
     rng = derive_rng(seed, "suite-bundles", field.name)
@@ -365,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the shared flags, each given only to the commands that read it
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="json")
-    sampled = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    sampled.add_argument("--field", default="q", help="scalar backend: q or fp:<prime>")
+    exact = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    exact.add_argument("--field", default="q", help="scalar backend: q or fp:<prime>")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[exact])
     sampled.add_argument("--seed", type=int, default=7, help="root RNG seed")
     checked = argparse.ArgumentParser(add_help=False, parents=[sampled])
     checked.add_argument("--points", type=int, default=25, help="points per check")
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mutate", action="store_true")
     p.set_defaults(func=cmd_check_skew)
 
-    p = sub.add_parser("residues", parents=[sampled], help="polar term extraction")
+    p = sub.add_parser("residues", parents=[exact], help="polar term extraction")
     p.add_argument("--abd", required=True)
     p.set_defaults(func=cmd_residues)
 

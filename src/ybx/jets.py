@@ -4,12 +4,12 @@ A jet stores coefficients for the exponents ``lo .. hi-1`` together with the
 guarantee that every exponent below ``lo`` has coefficient zero.  ``hi=None``
 marks an exact Laurent polynomial (all higher coefficients are zero too).
 Arithmetic tracks the truncation bound exactly: a result never claims a
-coefficient that is not determined by the operands.
+coefficient that is not determined by the operands.  Jets add, subtract and
+multiply (with jets and ints) and invert; there is no division and no power,
+since r is priced with none (``trig.price_terms``).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class JetPrecisionError(ArithmeticError):
@@ -98,12 +98,7 @@ class LaurentJet:
             return other
         if isinstance(other, int):
             return LaurentJet.constant(self.field, self.field.of_int(other), self.var)
-        if isinstance(other, Fraction):
-            return LaurentJet.constant(self.field, self.field.of_fraction(other), self.var)
-        try:
-            return LaurentJet.constant(self.field, self.field.one * other, self.var)
-        except TypeError:
-            return None
+        return None
 
     def __add__(self, other):
         other = self._wrap(other)
@@ -122,8 +117,6 @@ class LaurentJet:
         coeffs = [self.coefficient(e) + other.coefficient(e) for e in range(lo, hi)]
         return LaurentJet(self.field, lo, coeffs, hi, self.var)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentJet(self.field, self.lo, [-c for c in self.coeffs], self.hi, self.var)
 
@@ -132,12 +125,6 @@ class LaurentJet:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._wrap(other)
@@ -193,32 +180,6 @@ class LaurentJet:
             inv.append(-acc / lead)
         return LaurentJet(self.field, -self.lo, inv, -self.lo + rel, self.var)
 
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = LaurentJet.one(self.field, self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
-
 
 class JetRing:
     """Ring adapter so jet-valued evaluation reuses the scalar code paths."""
@@ -229,12 +190,6 @@ class JetRing:
         self.zero = LaurentJet.zero(field, var)
         self.one = LaurentJet.one(field, var)
         self.name = "jet(%s)" % field.name
-
-    def of_int(self, k: int) -> LaurentJet:
-        return LaurentJet.constant(self.field, self.field.of_int(k), self.var)
-
-    def of_fraction(self, q: Fraction) -> LaurentJet:
-        return LaurentJet.constant(self.field, self.field.of_fraction(q), self.var)
 
     def constant(self, c) -> LaurentJet:
         return LaurentJet.constant(self.field, c, self.var)
@@ -254,17 +209,13 @@ class JetRing:
 
 
 def exp_jet(field, scale, order: int, var="u") -> LaurentJet:
-    """The jet of exp(scale * u) truncated after degree ``order``.
-
-    ``scale`` may be a Fraction or a field element.  The factorials are
-    invertible: every backend has characteristic 0 or p > 10**9.
+    """The jet of exp(scale * u) truncated after degree ``order``, for a
+    Fraction ``scale``.  The factorials are invertible: every backend has
+    characteristic 0 or p > 10**9.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if isinstance(scale, Fraction):
-        scale = field.of_fraction(scale)
-    elif isinstance(scale, int):
-        scale = field.of_int(scale)
+    scale = field.of_fraction(scale)
     coeffs = [field.one]
     power = field.one
     fact = 1

@@ -236,11 +236,14 @@ class ABDStructure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ABDStructure":
+        a = tuple(json_int(x, "a") for x in d["a"])
+        if len(set(a)) != len(a):
+            raise ValueError("a repeats a point: %r" % (list(a),))
         return cls(
             n=json_int(d["n"], "n"),
             c1=Permutation(tuple(json_int(x, "c1") for x in d["c1"])),
             c2=Permutation(tuple(json_int(x, "c2") for x in d["c2"])),
-            a=tuple(json_int(x, "a") for x in d["a"]),
+            a=a,
         )
 
 

@@ -24,7 +24,9 @@ the hat's a rotation of the flat indices priced with u and v exchanged.
 The AYBE, skew, CYBE, QYBE and unitarity checks compile their residual once
 per call (``tensors.Residual``) over the support, the distinct flats, and
 test it for zero at each point on those integers, each flat's rows summed:
-no field element is boxed and no tensor is built.  The residues are read
+no field element is boxed and no tensor is built.  A mutated check reads
+its corrupted factor off a table with one more row, priced 1, at the
+mutation slot (``_corrupted``).  The residues are read
 off the table exactly (``residue_prices``), with no point and no jets.
 Strong nondegeneracy compiles the block-diagonal structure of r and of
 transpose(r).P, as n^2 x n^2 matrices, once per call from the support, and
@@ -497,16 +499,26 @@ def _slot_flat(n, slot) -> int:
     return f
 
 
-def _mutated(t: Tensor2, slot, ring) -> Tensor2:
-    """t with ring.one added at ``slot``; t itself when ``slot`` is None."""
+class _PlusOne(_TableSolution):
+    """The base table with one more row, at flat ``f`` in group 0, priced
+    den / den = 1; the base's groups are shifted up by one.  ``price``
+    forwards any point, so any base's price works."""
+
+    def __init__(self, base, f):
+        self.n, self._base_price = base.n, base.price
+        self._set_rows((0,) + tuple(g + 1 for g in base.groups), (f,) + base.flats)
+
+    def price(self, ring, *point):
+        nums, den = self._base_price(ring, *point)
+        return [den] + nums, den
+
+
+def _corrupted(sol, slot):
+    """sol with 1 added at the mutation slot (i, j, k, l), as a table with
+    one more row; sol itself when ``slot`` is None."""
     if slot is None:
-        return t
-    f = _slot_flat(t.n, slot)
-    data = dict(t.data)
-    v = data.pop(f, ring.zero) + ring.one
-    if v:
-        data[f] = v
-    return Tensor2(t.n, ring, data)
+        return sol
+    return _PlusOne(sol, _slot_flat(sol.n, slot))
 
 
 def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
@@ -536,36 +548,23 @@ def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
 # -- identity checks -----------------------------------------------------------
 
 
-def _corrupted_flats(sol, mutate):
-    """The solution's support, plus the mutation slot's flat when ``mutate``
-    is set.
-
-    The extra entry is priced 1: its value is the evaluation's den.
-    """
-    if mutate is None:
-        return sol.support
-    return sol.support + (_slot_flat(sol.n, mutate),)
-
-
 def _aybe_fails(sol, field, mutate=None):
     """The AYBE test at one point (qu, qu', qv, qv'): True where the
     residual, compiled here once from the support, does not vanish."""
-    flats = sol.support
-    program = pair_residual(sol.n, [(1, _corrupted_flats(sol, mutate), 12, flats, 13),
+    flats, first = sol.support, _corrupted(sol, mutate)
+    program = pair_residual(sol.n, [(1, first.support, 12, flats, 13),
                                     (-1, flats, 23, flats, 12),
                                     (1, flats, 13, flats, 23)])
 
     def fails(qu, qup, qv, qvp):
-        values, dens = zip(*(sol.values(field, *point) for point in (
-            (qup ** -1, qv),            # r(-u', v)
-            (qu * qup, qv * qvp),       # r(u+u', v+v')
-            (qu * qup, qvp),            # r(u+u', v')
-            (qu, qv),                   # r(u, v)
-            (qu, qv * qvp),             # r(u, v+v')
-            (qup, qvp),                 # r(u', v')
+        values, dens = zip(*(t.values(field, *point) for t, point in (
+            (first, (qup ** -1, qv)),       # r(-u', v), corrupted when mutated
+            (sol, (qu * qup, qv * qvp)),    # r(u+u', v+v')
+            (sol, (qu * qup, qvp)),         # r(u+u', v')
+            (sol, (qu, qv)),                # r(u, v)
+            (sol, (qu, qv * qvp)),          # r(u, v+v')
+            (sol, (qup, qvp)),              # r(u', v')
         )))
-        if mutate is not None:
-            values[0].append(dens[0])
         return not program.is_zero(field, values, dens)
 
     return fails
@@ -575,10 +574,11 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     """AYBE residual r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v)
     + r13(u,v+v') r23(u',v') at seeded random points (must vanish).
 
-    With ``mutate`` set to an index 4-tuple, one coefficient of the first
-    factor is corrupted before combining; ``failures`` then counts the
-    points where the corruption was detected (the honest reading: the
-    identity fails there), so a working check reports a failing run.
+    With ``mutate`` set to an index 4-tuple, the first factor is read off
+    r's table with one more row, priced 1, at that entry (``_corrupted``);
+    ``failures`` then counts the points where the corruption was detected
+    (the honest reading: the identity fails there), so a working check
+    reports a failing run.
     """
     n, one = sol.n, field.one
     extra = (
@@ -593,17 +593,15 @@ def _skew_fails(sol, field, mutate=None):
     """The skew test at one point (qu, qv): True where flip(r(-u,-v)) + r(u,v),
     compiled here once from the support, does not vanish."""
     nn = sol.n ** 2
-    flats, pos = sol.support, _corrupted_flats(sol, mutate)
-    program = Residual((len(flats), len(pos)), [
+    flats, right = sol.support, _corrupted(sol, mutate)
+    program = Residual((len(flats), len(right.support)), [
         (1, (0,), [f % nn * nn + f // nn for f in flats], (range(len(flats)),)),
-        (1, (1,), pos, (range(len(pos)),)),
+        (1, (1,), right.support, (range(len(right.support)),)),
     ])
 
     def fails(qu, qv):
         neg, den_neg = sol.values(field, qu ** -1, qv ** -1)
-        pos, den = sol.values(field, qu, qv)
-        if mutate is not None:
-            pos.append(den)
+        pos, den = right.values(field, qu, qv)
         return not program.is_zero(field, (neg, pos), (den_neg, den))
 
     return fails
@@ -761,15 +759,15 @@ def _cybe_fails(sol, field, mutate=None):
     [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once from the support
     of rbar0 = (pr (x) pr) r0, does not vanish."""
     rbar0 = _ProjectedR0(sol)
-    flats, xs = rbar0.support, _corrupted_flats(rbar0, mutate)
+    x_table = _corrupted(rbar0, mutate)
+    flats, xs = rbar0.support, x_table.support
     program = pair_residual(sol.n, [(1, xs, 12, flats, 13), (-1, flats, 13, xs, 12),
                                     (1, xs, 12, flats, 23), (-1, flats, 23, xs, 12),
                                     (1, flats, 13, flats, 23), (-1, flats, 23, flats, 13)])
 
     def fails(qv, qvp):
-        (x, dx), (y, dy), (z, dz) = (rbar0.values(field, q) for q in (qv, qv * qvp, qvp))
-        if mutate is not None:
-            x.append(dx)
+        (x, dx), (y, dy), (z, dz) = (t.values(field, q) for t, q in (
+            (x_table, qv), (rbar0, qv * qvp), (rbar0, qvp)))
         return not program.is_zero(field, [x, y, y, x, x, z, z, x, y, z, z, y],
                                    [dx, dy, dy, dx, dx, dz, dz, dx, dy, dz, dz, dy])
 
@@ -783,7 +781,8 @@ def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckR
     r0 is priced exactly from the solution's table, and pr (x) pr is a
     linear image of that table, so ``jet_order`` no longer changes the
     result; it is accepted for callers that pass it.  With ``mutate`` set
-    to an index 4-tuple, 1 is added to X at that entry.
+    to an index 4-tuple, X is read off rbar0's table with one more row,
+    priced 1, at that entry (``_corrupted``).
     """
     n, one = sol.n, field.one
     extra = (lambda a, b: (a * b) ** (2 * n) - one,)

@@ -48,7 +48,7 @@ def test_classical_expansion(d):
 
 def test_prime_field_jets(fp):
     j = exp_jet(fp, Fraction(1, 4), 5)
-    prod = j * j ** -1
+    prod = j * j.inverse()
     assert prod.coefficient(0) == fp.one
     assert all(prod.coefficient(k) == fp.zero for k in range(1, 6))
 
@@ -56,7 +56,7 @@ def test_prime_field_jets(fp):
 def test_division_exact_to_tracked_order():
     a = jet(-1, [2, 3, 5, 7], 3)
     b = jet(0, [1, 4, 1, 1], 4)
-    q = a / b
+    q = a * b.inverse()
     back = q * b
     for e in range(-1, min(3, q.hi + 0)):
         assert back.coefficient(e) == a.coefficient(e)
@@ -107,8 +107,6 @@ def test_jet_ring():
     ring = JetRing(RATIONAL)
     assert ring.one.coefficient(0) == 1
     assert not ring.zero
-    x = ring.of_fraction(Fraction(3, 7))
-    assert (x * ring.of_int(7)).coefficient(0) == 3
 
 
 def test_exp_jet_order_floor(fp):

@@ -436,12 +436,15 @@ def _reference_aybe_fails(sol, field, slot, qu, qup, qv, qvp):
     evals = [sol.eval(field, *point) for point in (
         (qup ** -1, qv), (qu * qup, qv * qvp), (qu * qup, qvp),
         (qu, qv), (qu, qv * qvp), (qup, qvp))]
-    evals[0] = trig_module._mutated(evals[0], slot, field)
+    if slot is not None:
+        evals[0] = evals[0] + Tensor2.basis(sol.n, field, *slot)
     return not aybe_combine(*evals).is_zero()
 
 
 def _reference_skew_fails(sol, field, slot, qu, qv):
-    r = trig_module._mutated(sol.eval(field, qu, qv), slot, field)
+    r = sol.eval(field, qu, qv)
+    if slot is not None:
+        r = r + Tensor2.basis(sol.n, field, *slot)
     return not (sol.eval(field, qu ** -1, qv ** -1).flip() + r).is_zero()
 
 
@@ -540,7 +543,9 @@ def _jet_r0(sol, field, qv):
 
 def _reference_cybe_fails(sol, field, slot, qv, qvp):
     x, y, z = (_jet_r0(sol, field, q).project_sl() for q in (qv, qv * qvp, qvp))
-    return not cybe_residual(trig_module._mutated(x, slot, field), y, z).is_zero()
+    if slot is not None:
+        x = x + Tensor2.basis(sol.n, field, *slot)
+    return not cybe_residual(x, y, z).is_zero()
 
 
 def _reference_qybe_note(sol, field, qu, qv, qvp):
@@ -703,3 +708,30 @@ def test_compiled_nondegeneracy_matches_the_dense_reference(field):
     for name, sol, singular in _block_tables():
         verdicts = _pin_nondegeneracy(sol, field, name)
         assert [bool(v) for v in verdicts] == [singular] * len(verdicts), name
+
+
+# -- mutation as a table row ------------------------------------------------------
+
+
+def test_corrupted_table_is_r_plus_one_at_the_slot(field):
+    # every kind of table, and rbar0, priced at one argument; an n = 1 rbar0
+    # and the empty table have no rows at all
+    projected = trig_module._ProjectedR0
+    tables = [("%s %s" % (kind, s.label()), sol)
+              for s in _compiled_corpus() for kind, sol in _kinds(s, field)]
+    tables += [(name, sol) for name, sol, _ in _block_tables()]
+    tables += [(tag + " rbar0", projected(sol)) for tag, sol in tables
+               if not isinstance(sol, _Zero)]
+    for tag, sol in tables:
+        n = sol.n
+        rng = derive_rng(42, "plus-one", tag, field.name)
+        point = _pole_free(field, rng, n, 1 if isinstance(sol, projected) else 2)
+        slots = [tuple(rng.randrange(n) for _ in range(4)), (0, 0, 0, 0)]
+        if sol.support:
+            f = sol.support[len(sol.support) // 2]
+            slots.append(tuple(f // n ** p % n for p in (3, 2, 1, 0)))
+        assert trig_module._corrupted(sol, None) is sol, tag
+        for slot in slots:
+            bad = trig_module._corrupted(sol, slot)
+            assert (bad.eval(field, *point)
+                    == sol.eval(field, *point) + Tensor2.basis(n, field, *slot)), (tag, slot)
