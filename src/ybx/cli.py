@@ -90,10 +90,10 @@ def _emit_text(payload, indent=0):
         print("%s%s" % (pad, payload))
 
 
-def report_payload(reports, with_timing=False) -> dict:
+def report_payload(reports) -> dict:
     reports = list(reports)
     return {
-        "checks": [r.to_json_dict(with_timing=with_timing) for r in reports],
+        "checks": [r.to_json_dict() for r in reports],
         "pass": all(r.passed for r in reports),
     }
 

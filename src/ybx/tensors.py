@@ -24,12 +24,12 @@ same shape: each factor's key digits and the output positions of its
 others.  ``_rule_terms`` reads any rule into terms (outs, xs, ys), and the
 reference products (``_contract``) and the compiled residuals
 (``Residual``) both consume those terms.  A ``Residual`` is compiled once
-from the supports of its factors (``pair_residual`` of pair products,
-``triple_residual`` joining a third factor to them); at each point it takes
-every factor's integer numerators and denominator and tests each output
-entry for zero with C-level gathers, products and running sums, boxing
-nothing.  The tensor products stay as the reference those residuals are
-tested against.
+from the supports of its distinct evaluations (``pair_residual``,
+``triple_residual``), each job naming its factors by index; at each point it
+takes every evaluation once, as the (nums, den) pair a table's ``values``
+returns, and tests each output entry for zero with C-level gathers, products
+and running sums, boxing nothing.  The tensor products stay as the
+reference those residuals are tested against.
 """
 
 from __future__ import annotations
@@ -366,55 +366,62 @@ def _join_entries(n, flats, key_pos, out_pos, width):
 
 
 class Residual:
-    """A residual compiled once from the supports of its factors.
+    """A residual compiled once from the supports of its evaluations.
 
     Its factors are evaluations: evaluation e is a list of ``sizes[e]``
     values at fixed rows.  A job is (sign, evals, outs, rows): its k-th
     term adds sign times the product, over the job's evaluations evals[p],
     of the value at row rows[p][k] to the output entry outs[k].  Every job
-    has the same number of factors, and an evaluation is a factor of at
-    most one job.
+    has the same number of factors, and a job's factors are distinct
+    evaluations (a ValueError otherwise); an evaluation may be a factor of
+    any number of jobs.
 
     Only the values change from point to point, so the terms are sorted by
-    output entry once: ``cols[p]`` indexes each term's p-th factor in the
-    concatenation of all evaluations, and ``last`` marks each entry's last
-    term.
+    output entry once.  Each (job, factor) owns a slot of the values, in
+    job order, and ``cols[p]`` indexes each term's p-th factor in the
+    concatenation of those slots; ``last`` marks each entry's last term.
     """
 
     def __init__(self, sizes, jobs):
-        offsets = list(accumulate(sizes, initial=0))
+        self.sizes = list(sizes)
         self.jobs = [(sign, evals) for sign, evals, _, _ in jobs]
+        if any(len(set(evals)) != len(evals) for _, evals in self.jobs):
+            raise ValueError("a job's factors must be distinct evaluations")
         outs = list(chain.from_iterable(job_outs for _, _, job_outs, _ in jobs))
         order = sorted(range(len(outs)), key=outs.__getitem__)
         outs = list(map(outs.__getitem__, order))
-        self.cols = []
-        for p in range(len(jobs[0][1])):
-            col = []
-            for _, evals, _, rows in jobs:
-                col += map(add, rows[p], repeat(offsets[evals[p]]))
-            self.cols.append(list(map(col.__getitem__, order)))
+        cols, offset = [[] for _ in jobs[0][1]], 0
+        for _, evals, _, rows in jobs:
+            for col, e, factor_rows in zip(cols, evals, rows):
+                col += map(add, factor_rows, repeat(offset))
+                offset += self.sizes[e]
+        self.cols = [list(map(col.__getitem__, order)) for col in cols]
         self.last = list(map(ne, outs, outs[1:])) + [True]
 
-    def is_zero(self, ring, values, dens) -> bool:
-        """Whether the residual vanishes when evaluation e holds
-        values[e] / dens[e]: integer numerators over one nonzero denominator.
+    def is_zero(self, ring, evaluations) -> bool:
+        """Whether the residual vanishes when evaluation e is evaluations[e]
+        = (nums, den), integer numerators over one nonzero denominator, as
+        a table's ``values`` returns them; ValueError where the sizes differ
+        from the compiled ones.
 
-        Each job's first factor is scaled by the other evaluations' dens, so
-        the sums run on plain ints.  The running sum of the sorted terms is
-        zero at every entry's last term iff every entry is, and ``ring.reduce``
-        tests each of those sums for zero.
+        Each job's first factor is scaled by the dens of the evaluations it
+        does not read, so the sums run on plain ints.  The running sum of the
+        sorted terms is zero at every entry's last term iff every entry is,
+        and ``ring.reduce`` tests each of those sums for zero.
         """
+        sizes = [len(nums) for nums, _ in evaluations]
+        if sizes != self.sizes:
+            raise ValueError("evaluation sizes %r, compiled for %r" % (sizes, self.sizes))
         reduce = ring.reduce
-        scales = {}
+        flat = []
         for sign, evals in self.jobs:
             scale = sign
-            for e, den in enumerate(dens):
+            for e, (_, den) in enumerate(evaluations):
                 if e not in evals:
                     scale = reduce(scale * den)
-            scales[evals[0]] = scale
-        flat = []
-        for e, vals in enumerate(values):
-            flat += map(reduce, map(mul, vals, repeat(scales[e]))) if e in scales else vals
+            flat += map(reduce, map(mul, evaluations[evals[0]][0], repeat(scale)))
+            for e in evals[1:]:
+                flat += evaluations[e][0]
         get = flat.__getitem__
         terms = map(get, self.cols[0])
         for col in self.cols[1:]:
@@ -453,42 +460,41 @@ def _pair_terms(n, flats_a, sa, flats_b, sb):
     return _rule_terms(n, _PAIR_RULES[(sa, sb)], 6, flats_a, flats_b)
 
 
-def pair_residual(n, jobs) -> Residual:
-    """The compiled residual of signed pair products a^sa . b^sb, each job
-    given as (sign, flats_a, sa, flats_b, sb): job j's factors are
-    evaluations 2j and 2j + 1, whose values sit at the listed flat indices
-    (a flat may repeat)."""
-    sizes, compiled = [], []
-    for j, (sign, flats_a, sa, flats_b, sb) in enumerate(jobs):
-        outs, xs, ys = _pair_terms(n, flats_a, sa, flats_b, sb)
-        sizes += (len(flats_a), len(flats_b))
-        compiled.append((sign, (2 * j, 2 * j + 1), outs, (xs, ys)))
-    return Residual(sizes, compiled)
+def pair_residual(n, supports, jobs) -> Residual:
+    """The compiled residual of signed pair products a^sa . b^sb over
+    evaluations whose values sit at the flat indices ``supports[e]`` (a
+    flat may repeat), each job given as (sign, a, sa, b, sb) with a and b
+    distinct evaluation indices."""
+    compiled = []
+    for sign, a, sa, b, sb in jobs:
+        outs, xs, ys = _pair_terms(n, supports[a], sa, supports[b], sb)
+        compiled.append((sign, (a, b), outs, (xs, ys)))
+    return Residual(map(len, supports), compiled)
 
 
-def triple_residual(n, jobs) -> Residual:
-    """The compiled residual of signed triple products a^sa . b^sb . c^sc,
-    each job given as (sign, flats_a, sa, flats_b, sb, flats_c, sc), with
-    (sa, sb) a ``_PAIR_RULES`` pair and sc one of 12, 13, 23: job j's factors are
-    evaluations 3j, 3j + 1 and 3j + 2.
+def triple_residual(n, supports, jobs) -> Residual:
+    """The compiled residual of signed triple products a^sa . b^sb . c^sc
+    over evaluations at the flat indices ``supports[e]``, each job given as
+    (sign, a, sa, b, sb, c, sc) with a, b and c distinct evaluation
+    indices, (sa, sb) a ``_PAIR_RULES`` pair and sc one of 12, 13, 23.
 
     Each term of a^sa . b^sb meets the entries of c whose row digits equal
     its column digits in c's two slots; the product puts c's column digits
     there.
     """
-    sizes, compiled = [], []
-    for j, (sign, flats_a, sa, flats_b, sb, flats_c, sc) in enumerate(jobs):
-        outs, xs, ys = _pair_terms(n, flats_a, sa, flats_b, sb)
+    compiled = []
+    for sign, a, sa, b, sb, c, sc in jobs:
+        outs, xs, ys = _pair_terms(n, supports[a], sa, supports[b], sb)
         # the column digit of slot s sits at position 2s - 1 of six
         s, t = divmod(sc, 10)
         ws, wt = n ** (6 - 2 * s), n ** (6 - 2 * t)
         cols = [(o // ws % n, o // wt % n) for o in outs]
         left = [(cs * n + ct, o - cs * ws - ct * wt) for o, (cs, ct) in zip(outs, cols)]
-        outs, ts, zs = _join(left, _join_entries(n, flats_c, (0, 2), (2 * s - 1, 2 * t - 1), 6))
-        sizes += (len(flats_a), len(flats_b), len(flats_c))
-        compiled.append((sign, (3 * j, 3 * j + 1, 3 * j + 2), outs,
+        outs, ts, zs = _join(left, _join_entries(n, supports[c], (0, 2),
+                                                 (2 * s - 1, 2 * t - 1), 6))
+        compiled.append((sign, (a, b, c), outs,
                          (list(map(xs.__getitem__, ts)), list(map(ys.__getitem__, ts)), zs)))
-    return Residual(sizes, compiled)
+    return Residual(map(len, supports), compiled)
 
 
 def flip_product_terms(n, flats_a, flats_b):

@@ -22,11 +22,11 @@ fixed per solution: rows with integer coefficients over one denominator,
 the hat's a rotation of the flat indices priced with u and v exchanged.
 
 The AYBE, skew, CYBE, QYBE and unitarity checks compile their residual once
-per call (``tensors.Residual``) over the support, the distinct flats, and
-test it for zero at each point on those integers, each flat's rows summed:
-no field element is boxed and no tensor is built.  A mutated check reads
-its corrupted factor off a table with one more row, priced 1, at the
-mutation slot (``_corrupted``).  The residues are read
+per call (``tensors.Residual``) over the supports, the distinct flats, and
+test it at each point on each distinct evaluation once, as the (nums, den)
+pair ``values`` returns: no field element is boxed and no tensor is built.
+A mutated check reads its corrupted factor off a table with one more row,
+priced 1, at the mutation slot (``_corrupted``).  The residues are read
 off the table exactly (``residue_prices``), with no point and no jets.
 Strong nondegeneracy compiles the block-diagonal structure of r and of
 transpose(r).P, as n^2 x n^2 matrices, once per call from the support, and
@@ -552,20 +552,18 @@ def _aybe_fails(sol, field, mutate=None):
     """The AYBE test at one point (qu, qu', qv, qv'): True where the
     residual, compiled here once from the support, does not vanish."""
     flats, first = sol.support, _corrupted(sol, mutate)
-    program = pair_residual(sol.n, [(1, first.support, 12, flats, 13),
-                                    (-1, flats, 23, flats, 12),
-                                    (1, flats, 13, flats, 23)])
+    program = pair_residual(sol.n, [first.support] + [flats] * 5,
+                            [(1, 0, 12, 1, 13), (-1, 2, 23, 3, 12), (1, 4, 13, 5, 23)])
 
     def fails(qu, qup, qv, qvp):
-        values, dens = zip(*(t.values(field, *point) for t, point in (
+        return not program.is_zero(field, [t.values(field, *point) for t, point in (
             (first, (qup ** -1, qv)),       # r(-u', v), corrupted when mutated
             (sol, (qu * qup, qv * qvp)),    # r(u+u', v+v')
             (sol, (qu * qup, qvp)),         # r(u+u', v')
             (sol, (qu, qv)),                # r(u, v)
             (sol, (qu, qv * qvp)),          # r(u, v+v')
             (sol, (qup, qvp)),              # r(u', v')
-        )))
-        return not program.is_zero(field, values, dens)
+        )])
 
     return fails
 
@@ -600,9 +598,8 @@ def _skew_fails(sol, field, mutate=None):
     ])
 
     def fails(qu, qv):
-        neg, den_neg = sol.values(field, qu ** -1, qv ** -1)
-        pos, den = right.values(field, qu, qv)
-        return not program.is_zero(field, (neg, pos), (den_neg, den))
+        return not program.is_zero(field, (sol.values(field, qu ** -1, qv ** -1),
+                                           right.values(field, qu, qv)))
 
     return fails
 
@@ -760,16 +757,15 @@ def _cybe_fails(sol, field, mutate=None):
     of rbar0 = (pr (x) pr) r0, does not vanish."""
     rbar0 = _ProjectedR0(sol)
     x_table = _corrupted(rbar0, mutate)
-    flats, xs = rbar0.support, x_table.support
-    program = pair_residual(sol.n, [(1, xs, 12, flats, 13), (-1, flats, 13, xs, 12),
-                                    (1, xs, 12, flats, 23), (-1, flats, 23, xs, 12),
-                                    (1, flats, 13, flats, 23), (-1, flats, 23, flats, 13)])
+    x, y, z = 0, 1, 2
+    program = pair_residual(sol.n, [x_table.support, rbar0.support, rbar0.support],
+                            [(1, x, 12, y, 13), (-1, y, 13, x, 12), (1, x, 12, z, 23),
+                             (-1, z, 23, x, 12), (1, y, 13, z, 23), (-1, z, 23, y, 13)])
 
     def fails(qv, qvp):
-        (x, dx), (y, dy), (z, dz) = (t.values(field, q) for t, q in (
-            (x_table, qv), (rbar0, qv * qvp), (rbar0, qvp)))
-        return not program.is_zero(field, [x, y, y, x, x, z, z, x, y, z, z, y],
-                                   [dx, dy, dy, dx, dx, dz, dz, dx, dy, dz, dz, dy])
+        return not program.is_zero(field, [x_table.values(field, qv),
+                                           rbar0.values(field, qv * qvp),
+                                           rbar0.values(field, qvp)])
 
     return fails
 
@@ -812,20 +808,17 @@ def _qybe_fails(sol, field):
     unit = [d * nn + e for d in range(0, nn, n + 1) for e in range(0, nn, n + 1)]
     unitarity = Residual((len(flats), len(flats), 1, nn), [
         (1, (0, 1), outs, (xs, ys)), (-1, (2, 3), unit, ([0] * nn, range(nn)))])
-    qybe = triple_residual(n, [(1, flats, 12, flats, 13, flats, 23),
-                               (-1, flats, 23, flats, 13, flats, 12)])
-    ones = [1] * nn
+    qybe = triple_residual(n, [flats] * 3, [(1, 0, 12, 1, 13, 2, 23), (-1, 2, 23, 1, 13, 0, 12)])
+    ones = ([1] * nn, 1)
 
     def fails(qu, qv, qvp):
-        r12, d12 = sol.values(field, qu, qv)
-        neg, dneg = sol.values(field, qu, qv ** -1)
-        scale, ds = field.integral((_half(qu, n) ** -2 - _half(qv, n) ** -2,))
-        if not unitarity.is_zero(field, (r12, neg, scale, ones), (d12, dneg, ds, 1)):
+        r12 = sol.values(field, qu, qv)
+        if not unitarity.is_zero(field, (
+                r12, sol.values(field, qu, qv ** -1),
+                field.integral((_half(qu, n) ** -2 - _half(qv, n) ** -2,)), ones)):
             return "unitarity failed"
-        r13, d13 = sol.values(field, qu, qv * qvp)
-        r23, d23 = sol.values(field, qu, qvp)
-        if not qybe.is_zero(field, (r12, r13, r23, r23, r13, r12),
-                            (d12, d13, d23, d23, d13, d12)):
+        if not qybe.is_zero(field, (r12, sol.values(field, qu, qv * qvp),
+                                    sol.values(field, qu, qvp))):
             return "qybe failed"
         return None
 

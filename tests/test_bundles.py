@@ -108,6 +108,8 @@ def test_twist_preserves_simplicity(shift, rng):
     rng2 = derive_rng(rng.randrange(10 ** 6), "twist")
     b = random_simple_bundle(rng2)
     assert is_simple(twist(b, shift)).simple == is_simple(b).simple
+    # twisting by a line bundle fixes ABD(V)
+    assert abd_of_bundle(twist(b, shift)) == abd_of_bundle(b)
 
 
 def test_order_rank_one():

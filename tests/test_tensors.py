@@ -629,27 +629,57 @@ def _as_source(n, rows, den):
     return {idx: v for idx, v in out.items() if v}
 
 
+# the CYBE's six commutator terms over X, Y, Z, and the QYBE's two triple
+# products over r12, r13, r23: jobs sharing three evaluations
+_CYBE_JOBS = ((1, 0, 12, 1, 13), (-1, 1, 13, 0, 12), (1, 0, 12, 2, 23),
+              (-1, 2, 23, 0, 12), (1, 1, 13, 2, 23), (-1, 2, 23, 1, 13))
+_QYBE_JOBS = ((1, 0, 12, 1, 13, 2, 23), (-1, 2, 23, 1, 13, 0, 12))
+
+
+def _job(sign, evals, slots):
+    """(sign, a, sa, b, sb[, c, sc]) from the evaluation indices and slots."""
+    return (sign,) + tuple(itertools.chain.from_iterable(zip(evals, slots)))
+
+
+def _shared_jobs(data, n, shape, width):
+    """A pool of evaluations and jobs reading it: ``shape`` over three
+    evaluations half the time, else 1-4 random jobs, each reading ``width``
+    distinct evaluations of a pool of 3-4.  Half the time the pool gains a
+    copy of itself with rescaled numerators, and every job a twin of the
+    opposite sign reading the copies, so the residual cancels."""
+    if data.draw(st.booleans()):
+        m, jobs = 3, list(shape)
+    else:
+        m, jobs = data.draw(st.integers(3, 4)), []
+        for _ in range(data.draw(st.integers(1, 4))):
+            slots = data.draw(st.sampled_from(_SLOT_PAIRS))
+            if width == 3:
+                slots += (data.draw(st.sampled_from((12, 13, 23))),)
+            jobs.append(_job(data.draw(st.sampled_from((1, -1))),
+                             data.draw(st.permutations(range(m)))[:width], slots))
+    evals = [data.draw(_evaluation(n)) for _ in range(m)]
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(2, 3))
+        evals += [([(f, k * v) for f, v in rows], k * den) for rows, den in evals]
+        jobs += [_job(-job[0], [e + m for e in job[1::2]], job[2::2]) for job in jobs]
+    return evals, jobs
+
+
+def _compiled_is_zero(compile_, n, field, evals, jobs):
+    """The verdict of the residual compiled over the evaluations' flats."""
+    program = compile_(n, [[f for f, _ in rows] for rows, _ in evals], jobs)
+    return program.is_zero(field, [([field.reduce(v) for _, v in rows], den)
+                                   for rows, den in evals])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pair_residual_is_zero_iff_the_reference_is(field, data):
-    # two jobs over four evaluations; half the time the second job repeats
-    # the first with rescaled numerators and the opposite sign, so it cancels
     n = data.draw(st.sampled_from((1, 2, 3)))
-    evals = [data.draw(_evaluation(n)) for _ in range(4)]
-    pairs = [data.draw(st.sampled_from(_SLOT_PAIRS)) for _ in range(2)]
-    signs = [1, data.draw(st.sampled_from((1, -1)))]
-    if data.draw(st.booleans()):
-        k = data.draw(st.integers(2, 3))
-        evals[2:] = [([(f, k * v) for f, v in rows], k * den) for rows, den in evals[:2]]
-        pairs[1], signs[1] = pairs[0], -1
-    program = pair_residual(n, [(sign, [f for f, _ in evals[2 * j][0]], sa,
-                                 [f for f, _ in evals[2 * j + 1][0]], sb)
-                                for j, (sign, (sa, sb)) in enumerate(zip(signs, pairs))])
-    values = [[field.reduce(v) for _, v in rows] for rows, _ in evals]
-    got = program.is_zero(field, values, [den for _, den in evals])
+    evals, jobs = _shared_jobs(data, n, _CYBE_JOBS, 2)
+    got = _compiled_is_zero(pair_residual, n, field, evals, jobs)
     srcs = [_as_source(n, rows, den) for rows, den in evals]
-    want = _reference(n, *[(sign, srcs[2 * j], sa, srcs[2 * j + 1], sb)
-                           for j, (sign, (sa, sb)) in enumerate(zip(signs, pairs))])
+    want = _reference(n, *[(sign, srcs[a], sa, srcs[b], sb) for sign, a, sa, b, sb in jobs])
     assert got == (not any(field.of_fraction(v) for v in want.values()))
 
 
@@ -669,27 +699,13 @@ def _times_embedded(x, c, sc, n):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_triple_residual_is_zero_iff_the_reference_is(field, data):
-    # a^sa b^sb c^sc - a'^sa' b'^sb' c'^sc'; half the time the second job
-    # repeats the first with rescaled numerators, so it cancels
     n = data.draw(st.sampled_from((1, 2, 3)))
-    evals = [data.draw(_evaluation(n)) for _ in range(6)]
-    slots = [data.draw(st.sampled_from(_SLOT_PAIRS)) + (data.draw(st.sampled_from((12, 13, 23))),)
-             for _ in range(2)]
-    if data.draw(st.booleans()):
-        k = data.draw(st.integers(2, 3))
-        evals[3:] = [([(f, k * v) for f, v in rows], k * den) for rows, den in evals[:3]]
-        slots[1] = slots[0]
-    program = triple_residual(n, [
-        (sign, [f for f, _ in evals[3 * j][0]], sa, [f for f, _ in evals[3 * j + 1][0]], sb,
-         [f for f, _ in evals[3 * j + 2][0]], sc)
-        for j, (sign, (sa, sb, sc)) in enumerate(zip((1, -1), slots))])
-    values = [[field.reduce(v) for _, v in rows] for rows, _ in evals]
-    got = program.is_zero(field, values, [den for _, den in evals])
+    evals, jobs = _shared_jobs(data, n, _QYBE_JOBS, 3)
+    got = _compiled_is_zero(triple_residual, n, field, evals, jobs)
     srcs = [_as_source(n, rows, den) for rows, den in evals]
     want = {}
-    for j, (sign, (sa, sb, sc)) in enumerate(zip((1, -1), slots)):
-        term = _times_embedded(_reference(n, (sign, srcs[3 * j], sa, srcs[3 * j + 1], sb)),
-                               srcs[3 * j + 2], sc, n)
+    for sign, a, sa, b, sb, c, sc in jobs:
+        term = _times_embedded(_reference(n, (sign, srcs[a], sa, srcs[b], sb)), srcs[c], sc, n)
         for idx, v in term.items():
             want[idx] = want.get(idx, 0) + v
     assert got == (not any(field.of_fraction(v) for v in want.values()))
@@ -712,7 +728,24 @@ def test_flip_product_terms_match_the_tensor_product(field, data):
     scalar_rows = [0] * len(c_vals)
     program = Residual((len(rows_a), len(rows_b), 1, len(c_vals)), [
         (1, (0, 1), outs, (xs, ys)), (-1, (2, 3), list(c.data), (scalar_rows, range(len(c_vals))))])
-    got = program.is_zero(field, ([field.reduce(v) for _, v in rows_a],
-                                  [field.reduce(v) for _, v in rows_b], [1], c_vals),
-                          (den_a, den_b, 1, c_den))
+    got = program.is_zero(field, (([field.reduce(v) for _, v in rows_a], den_a),
+                                  ([field.reduce(v) for _, v in rows_b], den_b),
+                                  ([1], 1), (c_vals, c_den)))
     assert got == (a * b.flip() == c)
+
+
+@pytest.mark.parametrize("change", (-1, 1))
+def test_residual_rejects_an_evaluation_of_the_wrong_length(field, change):
+    # a list one entry short or long would shift every later evaluation's
+    # entries; the compiled sizes catch it
+    flats = [0, 5, 10, 15]
+    program = pair_residual(2, [flats] * 3, _CYBE_JOBS)
+    good = ([1, 2, 3, 4], 1)
+    assert program.is_zero(field, [good] * 3) is False
+    bad = ([1, 2, 3, 4, 5][:4 + change], 1)
+    with pytest.raises(ValueError):
+        program.is_zero(field, [bad, good, good])
+    with pytest.raises(ValueError):
+        program.is_zero(field, [good, good])
+    with pytest.raises(ValueError):
+        pair_residual(2, [flats] * 2, [(1, 0, 12, 0, 13)])

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ybx.catalog import enumerate_structures, example_structure
-from ybx.perms import ABDStructure, identity
+from ybx.catalog import corpus, enumerate_structures, example_structure
+from ybx.perms import ABDStructure, Permutation, identity, relabel_abd
 from ybx.scalars import RATIONAL, derive_rng, field_from_name
 from ybx import trig as trig_module
 from ybx.tensors import (
@@ -188,6 +188,20 @@ def test_hat_hat_is_flip(field):
     for _ in range(5):
         qu, qv = _pole_free(field, rng, sol.n, 2)
         assert hathat.eval(field, qu, qv) == sol.eval(field, qu, qv).flip()
+
+
+def test_relabeling_maps_every_flat_digitwise(fp):
+    # r of relabel_abd(s, sigma) is r of s with entry (i, j, k, l) moved to
+    # (sigma i, sigma j, sigma k, sigma l), at one point per structure
+    rng = derive_rng(17, "relabel")
+    for s in corpus(4):
+        n = s.n
+        sigma = Permutation(tuple(rng.sample(range(n), n)))
+        qu, qv = _pole_free(fp, rng, n, 2)
+        moved = Tensor2(n, fp)
+        for idx, v in TrigSolution(s).eval(fp, qu, qv).items():
+            moved[tuple(map(sigma, idx))] = v
+        assert TrigSolution(relabel_abd(s, sigma)).eval(fp, qu, qv) == moved, s.label()
 
 
 @pytest.mark.parametrize("name, sha256", [
