@@ -747,5 +747,10 @@ def test_residual_rejects_an_evaluation_of_the_wrong_length(field, change):
         program.is_zero(field, [bad, good, good])
     with pytest.raises(ValueError):
         program.is_zero(field, [good, good])
+
+
+def test_residual_rejects_a_job_reading_one_evaluation_twice():
+    # each job scales its first factor by the dens it does not read, which
+    # needs a job's factors to be distinct evaluations
     with pytest.raises(ValueError):
-        pair_residual(2, [flats] * 2, [(1, 0, 12, 0, 13)])
+        pair_residual(2, [[0, 5]] * 2, [(1, 0, 12, 0, 13)])
