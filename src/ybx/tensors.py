@@ -18,18 +18,18 @@ on integer numerators over a common denominator (``integral`` and
 ``box_nonzero``); both box their results once, so this module never sees
 how a field stores them.
 
-Every join of two Tensor2s, a pair product a^sa . b^sb (``_PAIR_RULES``)
-or the product a . flip(b) (``_FLIP_PRODUCT_RULE``), is one rule of the
-same shape: each factor's key digits and the output positions of its
-others.  ``_rule_terms`` reads any rule into terms (outs, xs, ys), and the
-reference products (``_contract``) and the compiled residuals
-(``Residual``) both consume those terms.  A ``Residual`` is compiled once
-from the supports of its distinct evaluations (``pair_residual``,
-``triple_residual``), each job naming its factors by index; at each point it
-takes every evaluation once, as the (nums, den) pair a table's ``values``
-returns, and tests each output entry for zero with C-level gathers, products
-and running sums, boxing nothing.  The tensor products stay as the
-reference those residuals are tested against.
+Every product, compiled or reference, is derived from the slots its
+factors occupy (``_product_terms``): a factor in slots (1, 2) is r^12, in
+(2, 1) flip(r), in (1, 2, 3) a triple tensor and in () a scalar.  Slot k's
+open column sits at output digit 2k - 1; the next factor in slot k reads it
+as its key and writes its own column there.  The reference products
+(``_contract``) and the compiled residuals (``Residual``) both consume
+those terms.  A ``Residual`` is compiled once from the supports of its
+distinct evaluations (``product_residual``), each job naming its factors by
+index; at each point it takes every evaluation once, as the (nums, den)
+pair a table's ``values`` returns, and tests each output entry for zero
+with C-level gathers, products and running sums, boxing nothing.  The
+tensor products stay as the reference those residuals are tested against.
 """
 
 from __future__ import annotations
@@ -139,28 +139,12 @@ class _SparseTensor:
 
     # -- algebra product ---------------------------------------------------
 
-    def _col_parts(self, flats):
-        """The part of each flat index carried by the column index of every factor."""
-        n, nn = self.n, self.n * self.n
-        cols = [f % n for f in flats]
-        w = 1
-        for _ in range(self.factors - 1):
-            w *= nn
-            cols = [c + f // w % n * w for c, f in zip(cols, flats)]
-        return cols
-
     def __mul__(self, other):
-        """Componentwise algebra product (a (x) b)(c (x) d) = ac (x) bd.
-
-        Entry (row r, column x) of self meets entry (row x, column c) of other
-        at (r, c); a row part is n times the column part with the same digits.
-        """
+        """Componentwise algebra product (a (x) b)(c (x) d) = ac (x) bd: both
+        factors occupy every slot, in order."""
         self._check(other)
-        n, a, b = self.n, self.data, other.data
-        left = [(c, f - c) for f, c in zip(a, self._col_parts(a))]
-        right = [((f - c) // n, c) for f, c in zip(b, self._col_parts(b))]
-        return _contract(type(self), n, self.ring,
-                         [(1, _join(left, right), a.values(), b.values())])
+        slots = tuple(range(1, self.factors + 1))
+        return _products(type(self), (1, self, slots, other, slots))
 
     def __repr__(self):
         return "%s(n=%d, nnz=%d)" % (type(self).__name__, self.n, self.nnz())
@@ -293,12 +277,13 @@ def embed_triple(t: Tensor2, slot: int) -> Tensor3:
 def _contract(cls, n, ring, jobs):
     """A ``cls`` tensor summing sign * va[x] * vb[y] at flat index out.
 
-    Each job is (sign, (outs, xs, ys), va, vb): the terms of a join
-    (``_join``), as a ``Residual`` takes them, and the values of its two
-    sides.  Each side is cleared of denominators once (``integral``: va =
-    a / den_a), so the sums run on plain ints over the common denominator
-    D, the lcm of the jobs' den_a * den_b, and each output entry is divided
-    by D, reduced and boxed once.  In GF(p) every den is 1.
+    Each job is (sign, (outs, (xs, ys)), va, vb): the terms of a product of
+    two factors (``_product_terms``), as a ``Residual`` takes them, and the
+    values of its two factors.  Each side is cleared of denominators once
+    (``integral``: va = a / den_a), so the sums run on plain ints over the
+    common denominator D, the lcm of the jobs' den_a * den_b, and each
+    output entry is divided by D, reduced and boxed once.  In GF(p) every
+    den is 1.
     """
     integral = ring.integral
     den, sides = 1, []
@@ -309,60 +294,80 @@ def _contract(cls, n, ring, jobs):
         den = lcm(den, d)
         sides.append((sign, d, terms, a, b))
     acc = {}
-    for sign, d, (outs, xs, ys), a, b in sides:
+    for sign, d, (outs, (xs, ys)), a, b in sides:
         scale = sign * (den // d)
         for flat, x, y in zip(outs, xs, ys):
             acc[flat] = acc.get(flat, 0) + scale * a[x] * b[y]
     return cls(n, ring, ring.box_nonzero(acc, den))
 
 
-# A join rule of two Tensor2s is (a's key digits, the output positions of
-# a's other digits, b's key digits, those of b's), a factor's digits
-# numbered 0..3 as (row, column) of its first and of its second factor.
-#
-# Products of identity-padded tensors collapse to one-index contractions of
-# the underlying Tensor2s; for each ordered slot pair the key is the
-# contracted digit of each factor, and the others land in the 6-digit output
-_PAIR_RULES = {
-    (12, 13): ((1,), (0, 2, 3), (0,), (1, 4, 5)),
-    (13, 12): ((1,), (0, 4, 5), (0,), (1, 2, 3)),
-    (12, 23): ((3,), (0, 1, 2), (0,), (3, 4, 5)),
-    (23, 12): ((1,), (2, 4, 5), (2,), (0, 1, 3)),
-    (13, 23): ((3,), (0, 1, 4), (2,), (2, 3, 5)),
-    (23, 13): ((3,), (2, 3, 4), (2,), (0, 1, 5)),
-}
+def _slot_tables(n, slots, keys, width):
+    """(high, low, split, big) of ``_slot_entries``: a flat index of a
+    tensor whose parts sit in ``slots`` splits as (x, y) = divmod(flat,
+    split), and high[x] + low[y] = key * big + offset.
 
-# the Tensor2 product a . flip(b), into a 4-digit output: a's column digits
-# (positions 1 and 3) meet flip(b)'s row digits, which are b's digits 2 and
-# 0; a's rows land at 0 and 2 of the output, and b's digits 1 and 3 at 3 and 1
-_FLIP_PRODUCT_RULE = ((1, 3), (0, 2), (2, 0), (3, 1))
+    Each part's digits, (row, column) in slot s, land at output digits
+    2s - 2 and 2s - 1 of 2 * ``width``; a digit landing at a position of
+    ``keys`` adds to the key instead, at the weight of its place in ``keys``.
+    """
+    big = n ** (2 * width)
+    parts = []
+    for s in slots:
+        row_w, col_w = [n ** (len(keys) - 1 - keys.index(d)) * big if d in keys
+                        else n ** (2 * width - 1 - d) for d in (2 * s - 2, 2 * s - 1)]
+        parts.append([r * row_w + c * col_w for r in range(n) for c in range(n)])
+    half = (len(parts) + 1) // 2
+    tables = []
+    for group in (parts[:half], parts[half:]):
+        table = [0]
+        for part in group:
+            table = [t + x for t in table for x in part]
+        tables.append(table)
+    return tables[0], tables[1], (n * n) ** (len(parts) - half), big
 
 
 @lru_cache(maxsize=None)
-def _digit_tables(n, key_pos, out_pos, width):
-    """Per factor part x = row * n + col of the first and of the second
-    factor, its share of the key and of the offset of ``_join_entries``."""
-    kweights, oweights = [0] * 4, [0] * 4
-    for i, p in enumerate(key_pos):
-        kweights[p] = n ** (len(key_pos) - 1 - i)
-    for p, o in zip([p for p in range(4) if p not in key_pos], out_pos):
-        oweights[p] = n ** (width - 1 - o)
-    parts = range(n * n)
-    return tuple(tuple(x // n * w[0] + x % n * w[1] for x in parts)
-                 for w in (kweights[:2], kweights[2:], oweights[:2], oweights[2:]))
+def _slot_plan(n, specs):
+    """The ``_slot_tables`` of each join of a product whose factors occupy
+    the slots ``specs``, in order: the product so far keyed by the open
+    columns the next factor reads, and that factor keyed by its rows there.
 
-
-def _join_entries(n, flats, key_pos, out_pos, width):
-    """(key, offset) of each flat index of a join side.
-
-    Of a flat index's four digits (row, column of the first factor, row,
-    column of the second), the digits at ``key_pos`` form the key, the
-    first most significant, and the others, in order, land at ``out_pos``
-    of a ``width``-digit output.
+    The output has as many slots as the highest one occupied, slot k's row
+    at digit 2k - 2 and its open column at 2k - 1, most significant first;
+    the first factor in a slot writes both, and each later one reads the
+    open column as its key, to equal its row, and writes its own column
+    there.  A lone factor is one placement, keyed by nothing.
     """
-    k1, k2, o1, o2 = _digit_tables(n, key_pos, out_pos, width)
-    nn = n * n
-    return [(k1[x1] + k2[x2], o1[x1] + o2[x2]) for x1, x2 in (divmod(f, nn) for f in flats)]
+    width = max(chain.from_iterable(specs), default=0)
+    slots, taken, plan = specs[0], set(specs[0]), []
+    for later in specs[1:]:
+        reads = [k for k in later if k in taken]
+        plan.append((_slot_tables(n, slots, tuple(2 * k - 1 for k in reads), width),
+                     _slot_tables(n, later, tuple(2 * k - 2 for k in reads), width)))
+        slots = tuple(range(1, width + 1))
+        taken.update(later)
+    return plan or [(_slot_tables(n, slots, (), width), None)]
+
+
+def _slot_entries(flats, tables):
+    """(key, offset) of each flat index, read off its ``_slot_tables``."""
+    high, low, split, big = tables
+    return [divmod(high[x] + low[y], big) for x, y in map(divmod, flats, repeat(split))]
+
+
+def _product_terms(n, factors):
+    """(outs, rows) of the product of factors (flats, slots), in order: its
+    k-th term multiplies the entry at flats[rows[p][k]] of every factor p
+    into the output entry outs[k] (``_slot_plan``)."""
+    plan = _slot_plan(n, tuple(slots for _, slots in factors))
+    flats, rows = factors[0][0], None
+    for (left, right), (flats_b, _) in zip(plan, factors[1:]):
+        flats, xs, ys = _join(_slot_entries(flats, left), _slot_entries(flats_b, right))
+        # the first factor's rows are range(len(flats)): no remap
+        rows = [xs, ys] if rows is None else [list(map(r.__getitem__, xs)) for r in rows] + [ys]
+    if rows is None:
+        return [off for _, off in _slot_entries(flats, plan[0][0])], [range(len(flats))]
+    return flats, rows
 
 
 class Residual:
@@ -371,15 +376,15 @@ class Residual:
     Its factors are evaluations: evaluation e is a list of ``sizes[e]``
     values at fixed rows.  A job is (sign, evals, outs, rows): its k-th
     term adds sign times the product, over the job's evaluations evals[p],
-    of the value at row rows[p][k] to the output entry outs[k].  Every job
-    has the same number of factors, and a job's factors are distinct
-    evaluations (a ValueError otherwise); an evaluation may be a factor of
-    any number of jobs.
+    of the value at row rows[p][k] to the output entry outs[k], as
+    ``_product_terms`` derives them.  Every job has the same number of
+    factors, and a job's factors are distinct evaluations (a ValueError
+    otherwise); an evaluation may be a factor of any number of jobs.
 
     Only the values change from point to point, so the terms are sorted by
-    output entry once.  Each (job, factor) owns a slot of the values, in
-    job order, and ``cols[p]`` indexes each term's p-th factor in the
-    concatenation of those slots; ``last`` marks each entry's last term.
+    output entry once.  Each (job, factor) owns a segment of the values,
+    in job order, and ``cols[p]`` indexes each term's p-th factor in the
+    concatenation of those segments; ``last`` marks each entry's last term.
     """
 
     def __init__(self, sizes, jobs):
@@ -447,90 +452,62 @@ def _join(left, right):
     return outs, xs, ys
 
 
-def _rule_terms(n, rule, width, flats_a, flats_b):
-    """The terms (outs, xs, ys) of the join of a and b by ``rule``, into a
-    ``width``-digit output, a and b at the listed flat indices."""
-    a_key, a_out, b_key, b_out = rule
-    return _join(_join_entries(n, flats_a, a_key, a_out, width),
-                 _join_entries(n, flats_b, b_key, b_out, width))
+def product_residual(n, supports, jobs) -> Residual:
+    """The compiled residual of signed products of evaluations placed in
+    slots, evaluation e valued at the flat indices ``supports[e]`` (a flat
+    may repeat).
 
-
-def _pair_terms(n, flats_a, sa, flats_b, sb):
-    """The terms (outs, xs, ys) of a^sa . b^sb, a and b at the listed flats."""
-    return _rule_terms(n, _PAIR_RULES[(sa, sb)], 6, flats_a, flats_b)
-
-
-def pair_residual(n, supports, jobs) -> Residual:
-    """The compiled residual of signed pair products a^sa . b^sb over
-    evaluations whose values sit at the flat indices ``supports[e]`` (a
-    flat may repeat), each job given as (sign, a, sa, b, sb) with a and b
-    distinct evaluation indices."""
-    compiled = []
-    for sign, a, sa, b, sb in jobs:
-        outs, xs, ys = _pair_terms(n, supports[a], sa, supports[b], sb)
-        compiled.append((sign, (a, b), outs, (xs, ys)))
-    return Residual(map(len, supports), compiled)
-
-
-def triple_residual(n, supports, jobs) -> Residual:
-    """The compiled residual of signed triple products a^sa . b^sb . c^sc
-    over evaluations at the flat indices ``supports[e]``, each job given as
-    (sign, a, sa, b, sb, c, sc) with a, b and c distinct evaluation
-    indices, (sa, sb) a ``_PAIR_RULES`` pair and sc one of 12, 13, 23.
-
-    Each term of a^sa . b^sb meets the entries of c whose row digits equal
-    its column digits in c's two slots; the product puts c's column digits
-    there.
+    Each job is (sign, a, sa, b, sb, ...): distinct evaluation indices,
+    each followed by the slots it occupies, a tuple: (1, 2) places r as
+    r^12, (2, 1) as flip(r), (1, 2, 3) is a triple tensor and () a scalar.
+    The residual has as many slots as the highest one occupied, and every
+    job must occupy every one of them (a ValueError otherwise).
     """
+    width = max((s for job in jobs for slots in job[2::2] for s in slots), default=0)
     compiled = []
-    for sign, a, sa, b, sb, c, sc in jobs:
-        outs, xs, ys = _pair_terms(n, supports[a], sa, supports[b], sb)
-        # the column digit of slot s sits at position 2s - 1 of six
-        s, t = divmod(sc, 10)
-        ws, wt = n ** (6 - 2 * s), n ** (6 - 2 * t)
-        cols = [(o // ws % n, o // wt % n) for o in outs]
-        left = [(cs * n + ct, o - cs * ws - ct * wt) for o, (cs, ct) in zip(outs, cols)]
-        outs, ts, zs = _join(left, _join_entries(n, supports[c], (0, 2),
-                                                 (2 * s - 1, 2 * t - 1), 6))
-        compiled.append((sign, (a, b, c), outs,
-                         (list(map(xs.__getitem__, ts)), list(map(ys.__getitem__, ts)), zs)))
+    for sign, *factors in jobs:
+        evals, specs = factors[0::2], factors[1::2]
+        if set(chain.from_iterable(specs)) != set(range(1, width + 1)):
+            raise ValueError("job %r leaves one of %d slots unoccupied"
+                             % ((sign, *factors), width))
+        outs, rows = _product_terms(n, [(supports[e], s) for e, s in zip(evals, specs)])
+        compiled.append((sign, evals, outs, rows))
     return Residual(map(len, supports), compiled)
 
 
-def flip_product_terms(n, flats_a, flats_b):
-    """The terms (outs, xs, ys) of the Tensor2 product a . flip(b), a and b
-    at the listed flat indices."""
-    return _rule_terms(n, _FLIP_PRODUCT_RULE, 4, flats_a, flats_b)
-
-
-def _pair_products(*products) -> Tensor3:
-    """The sum of signed products a^sa . b^sb given as (sign, a, sa, b, sb)."""
+def _products(cls, *products) -> _SparseTensor:
+    """The ``cls`` tensor summing signed products a . b, each given as
+    (sign, a, sa, b, sb) with the slots each factor occupies."""
     a = products[0][1]
-    return _contract(Tensor3, a.n, a.ring, [
-        (sign, _pair_terms(a.n, a.data, sa, b.data, sb), a.data.values(), b.data.values())
+    return _contract(cls, a.n, a.ring, [
+        (sign, _product_terms(a.n, [(a.data, sa), (b.data, sb)]),
+         a.data.values(), b.data.values())
         for sign, a, sa, b, sb in products])
 
 
+_SLOTS = {12: (1, 2), 13: (1, 3), 23: (2, 3)}
+
+
 def pair_embed_product(a: Tensor2, sa: int, b: Tensor2, sb: int) -> Tensor3:
-    """a^sa . b^sb for distinct slots; equals
+    """a^sa . b^sb for distinct slots 12, 13 and 23; equals
     embed_triple(a, sa) * embed_triple(b, sb)."""
-    if (sa, sb) not in _PAIR_RULES:
+    if sa == sb or sa not in _SLOTS or sb not in _SLOTS:
         raise ValueError("unsupported slot pair (%r, %r)" % (sa, sb))
-    return _pair_products((1, a, sa, b, sb))
+    return _products(Tensor3, (1, a, _SLOTS[sa], b, _SLOTS[sb]))
 
 
 def aybe_combine(r_a, r_b, r_c, r_d, r_e, r_f) -> Tensor3:
     """r_a^12 r_b^13 - r_c^23 r_d^12 + r_e^13 r_f^23 for six evaluated tensors
     (the triple-space product being the componentwise algebra product)."""
-    return _pair_products((1, r_a, 12, r_b, 13), (-1, r_c, 23, r_d, 12),
-                          (1, r_e, 13, r_f, 23))
+    return _products(Tensor3, (1, r_a, (1, 2), r_b, (1, 3)), (-1, r_c, (2, 3), r_d, (1, 2)),
+                     (1, r_e, (1, 3), r_f, (2, 3)))
 
 
 def cybe_residual(x: Tensor2, y: Tensor2, z: Tensor2) -> Tensor3:
     """[x^12, y^13] + [x^12, z^23] + [y^13, z^23]."""
-    return _pair_products((1, x, 12, y, 13), (-1, y, 13, x, 12),
-                          (1, x, 12, z, 23), (-1, z, 23, x, 12),
-                          (1, y, 13, z, 23), (-1, z, 23, y, 13))
+    return _products(Tensor3, (1, x, (1, 2), y, (1, 3)), (-1, y, (1, 3), x, (1, 2)),
+                     (1, x, (1, 2), z, (2, 3)), (-1, z, (2, 3), x, (1, 2)),
+                     (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3)))
 
 
 # -- exact linear algebra -----------------------------------------------------

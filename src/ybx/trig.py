@@ -21,10 +21,13 @@ hat, a gauge and pr (x) pr are one linear image of a table (``_Image``),
 fixed per solution: rows with integer coefficients over one denominator,
 the hat's a rotation of the flat indices priced with u and v exchanged.
 
-The AYBE, skew, CYBE, QYBE and unitarity checks compile their residual once
-per call (``tensors.Residual``) over the supports, the distinct flats, and
-test it at each point on each distinct evaluation once, as the (nums, den)
-pair ``values`` returns: no field element is boxed and no tensor is built.
+The AYBE, skew, CYBE, QYBE and unitarity checks state their products in
+the paper's notation, each evaluation of r in the slots it occupies ((1, 2)
+for r12, (2, 1) for flip(r), () for a scalar), and compile them once per
+call (``tensors.product_residual``) over the supports, the distinct flats;
+each point tests the residual on each distinct evaluation once, as the
+(nums, den) pair ``values`` returns: no field element is boxed and no
+tensor is built.
 A mutated check reads its corrupted factor off a table with one more row,
 priced 1, at the mutation slot (``_corrupted``).  The residues are read
 off the table exactly (``residue_prices``), with no point and no jets.
@@ -47,16 +50,7 @@ from operator import mul, ne, pos, sub
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
-from .tensors import (
-    Residual,
-    Tensor2,
-    _eliminate,
-    flip_product_terms,
-    kron2,
-    matrix_inverse,
-    pair_residual,
-    triple_residual,
-)
+from .tensors import Tensor2, _eliminate, kron2, matrix_inverse, product_residual
 # unused here: the benchmark tracer wraps these at their trig names
 from .tensors import (  # noqa: F401
     aybe_combine,
@@ -552,8 +546,8 @@ def _aybe_fails(sol, field, mutate=None):
     """The AYBE test at one point (qu, qu', qv, qv'): True where the
     residual, compiled here once from the support, does not vanish."""
     flats, first = sol.support, _corrupted(sol, mutate)
-    program = pair_residual(sol.n, [first.support] + [flats] * 5,
-                            [(1, 0, 12, 1, 13), (-1, 2, 23, 3, 12), (1, 4, 13, 5, 23)])
+    program = product_residual(sol.n, [first.support] + [flats] * 5, [
+        (1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3))])
 
     def fails(qu, qup, qv, qvp):
         return not program.is_zero(field, [t.values(field, *point) for t, point in (
@@ -590,12 +584,9 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
 def _skew_fails(sol, field, mutate=None):
     """The skew test at one point (qu, qv): True where flip(r(-u,-v)) + r(u,v),
     compiled here once from the support, does not vanish."""
-    nn = sol.n ** 2
-    flats, right = sol.support, _corrupted(sol, mutate)
-    program = Residual((len(flats), len(right.support)), [
-        (1, (0,), [f % nn * nn + f // nn for f in flats], (range(len(flats)),)),
-        (1, (1,), right.support, (range(len(right.support)),)),
-    ])
+    right = _corrupted(sol, mutate)
+    program = product_residual(sol.n, [sol.support, right.support],
+                               [(1, 0, (2, 1)), (1, 1, (1, 2))])
 
     def fails(qu, qv):
         return not program.is_zero(field, (sol.values(field, qu ** -1, qv ** -1),
@@ -758,9 +749,9 @@ def _cybe_fails(sol, field, mutate=None):
     rbar0 = _ProjectedR0(sol)
     x_table = _corrupted(rbar0, mutate)
     x, y, z = 0, 1, 2
-    program = pair_residual(sol.n, [x_table.support, rbar0.support, rbar0.support],
-                            [(1, x, 12, y, 13), (-1, y, 13, x, 12), (1, x, 12, z, 23),
-                             (-1, z, 23, x, 12), (1, y, 13, z, 23), (-1, z, 23, y, 13)])
+    program = product_residual(sol.n, [x_table.support, rbar0.support, rbar0.support], [
+        (1, x, (1, 2), y, (1, 3)), (-1, y, (1, 3), x, (1, 2)), (1, x, (1, 2), z, (2, 3)),
+        (-1, z, (2, 3), x, (1, 2)), (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3))])
 
     def fails(qv, qvp):
         return not program.is_zero(field, [x_table.values(field, qv),
@@ -798,24 +789,25 @@ def _qybe_fails(sol, field):
     """The unitarity and QYBE tests at one point (qu, qv, qv'): a note naming
     the first that fails, from residuals compiled here once from the support.
 
-    Unitarity is r(u,v) . flip(r(u,-v)) - s (1 (x) 1), with the scalar s
-    one evaluation and the unit's n^2 entries, each 1, another; the QYBE
-    is r12 r13 r23 - r23 r13 r12, two three-factor jobs.
+    Unitarity is r(u,v) . flip(r(u,-v)) - s (1 (x) 1), the scalar s one
+    evaluation and the unit another, with s = 1/a^2 - 1/b^2 passed as
+    (b^2 - a^2) / (a^2 b^2), so no field element is inverted; the QYBE is
+    r12 r13 r23 - r23 r13 r12.
     """
     n, flats = sol.n, sol.support
-    nn = n * n
-    outs, xs, ys = flip_product_terms(n, flats, flats)
-    unit = [d * nn + e for d in range(0, nn, n + 1) for e in range(0, nn, n + 1)]
-    unitarity = Residual((len(flats), len(flats), 1, nn), [
-        (1, (0, 1), outs, (xs, ys)), (-1, (2, 3), unit, ([0] * nn, range(nn)))])
-    qybe = triple_residual(n, [flats] * 3, [(1, 0, 12, 1, 13, 2, 23), (-1, 2, 23, 1, 13, 0, 12)])
-    ones = ([1] * nn, 1)
+    unit = Tensor2.unit(n, field).data
+    unitarity = product_residual(n, [flats, flats, [0], list(unit)],
+                                 [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))])
+    qybe = product_residual(n, [flats] * 3, [(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)),
+                                             (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))])
+    ones = field.integral(unit.values())
 
     def fails(qu, qv, qvp):
         r12 = sol.values(field, qu, qv)
-        if not unitarity.is_zero(field, (
-                r12, sol.values(field, qu, qv ** -1),
-                field.integral((_half(qu, n) ** -2 - _half(qv, n) ** -2,)), ones)):
+        a, b = _half(qu, n), _half(qv, n)
+        (num, den), _ = field.integral((b * b - a * a, a * a * b * b))
+        if not unitarity.is_zero(field, (r12, sol.values(field, qu, qv ** -1),
+                                         ([num], den), ones)):
             return "unitarity failed"
         if not qybe.is_zero(field, (r12, sol.values(field, qu, qv * qvp),
                                     sol.values(field, qu, qvp))):

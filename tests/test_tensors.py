@@ -17,12 +17,9 @@ from ybx.tensors import (
     exact_determinant,
     kron2,
     matrix_inverse,
-    Residual,
-    flip_product_terms,
     pair_embed_product,
-    pair_residual,
+    product_residual,
     transposition_p,
-    triple_residual,
 )
 from ybx.trig import TrigSolution, _pole_free
 
@@ -512,7 +509,8 @@ def test_items_ascending_flat_order(field, data):
 
 # -- contractions over mixed denominators against a Fraction reference ----------
 
-_SLOT_PAIRS = ((12, 13), (13, 12), (12, 23), (23, 12), (13, 23), (23, 13))
+_SLOT_PAIRS = (((1, 2), (1, 3)), ((1, 3), (1, 2)), ((1, 2), (2, 3)), ((2, 3), (1, 2)),
+               ((1, 3), (2, 3)), ((2, 3), (1, 3)))
 
 
 def _sources(n):
@@ -536,8 +534,8 @@ def _embed_ref(src, slot, n):
     out = {}
     for (i, j, k, l), v in src.items():
         for d in range(n):
-            out[{12: (i, j, k, l, d, d), 13: (i, j, d, d, k, l),
-                 23: (d, d, i, j, k, l)}[slot]] = v
+            out[{(1, 2): (i, j, k, l, d, d), (1, 3): (i, j, d, d, k, l),
+                 (2, 3): (d, d, i, j, k, l)}[slot]] = v
     return out
 
 
@@ -574,15 +572,15 @@ def test_contractions_match_fraction_reference(field, data):
     srcs = [data.draw(_sources(n)) for _ in range(6)]
     a, b, c, d, e, f = [_tensor(s, n, field) for s in srcs]
     sa, sb = data.draw(st.sampled_from(_SLOT_PAIRS))
-    _assert_matches_reference(pair_embed_product(a, sa, b, sb),
+    _assert_matches_reference(pair_embed_product(a, 10 * sa[0] + sa[1], b, 10 * sb[0] + sb[1]),
                               _reference(n, (1, srcs[0], sa, srcs[1], sb)), field)
     _assert_matches_reference(aybe_combine(a, b, c, d, e, f), _reference(
-        n, (1, srcs[0], 12, srcs[1], 13), (-1, srcs[2], 23, srcs[3], 12),
-        (1, srcs[4], 13, srcs[5], 23)), field)
+        n, (1, srcs[0], (1, 2), srcs[1], (1, 3)), (-1, srcs[2], (2, 3), srcs[3], (1, 2)),
+        (1, srcs[4], (1, 3), srcs[5], (2, 3))), field)
     x, y, z = srcs[:3]
     _assert_matches_reference(cybe_residual(a, b, c), _reference(
-        n, (1, x, 12, y, 13), (-1, y, 13, x, 12), (1, x, 12, z, 23),
-        (-1, z, 23, x, 12), (1, y, 13, z, 23), (-1, z, 23, y, 13)), field)
+        n, (1, x, (1, 2), y, (1, 3)), (-1, y, (1, 3), x, (1, 2)), (1, x, (1, 2), z, (2, 3)),
+        (-1, z, (2, 3), x, (1, 2)), (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3))), field)
 
 
 @settings(max_examples=20, deadline=None)
@@ -604,8 +602,8 @@ def test_corrupted_aybe_leaves_the_reference_residual(field, data):
     srcs[0][slot] = srcs[0].get(slot, 0) + data.draw(
         st.fractions(-8, 8, max_denominator=12).filter(bool))
     srcs[0] = {idx: v for idx, v in srcs[0].items() if v}
-    want = _reference(n, (1, srcs[0], 12, srcs[1], 13), (-1, srcs[2], 23, srcs[3], 12),
-                      (1, srcs[4], 13, srcs[5], 23))
+    want = _reference(n, (1, srcs[0], (1, 2), srcs[1], (1, 3)),
+                      (-1, srcs[2], (2, 3), srcs[3], (1, 2)), (1, srcs[4], (1, 3), srcs[5], (2, 3)))
     assert any(want.values())
     got = aybe_combine(*[_tensor(src, n, field) for src in srcs])
     _assert_matches_reference(got, want, field)
@@ -616,7 +614,8 @@ def test_corrupted_aybe_leaves_the_reference_residual(field, data):
 
 def _evaluation(n):
     """Rows of one evaluation: flats (repeats allowed), integer numerators, a den."""
-    rows = st.lists(st.tuples(st.integers(0, n ** 4 - 1), st.integers(-4, 4)), max_size=8)
+    rows = st.lists(st.tuples(st.integers(0, n ** 4 - 1), st.integers(-4, 4)),
+                    min_size=1, max_size=8)
     return st.tuples(rows, st.integers(1, 5))
 
 
@@ -631,9 +630,10 @@ def _as_source(n, rows, den):
 
 # the CYBE's six commutator terms over X, Y, Z, and the QYBE's two triple
 # products over r12, r13, r23: jobs sharing three evaluations
-_CYBE_JOBS = ((1, 0, 12, 1, 13), (-1, 1, 13, 0, 12), (1, 0, 12, 2, 23),
-              (-1, 2, 23, 0, 12), (1, 1, 13, 2, 23), (-1, 2, 23, 1, 13))
-_QYBE_JOBS = ((1, 0, 12, 1, 13, 2, 23), (-1, 2, 23, 1, 13, 0, 12))
+_CYBE_JOBS = ((1, 0, (1, 2), 1, (1, 3)), (-1, 1, (1, 3), 0, (1, 2)),
+              (1, 0, (1, 2), 2, (2, 3)), (-1, 2, (2, 3), 0, (1, 2)),
+              (1, 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3)))
+_QYBE_JOBS = ((1, 0, (1, 2), 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2)))
 
 
 def _job(sign, evals, slots):
@@ -654,7 +654,7 @@ def _shared_jobs(data, n, shape, width):
         for _ in range(data.draw(st.integers(1, 4))):
             slots = data.draw(st.sampled_from(_SLOT_PAIRS))
             if width == 3:
-                slots += (data.draw(st.sampled_from((12, 13, 23))),)
+                slots += (data.draw(st.sampled_from(((1, 2), (1, 3), (2, 3)))),)
             jobs.append(_job(data.draw(st.sampled_from((1, -1))),
                              data.draw(st.permutations(range(m)))[:width], slots))
     evals = [data.draw(_evaluation(n)) for _ in range(m)]
@@ -665,9 +665,9 @@ def _shared_jobs(data, n, shape, width):
     return evals, jobs
 
 
-def _compiled_is_zero(compile_, n, field, evals, jobs):
+def _compiled_is_zero(n, field, evals, jobs):
     """The verdict of the residual compiled over the evaluations' flats."""
-    program = compile_(n, [[f for f, _ in rows] for rows, _ in evals], jobs)
+    program = product_residual(n, [[f for f, _ in rows] for rows, _ in evals], jobs)
     return program.is_zero(field, [([field.reduce(v) for _, v in rows], den)
                                    for rows, den in evals])
 
@@ -677,7 +677,7 @@ def _compiled_is_zero(compile_, n, field, evals, jobs):
 def test_pair_residual_is_zero_iff_the_reference_is(field, data):
     n = data.draw(st.sampled_from((1, 2, 3)))
     evals, jobs = _shared_jobs(data, n, _CYBE_JOBS, 2)
-    got = _compiled_is_zero(pair_residual, n, field, evals, jobs)
+    got = _compiled_is_zero(n, field, evals, jobs)
     srcs = [_as_source(n, rows, den) for rows, den in evals]
     want = _reference(n, *[(sign, srcs[a], sa, srcs[b], sb) for sign, a, sa, b, sb in jobs])
     assert got == (not any(field.of_fraction(v) for v in want.values()))
@@ -701,7 +701,7 @@ def _times_embedded(x, c, sc, n):
 def test_triple_residual_is_zero_iff_the_reference_is(field, data):
     n = data.draw(st.sampled_from((1, 2, 3)))
     evals, jobs = _shared_jobs(data, n, _QYBE_JOBS, 3)
-    got = _compiled_is_zero(triple_residual, n, field, evals, jobs)
+    got = _compiled_is_zero(n, field, evals, jobs)
     srcs = [_as_source(n, rows, den) for rows, den in evals]
     want = {}
     for sign, a, sa, b, sb, c, sc in jobs:
@@ -714,24 +714,29 @@ def test_triple_residual_is_zero_iff_the_reference_is(field, data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_flip_product_terms_match_the_tensor_product(field, data):
-    # a . flip(b) - c, with c the product itself half the time
+    # the unitarity shape a . flip(b) - s c, c the unit half the time it is
+    # not the product, or the skew shape flip(a) - c; half the time c is
+    # the product itself and s is 1
     n = data.draw(st.sampled_from((1, 2, 3)))
-    (rows_a, den_a), (rows_b, den_b) = (data.draw(_evaluation(n)) for _ in range(2))
-    a, b = (_tensor(_as_source(n, rows, den), n, field)
-            for rows, den in ((rows_a, den_a), (rows_b, den_b)))
+    evals = [data.draw(_evaluation(n)) for _ in range(2)]
+    a, b = (_tensor(_as_source(n, rows, den), n, field) for rows, den in evals)
+    skew = data.draw(st.booleans())
+    product = a.flip() if skew else a * b.flip()
+    s = Fraction(1)
     if data.draw(st.booleans()):
-        c = a * b.flip()
+        c = product
     else:
-        c = _tensor(_as_source(n, *data.draw(_evaluation(n))), n, field)
-    outs, xs, ys = flip_product_terms(n, [f for f, _ in rows_a], [f for f, _ in rows_b])
-    c_vals, c_den = field.integral(c.data.values())
-    scalar_rows = [0] * len(c_vals)
-    program = Residual((len(rows_a), len(rows_b), 1, len(c_vals)), [
-        (1, (0, 1), outs, (xs, ys)), (-1, (2, 3), list(c.data), (scalar_rows, range(len(c_vals))))])
-    got = program.is_zero(field, (([field.reduce(v) for _, v in rows_a], den_a),
-                                  ([field.reduce(v) for _, v in rows_b], den_b),
-                                  ([1], 1), (c_vals, c_den)))
-    assert got == (a * b.flip() == c)
+        c = (Tensor2.unit(n, field) if data.draw(st.booleans())
+             else _tensor(_as_source(n, *data.draw(_evaluation(n))), n, field))
+        if not skew:
+            s = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    jobs = ([(1, 0, (2, 1)), (-1, 3, (1, 2))] if skew
+            else [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))])
+    program = product_residual(n, [[f for f, _ in rows] for rows, _ in evals] + [[0], list(c.data)],
+                               jobs)
+    got = program.is_zero(field, [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
+                          + [field.integral([field.of_fraction(s)]), field.integral(c.data.values())])
+    assert got == (product == c.scale(field.of_fraction(s)))
 
 
 @pytest.mark.parametrize("change", (-1, 1))
@@ -739,7 +744,7 @@ def test_residual_rejects_an_evaluation_of_the_wrong_length(field, change):
     # a list one entry short or long would shift every later evaluation's
     # entries; the compiled sizes catch it
     flats = [0, 5, 10, 15]
-    program = pair_residual(2, [flats] * 3, _CYBE_JOBS)
+    program = product_residual(2, [flats] * 3, _CYBE_JOBS)
     good = ([1, 2, 3, 4], 1)
     assert program.is_zero(field, [good] * 3) is False
     bad = ([1, 2, 3, 4, 5][:4 + change], 1)
@@ -753,4 +758,17 @@ def test_residual_rejects_a_job_reading_one_evaluation_twice():
     # each job scales its first factor by the dens it does not read, which
     # needs a job's factors to be distinct evaluations
     with pytest.raises(ValueError):
-        pair_residual(2, [[0, 5]] * 2, [(1, 0, 12, 0, 13)])
+        product_residual(2, [[0, 5]] * 2, [(1, 0, (1, 2), 0, (1, 3))])
+
+
+@pytest.mark.parametrize("jobs", [
+    [(1, 0, (1, 3))],
+    [(1, 0, (), 1, (2, 3))],
+    [(1, 0, (1, 2), 1, (1, 2)), (1, 0, (1, 2), 1, (2, 3))],
+    [(1, 0, (1, 2), 0, (2, 1))],
+], ids=["slot-2-empty", "slot-1-empty", "one-job-narrower", "reads-twice"])
+def test_product_residual_rejects_an_unoccupied_slot_or_a_repeated_evaluation(jobs):
+    # the residual has as many slots as the highest one occupied, and every
+    # job fills each of them: (1, 2) . (1, 2) is a product of width 2 only
+    with pytest.raises(ValueError):
+        product_residual(2, [[0, 5]] * 2, jobs)
