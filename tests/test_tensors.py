@@ -714,22 +714,29 @@ def test_triple_residual_is_zero_iff_the_reference_is(field, data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_flip_product_terms_match_the_tensor_product(field, data):
-    # the unitarity shape a . flip(b) - s c, c the unit half the time it is
-    # not the product, or the skew shape flip(a) - c; half the time c is
-    # the product itself and s is 1
+    # the unitarity shape a . flip(b) - s c, or the skew shape flip(a) - c
+    # with s = 1; c is the product itself (s = 1), a random evaluation or
+    # the unit, and against the unit, half the time a = s (1 (x) 1) and
+    # b = 1 (x) 1, so that the residual vanishes
     n = data.draw(st.sampled_from((1, 2, 3)))
-    evals = [data.draw(_evaluation(n)) for _ in range(2)]
-    a, b = (_tensor(_as_source(n, rows, den), n, field) for rows, den in evals)
     skew = data.draw(st.booleans())
-    product = a.flip() if skew else a * b.flip()
-    s = Fraction(1)
-    if data.draw(st.booleans()):
-        c = product
+    kind = data.draw(st.sampled_from(("product", "random", "unit")))
+    s = (Fraction(1) if skew or kind == "product"
+         else data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool)))
+    unit = Tensor2.unit(n, field)
+    if kind == "unit" and data.draw(st.booleans()):
+        evals = [([(f, s.numerator) for f in unit.data], s.denominator),
+                 ([(f, 1) for f in unit.data], 1)]
     else:
-        c = (Tensor2.unit(n, field) if data.draw(st.booleans())
-             else _tensor(_as_source(n, *data.draw(_evaluation(n))), n, field))
-        if not skew:
-            s = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        evals = [data.draw(_evaluation(n)) for _ in range(2)]
+    a, b = (_tensor(_as_source(n, rows, den), n, field) for rows, den in evals)
+    product = a.flip() if skew else a * b.flip()
+    if kind == "product":
+        c = product
+    elif kind == "unit":
+        c = unit
+    else:
+        c = _tensor(_as_source(n, *data.draw(_evaluation(n))), n, field)
     jobs = ([(1, 0, (2, 1)), (-1, 3, (1, 2))] if skew
             else [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))])
     program = product_residual(n, [[f for f, _ in rows] for rows, _ in evals] + [[0], list(c.data)],
@@ -766,9 +773,11 @@ def test_residual_rejects_a_job_reading_one_evaluation_twice():
     [(1, 0, (), 1, (2, 3))],
     [(1, 0, (1, 2), 1, (1, 2)), (1, 0, (1, 2), 1, (2, 3))],
     [(1, 0, (1, 2), 0, (2, 1))],
-], ids=["slot-2-empty", "slot-1-empty", "one-job-narrower", "reads-twice"])
-def test_product_residual_rejects_an_unoccupied_slot_or_a_repeated_evaluation(jobs):
+    [(1, 0, (2, 1)), (1, 0, (1, 2), 1, (1, 2))],
+], ids=["slot-2-empty", "slot-1-empty", "one-job-narrower", "reads-twice", "factor-counts-differ"])
+def test_product_residual_rejects_a_malformed_job(jobs):
     # the residual has as many slots as the highest one occupied, and every
-    # job fills each of them: (1, 2) . (1, 2) is a product of width 2 only
+    # job fills each of them: (1, 2) . (1, 2) is a product of width 2 only;
+    # a job's factors are distinct evaluations, as many as every other job's
     with pytest.raises(ValueError):
         product_residual(2, [[0, 5]] * 2, jobs)
