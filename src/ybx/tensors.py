@@ -302,26 +302,28 @@ def _contract(cls, n, ring, jobs):
 
 
 def _slot_tables(n, slots, keys, width):
-    """(lead, mid, last, big) of ``_slot_entries``: a flat index of a tensor
-    whose parts sit in ``slots`` splits as (x, y, z) = (flat // n^4,
-    flat // n^2 % n^2, flat % n^2), and lead[x] + mid[y] + last[z] = key *
-    big + offset; ``lead`` covers every part but the last two, so each
-    table has n^2 entries up to three parts.
+    """(high, low, split, big) of ``_slot_entries``: a flat index of a
+    tensor whose parts sit in ``slots`` splits as (x, y) = divmod(flat,
+    split), and high[x] + low[y] = key * big + offset.
 
     Each part's digits, (row, column) in slot s, land at output digits
     2s - 2 and 2s - 1 of 2 * ``width``; a digit landing at a position of
     ``keys`` adds to the key instead, at the weight of its place in ``keys``.
     """
     big = n ** (2 * width)
-    parts = [[0], [0]]  # the one-entry tables of missing parts, index 0
+    parts = []
     for s in slots:
         row_w, col_w = [n ** (len(keys) - 1 - keys.index(d)) * big if d in keys
                         else n ** (2 * width - 1 - d) for d in (2 * s - 2, 2 * s - 1)]
         parts.append([r * row_w + c * col_w for r in range(n) for c in range(n)])
-    lead = [0]
-    for part in parts[2:-2]:
-        lead = [t + x for t in lead for x in part]
-    return lead, parts[-2], parts[-1], big
+    half = (len(parts) + 1) // 2
+    tables = []
+    for group in (parts[:half], parts[half:]):
+        table = [0]
+        for part in group:
+            table = [t + x for t in table for x in part]
+        tables.append(table)
+    return tables[0], tables[1], (n * n) ** (len(parts) - half), big
 
 
 @lru_cache(maxsize=None)
@@ -347,12 +349,10 @@ def _slot_plan(n, specs):
     return plan or [(_slot_tables(n, slots, (), width), None)]
 
 
-def _slot_entries(n, flats, tables):
+def _slot_entries(flats, tables):
     """(key, offset) of each flat index, read off its ``_slot_tables``."""
-    lead, mid, last, big = tables
-    nn = n * n
-    nn2 = nn * nn
-    return [divmod(lead[f // nn2] + mid[f // nn % nn] + last[f % nn], big) for f in flats]
+    high, low, split, big = tables
+    return [divmod(high[x] + low[y], big) for x, y in map(divmod, flats, repeat(split))]
 
 
 def _product_terms(n, factors):
@@ -362,11 +362,11 @@ def _product_terms(n, factors):
     plan = _slot_plan(n, tuple(slots for _, slots in factors))
     flats, rows = factors[0][0], None
     for (left, right), (flats_b, _) in zip(plan, factors[1:]):
-        flats, xs, ys = _join(_slot_entries(n, flats, left), _slot_entries(n, flats_b, right))
+        flats, xs, ys = _join(_slot_entries(flats, left), _slot_entries(flats_b, right))
         # the first factor's rows are range(len(flats)): no remap
         rows = [xs, ys] if rows is None else [list(map(r.__getitem__, xs)) for r in rows] + [ys]
     if rows is None:
-        return [off for _, off in _slot_entries(n, flats, plan[0][0])], [range(len(flats))]
+        return [off for _, off in _slot_entries(flats, plan[0][0])], [range(len(flats))]
     return flats, rows
 
 
