@@ -213,6 +213,10 @@ class PrimeField:
     def sample(self, rng: random.Random) -> PrimeFieldElement:
         return PrimeFieldElement(rng.randrange(2, self.p - 1), self)
 
+    def sample_weight(self, rng: random.Random) -> int:
+        """A raw weight of a projected zero test: a residue, uniform in GF(p)."""
+        return rng.randrange(self.p)
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -260,6 +264,11 @@ class RationalField:
             q = Fraction(num, den)
             if q != 0 and abs(q) != 1:
                 return q
+
+    @staticmethod
+    def sample_weight(rng: random.Random) -> int:
+        """A raw weight of a projected zero test: an int, uniform below 2^61."""
+        return rng.randrange(1 << 61)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -30,15 +30,28 @@ index; at each point it takes every evaluation once, as the (nums, den)
 pair a table's ``values`` returns, and tests each output entry for zero
 with C-level gathers, products and running sums, boxing nothing.  The
 tensor products stay as the reference those residuals are tested against.
+
+A ``ProjectedResidual`` (``projected_residual``) is compiled from the same
+jobs, supports and slot rule, with one random weight vector per output
+digit, and tests one random linear form of the residual: each entry
+weighed by its digits' weights.  The digits two factors share are summed
+over, so a point costs each factor one pass over its support and each job
+a sum over its shared keys, with no term of the residual formed and no
+join.  Where the residual does not vanish, the form vanishes with chance at
+most 2w/|S| for a residual of w slots and weights drawn from S
+(Schwartz-Zippel): 6/|S| for a triple residual, 4/|S| for a pair one.  The
+sampled checks of ``trig`` test the form; ``Residual`` stays exact, the
+reference the form is tested against and the program for a proof, where
+weights would break exactness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import lcm
-from operator import add, mul, ne
+from operator import add, floordiv, mod, mul, ne, sub
 
 from .scalars import BackendMismatchError
 
@@ -256,22 +269,13 @@ class Tensor3(_SparseTensor):
 def embed_triple(t: Tensor2, slot: int) -> Tensor3:
     """Embed a Tensor2 into the triple algebra, identity in the omitted slot.
 
-    ``slot`` is one of 12, 13, 23.
+    ``slot`` is one of 12, 13, 23: t^slot is t times 1 (x) 1 in a pair of
+    slots that covers the omitted one.
     """
-    n = t.n
-    nn = n * n
-    # weights of the first pair, the second pair and the identity pair
-    weights = {12: (nn * nn, nn, 1), 13: (nn * nn, 1, nn), 23: (nn, 1, nn * nn)}
-    if slot not in weights:
+    if slot not in _SLOTS:
         raise ValueError("slot must be 12, 13 or 23, got %r" % slot)
-    wa, wb, wd = weights[slot]
-    diag = [p * (n + 1) * wd for p in range(n)]
-    data = {}
-    for f, v in t.data.items():
-        base = f // nn * wa + f % nn * wb
-        for d in diag:
-            data[base + d] = v
-    return Tensor3(n, t.ring, data)
+    unit = Tensor2.unit(t.n, t.ring)
+    return _products(Tensor3, (1, t, _SLOTS[slot], unit, _SLOTS[23 if slot == 12 else 12]))
 
 
 def _contract(cls, n, ring, jobs):
@@ -339,14 +343,23 @@ def _slot_plan(n, specs):
     there.  A lone factor is one placement, keyed by nothing.
     """
     width = max(chain.from_iterable(specs), default=0)
-    slots, taken, plan = specs[0], set(specs[0]), []
-    for later in specs[1:]:
-        reads = [k for k in later if k in taken]
+    slots, plan = specs[0], []
+    for later, reads in zip(specs[1:], _slot_reads(specs)[1:]):
         plan.append((_slot_tables(n, slots, tuple(2 * k - 1 for k in reads), width),
                      _slot_tables(n, later, tuple(2 * k - 2 for k in reads), width)))
         slots = tuple(range(1, width + 1))
-        taken.update(later)
     return plan or [(_slot_tables(n, slots, (), width), None)]
+
+
+def _slot_reads(specs):
+    """The slots each factor reads, in order: those an earlier factor
+    occupies.  Reading slot k, a factor takes the open column there as its
+    key, to equal its row, and writes its own column there."""
+    taken, reads = set(), []
+    for slots in specs:
+        reads.append([k for k in slots if k in taken])
+        taken.update(slots)
+    return reads
 
 
 def _slot_entries(flats, tables):
@@ -378,8 +391,8 @@ class Residual:
     term adds sign times the product, over the job's evaluations evals[p],
     of the value at row rows[p][k] to the output entry outs[k], as
     ``_product_terms`` derives them.  Every job has the same number of
-    factors, and a job's factors are distinct evaluations (a ValueError
-    otherwise); an evaluation may be a factor of any number of jobs.
+    factors, and a job's factors are distinct evaluations (``_parsed_jobs``);
+    an evaluation may be a factor of any number of jobs.
 
     Only the values change from point to point, so the terms are sorted by
     output entry once.  Each (job, factor) owns a segment of the values,
@@ -390,10 +403,6 @@ class Residual:
     def __init__(self, sizes, jobs):
         self.sizes = list(sizes)
         self.jobs = [(sign, evals) for sign, evals, _, _ in jobs]
-        if any(len(set(evals)) != len(evals) for _, evals in self.jobs):
-            raise ValueError("a job's factors must be distinct evaluations")
-        if len({len(evals) for _, evals in self.jobs}) > 1:
-            raise ValueError("every job must have the same number of factors")
         outs = list(chain.from_iterable(job_outs for _, _, job_outs, _ in jobs))
         order = sorted(range(len(outs)), key=outs.__getitem__)
         outs = list(map(outs.__getitem__, order))
@@ -463,18 +472,172 @@ def product_residual(n, supports, jobs) -> Residual:
     each followed by the slots it occupies, a tuple: (1, 2) places r as
     r^12, (2, 1) as flip(r), (1, 2, 3) is a triple tensor and () a scalar.
     The residual has as many slots as the highest one occupied, and every
-    job must occupy every one of them (a ValueError otherwise).
+    job must occupy every one of them (``_parsed_jobs``).
     """
-    width = max((s for job in jobs for slots in job[2::2] for s in slots), default=0)
     compiled = []
-    for sign, *factors in jobs:
-        evals, specs = factors[0::2], factors[1::2]
-        if set(chain.from_iterable(specs)) != set(range(1, width + 1)):
-            raise ValueError("job %r leaves one of %d slots unoccupied"
-                             % ((sign, *factors), width))
+    for sign, evals, specs in _parsed_jobs(jobs)[1]:
         outs, rows = _product_terms(n, [(supports[e], s) for e, s in zip(evals, specs)])
         compiled.append((sign, evals, outs, rows))
     return Residual(map(len, supports), compiled)
+
+
+def _parsed_jobs(jobs):
+    """(width, [(sign, evals, specs)]) of jobs (sign, a, sa, b, sb, ...): the
+    highest slot occupied, and each job's evaluations and their slots.  A
+    ValueError where a job leaves one of the slots up to the width
+    unoccupied, reads one evaluation twice, or has another number of
+    factors than the first job.
+    """
+    width = max((s for job in jobs for slots in job[2::2] for s in slots), default=0)
+    parsed = []
+    for sign, *factors in jobs:
+        evals, specs = tuple(factors[0::2]), factors[1::2]
+        if set(chain.from_iterable(specs)) != set(range(1, width + 1)):
+            raise ValueError("job %r leaves one of %d slots unoccupied"
+                             % ((sign, *factors), width))
+        if len(set(evals)) != len(evals):
+            raise ValueError("a job's factors must be distinct evaluations")
+        if len(evals) != len(parsed[0][1] if parsed else evals):
+            raise ValueError("every job must have the same number of factors")
+        parsed.append((sign, evals, specs))
+    return width, parsed
+
+
+class ProjectedResidual:
+    """One random linear form of a residual, compiled once from the supports
+    of its evaluations: output entry (d_1, ..., d_2w) of a residual with w
+    slots weighs weights[0][d_1] ... weights[2w - 1][d_2w].
+
+    A digit of a factor's entry that meets another factor's (``_slot_reads``)
+    is summed over, not weighed, so each flat of a factor compiles to a key,
+    its summed digits, and a weight, the product of its other digits'.  A
+    job is (sign, evals, factors, rows): factor p sorts its flats by key
+    (``factors[p]`` = (order, weights in that order, last flat of each key)),
+    and the job sums, over the key tuples at which all its factors have
+    flats, the products of each factor's weighted sum at its key there,
+    ``rows[p]`` indexing factor p's distinct keys.  That is a dot product
+    over n or n^2 keys for a pair and a sum over at most n^3 key triples
+    for the QYBE's triple, with no term of the residual formed.
+
+    The form is a polynomial of degree 2w in the weights, and distinct output
+    entries weigh distinct monomials, so where the residual does not vanish,
+    weights drawn uniformly from a set S make the form vanish with chance at
+    most 2w/|S| (Schwartz-Zippel).
+    """
+
+    def __init__(self, sizes, jobs):
+        self.sizes, self.jobs = list(sizes), jobs
+
+    def _total(self, ring, evaluations):
+        """The form's value times the product D of the evaluations' dens, as
+        an unreduced int: each job scaled by the dens it does not read."""
+        sizes = [len(nums) for nums, _ in evaluations]
+        if sizes != self.sizes:
+            raise ValueError("evaluation sizes %r, compiled for %r" % (sizes, self.sizes))
+        reduce = ring.reduce
+        total = 0
+        for sign, evals, factors, rows in self.jobs:
+            scale = sign
+            for e, (_, den) in enumerate(evaluations):
+                if e not in evals:
+                    scale = reduce(scale * den)
+            terms = None
+            for e, (order, weights, last), picks in zip(evals, factors, rows):
+                nums = evaluations[e][0]
+                ends = list(compress(accumulate(map(mul, map(nums.__getitem__, order), weights)),
+                                     last))
+                sums = list(map(reduce, map(sub, ends, [0] + ends[:-1])))
+                picked = map(sums.__getitem__, picks)
+                terms = picked if terms is None else map(mul, terms, picked)
+            total += scale * sum(terms)
+        return total
+
+    def is_zero(self, ring, evaluations) -> bool:
+        """Whether the form vanishes when evaluation e is evaluations[e] =
+        (nums, den), as for ``Residual.is_zero``; ValueError where the sizes
+        differ from the compiled ones."""
+        return not ring.reduce(self._total(ring, evaluations))
+
+    def value(self, ring, evaluations):
+        """The form's value at the evaluations, as a field element."""
+        den = 1
+        for _, d in evaluations:
+            den = ring.reduce(den * d)
+        return ring.box(ring.reduce(self._total(ring, evaluations))) / ring.box(den)
+
+
+def projected_residual(ring, n, supports, jobs, weights) -> ProjectedResidual:
+    """The ``ProjectedResidual`` of the jobs of ``product_residual``, over
+    the same supports, with raw int weights of ``ring``, one vector of n per
+    output digit.
+
+    Slot k's row sits at output digit 2k - 2 and its open column at 2k - 1;
+    a factor reading slot k (``_slot_reads``) meets the column of the factor
+    before it there, a key label of the job, and the column of a factor that
+    a later one reads is that label too.
+    """
+    reduce = ring.reduce
+    compiled = []
+    for sign, evals, specs in _parsed_jobs(jobs)[1]:
+        reads = _slot_reads(specs)
+        labels = [(k, q) for q, ks in enumerate(reads) for k in ks]
+        factors, distinct, owned = [], [], []
+        for p, (e, slots) in enumerate(zip(evals, specs)):
+            # (key label or None, output digit) of each digit, most significant first
+            roles = []
+            for k in slots:
+                later = next((q for q in range(p + 1, len(specs)) if k in specs[q]), None)
+                roles += [(labels.index((k, p)), None) if k in reads[p] else (None, 2 * k - 2),
+                          (labels.index((k, later)), None) if later is not None
+                          else (None, 2 * k - 1)]
+            flats = supports[e]
+            keys, wts = repeat(0), repeat(1)
+            for place, (label, out) in zip(range(len(roles) - 1, -1, -1), roles):
+                digits = map(mod, map(floordiv, flats, repeat(n ** place)), repeat(n))
+                if out is None:
+                    keys = map(add, keys, map(mul, digits, repeat(n ** label)))
+                else:
+                    wts = map(mul, wts, map(weights[out].__getitem__, digits))
+            keys = list(islice(keys, len(flats)))
+            order = sorted(range(len(flats)), key=keys.__getitem__)
+            keys = list(map(keys.__getitem__, order))
+            last = list(map(ne, keys, keys[1:])) + [True]
+            wts = list(islice(wts, len(flats)))
+            factors.append((order, list(map(reduce, map(wts.__getitem__, order))), last))
+            distinct.append(list(compress(keys, last)))
+            owned.append([label for label, _ in roles if label is not None])
+        compiled.append((sign, evals, factors, _key_rows(n, distinct, owned)))
+    return ProjectedResidual(map(len, supports), compiled)
+
+
+def _key_rows(n, keys, owned):
+    """rows[p]: the index among factor p's distinct ``keys[p]`` of its key
+    at each assignment of the job's labels where every factor has one; a
+    key holds digit d of label L as d * n^L, and factor p owns the labels
+    ``owned[p]``.  Found factor by factor, as a join on the labels that the
+    factors before it assign."""
+    combos = [(key, (i,)) for i, key in enumerate(keys[0])]
+    assigned = set(owned[0])
+    for distinct, mine in zip(keys[1:], owned[1:]):
+        places = [n ** at for at in mine if at in assigned]
+        by_shared = {}
+        for i, key, part in zip(count(), distinct, _label_part(n, distinct, places)):
+            by_shared.setdefault(part, []).append((key - part, i))
+        parts = _label_part(n, [c for c, _ in combos], places)
+        combos = [(c + rest, picks + (i,)) for (c, picks), part in zip(combos, parts)
+                  for rest, i in by_shared.get(part, ())]
+        assigned.update(mine)
+    return [list(row) for row in zip(*[picks for _, picks in combos])] or [[] for _ in keys]
+
+
+def _label_part(n, keys, places):
+    """The part of each key that holds the digits at ``places``, the n^L of
+    some labels L."""
+    part = [0] * len(keys)
+    for w in places:
+        digits = map(mod, map(floordiv, keys, repeat(w)), repeat(n))
+        part = list(map(add, part, map(mul, digits, repeat(w))))
+    return part
 
 
 def _products(cls, *products) -> _SparseTensor:

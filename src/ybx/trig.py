@@ -24,10 +24,15 @@ the hat's a rotation of the flat indices priced with u and v exchanged.
 The AYBE, skew, CYBE, QYBE and unitarity checks state their products in
 the paper's notation, each evaluation of r in the slots it occupies ((1, 2)
 for r12, (2, 1) for flip(r), () for a scalar), and compile them once per
-call (``tensors.product_residual``) over the supports, the distinct flats;
-each point tests the residual on each distinct evaluation once, as the
+call over the supports, the distinct flats, into one random linear form of
+the residual (``tensors.projected_residual``), its weights drawn once per
+call from their own RNG (``_weights``), so the points drawn do not move;
+each point tests the form on each distinct evaluation once, as the
 (nums, den) pair ``values`` returns: no field element is boxed and no
-tensor is built.
+tensor is built.  A sampled PASS so carries, besides each point's
+Schwartz-Zippel bound, the form's false-pass chance of at most 6/|S| per
+point for a triple residual and 4/|S| for a pair one (skew, unitarity),
+|S| = p in GF(p) and 2^61 in q.
 A mutated check reads its corrupted factor off a table with one more row,
 priced 1, at the mutation slot (``_corrupted``).  The residues are read
 off the table exactly (``residue_prices``), with no point and no jets.
@@ -50,7 +55,7 @@ from operator import mul, ne, pos, sub
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
-from .tensors import Tensor2, _eliminate, kron2, matrix_inverse, product_residual
+from .tensors import Tensor2, _eliminate, kron2, matrix_inverse, projected_residual
 # unused here: the benchmark tracer wraps these at their trig names
 from .tensors import (  # noqa: F401
     aybe_combine,
@@ -542,12 +547,22 @@ def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
 # -- identity checks -----------------------------------------------------------
 
 
-def _aybe_fails(sol, field, mutate=None):
+def _weights(field, seed, tag, n):
+    """The projection weights of one check call: six vectors of n raw
+    weights of ``field``, one per output digit, from their own RNG, so the
+    points drawn do not move."""
+    rng = derive_rng(seed, tag, "weights", field.name)
+    return [[field.sample_weight(rng) for _ in range(n)] for _ in range(6)]
+
+
+def _aybe_fails(sol, field, weights, mutate=None):
     """The AYBE test at one point (qu, qu', qv, qv'): True where the
-    residual, compiled here once from the support, does not vanish."""
+    residual's projection, compiled here once from the support, does not
+    vanish."""
     flats, first = sol.support, _corrupted(sol, mutate)
-    program = product_residual(sol.n, [first.support] + [flats] * 5, [
-        (1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3))])
+    program = projected_residual(field, sol.n, [first.support] + [flats] * 5, [
+        (1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3))],
+        weights)
 
     def fails(qu, qup, qv, qvp):
         return not program.is_zero(field, [t.values(field, *point) for t, point in (
@@ -571,6 +586,10 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     ``failures`` then counts the points where the corruption was detected
     (the honest reading: the identity fails there), so a working check
     reports a failing run.
+
+    Each point tests one random linear form of the residual, so a PASS also
+    carries the form's false-pass chance, at most 6/|S| per point (the
+    module docstring).
     """
     n, one = sol.n, field.one
     extra = (
@@ -578,15 +597,17 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
         lambda a, b, c, d: (c * d) ** (2 * n) - one,
     )
     return _sampled_check("aybe", "aybe", sol, num_points, seed, field, 4,
-                          _aybe_fails(sol, field, mutate), extra, mutate)
+                          _aybe_fails(sol, field, _weights(field, seed, "aybe", n), mutate),
+                          extra, mutate)
 
 
-def _skew_fails(sol, field, mutate=None):
-    """The skew test at one point (qu, qv): True where flip(r(-u,-v)) + r(u,v),
-    compiled here once from the support, does not vanish."""
+def _skew_fails(sol, field, weights, mutate=None):
+    """The skew test at one point (qu, qv): True where the projection of
+    flip(r(-u,-v)) + r(u,v), compiled here once from the support, does not
+    vanish."""
     right = _corrupted(sol, mutate)
-    program = product_residual(sol.n, [sol.support, right.support],
-                               [(1, 0, (2, 1)), (1, 1, (1, 2))])
+    program = projected_residual(field, sol.n, [sol.support, right.support],
+                                 [(1, 0, (2, 1)), (1, 1, (1, 2))], weights)
 
     def fails(qu, qv):
         return not program.is_zero(field, (sol.values(field, qu ** -1, qv ** -1),
@@ -596,9 +617,15 @@ def _skew_fails(sol, field, mutate=None):
 
 
 def check_skew(sol, num_points, seed, field, mutate=None) -> CheckReport:
-    """Skew-symmetry: flip(r(-u,-v)) + r(u,v) = 0 at seeded points."""
+    """Skew-symmetry: flip(r(-u,-v)) + r(u,v) = 0 at seeded points.
+
+    Each point tests one random linear form of the residual, so a PASS also
+    carries the form's false-pass chance, at most 4/|S| per point (the
+    module docstring).
+    """
     return _sampled_check("skew", "skew", sol, num_points, seed, field, 2,
-                          _skew_fails(sol, field, mutate), mutate=mutate)
+                          _skew_fails(sol, field, _weights(field, seed, "skew", sol.n), mutate),
+                          mutate=mutate)
 
 
 def _block_plan(edges, m):
@@ -742,16 +769,17 @@ def r0_tensor(sol, q_v, field) -> Tensor2:
     return _boxed(sol, field, sol.price_limit(field, "u", q_v))
 
 
-def _cybe_fails(sol, field, mutate=None):
-    """The CYBE test at one point (qv, qv'): True where
+def _cybe_fails(sol, field, weights, mutate=None):
+    """The CYBE test at one point (qv, qv'): True where the projection of
     [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once from the support
     of rbar0 = (pr (x) pr) r0, does not vanish."""
     rbar0 = _ProjectedR0(sol)
     x_table = _corrupted(rbar0, mutate)
     x, y, z = 0, 1, 2
-    program = product_residual(sol.n, [x_table.support, rbar0.support, rbar0.support], [
+    program = projected_residual(field, sol.n, [x_table.support, rbar0.support, rbar0.support], [
         (1, x, (1, 2), y, (1, 3)), (-1, y, (1, 3), x, (1, 2)), (1, x, (1, 2), z, (2, 3)),
-        (-1, z, (2, 3), x, (1, 2)), (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3))])
+        (-1, z, (2, 3), x, (1, 2)), (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3))],
+        weights)
 
     def fails(qv, qvp):
         return not program.is_zero(field, [x_table.values(field, qv),
@@ -770,11 +798,16 @@ def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckR
     result; it is accepted for callers that pass it.  With ``mutate`` set
     to an index 4-tuple, X is read off rbar0's table with one more row,
     priced 1, at that entry (``_corrupted``).
+
+    Each point tests one random linear form of the residual, so a PASS also
+    carries the form's false-pass chance, at most 6/|S| per point (the
+    module docstring).
     """
     n, one = sol.n, field.one
     extra = (lambda a, b: (a * b) ** (2 * n) - one,)
     return _sampled_check("cybe", "cybe", sol, num_points, seed, field, 2,
-                          _cybe_fails(sol, field, mutate), extra, mutate)
+                          _cybe_fails(sol, field, _weights(field, seed, "cybe", n), mutate),
+                          extra, mutate)
 
 
 # -- QYBE / unitarity --------------------------------------------------------------
@@ -785,9 +818,10 @@ def _half(q, n):
     return q ** n - q ** (-n)
 
 
-def _qybe_fails(sol, field):
+def _qybe_fails(sol, field, weights):
     """The unitarity and QYBE tests at one point (qu, qv, qv'): a note naming
-    the first that fails, from residuals compiled here once from the support.
+    the first that fails, from the projections of residuals compiled here
+    once from the support.
 
     Unitarity is r(u,v) . flip(r(u,-v)) - s (1 (x) 1), the scalar s one
     evaluation and the unit another, with s = 1/a^2 - 1/b^2 passed as
@@ -796,10 +830,11 @@ def _qybe_fails(sol, field):
     """
     n, flats = sol.n, sol.support
     unit = Tensor2.unit(n, field).data
-    unitarity = product_residual(n, [flats, flats, [0], list(unit)],
-                                 [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))])
-    qybe = product_residual(n, [flats] * 3, [(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)),
-                                             (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))])
+    unitarity = projected_residual(field, n, [flats, flats, [0], list(unit)],
+                                   [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))], weights)
+    qybe = projected_residual(field, n, [flats] * 3, [(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)),
+                                                      (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))],
+                              weights)
     ones = field.integral(unit.values())
 
     def fails(qu, qv, qvp):
@@ -828,7 +863,9 @@ def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
     tested on r itself; unitarity is r(u,v) flip(r(u,-v)) = (1 (x) 1) times
     1/(sigma(u,v) sigma(u,-v)) = 1/a^2 - 1/b^2.  Both residuals are compiled
     once per call from the solution's support and tested on its integer
-    numerators at each point.
+    numerators at each point, each as one random linear form, so a PASS
+    also carries the forms' false-pass chance, at most 4/|S| per point for
+    unitarity and 6/|S| for the QYBE (the module docstring).
     """
     n, one = sol.n, field.one
     # R = sigma r is defined only where sigma's denominators at (u,v),
@@ -842,7 +879,7 @@ def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
         lambda a, b, c: _half(a, n) - _half(b, n),
     )
     return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field, 3,
-                          _qybe_fails(sol, field), extra)
+                          _qybe_fails(sol, field, _weights(field, seed, "qybe", n)), extra)
 
 
 def qybe_float_shadow(u: float, v: float) -> float:

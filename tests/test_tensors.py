@@ -19,6 +19,7 @@ from ybx.tensors import (
     matrix_inverse,
     pair_embed_product,
     product_residual,
+    projected_residual,
     transposition_p,
 )
 from ybx.trig import TrigSolution, _pole_free
@@ -612,11 +613,15 @@ def test_corrupted_aybe_leaves_the_reference_residual(field, data):
 # -- the compiled pair residual ----------------------------------------------------
 
 
-def _evaluation(n):
-    """Rows of one evaluation: flats (repeats allowed), integer numerators, a den."""
-    rows = st.lists(st.tuples(st.integers(0, n ** 4 - 1), st.integers(-4, 4)),
-                    min_size=1, max_size=8)
-    return st.tuples(rows, st.integers(1, 5))
+def _evaluation(n, flats=None):
+    """Rows of one evaluation: flats (repeats allowed), integer numerators, a
+    den; where ``flats`` is given, the flats are drawn from it and no
+    numerator is 0."""
+    if flats is None:
+        row = st.tuples(st.integers(0, n ** 4 - 1), st.integers(-4, 4))
+    else:
+        row = st.tuples(st.sampled_from(flats), st.integers(-4, 4).filter(bool))
+    return st.tuples(st.lists(row, min_size=1, max_size=8), st.integers(1, 5))
 
 
 def _as_source(n, rows, den):
@@ -643,11 +648,14 @@ def _job(sign, evals, slots):
 
 def _shared_jobs(data, n, shape, width):
     """A pool of evaluations and jobs reading it: ``shape`` over three
-    evaluations half the time, else 1-4 random jobs, each reading ``width``
-    distinct evaluations of a pool of 3-4.  Half the time the pool gains a
-    copy of itself with rescaled numerators, and every job a twin of the
-    opposite sign reading the copies, so the residual cancels."""
-    if data.draw(st.booleans()):
+    evaluations half the time where n > 1 (at n = 1 the CYBE and QYBE
+    shapes vanish identically), else 1-4 random jobs, each reading ``width``
+    distinct evaluations of a pool of 3-4.  Every evaluation of the pool
+    takes its flats from one small random set, those whose four digits lie
+    in two index values, so that most products meet.  Half the time the
+    pool gains a copy of itself with rescaled numerators, and every job a
+    twin of the opposite sign reading the copies, so the residual cancels."""
+    if n > 1 and data.draw(st.booleans()):
         m, jobs = 3, list(shape)
     else:
         m, jobs = data.draw(st.integers(3, 4)), []
@@ -657,7 +665,10 @@ def _shared_jobs(data, n, shape, width):
                 slots += (data.draw(st.sampled_from(((1, 2), (1, 3), (2, 3)))),)
             jobs.append(_job(data.draw(st.sampled_from((1, -1))),
                              data.draw(st.permutations(range(m)))[:width], slots))
-    evals = [data.draw(_evaluation(n)) for _ in range(m)]
+    digits = data.draw(st.lists(st.integers(0, n - 1), min_size=min(n, 2), max_size=2,
+                                unique=True))
+    flats = [((i * n + j) * n + k) * n + l for i, j, k, l in itertools.product(digits, repeat=4)]
+    evals = [data.draw(_evaluation(n, flats)) for _ in range(m)]
     if data.draw(st.booleans()):
         k = data.draw(st.integers(2, 3))
         evals += [([(f, k * v) for f, v in rows], k * den) for rows, den in evals]
@@ -672,6 +683,24 @@ def _compiled_is_zero(n, field, evals, jobs):
                                    for rows, den in evals])
 
 
+def _assert_projection_matches(data, n, field, evals, jobs, entries, verdict):
+    """The projected residual of the same jobs, under weights from a drawn
+    seed, has the exact residual's ``verdict``, and its value is the
+    weighted sum of the reference residual's ``entries`` (index, value)."""
+    rng = derive_rng(data.draw(st.integers(0, 2 ** 32)), "weights", field.name)
+    weights = [[field.sample_weight(rng) for _ in range(n)] for _ in range(6)]
+    program = projected_residual(field, n, [[f for f, _ in rows] for rows, _ in evals], jobs,
+                                 weights)
+    values = [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
+    total = field.zero
+    for idx, v in entries:
+        for ws, d in zip(weights, idx):
+            v = v * field.of_int(ws[d])
+        total = total + v
+    assert program.value(field, values) == total
+    assert program.is_zero(field, values) == verdict
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pair_residual_is_zero_iff_the_reference_is(field, data):
@@ -681,6 +710,8 @@ def test_pair_residual_is_zero_iff_the_reference_is(field, data):
     srcs = [_as_source(n, rows, den) for rows, den in evals]
     want = _reference(n, *[(sign, srcs[a], sa, srcs[b], sb) for sign, a, sa, b, sb in jobs])
     assert got == (not any(field.of_fraction(v) for v in want.values()))
+    _assert_projection_matches(data, n, field, evals, jobs,
+                               [(idx, field.of_fraction(v)) for idx, v in want.items()], got)
 
 
 def _times_embedded(x, c, sc, n):
@@ -709,6 +740,8 @@ def test_triple_residual_is_zero_iff_the_reference_is(field, data):
         for idx, v in term.items():
             want[idx] = want.get(idx, 0) + v
     assert got == (not any(field.of_fraction(v) for v in want.values()))
+    _assert_projection_matches(data, n, field, evals, jobs,
+                               [(idx, field.of_fraction(v)) for idx, v in want.items()], got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -741,9 +774,21 @@ def test_flip_product_terms_match_the_tensor_product(field, data):
             else [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))])
     program = product_residual(n, [[f for f, _ in rows] for rows, _ in evals] + [[0], list(c.data)],
                                jobs)
-    got = program.is_zero(field, [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
-                          + [field.integral([field.of_fraction(s)]), field.integral(c.data.values())])
+    values = ([([field.reduce(v) for _, v in rows], den) for rows, den in evals]
+              + [field.integral([field.of_fraction(s)]), field.integral(c.data.values())])
+    got = program.is_zero(field, values)
     assert got == (product == c.scale(field.of_fraction(s)))
+    rng = derive_rng(data.draw(st.integers(0, 2 ** 32)), "weights", field.name)
+    weights = [[field.sample_weight(rng) for _ in range(n)] for _ in range(4)]
+    projected = projected_residual(field, n, [[f for f, _ in rows] for rows, _ in evals]
+                                   + [[0], list(c.data)], jobs, weights)
+    assert projected.is_zero(field, values) == got
+    total = field.zero
+    for idx, v in (product - c.scale(field.of_fraction(s))).items():
+        for ws, d in zip(weights, idx):
+            v = v * field.of_int(ws[d])
+        total = total + v
+    assert projected.value(field, values) == total
 
 
 @pytest.mark.parametrize("change", (-1, 1))
@@ -759,6 +804,13 @@ def test_residual_rejects_an_evaluation_of_the_wrong_length(field, change):
         program.is_zero(field, [bad, good, good])
     with pytest.raises(ValueError):
         program.is_zero(field, [good, good])
+    rng = derive_rng(12, "weights", field.name)
+    weights = [[field.sample_weight(rng) for _ in range(2)] for _ in range(6)]
+    projected = projected_residual(field, 2, [flats] * 3, _CYBE_JOBS, weights)
+    assert projected.is_zero(field, [good] * 3) is False
+    for evaluations in ([bad, good, good], [good, good]):
+        with pytest.raises(ValueError):
+            projected.is_zero(field, evaluations)
 
 
 def test_residual_rejects_a_job_reading_one_evaluation_twice():
@@ -768,16 +820,25 @@ def test_residual_rejects_a_job_reading_one_evaluation_twice():
         product_residual(2, [[0, 5]] * 2, [(1, 0, (1, 2), 0, (1, 3))])
 
 
-@pytest.mark.parametrize("jobs", [
+_MALFORMED_JOBS = pytest.mark.parametrize("jobs", [
     [(1, 0, (1, 3))],
     [(1, 0, (), 1, (2, 3))],
     [(1, 0, (1, 2), 1, (1, 2)), (1, 0, (1, 2), 1, (2, 3))],
     [(1, 0, (1, 2), 0, (2, 1))],
     [(1, 0, (2, 1)), (1, 0, (1, 2), 1, (1, 2))],
 ], ids=["slot-2-empty", "slot-1-empty", "one-job-narrower", "reads-twice", "factor-counts-differ"])
+
+
+@_MALFORMED_JOBS
 def test_product_residual_rejects_a_malformed_job(jobs):
     # the residual has as many slots as the highest one occupied, and every
     # job fills each of them: (1, 2) . (1, 2) is a product of width 2 only;
     # a job's factors are distinct evaluations, as many as every other job's
     with pytest.raises(ValueError):
         product_residual(2, [[0, 5]] * 2, jobs)
+
+
+@_MALFORMED_JOBS
+def test_projected_residual_rejects_a_malformed_job(field, jobs):
+    with pytest.raises(ValueError):
+        projected_residual(field, 2, [[0, 5]] * 2, jobs, [[1, 2]] * 6)

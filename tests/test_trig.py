@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from ybx.tensors import (
     kron2,
     matrix_inverse,
     pair_embed_product,
+    product_residual,
+    projected_residual,
     transposition_p,
 )
 from ybx.trig import (
@@ -446,37 +449,88 @@ class _Corrupted(trig_module._TableSolution):
         return self.base.price_residue(which)
 
 
-def _reference_aybe_fails(sol, field, slot, qu, qup, qv, qvp):
+def _reference_aybe(sol, field, slot, qu, qup, qv, qvp):
+    """The AYBE residual, by tensor products."""
     evals = [sol.eval(field, *point) for point in (
         (qup ** -1, qv), (qu * qup, qv * qvp), (qu * qup, qvp),
         (qu, qv), (qu, qv * qvp), (qup, qvp))]
     if slot is not None:
         evals[0] = evals[0] + Tensor2.basis(sol.n, field, *slot)
-    return not aybe_combine(*evals).is_zero()
+    return aybe_combine(*evals)
 
 
-def _reference_skew_fails(sol, field, slot, qu, qv):
+def _reference_skew(sol, field, slot, qu, qv):
+    """The skew residual flip(r(-u,-v)) + r(u,v), by tensor maps."""
     r = sol.eval(field, qu, qv)
     if slot is not None:
         r = r + Tensor2.basis(sol.n, field, *slot)
-    return not (sol.eval(field, qu ** -1, qv ** -1).flip() + r).is_zero()
+    return sol.eval(field, qu ** -1, qv ** -1).flip() + r
+
+
+def _weighted(t, weights, field):
+    """The weighted sum of a reference residual: entry (d_1, ..., d_2w)
+    weighs weights[0][d_1] ... weights[2w - 1][d_2w]."""
+    total = field.zero
+    for idx, v in t.items():
+        for ws, d in zip(weights, idx):
+            v = v * field.of_int(ws[d])
+        total = total + v
+    return total
+
+
+class _Pinned:
+    """A projected residual as ``trig`` compiles it, whose every zero test
+    must give the verdict of the exact ``Residual`` of the same jobs; it
+    keeps the form's value at each test."""
+
+    def __init__(self, values, ring, n, supports, jobs, weights):
+        self.values = values
+        self.projected = projected_residual(ring, n, supports, jobs, weights)
+        self.exact = product_residual(n, supports, jobs)
+
+    def is_zero(self, ring, evaluations):
+        verdict = self.projected.is_zero(ring, evaluations)
+        assert verdict == self.exact.is_zero(ring, evaluations)
+        self.values.append(self.projected.value(ring, evaluations))
+        return verdict
+
+
+@contextmanager
+def _pinned_to_the_exact_residual():
+    """Inside the block, every residual ``trig`` compiles is a ``_Pinned``;
+    yields the list that collects the form's value at each test, in order."""
+    values = []
+    compile_ = trig_module.projected_residual
+    trig_module.projected_residual = lambda *args: _Pinned(values, *args)
+    try:
+        yield values
+    finally:
+        trig_module.projected_residual = compile_
 
 
 def _pin_to_reference(sol, field, slot, points, tag):
-    """The compiled AYBE and skew verdicts equal the references' at each point."""
+    """The compiled AYBE and skew verdicts equal the references' and the
+    exact residual's at each point, and the projections' values the
+    references' weighted sums."""
     n, one = sol.n, field.one
-    aybe = trig_module._aybe_fails(sol, field, slot)
-    skew = trig_module._skew_fails(sol, field, slot)
-    rng = derive_rng(31, "compiled", tag, field.name)
-    extra = (lambda a, b, c, d: (a * b) ** (2 * n) - one,
-             lambda a, b, c, d: (c * d) ** (2 * n) - one)
-    verdicts = []
-    for _ in range(points):
-        qs = _pole_free(field, rng, n, 4, extra)
-        verdict = aybe(*qs)
-        assert verdict == _reference_aybe_fails(sol, field, slot, *qs), tag
-        assert skew(*qs[::2]) == _reference_skew_fails(sol, field, slot, *qs[::2]), tag
-        verdicts.append(verdict)
+    weights = trig_module._weights(field, 31, tag, n)
+    with _pinned_to_the_exact_residual() as values:
+        aybe = trig_module._aybe_fails(sol, field, weights, slot)
+        skew = trig_module._skew_fails(sol, field, weights, slot)
+        rng = derive_rng(31, "compiled", tag, field.name)
+        extra = (lambda a, b, c, d: (a * b) ** (2 * n) - one,
+                 lambda a, b, c, d: (c * d) ** (2 * n) - one)
+        verdicts = []
+        for _ in range(points):
+            qs = _pole_free(field, rng, n, 4, extra)
+            verdict = aybe(*qs)
+            want = _reference_aybe(sol, field, slot, *qs)
+            assert verdict == (not want.is_zero()), tag
+            assert values.pop() == _weighted(want, weights, field), tag
+            want = _reference_skew(sol, field, slot, *qs[::2])
+            assert skew(*qs[::2]) == (not want.is_zero()), tag
+            assert values.pop() == _weighted(want, weights, field), tag
+            verdicts.append(verdict)
     return verdicts
 
 
@@ -555,44 +609,54 @@ def _jet_r0(sol, field, qv):
     return trig_module._jet_coefficient(sol, field, 6, "u", qv, 0)
 
 
-def _reference_cybe_fails(sol, field, slot, qv, qvp):
+def _reference_cybe(sol, field, slot, qv, qvp):
+    """The CYBE residual of rbar0 read off r's jets, by tensor products."""
     x, y, z = (_jet_r0(sol, field, q).project_sl() for q in (qv, qv * qvp, qvp))
     if slot is not None:
         x = x + Tensor2.basis(sol.n, field, *slot)
-    return not cybe_residual(x, y, z).is_zero()
+    return cybe_residual(x, y, z)
 
 
-def _reference_qybe_note(sol, field, qu, qv, qvp):
-    """The first of unitarity and the QYBE to fail, by tensor products."""
+def _reference_qybe(sol, field, qu, qv, qvp):
+    """The unitarity residual, then the QYBE's, by tensor products."""
     n = sol.n
     r12 = sol.eval(field, qu, qv)
     unit = Tensor2.unit(n, field).scale((qu ** n - qu ** -n) ** -2 - (qv ** n - qv ** -n) ** -2)
-    if r12 * sol.eval(field, qu, qv ** -1).flip() != unit:
-        return "unitarity failed"
     r13, r23 = sol.eval(field, qu, qv * qvp), sol.eval(field, qu, qvp)
-    if (pair_embed_product(r12, 12, r13, 13) * embed_triple(r23, 23)
-            != pair_embed_product(r23, 23, r13, 13) * embed_triple(r12, 12)):
-        return "qybe failed"
-    return None
+    return (r12 * sol.eval(field, qu, qv ** -1).flip() - unit,
+            pair_embed_product(r12, 12, r13, 13) * embed_triple(r23, 23)
+            - pair_embed_product(r23, 23, r13, 13) * embed_triple(r12, 12))
 
 
 def _pin_limits_to_reference(sol, field, slot, points, tag, qybe=True):
     """The compiled CYBE verdicts, and the QYBE/unitarity notes, equal the
-    references' at each point; returns the CYBE verdicts and the notes."""
+    references' and the exact residuals' at each point, and the
+    projections' values the references' weighted sums; returns the CYBE
+    verdicts and the notes."""
     n, one = sol.n, field.one
-    cybe = trig_module._cybe_fails(sol, field, slot)
-    qybe_fails = trig_module._qybe_fails(sol, field) if qybe else None
-    rng = derive_rng(35, "compiled-limits", tag, field.name)
-    verdicts, notes = [], []
-    for _ in range(points):
-        qu, qv, qvp = _pole_free(field, rng, n, 3, (lambda a, b, c: (b * c) ** (2 * n) - one,))
-        verdict = cybe(qv, qvp)
-        assert verdict == _reference_cybe_fails(sol, field, slot, qv, qvp), tag
-        verdicts.append(verdict)
-        if qybe:
-            note = qybe_fails(qu, qv, qvp)
-            assert note == _reference_qybe_note(sol, field, qu, qv, qvp), tag
-            notes.append(note)
+    weights = trig_module._weights(field, 35, tag, n)
+    with _pinned_to_the_exact_residual() as values:
+        cybe = trig_module._cybe_fails(sol, field, weights, slot)
+        qybe_fails = trig_module._qybe_fails(sol, field, weights) if qybe else None
+        rng = derive_rng(35, "compiled-limits", tag, field.name)
+        verdicts, notes = [], []
+        for _ in range(points):
+            qu, qv, qvp = _pole_free(field, rng, n, 3,
+                                     (lambda a, b, c: (b * c) ** (2 * n) - one,))
+            verdict = cybe(qv, qvp)
+            want = _reference_cybe(sol, field, slot, qv, qvp)
+            assert verdict == (not want.is_zero()), tag
+            assert values.pop() == _weighted(want, weights, field), tag
+            verdicts.append(verdict)
+            if qybe:
+                note = qybe_fails(qu, qv, qvp)
+                unitarity, qybe_residual = _reference_qybe(sol, field, qu, qv, qvp)
+                tested = [unitarity] if note == "unitarity failed" else [unitarity, qybe_residual]
+                assert values == [_weighted(t, weights, field) for t in tested], tag
+                values.clear()
+                assert note == ("unitarity failed" if not unitarity.is_zero()
+                                else "qybe failed" if not qybe_residual.is_zero() else None), tag
+                notes.append(note)
     return verdicts, notes
 
 
