@@ -475,18 +475,17 @@ def product_residual(n, supports, jobs) -> Residual:
     job must occupy every one of them (``_parsed_jobs``).
     """
     compiled = []
-    for sign, evals, specs in _parsed_jobs(jobs)[1]:
+    for sign, evals, specs in _parsed_jobs(jobs):
         outs, rows = _product_terms(n, [(supports[e], s) for e, s in zip(evals, specs)])
         compiled.append((sign, evals, outs, rows))
     return Residual(map(len, supports), compiled)
 
 
 def _parsed_jobs(jobs):
-    """(width, [(sign, evals, specs)]) of jobs (sign, a, sa, b, sb, ...): the
-    highest slot occupied, and each job's evaluations and their slots.  A
-    ValueError where a job leaves one of the slots up to the width
-    unoccupied, reads one evaluation twice, or has another number of
-    factors than the first job.
+    """[(sign, evals, specs)] of jobs (sign, a, sa, b, sb, ...): each job's
+    evaluations and their slots.  A ValueError where a job leaves one of the
+    slots up to the highest one occupied empty, reads one evaluation twice,
+    or has another number of factors than the first job.
     """
     width = max((s for job in jobs for slots in job[2::2] for s in slots), default=0)
     parsed = []
@@ -500,7 +499,7 @@ def _parsed_jobs(jobs):
         if len(evals) != len(parsed[0][1] if parsed else evals):
             raise ValueError("every job must have the same number of factors")
         parsed.append((sign, evals, specs))
-    return width, parsed
+    return parsed
 
 
 class ProjectedResidual:
@@ -578,7 +577,7 @@ def projected_residual(ring, n, supports, jobs, weights) -> ProjectedResidual:
     """
     reduce = ring.reduce
     compiled = []
-    for sign, evals, specs in _parsed_jobs(jobs)[1]:
+    for sign, evals, specs in _parsed_jobs(jobs):
         reads = _slot_reads(specs)
         labels = [(k, q) for q, ks in enumerate(reads) for k in ks]
         factors, distinct, owned = [], [], []

@@ -29,7 +29,7 @@ the residual (``tensors.projected_residual``), its weights drawn once per
 call from their own RNG (``_weights``), so the points drawn do not move;
 each point tests the form on each distinct evaluation once, as the
 (nums, den) pair ``values`` returns: no field element is boxed and no
-tensor is built.  A sampled PASS so carries, besides each point's
+tensor is built.  A sampled PASS therefore carries, besides each point's
 Schwartz-Zippel bound, the form's false-pass chance of at most 6/|S| per
 point for a triple residual and 4/|S| for a pair one (skew, unitarity),
 |S| = p in GF(p) and 2^61 in q.

@@ -683,21 +683,32 @@ def _compiled_is_zero(n, field, evals, jobs):
                                    for rows, den in evals])
 
 
-def _assert_projection_matches(data, n, field, evals, jobs, entries, verdict):
-    """The projected residual of the same jobs, under weights from a drawn
-    seed, has the exact residual's ``verdict``, and its value is the
-    weighted sum of the reference residual's ``entries`` (index, value)."""
+def _drawn_weights(data, n, field):
+    """Six weight vectors of n, from an RNG seeded by a drawn int."""
     rng = derive_rng(data.draw(st.integers(0, 2 ** 32)), "weights", field.name)
-    weights = [[field.sample_weight(rng) for _ in range(n)] for _ in range(6)]
-    program = projected_residual(field, n, [[f for f, _ in rows] for rows, _ in evals], jobs,
-                                 weights)
-    values = [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
+    return [[field.sample_weight(rng) for _ in range(n)] for _ in range(6)]
+
+
+def _weighted_sum(entries, weights, field):
+    """The sum of the (index, value) ``entries`` of a residual, entry
+    (d_1, ..., d_2w) weighing weights[0][d_1] ... weights[2w - 1][d_2w]."""
     total = field.zero
     for idx, v in entries:
         for ws, d in zip(weights, idx):
             v = v * field.of_int(ws[d])
         total = total + v
-    assert program.value(field, values) == total
+    return total
+
+
+def _assert_projection_matches(data, n, field, evals, jobs, entries, verdict):
+    """The projected residual of the same jobs, under drawn weights, has the
+    exact residual's ``verdict``, and its value is the weighted sum of the
+    reference residual's ``entries``."""
+    weights = _drawn_weights(data, n, field)
+    program = projected_residual(field, n, [[f for f, _ in rows] for rows, _ in evals], jobs,
+                                 weights)
+    values = [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
+    assert program.value(field, values) == _weighted_sum(entries, weights, field)
     assert program.is_zero(field, values) == verdict
 
 
@@ -778,17 +789,12 @@ def test_flip_product_terms_match_the_tensor_product(field, data):
               + [field.integral([field.of_fraction(s)]), field.integral(c.data.values())])
     got = program.is_zero(field, values)
     assert got == (product == c.scale(field.of_fraction(s)))
-    rng = derive_rng(data.draw(st.integers(0, 2 ** 32)), "weights", field.name)
-    weights = [[field.sample_weight(rng) for _ in range(n)] for _ in range(4)]
+    weights = _drawn_weights(data, n, field)
     projected = projected_residual(field, n, [[f for f, _ in rows] for rows, _ in evals]
                                    + [[0], list(c.data)], jobs, weights)
     assert projected.is_zero(field, values) == got
-    total = field.zero
-    for idx, v in (product - c.scale(field.of_fraction(s))).items():
-        for ws, d in zip(weights, idx):
-            v = v * field.of_int(ws[d])
-        total = total + v
-    assert projected.value(field, values) == total
+    residual = product - c.scale(field.of_fraction(s))
+    assert projected.value(field, values) == _weighted_sum(residual.items(), weights, field)
 
 
 @pytest.mark.parametrize("change", (-1, 1))
