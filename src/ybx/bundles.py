@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .perms import ABDStructure, Permutation, identity, json_int
+from .perms import ABDStructure, Permutation, identity, json_int, json_object
 
 
 class SimplicityError(ValueError):
@@ -46,6 +46,7 @@ class BundleData:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "BundleData":
+        json_object(d, ("r", "n", "m", "lambda"), "a bundle")
         lam = d.get("lambda", "1/1")
         if type(lam) not in (str, int, float):
             raise ValueError("lambda must be a JSON string or number, got %r" % (lam,))

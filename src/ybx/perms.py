@@ -236,6 +236,7 @@ class ABDStructure:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ABDStructure":
+        json_object(d, ("n", "c1", "c2", "a"), "a structure")
         a = tuple(json_int(x, "a") for x in d["a"])
         if len(set(a)) != len(a):
             raise ValueError("a repeats a point: %r" % (list(a),))
@@ -245,6 +246,16 @@ class ABDStructure:
             c2=Permutation(tuple(json_int(x, "c2") for x in d["c2"])),
             a=a,
         )
+
+
+def json_object(d, keys: tuple, what: str) -> None:
+    """ValueError unless ``d`` is a JSON object whose keys are among ``keys``,
+    those ``to_json_dict`` writes: a misspelt key is rejected, not ignored."""
+    if type(d) is not dict:
+        raise ValueError("%s must be a JSON object with keys %s" % (what, ", ".join(keys)))
+    unknown = [k for k in d if k not in keys]
+    if unknown:
+        raise ValueError("unknown key %r in %s (expected %s)" % (unknown[0], what, ", ".join(keys)))
 
 
 def json_int(value, key: str) -> int:

@@ -288,7 +288,12 @@ def field_from_name(name: str):
     if name == "q":
         return RATIONAL
     if name.startswith("fp:"):
-        return PrimeField(int(name[3:]))
+        try:
+            p = int(name[3:])
+        except ValueError:
+            p = None
+        if p is not None:
+            return PrimeField(p)
     raise ValueError("unknown field %r (expected 'q' or 'fp:<prime>')" % name)
 
 

@@ -32,17 +32,19 @@ with C-level gathers, products and running sums, boxing nothing.  The
 tensor products stay as the reference those residuals are tested against.
 
 A ``ProjectedResidual`` (``projected_residual``) is compiled from the same
-jobs, supports and slot rule, with one random weight vector per output
-digit, and tests one random linear form of the residual: each entry
-weighed by its digits' weights.  The digits two factors share are summed
-over, so a point costs each factor one pass over its support and each job
-a sum over its shared keys, with no term of the residual formed and no
-join.  Where the residual does not vanish, the form vanishes with chance at
-most 2w/|S| for a residual of w slots and weights drawn from S
-(Schwartz-Zippel): 6/|S| for a triple residual, 4/|S| for a pair one.  The
-sampled checks of ``trig`` test the form; ``Residual`` stays exact, the
-reference the form is tested against and the program for a proof, where
-weights would break exactness.
+jobs and slot rule, with one random weight vector per output digit, and
+tests one random linear form of the residual: each entry weighed by its
+digits' weights.  Each evaluation is compiled as a list of entries, a flat
+and the index of the value it reads, so a table's rows can read its group
+prices directly; entries at one flat add up.  The digits two factors share
+are summed over, so a point costs each factor one gather over its entries
+and each job a sum over its shared keys, with no term of the residual
+formed and no join.  Where the residual does not vanish, the form vanishes
+with chance at most 2w/|S| for a residual of w slots and weights drawn
+from S (Schwartz-Zippel): 6/|S| for a triple residual, 4/|S| for a pair
+one.  The sampled checks of ``trig`` test the form; ``Residual`` stays
+exact, the reference the form is tested against and the program for a
+proof, where weights would break exactness.
 """
 
 from __future__ import annotations
@@ -503,20 +505,23 @@ def _parsed_jobs(jobs):
 
 
 class ProjectedResidual:
-    """One random linear form of a residual, compiled once from the supports
+    """One random linear form of a residual, compiled once from the entries
     of its evaluations: output entry (d_1, ..., d_2w) of a residual with w
     slots weighs weights[0][d_1] ... weights[2w - 1][d_2w].
 
     A digit of a factor's entry that meets another factor's (``_slot_reads``)
-    is summed over, not weighed, so each flat of a factor compiles to a key,
-    its summed digits, and a weight, the product of its other digits'.  A
-    job is (sign, evals, factors, rows): factor p sorts its flats by key
-    (``factors[p]`` = (order, weights in that order, last flat of each key)),
-    and the job sums, over the key tuples at which all its factors have
-    flats, the products of each factor's weighted sum at its key there,
+    is summed over, not weighed, so each entry (flat, i) of a factor
+    compiles to a key, its flat's summed digits, and a weight, the product
+    of its other digits'.  A job is (sign, evals, factors, rows): factor p
+    sorts its entries by key (``factors[p]`` = (the index i of each entry in
+    that order, their weights in that order, last entry of each key)), and
+    the job sums, over the key tuples at which all its factors have
+    entries, the products of each factor's weighted sum at its key there,
     ``rows[p]`` indexing factor p's distinct keys.  That is a dot product
     over n or n^2 keys for a pair and a sum over at most n^3 key triples
-    for the QYBE's triple, with no term of the residual formed.
+    for the QYBE's triple, with no term of the residual formed.  Entries
+    that share a flat add up, so an evaluation can be read as a table's
+    rows, each at its group's price, with no per-flat sum.
 
     The form is a polynomial of degree 2w in the weights, and distinct output
     entries weigh distinct monomials, so where the residual does not vanish,
@@ -565,10 +570,16 @@ class ProjectedResidual:
         return ring.box(ring.reduce(self._total(ring, evaluations))) / ring.box(den)
 
 
-def projected_residual(ring, n, supports, jobs, weights) -> ProjectedResidual:
-    """The ``ProjectedResidual`` of the jobs of ``product_residual``, over
-    the same supports, with raw int weights of ``ring``, one vector of n per
-    output digit.
+def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual:
+    """The ``ProjectedResidual`` of the jobs of ``product_residual``, with
+    raw int weights of ``ring``, one vector of n per output digit.
+
+    Evaluation e is (size, entries): it is passed as ``size`` values, and
+    each entry (flat, i) puts value i at that flat.  A flat may repeat and a
+    value may be read by several entries; the evaluation's value at a flat
+    is the sum of its entries' values.  ``flat_entries`` gives the entries
+    of values at distinct flats, one each, as ``product_residual`` reads
+    its supports.
 
     Slot k's row sits at output digit 2k - 2 and its open column at 2k - 1;
     a factor reading slot k (``_slot_reads``) meets the column of the factor
@@ -582,6 +593,7 @@ def projected_residual(ring, n, supports, jobs, weights) -> ProjectedResidual:
         labels = [(k, q) for q, ks in enumerate(reads) for k in ks]
         factors, distinct, owned = [], [], []
         for p, (e, slots) in enumerate(zip(evals, specs)):
+            entries = evaluations[e][1]
             # (key label or None, output digit) of each digit, most significant first
             roles = []
             for k in slots:
@@ -589,7 +601,7 @@ def projected_residual(ring, n, supports, jobs, weights) -> ProjectedResidual:
                 roles += [(labels.index((k, p)), None) if k in reads[p] else (None, 2 * k - 2),
                           (labels.index((k, later)), None) if later is not None
                           else (None, 2 * k - 1)]
-            flats = supports[e]
+            flats = [f for f, _ in entries]
             keys, wts = repeat(0), repeat(1)
             for place, (label, out) in zip(range(len(roles) - 1, -1, -1), roles):
                 digits = map(mod, map(floordiv, flats, repeat(n ** place)), repeat(n))
@@ -602,11 +614,18 @@ def projected_residual(ring, n, supports, jobs, weights) -> ProjectedResidual:
             keys = list(map(keys.__getitem__, order))
             last = list(map(ne, keys, keys[1:])) + [True]
             wts = list(islice(wts, len(flats)))
-            factors.append((order, list(map(reduce, map(wts.__getitem__, order))), last))
+            factors.append(([entries[x][1] for x in order],
+                            list(map(reduce, map(wts.__getitem__, order))), last))
             distinct.append(list(compress(keys, last)))
             owned.append([label for label, _ in roles if label is not None])
         compiled.append((sign, evals, factors, _key_rows(n, distinct, owned)))
-    return ProjectedResidual(map(len, supports), compiled)
+    return ProjectedResidual([size for size, _ in evaluations], compiled)
+
+
+def flat_entries(flats):
+    """The (size, entries) of ``projected_residual`` for an evaluation valued
+    at each of the distinct ``flats`` in turn: entry i reads value i."""
+    return len(flats), list(zip(flats, count()))
 
 
 def _key_rows(n, keys, owned):

@@ -24,11 +24,15 @@ the hat's a rotation of the flat indices priced with u and v exchanged.
 The AYBE, skew, CYBE, QYBE and unitarity checks state their products in
 the paper's notation, each evaluation of r in the slots it occupies ((1, 2)
 for r12, (2, 1) for flip(r), () for a scalar), and compile them once per
-call over the supports, the distinct flats, into one random linear form of
-the residual (``tensors.projected_residual``), its weights drawn once per
-call from their own RNG (``_weights``), so the points drawn do not move;
-each point tests the form on each distinct evaluation once, as the
-(nums, den) pair ``values`` returns: no field element is boxed and no
+call into one random linear form of the residual
+(``tensors.projected_residual``), its weights drawn once per call from
+their own RNG (``_weights``), so the points drawn do not move.  Each table
+says how the form reads it (``entries`` and ``read``): r, the hat and a
+mutated table by their rows, each at its group's price as ``price``
+returns it, and a scaled image (a gauge, pr (x) pr), whose rows outnumber
+its flats, by its support, each flat's rows summed by ``values``; the CYBE
+reads rbar0 that way too.  Each point tests the form on each distinct
+evaluation once, on those integers: no field element is boxed and no
 tensor is built.  A sampled PASS therefore carries, besides each point's
 Schwartz-Zippel bound, the form's false-pass chance of at most 6/|S| per
 point for a triple residual and 4/|S| for a pair one (skew, unitarity),
@@ -55,7 +59,14 @@ from operator import mul, ne, pos, sub
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
-from .tensors import Tensor2, _eliminate, kron2, matrix_inverse, projected_residual
+from .tensors import (
+    Tensor2,
+    _eliminate,
+    flat_entries,
+    kron2,
+    matrix_inverse,
+    projected_residual,
+)
 # unused here: the benchmark tracer wraps these at their trig names
 from .tensors import (  # noqa: F401
     aybe_combine,
@@ -283,15 +294,15 @@ def _boxed(sol, ring, prices) -> Tensor2:
 class _TableSolution:
     """An r-matrix as one linear table: rows (groups[i], flats[i]), with
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
-    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den,
-    ``price_limit(ring, which, q)`` their constant terms at u = 0 or v = 0
-    the same way (``limit_prices``), and ``price_residue(which)`` their
-    residues there (``residue_prices``).  ``support`` lists the distinct
-    flats in ascending order.
+    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den, a list
+    of ``prices`` numerators, ``price_limit(ring, which, q)`` their constant
+    terms at u = 0 or v = 0 the same way (``limit_prices``), and
+    ``price_residue(which)`` their residues there (``residue_prices``).
+    ``support`` lists the distinct flats in ascending order.
     """
 
-    def _set_rows(self, groups, flats):
-        self.groups, self.flats = tuple(groups), tuple(flats)
+    def _set_rows(self, groups, flats, prices):
+        self.groups, self.flats, self.prices = tuple(groups), tuple(flats), prices
         order = sorted(range(len(self.flats)), key=self.flats.__getitem__)
         by_flat = list(map(self.flats.__getitem__, order))
         self._groups_by_flat = list(map(self.groups.__getitem__, order))
@@ -305,11 +316,24 @@ class _TableSolution:
     def values(self, ring, *point):
         """(the integer numerator at every flat of ``support``, their
         denominator) at a point: each flat's rows summed, as running sums
-        over the rows sorted by flat."""
+        over the rows sorted by flat.  The projected zero test reads them
+        only where rows outnumber flats, a scaled ``_Image`` such as a
+        gauge or the CYBE's rbar0 (``entries``); the nondegeneracy test's
+        blocks always do."""
         nums, den = self.price(ring, *point)
         ends = list(compress(accumulate(map(nums.__getitem__, self._groups_by_flat)),
                              self._last))
         return list(map(sub, ends, [0] + ends[:-1])), den
+
+    def entries(self):
+        """The table as ``tensors.projected_residual`` compiles it, (size,
+        entries): each row (g, f) is the entry (f, g), reading price g of
+        ``read``, so the form adds up a flat's rows itself."""
+        return self.prices, list(zip(self.flats, self.groups))
+
+    def read(self, ring, *point):
+        """The (nums, den) that ``entries`` index at a point: the prices."""
+        return self.price(ring, *point)
 
 
 class TrigSolution(_TableSolution):
@@ -329,7 +353,7 @@ class TrigSolution(_TableSolution):
         self._recipe = price_recipe(self.n, self.terms)
         self._set_rows(chain.from_iterable(repeat(g, len(t[-1]))
                                            for g, t in enumerate(self.terms)),
-                       chain.from_iterable(t[-1] for t in self.terms))
+                       chain.from_iterable(t[-1] for t in self.terms), len(self.terms))
 
     def price(self, ring, q_u, q_v):
         return price_terms(ring, self.n, self._recipe, q_u, q_v)
@@ -361,6 +385,11 @@ class _Image(_TableSolution):
     group, and ``values`` sums them.  Where every coefficient is 1 (the
     hat), the image keeps the base's groups and prices, unscaled: scaling
     them by 1 took about 1.5% of the ``aybe-fp`` benchmark's time.
+
+    A scaled image is read by its support (``entries``), each flat's rows
+    summed by ``values``: its rows outnumber its flats (387 against 93 for
+    pr (x) pr at n = 7, more than n^4 for a dense gauge), and compiling the
+    rows made the ``limits-fp`` benchmark 0.78x as fast.
     """
 
     def __init__(self, base, rows, coef_den=1, swap=False):
@@ -372,7 +401,8 @@ class _Image(_TableSolution):
             scaled = {}
             groups = [scaled.setdefault((grp, c), len(scaled)) for grp, _, c in rows]
             self._scaled = tuple(scaled)
-        self._set_rows(groups, [f for _, f, _ in rows])
+        self._set_rows(groups, [f for _, f, _ in rows],
+                       base.prices if self._scaled is None else len(self._scaled))
 
     def _scale(self, prices, reduce=pos):
         """The base's prices (nums, den) as the image's; plain integer
@@ -382,6 +412,12 @@ class _Image(_TableSolution):
         nums, den = prices
         return ([reduce(c * nums[g]) for g, c in self._scaled],
                 reduce(den * self.coef_den))
+
+    def entries(self):
+        return super().entries() if self._scaled is None else flat_entries(self.support)
+
+    def read(self, ring, *point):
+        return (self.price if self._scaled is None else self.values)(ring, *point)
 
     def _base_which(self, which):
         return ("v" if which == "u" else "u") if self.swap else which
@@ -501,14 +537,24 @@ def _slot_flat(n, slot) -> int:
 class _PlusOne(_TableSolution):
     """The base table with one more row, at flat ``f`` in group 0, priced
     den / den = 1; the base's groups are shifted up by one.  ``price``
-    forwards any point, so any base's price works."""
+    forwards any point, so any base's price works.  It is read as its
+    base is, with one more entry, reading value 0 (``entries``)."""
 
     def __init__(self, base, f):
-        self.n, self._base_price = base.n, base.price
-        self._set_rows((0,) + tuple(g + 1 for g in base.groups), (f,) + base.flats)
+        self.n, self.base = base.n, base
+        self._set_rows((0,) + tuple(g + 1 for g in base.groups), (f,) + base.flats,
+                       base.prices + 1)
 
     def price(self, ring, *point):
-        nums, den = self._base_price(ring, *point)
+        nums, den = self.base.price(ring, *point)
+        return [den] + nums, den
+
+    def entries(self):
+        size, entries = self.base.entries()
+        return size + 1, [(self.flats[0], 0)] + [(f, i + 1) for f, i in entries]
+
+    def read(self, ring, *point):
+        nums, den = self.base.read(ring, *point)
         return [den] + nums, den
 
 
@@ -557,22 +603,23 @@ def _weights(field, seed, tag, n):
 
 def _aybe_fails(sol, field, weights, mutate=None):
     """The AYBE test at one point (qu, qu', qv, qv'): True where the
-    residual's projection, compiled here once from the support, does not
-    vanish."""
-    flats, first = sol.support, _corrupted(sol, mutate)
-    program = projected_residual(field, sol.n, [first.support] + [flats] * 5, [
+    residual's projection, compiled here once from the tables' entries,
+    does not vanish."""
+    first = _corrupted(sol, mutate)
+    program = projected_residual(field, sol.n, [first.entries()] + [sol.entries()] * 5, [
         (1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3))],
         weights)
+    read_first, read = first.read, sol.read
 
     def fails(qu, qup, qv, qvp):
-        return not program.is_zero(field, [t.values(field, *point) for t, point in (
-            (first, (qup ** -1, qv)),       # r(-u', v), corrupted when mutated
-            (sol, (qu * qup, qv * qvp)),    # r(u+u', v+v')
-            (sol, (qu * qup, qvp)),         # r(u+u', v')
-            (sol, (qu, qv)),                # r(u, v)
-            (sol, (qu, qv * qvp)),          # r(u, v+v')
-            (sol, (qup, qvp)),              # r(u', v')
-        )])
+        return not program.is_zero(field, [
+            read_first(field, qup ** -1, qv),   # r(-u', v), corrupted when mutated
+            read(field, qu * qup, qv * qvp),    # r(u+u', v+v')
+            read(field, qu * qup, qvp),         # r(u+u', v')
+            read(field, qu, qv),                # r(u, v)
+            read(field, qu, qv * qvp),          # r(u, v+v')
+            read(field, qup, qvp),              # r(u', v')
+        ])
 
     return fails
 
@@ -603,15 +650,15 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
 
 def _skew_fails(sol, field, weights, mutate=None):
     """The skew test at one point (qu, qv): True where the projection of
-    flip(r(-u,-v)) + r(u,v), compiled here once from the support, does not
-    vanish."""
+    flip(r(-u,-v)) + r(u,v), compiled here once from the tables' entries,
+    does not vanish."""
     right = _corrupted(sol, mutate)
-    program = projected_residual(field, sol.n, [sol.support, right.support],
+    program = projected_residual(field, sol.n, [sol.entries(), right.entries()],
                                  [(1, 0, (2, 1)), (1, 1, (1, 2))], weights)
 
     def fails(qu, qv):
-        return not program.is_zero(field, (sol.values(field, qu ** -1, qv ** -1),
-                                           right.values(field, qu, qv)))
+        return not program.is_zero(field, (sol.read(field, qu ** -1, qv ** -1),
+                                           right.read(field, qu, qv)))
 
     return fails
 
@@ -771,20 +818,20 @@ def r0_tensor(sol, q_v, field) -> Tensor2:
 
 def _cybe_fails(sol, field, weights, mutate=None):
     """The CYBE test at one point (qv, qv'): True where the projection of
-    [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once from the support
-    of rbar0 = (pr (x) pr) r0, does not vanish."""
+    [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once from the entries
+    of rbar0 = (pr (x) pr) r0, its support, does not vanish."""
     rbar0 = _ProjectedR0(sol)
     x_table = _corrupted(rbar0, mutate)
     x, y, z = 0, 1, 2
-    program = projected_residual(field, sol.n, [x_table.support, rbar0.support, rbar0.support], [
+    program = projected_residual(field, sol.n, [x_table.entries()] + [rbar0.entries()] * 2, [
         (1, x, (1, 2), y, (1, 3)), (-1, y, (1, 3), x, (1, 2)), (1, x, (1, 2), z, (2, 3)),
         (-1, z, (2, 3), x, (1, 2)), (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3))],
         weights)
 
     def fails(qv, qvp):
-        return not program.is_zero(field, [x_table.values(field, qv),
-                                           rbar0.values(field, qv * qvp),
-                                           rbar0.values(field, qvp)])
+        return not program.is_zero(field, [x_table.read(field, qv),
+                                           rbar0.read(field, qv * qvp),
+                                           rbar0.read(field, qvp)])
 
     return fails
 
@@ -821,31 +868,30 @@ def _half(q, n):
 def _qybe_fails(sol, field, weights):
     """The unitarity and QYBE tests at one point (qu, qv, qv'): a note naming
     the first that fails, from the projections of residuals compiled here
-    once from the support.
+    once from the table's entries.
 
     Unitarity is r(u,v) . flip(r(u,-v)) - s (1 (x) 1), the scalar s one
     evaluation and the unit another, with s = 1/a^2 - 1/b^2 passed as
     (b^2 - a^2) / (a^2 b^2), so no field element is inverted; the QYBE is
     r12 r13 r23 - r23 r13 r12.
     """
-    n, flats = sol.n, sol.support
+    n, entries, read = sol.n, sol.entries(), sol.read
     unit = Tensor2.unit(n, field).data
-    unitarity = projected_residual(field, n, [flats, flats, [0], list(unit)],
+    unitarity = projected_residual(field, n, [entries, entries, flat_entries([0]),
+                                              flat_entries(list(unit))],
                                    [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))], weights)
-    qybe = projected_residual(field, n, [flats] * 3, [(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)),
-                                                      (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))],
+    qybe = projected_residual(field, n, [entries] * 3, [(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)),
+                                                        (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))],
                               weights)
     ones = field.integral(unit.values())
 
     def fails(qu, qv, qvp):
-        r12 = sol.values(field, qu, qv)
+        r12 = read(field, qu, qv)
         a, b = _half(qu, n), _half(qv, n)
         (num, den), _ = field.integral((b * b - a * a, a * a * b * b))
-        if not unitarity.is_zero(field, (r12, sol.values(field, qu, qv ** -1),
-                                         ([num], den), ones)):
+        if not unitarity.is_zero(field, (r12, read(field, qu, qv ** -1), ([num], den), ones)):
             return "unitarity failed"
-        if not qybe.is_zero(field, (r12, sol.values(field, qu, qv * qvp),
-                                    sol.values(field, qu, qvp))):
+        if not qybe.is_zero(field, (r12, read(field, qu, qv * qvp), read(field, qu, qvp))):
             return "qybe failed"
         return None
 

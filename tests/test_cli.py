@@ -272,17 +272,46 @@ def _assert_one_error_line(capsys, argv):
     ({"r": 2, "n": 1, "m": [[0], [1]], "lambda": "one half"}, ["bundle", "--in"]),
     ({"r": 1, "n": 2, "m": [[0, 1]], "lambda": True}, ["bundle", "--in"]),
     ({"n": 4, "c1": [3, 2, 0, 1], "c2": [1, 2, 3, 0], "a": [2, 2]}, ["validate", "--abd"]),
+    # a top level that is not a JSON object, and a key that to_json_dict
+    # does not write, are rejected, not misread or ignored
+    ([1, 2], ["validate", "--abd"]),
+    ('"x"', ["validate", "--abd"]),
+    ([1, 2], ["bundle", "--in"]),
+    ('"x"', ["bundle", "--in"]),
+    ({"n": 1, "c1": [0], "c2": [0], "a": [], "A": [0]}, ["validate", "--abd"]),
+    ({"r": 2, "n": 1, "m": [[0], [1]], "lamda": "2/1"}, ["bundle", "--in"]),
 ], ids=["missing-abd", "missing-bundle", "not-json", "missing-key", "wrong-type",
         "not-an-object", "bundle-missing-key", "bundle-wrong-type", "invalid-structure",
         "huge-n", "infinite-a", "huge-r", "infinite-m", "zero-lambda-denominator",
         "infinite-lambda", "float-c1", "float-n", "float-a", "bool-n", "string-n",
-        "float-m", "non-bijective-c1", "unparsable-lambda", "bool-lambda", "dup-a"])
+        "float-m", "non-bijective-c1", "unparsable-lambda", "bool-lambda", "dup-a",
+        "array-abd", "string-abd", "array-bundle", "string-bundle", "unknown-abd-key",
+        "unknown-bundle-key"])
 def test_bad_input_file_is_one_error_line(content, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     if content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     line = _assert_one_error_line(capsys, command + [str(path)])
     assert str(path) in line, line
+
+
+@pytest.mark.parametrize("content, command, named", [
+    ([1, 2], ["validate", "--abd"], "must be a JSON object with keys n, c1, c2, a"),
+    ('"x"', ["bundle", "--in"], "must be a JSON object with keys r, n, m, lambda"),
+    ({"n": 1, "c1": [0], "c2": [0], "a": [], "A": [0]}, ["validate", "--abd"],
+     "unknown key 'A'"),
+    ({"r": 2, "n": 1, "m": [[0], [1]], "lamda": "2/1"}, ["bundle", "--in"], "unknown key 'lamda'"),
+], ids=["array-abd", "string-bundle", "unknown-abd-key", "unknown-bundle-key"])
+def test_bad_input_file_names_the_expected_object(content, command, named, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert named in _assert_one_error_line(capsys, command + [str(path)])
+
+
+@pytest.mark.parametrize("field", ["fp:abc", "fp:", "fp:0x7", "garbage"])
+def test_unknown_field_is_one_error_line(field, abd_file, capsys):
+    line = _assert_one_error_line(capsys, ["check-aybe", "--abd", abd_file, "--field", field])
+    assert line == "error: unknown field %r (expected 'q' or 'fp:<prime>')" % field
 
 
 def test_python_dash_m_runs_the_cli(abd_file, tmp_path):

@@ -53,6 +53,9 @@ def test_field_from_name(fp):
     assert field_from_name("fp:%d" % fp.p) == fp
     with pytest.raises(ValueError):
         field_from_name("float")
+    for name in ("fp:abc", "fp:", "fp:2.5"):
+        with pytest.raises(ValueError, match="^unknown field %r" % name):
+            field_from_name(name)
 
 
 @settings(max_examples=50, deadline=None)

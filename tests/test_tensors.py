@@ -15,6 +15,7 @@ from ybx.tensors import (
     cybe_residual,
     embed_triple,
     exact_determinant,
+    flat_entries,
     kron2,
     matrix_inverse,
     pair_embed_product,
@@ -700,13 +701,17 @@ def _weighted_sum(entries, weights, field):
     return total
 
 
+def _row_entries(evals):
+    """The entries of each evaluation's rows: row i reads value i."""
+    return [flat_entries([f for f, _ in rows]) for rows, _ in evals]
+
+
 def _assert_projection_matches(data, n, field, evals, jobs, entries, verdict):
     """The projected residual of the same jobs, under drawn weights, has the
     exact residual's ``verdict``, and its value is the weighted sum of the
     reference residual's ``entries``."""
     weights = _drawn_weights(data, n, field)
-    program = projected_residual(field, n, [[f for f, _ in rows] for rows, _ in evals], jobs,
-                                 weights)
+    program = projected_residual(field, n, _row_entries(evals), jobs, weights)
     values = [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
     assert program.value(field, values) == _weighted_sum(entries, weights, field)
     assert program.is_zero(field, values) == verdict
@@ -790,11 +795,54 @@ def test_flip_product_terms_match_the_tensor_product(field, data):
     got = program.is_zero(field, values)
     assert got == (product == c.scale(field.of_fraction(s)))
     weights = _drawn_weights(data, n, field)
-    projected = projected_residual(field, n, [[f for f, _ in rows] for rows, _ in evals]
-                                   + [[0], list(c.data)], jobs, weights)
+    projected = projected_residual(field, n, _row_entries(evals) + [
+        flat_entries([0]), flat_entries(list(c.data))], jobs, weights)
     assert projected.is_zero(field, values) == got
     residual = product - c.scale(field.of_fraction(s))
     assert projected.value(field, values) == _weighted_sum(residual.items(), weights, field)
+
+
+@pytest.mark.parametrize("shape, width", [(_CYBE_JOBS, 2), (_QYBE_JOBS, 3)],
+                         ids=["pair", "triple"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_entries_sharing_flats_and_values_add_up(field, shape, width, data):
+    # each evaluation is read off a list of values, as r is off its group
+    # prices: its entries repeat flats and several read one value, and some
+    # value may be read by none; the form equals the one compiled over the
+    # distinct flats, each valued at its entries' sum
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    evals, jobs = _shared_jobs(data, n, shape, width)
+    priced, summed = [], []
+    for rows, den in evals:
+        size = data.draw(st.integers(1, len(rows) + 1))
+        nums = [field.reduce(v) for v in data.draw(
+            st.lists(st.integers(-4, 4), min_size=size, max_size=size))]
+        entries = [(f, data.draw(st.integers(0, size - 1))) for f, _ in rows]
+        priced.append(((size, entries), (nums, den)))
+        at_flat = {}
+        for f, i in entries:
+            at_flat[f] = at_flat.get(f, 0) + nums[i]
+        summed.append((flat_entries(sorted(at_flat)),
+                       ([at_flat[f] for f in sorted(at_flat)], den)))
+    weights = _drawn_weights(data, n, field)
+    (read, read_values), (distinct, distinct_values) = [
+        (projected_residual(field, n, [e for e, _ in evaluations], jobs, weights),
+         [v for _, v in evaluations]) for evaluations in (priced, summed)]
+    assert read.value(field, read_values) == distinct.value(field, distinct_values)
+    assert read.is_zero(field, read_values) == distinct.is_zero(field, distinct_values)
+
+
+def test_projected_residual_checks_the_size_not_the_highest_index(field):
+    # an evaluation is passed as all its values, whichever its entries read:
+    # the compiled length is the size given, not the highest index + 1
+    weights = [[1, 2]] * 6
+    program = projected_residual(field, 2, [(3, [(0, 0), (5, 1)])] * 2, [(1, 0, (1, 2), 1, (2, 1))],
+                                 weights)
+    assert program.is_zero(field, [([1, 0, 7], 1), ([0, 0, 9], 1)])
+    assert not program.is_zero(field, [([1, 0, 7], 1), ([1, 0, 9], 1)])
+    with pytest.raises(ValueError):
+        program.is_zero(field, [([1, 0], 1), ([0, 0], 1)])
 
 
 @pytest.mark.parametrize("change", (-1, 1))
@@ -812,7 +860,7 @@ def test_residual_rejects_an_evaluation_of_the_wrong_length(field, change):
         program.is_zero(field, [good, good])
     rng = derive_rng(12, "weights", field.name)
     weights = [[field.sample_weight(rng) for _ in range(2)] for _ in range(6)]
-    projected = projected_residual(field, 2, [flats] * 3, _CYBE_JOBS, weights)
+    projected = projected_residual(field, 2, [flat_entries(flats)] * 3, _CYBE_JOBS, weights)
     assert projected.is_zero(field, [good] * 3) is False
     for evaluations in ([bad, good, good], [good, good]):
         with pytest.raises(ValueError):
@@ -847,4 +895,4 @@ def test_product_residual_rejects_a_malformed_job(jobs):
 @_MALFORMED_JOBS
 def test_projected_residual_rejects_a_malformed_job(field, jobs):
     with pytest.raises(ValueError):
-        projected_residual(field, 2, [[0, 5]] * 2, jobs, [[1, 2]] * 6)
+        projected_residual(field, 2, [flat_entries([0, 5])] * 2, jobs, [[1, 2]] * 6)

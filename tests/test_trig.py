@@ -318,7 +318,7 @@ class _Doubled(trig_module._TableSolution):
 
     def __init__(self, base):
         self.base, self.n = base, base.n
-        self._set_rows(base.groups, base.flats)
+        self._set_rows(base.groups, base.flats, base.prices)
 
     def price(self, ring, q_u, q_v):
         nums, den = self.base.price(ring, q_u, q_v)
@@ -341,7 +341,7 @@ class _EvenGauge(trig_module._TableSolution):
                     if d % n == 1)
                 for f in base.flats]
         self._set_rows([groups.setdefault((g, e), len(groups))
-                        for g, e in zip(base.groups, exps)], base.flats)
+                        for g, e in zip(base.groups, exps)], base.flats, len(groups))
         self._groups = tuple(groups)
 
     def price(self, ring, q_u, q_v):
@@ -369,7 +369,7 @@ class _Zero(trig_module._TableSolution):
     n = 2
 
     def __init__(self):
-        self._set_rows((), ())
+        self._set_rows((), (), 0)
 
     def price(self, ring, q_u, q_v):
         return [], 1
@@ -437,7 +437,8 @@ class _Corrupted(trig_module._TableSolution):
 
     def __init__(self, base, row):
         self.base, self.n = base, base.n
-        self._set_rows(base.groups + (base.groups[row],), base.flats + (base.flats[row],))
+        self._set_rows(base.groups + (base.groups[row],), base.flats + (base.flats[row],),
+                       base.prices)
 
     def price(self, ring, q_u, q_v):
         return self.base.price(ring, q_u, q_v)
@@ -480,17 +481,22 @@ def _weighted(t, weights, field):
 
 class _Pinned:
     """A projected residual as ``trig`` compiles it, whose every zero test
-    must give the verdict of the exact ``Residual`` of the same jobs; it
-    keeps the form's value at each test."""
+    must give the verdict of the exact ``Residual`` of the same jobs, fed
+    each entry's value at the entry's flat; it keeps the form's value at
+    each test."""
 
-    def __init__(self, values, ring, n, supports, jobs, weights):
+    def __init__(self, values, ring, n, evaluations, jobs, weights):
         self.values = values
-        self.projected = projected_residual(ring, n, supports, jobs, weights)
-        self.exact = product_residual(n, supports, jobs)
+        self.projected = projected_residual(ring, n, evaluations, jobs, weights)
+        self.exact = product_residual(n, [[f for f, _ in entries] for _, entries in evaluations],
+                                      jobs)
+        self.reads = [[i for _, i in entries] for _, entries in evaluations]
 
     def is_zero(self, ring, evaluations):
         verdict = self.projected.is_zero(ring, evaluations)
-        assert verdict == self.exact.is_zero(ring, evaluations)
+        at_entries = [([nums[i] for i in reads], den)
+                      for reads, (nums, den) in zip(self.reads, evaluations)]
+        assert verdict == self.exact.is_zero(ring, at_entries)
         self.values.append(self.projected.value(ring, evaluations))
         return verdict
 
