@@ -253,9 +253,9 @@ def json_object(d, keys: tuple, what: str) -> None:
     those ``to_json_dict`` writes: a misspelt key is rejected, not ignored."""
     if type(d) is not dict:
         raise ValueError("%s must be a JSON object with keys %s" % (what, ", ".join(keys)))
-    unknown = [k for k in d if k not in keys]
-    if unknown:
-        raise ValueError("unknown key %r in %s (expected %s)" % (unknown[0], what, ", ".join(keys)))
+    unknown = next((k for k in d if k not in keys), None)
+    if unknown is not None:
+        raise ValueError("unknown key %r in %s (expected %s)" % (unknown, what, ", ".join(keys)))
 
 
 def json_int(value, key: str) -> int:

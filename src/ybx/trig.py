@@ -59,14 +59,7 @@ from operator import mul, ne, pos, sub
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
-from .tensors import (
-    Tensor2,
-    _eliminate,
-    flat_entries,
-    kron2,
-    matrix_inverse,
-    projected_residual,
-)
+from .tensors import Tensor2, _eliminate, flat_entries, kron2, matrix_inverse, projected_residual
 # unused here: the benchmark tracer wraps these at their trig names
 from .tensors import (  # noqa: F401
     aybe_combine,
