@@ -287,13 +287,9 @@ def field_from_name(name: str):
     """Parse a backend selector: ``q`` or ``fp:<prime>``."""
     if name == "q":
         return RATIONAL
-    if name.startswith("fp:"):
-        try:
-            p = int(name[3:])
-        except ValueError:
-            p = None
-        if p is not None:
-            return PrimeField(p)
+    digits = name[3:] if name.startswith("fp:") else ""
+    if digits.isascii() and digits.isdigit():
+        return PrimeField(int(digits))
     raise ValueError("unknown field %r (expected 'q' or 'fp:<prime>')" % name)
 
 

@@ -19,39 +19,43 @@ on integer numerators over a common denominator (``integral`` and
 how a field stores them.
 
 Every product, compiled or reference, is derived from the slots its
-factors occupy (``_product_terms``): a factor in slots (1, 2) is r^12, in
-(2, 1) flip(r), in (1, 2, 3) a triple tensor and in () a scalar.  Slot k's
-open column sits at output digit 2k - 1; the next factor in slot k reads it
-as its key and writes its own column there.  The reference products
-(``_contract``) and the compiled residuals (``Residual``) both consume
-those terms.  A ``Residual`` is compiled once from the supports of its
-distinct evaluations (``product_residual``), each job naming its factors by
-index; at each point it takes every evaluation once, as the (nums, den)
-pair a table's ``values`` returns, and tests each output entry for zero
-with C-level gathers, products and running sums, boxing nothing.  The
-tensor products stay as the reference those residuals are tested against.
+factors occupy: a factor in slots (1, 2) is r^12, in (2, 1) flip(r), in
+(1, 2, 3) a triple tensor and in () a scalar.  Slot k's open column sits
+at output digit 2k - 1; the next factor in slot k meets it with its row
+and writes its own column there.  One function (``_digit_roles``) tells
+each digit of each factor whether it is an output digit or a key label
+it shares with another factor, and one join (``_key_rows``) matches the
+factors' entries on those labels.  The reference products (``_contract``)
+and the exact residuals (``Residual``) consume the terms
+``_product_terms`` forms from them.
 
-A ``ProjectedResidual`` (``projected_residual``) is compiled from the same
-jobs and slot rule, with one random weight vector per output digit, and
+An evaluation is compiled from its entries, (size, flats, reads): its
+k-th entry puts value reads[k] of ``size`` values at flat flats[k], and
+entries at one flat add up, so a table's rows can read its group prices
+directly.  A ``Residual`` (``product_residual``) and a
+``ProjectedResidual`` (``projected_residual``) take the same evaluations
+and jobs, each job naming its factors by index; at each point they take
+every evaluation once, as (nums, den), all its values as integers over
+one denominator, and box nothing.  A ``Residual`` tests each output entry
+for zero with C-level gathers, products and running sums.  A
+``ProjectedResidual``, with one random weight vector per output digit,
 tests one random linear form of the residual: each entry weighed by its
-digits' weights.  Each evaluation is compiled as a list of entries, a flat
-and the index of the value it reads, so a table's rows can read its group
-prices directly; entries at one flat add up.  The digits two factors share
-are summed over, so a point costs each factor one gather over its entries
-and each job a sum over its shared keys, with no term of the residual
-formed and no join.  Where the residual does not vanish, the form vanishes
-with chance at most 2w/|S| for a residual of w slots and weights drawn
-from S (Schwartz-Zippel): 6/|S| for a triple residual, 4/|S| for a pair
-one.  The sampled checks of ``trig`` test the form; ``Residual`` stays
-exact, the reference the form is tested against and the program for a
-proof, where weights would break exactness.
+digits' weights.  The digits two factors share are summed over, so a
+point costs each factor one gather over its entries and each job a sum
+over its shared keys, with no term of the residual formed.  Where the
+residual does not vanish, the form vanishes with chance at most 2w/|S|
+for a residual of w slots and weights drawn from S (Schwartz-Zippel):
+6/|S| for a triple residual, 4/|S| for a pair one.  The sampled checks of
+``trig`` test the form; ``Residual`` stays exact, the reference the form
+is tested against and the program for a proof, where weights would break
+exactness.  The tensor products stay as the reference both are tested
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, product, repeat
 from math import lcm
 from operator import add, floordiv, mod, mul, ne, sub
 
@@ -307,103 +311,118 @@ def _contract(cls, n, ring, jobs):
     return cls(n, ring, ring.box_nonzero(acc, den))
 
 
-def _slot_tables(n, slots, keys, width):
-    """(high, low, split, big) of ``_slot_entries``: a flat index of a
-    tensor whose parts sit in ``slots`` splits as (x, y) = divmod(flat,
-    split), and high[x] + low[y] = key * big + offset.
-
-    Each part's digits, (row, column) in slot s, land at output digits
-    2s - 2 and 2s - 1 of 2 * ``width``; a digit landing at a position of
-    ``keys`` adds to the key instead, at the weight of its place in ``keys``.
-    """
-    big = n ** (2 * width)
-    parts = []
-    for s in slots:
-        row_w, col_w = [n ** (len(keys) - 1 - keys.index(d)) * big if d in keys
-                        else n ** (2 * width - 1 - d) for d in (2 * s - 2, 2 * s - 1)]
-        parts.append([r * row_w + c * col_w for r in range(n) for c in range(n)])
-    half = (len(parts) + 1) // 2
-    tables = []
-    for group in (parts[:half], parts[half:]):
-        table = [0]
-        for part in group:
-            table = [t + x for t in table for x in part]
-        tables.append(table)
-    return tables[0], tables[1], (n * n) ** (len(parts) - half), big
-
-
-@lru_cache(maxsize=None)
-def _slot_plan(n, specs):
-    """The ``_slot_tables`` of each join of a product whose factors occupy
-    the slots ``specs``, in order: the product so far keyed by the open
-    columns the next factor reads, and that factor keyed by its rows there.
+def _digit_roles(specs):
+    """The role of each digit of each factor of a product whose factors
+    occupy the slots ``specs``, in order, most significant digit first:
+    (label, None) where the digit meets another factor's, a key label of
+    the product, summed over, or (None, d) where it is output digit d.
 
     The output has as many slots as the highest one occupied, slot k's row
-    at digit 2k - 2 and its open column at 2k - 1, most significant first;
-    the first factor in a slot writes both, and each later one reads the
-    open column as its key, to equal its row, and writes its own column
-    there.  A lone factor is one placement, keyed by nothing.
+    at digit 2k - 2 and its open column at 2k - 1; the first factor in a
+    slot writes both, and each later one meets the open column there with
+    its row and writes its own column there.  Each (slot, later factor)
+    meeting is one label, numbered in factor order.
     """
-    width = max(chain.from_iterable(specs), default=0)
-    slots, plan = specs[0], []
-    for later, reads in zip(specs[1:], _slot_reads(specs)[1:]):
-        plan.append((_slot_tables(n, slots, tuple(2 * k - 1 for k in reads), width),
-                     _slot_tables(n, later, tuple(2 * k - 2 for k in reads), width)))
-        slots = tuple(range(1, width + 1))
-    return plan or [(_slot_tables(n, slots, (), width), None)]
-
-
-def _slot_reads(specs):
-    """The slots each factor reads, in order: those an earlier factor
-    occupies.  Reading slot k, a factor takes the open column there as its
-    key, to equal its row, and writes its own column there."""
-    taken, reads = set(), []
-    for slots in specs:
-        reads.append([k for k in slots if k in taken])
+    taken, labels = set(), {}
+    for p, slots in enumerate(specs):
+        for k in slots:
+            if k in taken:
+                labels[k, p] = len(labels)
         taken.update(slots)
-    return reads
+    roles = []
+    for p, slots in enumerate(specs):
+        mine = []
+        for k in slots:
+            later = next((q for q in range(p + 1, len(specs)) if k in specs[q]), None)
+            mine += [(labels[k, p], None) if (k, p) in labels else (None, 2 * k - 2),
+                     (labels[k, later], None) if later is not None else (None, 2 * k - 1)]
+        roles.append(mine)
+    return roles
 
 
-def _slot_entries(flats, tables):
-    """(key, offset) of each flat index, read off its ``_slot_tables``."""
-    high, low, split, big = tables
-    return [divmod(high[x] + low[y], big) for x, y in map(divmod, flats, repeat(split))]
+def _keyed(n, flats, roles, tables, op, start):
+    """(keys, values, labels) of a factor's ``flats``, its digits playing
+    ``roles`` (``_digit_roles``): a flat's key holds its digit d of label L
+    as d * n^L, its value folds tables[out][d] over its digits d at output
+    digits out with ``op``, from ``start``, and labels are the factor's."""
+    keys, values = repeat(0), repeat(start)
+    for place, (label, out) in zip(range(len(roles) - 1, -1, -1), roles):
+        digits = map(mod, map(floordiv, flats, repeat(n ** place)), repeat(n))
+        if out is None:
+            keys = map(add, keys, map(mul, digits, repeat(n ** label)))
+        else:
+            values = map(op, values, map(tables[out].__getitem__, digits))
+    size = len(flats)
+    return (list(islice(keys, size)), list(islice(values, size)),
+            [label for label, _ in roles if label is not None])
 
 
 def _product_terms(n, factors):
     """(outs, rows) of the product of factors (flats, slots), in order: its
     k-th term multiplies the entry at flats[rows[p][k]] of every factor p
-    into the output entry outs[k] (``_slot_plan``)."""
-    plan = _slot_plan(n, tuple(slots for _, slots in factors))
-    flats, rows = factors[0][0], None
-    for (left, right), (flats_b, _) in zip(plan, factors[1:]):
-        flats, xs, ys = _join(_slot_entries(flats, left), _slot_entries(flats_b, right))
-        # the first factor's rows are range(len(flats)): no remap
-        rows = [xs, ys] if rows is None else [list(map(r.__getitem__, xs)) for r in rows] + [ys]
-    if rows is None:
-        return [off for _, off in _slot_entries(flats, plan[0][0])], [range(len(flats))]
-    return flats, rows
+    into the output entry outs[k].  Each factor's entries are grouped by
+    key (``_keyed``), the groups joined on the labels the factors share
+    (``_key_rows``), and each entry's output digits place it in the output.
+    """
+    specs = [slots for _, slots in factors]
+    width = 2 * max(chain.from_iterable(specs), default=0)
+    digit_offsets = [[d * n ** (width - 1 - out) for d in range(n)] for out in range(width)]
+    groups, offsets, distinct, owned = [], [], [], []
+    for (flats, _), roles in zip(factors, _digit_roles(specs)):
+        keys, offs, labels = _keyed(n, flats, roles, digit_offsets, add, 0)
+        by_key = {}
+        for i, key in enumerate(keys):
+            by_key.setdefault(key, []).append(i)
+        groups.append(list(by_key.values()))
+        distinct.append(list(by_key))
+        offsets.append(offs)
+        owned.append(labels)
+    terms = [term for picks in zip(*_key_rows(n, distinct, owned))
+             for term in product(*map(list.__getitem__, groups, picks))]
+    rows = [list(row) for row in zip(*terms)] or [[] for _ in factors]
+    outs = [0] * len(terms)
+    for offs, row in zip(offsets, rows):
+        outs = list(map(add, outs, map(offs.__getitem__, row)))
+    return outs, rows
+
+
+def _job_scales(ring, sizes, jobs, evaluations):
+    """Each job's sign times the dens of the evaluations it does not read,
+    reduced, evaluation e being evaluations[e] = (nums, den); ValueError
+    where the evaluations' sizes differ from the compiled ``sizes``."""
+    got = [len(nums) for nums, _ in evaluations]
+    if got != sizes:
+        raise ValueError("evaluation sizes %r, compiled for %r" % (got, sizes))
+    reduce, scales = ring.reduce, []
+    for sign, evals, *_ in jobs:
+        scale = sign
+        for e, (_, den) in enumerate(evaluations):
+            if e not in evals:
+                scale = reduce(scale * den)
+        scales.append(scale)
+    return scales
 
 
 class Residual:
-    """A residual compiled once from the supports of its evaluations.
+    """A residual compiled once from the entries of its evaluations.
 
-    Its factors are evaluations: evaluation e is a list of ``sizes[e]``
-    values at fixed rows.  A job is (sign, evals, outs, rows): its k-th
-    term adds sign times the product, over the job's evaluations evals[p],
-    of the value at row rows[p][k] to the output entry outs[k], as
+    Its factors are evaluations (size, flats, reads) (``product_residual``).
+    A job is (sign, evals, outs, rows): its k-th term adds sign times the
+    product, over the job's evaluations evals[p], of the value that entry
+    rows[p][k] of evals[p] reads to the output entry outs[k], as
     ``_product_terms`` derives them.  Every job has the same number of
     factors, and a job's factors are distinct evaluations (``_parsed_jobs``);
     an evaluation may be a factor of any number of jobs.
 
     Only the values change from point to point, so the terms are sorted by
     output entry once.  Each (job, factor) owns a segment of the values,
-    in job order, and ``cols[p]`` indexes each term's p-th factor in the
-    concatenation of those segments; ``last`` marks each entry's last term.
+    in job order, and ``cols[p]`` indexes the value each term's p-th factor
+    reads in the concatenation of those segments, each entry's read folded
+    in here; ``last`` marks each output entry's last term.
     """
 
-    def __init__(self, sizes, jobs):
-        self.sizes = list(sizes)
+    def __init__(self, evaluations, jobs):
+        self.sizes = [size for size, _, _ in evaluations]
         self.jobs = [(sign, evals) for sign, evals, _, _ in jobs]
         outs = list(chain.from_iterable(job_outs for _, _, job_outs, _ in jobs))
         order = sorted(range(len(outs)), key=outs.__getitem__)
@@ -411,32 +430,27 @@ class Residual:
         cols, offset = [[] for _ in jobs[0][1]], 0
         for _, evals, _, rows in jobs:
             for col, e, factor_rows in zip(cols, evals, rows):
-                col += map(add, factor_rows, repeat(offset))
+                col += map(add, map(evaluations[e][2].__getitem__, factor_rows), repeat(offset))
                 offset += self.sizes[e]
         self.cols = [list(map(col.__getitem__, order)) for col in cols]
         self.last = list(map(ne, outs, outs[1:])) + [True]
 
     def is_zero(self, ring, evaluations) -> bool:
-        """Whether the residual vanishes when evaluation e is evaluations[e]
-        = (nums, den), integer numerators over one nonzero denominator, as
-        a table's ``values`` returns them; ValueError where the sizes differ
-        from the compiled ones.
+        """Whether the residual vanishes when evaluation e is passed as
+        evaluations[e] = (nums, den), all its values as integer numerators
+        over one nonzero denominator; ValueError where the sizes differ from
+        the compiled ones.
 
         Each job's first factor is scaled by the dens of the evaluations it
-        does not read, so the sums run on plain ints.  The running sum of the
-        sorted terms is zero at every entry's last term iff every entry is,
-        and ``ring.reduce`` tests each of those sums for zero.
+        does not read (``_job_scales``), so the sums run on plain ints.  The
+        running sum of the sorted terms is zero at every entry's last term
+        iff every entry is, and ``ring.reduce`` tests each of those sums for
+        zero.
         """
-        sizes = [len(nums) for nums, _ in evaluations]
-        if sizes != self.sizes:
-            raise ValueError("evaluation sizes %r, compiled for %r" % (sizes, self.sizes))
         reduce = ring.reduce
         flat = []
-        for sign, evals in self.jobs:
-            scale = sign
-            for e, (_, den) in enumerate(evaluations):
-                if e not in evals:
-                    scale = reduce(scale * den)
+        scales = _job_scales(ring, self.sizes, self.jobs, evaluations)
+        for (_, evals), scale in zip(self.jobs, scales):
             flat += map(reduce, map(mul, evaluations[evals[0]][0], repeat(scale)))
             for e in evals[1:]:
                 flat += evaluations[e][0]
@@ -447,28 +461,16 @@ class Residual:
         return not any(map(reduce, compress(accumulate(terms), self.last)))
 
 
-def _join(left, right):
-    """(outs, xs, ys) over every two entries of two join sides with equal
-    keys: output base + off, left row x and right row y."""
-    by_key = {}
-    for y, (key, off) in enumerate(right):
-        offs, rows = by_key.setdefault(key, ([], []))
-        offs.append(off)
-        rows.append(y)
-    outs, xs, ys = [], [], []
-    for x, (key, base) in enumerate(left):
-        if key in by_key:
-            offs, rows = by_key[key]
-            outs += map(base.__add__, offs)
-            xs += repeat(x, len(rows))
-            ys += rows
-    return outs, xs, ys
-
-
-def product_residual(n, supports, jobs) -> Residual:
+def product_residual(n, evaluations, jobs) -> Residual:
     """The compiled residual of signed products of evaluations placed in
-    slots, evaluation e valued at the flat indices ``supports[e]`` (a flat
-    may repeat).
+    slots.
+
+    Evaluation e is (size, flats, reads): it is passed as ``size`` values,
+    and its k-th entry puts value reads[k] at flat flats[k].  A flat may
+    repeat and a value may be read by several entries; the evaluation's
+    value at a flat is the sum of its entries' values.  A table's rows are
+    entries that read its group prices; ``flat_entries`` gives one entry
+    per distinct flat.
 
     Each job is (sign, a, sa, b, sb, ...): distinct evaluation indices,
     each followed by the slots it occupies, a tuple: (1, 2) places r as
@@ -476,11 +478,9 @@ def product_residual(n, supports, jobs) -> Residual:
     The residual has as many slots as the highest one occupied, and every
     job must occupy every one of them (``_parsed_jobs``).
     """
-    compiled = []
-    for sign, evals, specs in _parsed_jobs(jobs):
-        outs, rows = _product_terms(n, [(supports[e], s) for e, s in zip(evals, specs)])
-        compiled.append((sign, evals, outs, rows))
-    return Residual(map(len, supports), compiled)
+    return Residual(evaluations, [
+        (sign, evals, *_product_terms(n, [(evaluations[e][1], s) for e, s in zip(evals, specs)]))
+        for sign, evals, specs in _parsed_jobs(jobs)])
 
 
 def _parsed_jobs(jobs):
@@ -509,19 +509,17 @@ class ProjectedResidual:
     of its evaluations: output entry (d_1, ..., d_2w) of a residual with w
     slots weighs weights[0][d_1] ... weights[2w - 1][d_2w].
 
-    A digit of a factor's entry that meets another factor's (``_slot_reads``)
-    is summed over, not weighed, so each entry (flat, i) of a factor
-    compiles to a key, its flat's summed digits, and a weight, the product
-    of its other digits'.  A job is (sign, evals, factors, rows): factor p
-    sorts its entries by key (``factors[p]`` = (the index i of each entry in
-    that order, their weights in that order, last entry of each key)), and
-    the job sums, over the key tuples at which all its factors have
+    A digit of a factor's entry that meets another factor's (``_digit_roles``)
+    is summed over, not weighed, so each entry of a factor compiles to a
+    key, its flat's summed digits, and a weight, the product of its other
+    digits' (``_keyed``).  A job is (sign, evals, factors, rows): factor p
+    sorts its entries by key (``factors[p]`` = (the value each entry reads,
+    in that order, their weights in that order, last entry of each key)),
+    and the job sums, over the key tuples at which all its factors have
     entries, the products of each factor's weighted sum at its key there,
     ``rows[p]`` indexing factor p's distinct keys.  That is a dot product
     over n or n^2 keys for a pair and a sum over at most n^3 key triples
-    for the QYBE's triple, with no term of the residual formed.  Entries
-    that share a flat add up, so an evaluation can be read as a table's
-    rows, each at its group's price, with no per-flat sum.
+    for the QYBE's triple, with no term of the residual formed.
 
     The form is a polynomial of degree 2w in the weights, and distinct output
     entries weigh distinct monomials, so where the residual does not vanish,
@@ -535,16 +533,10 @@ class ProjectedResidual:
     def _total(self, ring, evaluations):
         """The form's value times the product D of the evaluations' dens, as
         an unreduced int: each job scaled by the dens it does not read."""
-        sizes = [len(nums) for nums, _ in evaluations]
-        if sizes != self.sizes:
-            raise ValueError("evaluation sizes %r, compiled for %r" % (sizes, self.sizes))
         reduce = ring.reduce
         total = 0
-        for sign, evals, factors, rows in self.jobs:
-            scale = sign
-            for e, (_, den) in enumerate(evaluations):
-                if e not in evals:
-                    scale = reduce(scale * den)
+        scales = _job_scales(ring, self.sizes, self.jobs, evaluations)
+        for (_, evals, factors, rows), scale in zip(self.jobs, scales):
             terms = None
             for e, (order, weights, last), picks in zip(evals, factors, rows):
                 nums = evaluations[e][0]
@@ -571,61 +563,31 @@ class ProjectedResidual:
 
 
 def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual:
-    """The ``ProjectedResidual`` of the jobs of ``product_residual``, with
-    raw int weights of ``ring``, one vector of n per output digit.
-
-    Evaluation e is (size, entries): it is passed as ``size`` values, and
-    each entry (flat, i) puts value i at that flat.  A flat may repeat and a
-    value may be read by several entries; the evaluation's value at a flat
-    is the sum of its entries' values.  ``flat_entries`` gives the entries
-    of values at distinct flats, one each, as ``product_residual`` reads
-    its supports.
-
-    Slot k's row sits at output digit 2k - 2 and its open column at 2k - 1;
-    a factor reading slot k (``_slot_reads``) meets the column of the factor
-    before it there, a key label of the job, and the column of a factor that
-    a later one reads is that label too.
-    """
+    """The ``ProjectedResidual`` of the evaluations and jobs of
+    ``product_residual``, with raw int weights of ``ring``, one vector of n
+    per output digit."""
     reduce = ring.reduce
     compiled = []
     for sign, evals, specs in _parsed_jobs(jobs):
-        reads = _slot_reads(specs)
-        labels = [(k, q) for q, ks in enumerate(reads) for k in ks]
         factors, distinct, owned = [], [], []
-        for p, (e, slots) in enumerate(zip(evals, specs)):
-            entries = evaluations[e][1]
-            # (key label or None, output digit) of each digit, most significant first
-            roles = []
-            for k in slots:
-                later = next((q for q in range(p + 1, len(specs)) if k in specs[q]), None)
-                roles += [(labels.index((k, p)), None) if k in reads[p] else (None, 2 * k - 2),
-                          (labels.index((k, later)), None) if later is not None
-                          else (None, 2 * k - 1)]
-            flats = [f for f, _ in entries]
-            keys, wts = repeat(0), repeat(1)
-            for place, (label, out) in zip(range(len(roles) - 1, -1, -1), roles):
-                digits = map(mod, map(floordiv, flats, repeat(n ** place)), repeat(n))
-                if out is None:
-                    keys = map(add, keys, map(mul, digits, repeat(n ** label)))
-                else:
-                    wts = map(mul, wts, map(weights[out].__getitem__, digits))
-            keys = list(islice(keys, len(flats)))
+        for e, roles in zip(evals, _digit_roles(specs)):
+            _, flats, reads = evaluations[e]
+            keys, wts, labels = _keyed(n, flats, roles, weights, mul, 1)
             order = sorted(range(len(flats)), key=keys.__getitem__)
             keys = list(map(keys.__getitem__, order))
             last = list(map(ne, keys, keys[1:])) + [True]
-            wts = list(islice(wts, len(flats)))
-            factors.append(([entries[x][1] for x in order],
+            factors.append((list(map(reads.__getitem__, order)),
                             list(map(reduce, map(wts.__getitem__, order))), last))
             distinct.append(list(compress(keys, last)))
-            owned.append([label for label, _ in roles if label is not None])
+            owned.append(labels)
         compiled.append((sign, evals, factors, _key_rows(n, distinct, owned)))
-    return ProjectedResidual([size for size, _ in evaluations], compiled)
+    return ProjectedResidual([size for size, _, _ in evaluations], compiled)
 
 
 def flat_entries(flats):
-    """The (size, entries) of ``projected_residual`` for an evaluation valued
-    at each of the distinct ``flats`` in turn: entry i reads value i."""
-    return len(flats), list(zip(flats, count()))
+    """The (size, flats, reads) of ``product_residual`` for an evaluation
+    valued at each of the distinct ``flats`` in turn: entry i reads value i."""
+    return len(flats), flats, range(len(flats))
 
 
 def _key_rows(n, keys, owned):

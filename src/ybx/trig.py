@@ -27,11 +27,13 @@ for r12, (2, 1) for flip(r), () for a scalar), and compile them once per
 call into one random linear form of the residual
 (``tensors.projected_residual``), its weights drawn once per call from
 their own RNG (``_weights``), so the points drawn do not move.  Each table
-says how the form reads it (``entries`` and ``read``): r, the hat and a
-mutated table by their rows, each at its group's price as ``price``
-returns it, and a scaled image (a gauge, pr (x) pr), whose rows outnumber
-its flats, by its support, each flat's rows summed by ``values``; the CYBE
-reads rbar0 that way too.  Each point tests the form on each distinct
+says how a residual reads it, as the (size, flats, reads) entries that the
+form and the exact ``tensors.product_residual`` both compile (``entries``)
+and the values they read at a point (``read``): r, the hat and a mutated
+table by their rows, each at its group's price as ``price`` returns it,
+and a scaled image (a gauge, pr (x) pr), whose rows outnumber its flats,
+by its support, each flat's rows summed by ``values``; the CYBE reads
+rbar0 that way too.  Each point tests the form on each distinct
 evaluation once, on those integers: no field element is boxed and no
 tensor is built.  A sampled PASS therefore carries, besides each point's
 Schwartz-Zippel bound, the form's false-pass chance of at most 6/|S| per
@@ -319,10 +321,11 @@ class _TableSolution:
         return list(map(sub, ends, [0] + ends[:-1])), den
 
     def entries(self):
-        """The table as ``tensors.projected_residual`` compiles it, (size,
-        entries): each row (g, f) is the entry (f, g), reading price g of
-        ``read``, so the form adds up a flat's rows itself."""
-        return self.prices, list(zip(self.flats, self.groups))
+        """The table as ``tensors.projected_residual`` and
+        ``product_residual`` compile it, (size, flats, reads): each row
+        (g, f) is an entry at flat f reading price g of ``read``, so the
+        residual adds up a flat's rows itself."""
+        return self.prices, self.flats, self.groups
 
     def read(self, ring, *point):
         """The (nums, den) that ``entries`` index at a point: the prices."""
@@ -543,8 +546,8 @@ class _PlusOne(_TableSolution):
         return [den] + nums, den
 
     def entries(self):
-        size, entries = self.base.entries()
-        return size + 1, [(self.flats[0], 0)] + [(f, i + 1) for f, i in entries]
+        size, flats, reads = self.base.entries()
+        return size + 1, (self.flats[0], *flats), [0] + [i + 1 for i in reads]
 
     def read(self, ring, *point):
         nums, den = self.base.read(ring, *point)

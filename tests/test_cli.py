@@ -308,7 +308,8 @@ def test_bad_input_file_names_the_expected_object(content, command, named, tmp_p
     assert named in _assert_one_error_line(capsys, command + [str(path)])
 
 
-@pytest.mark.parametrize("field", ["fp:abc", "fp:", "fp:0x7", "garbage"])
+@pytest.mark.parametrize("field", ["fp:abc", "fp:", "fp:0x7", "garbage", "fp:+1_000_000_007",
+                                   "fp: 7", "fp:7 ", "fp:-7", "fp:\u0667"])
 def test_unknown_field_is_one_error_line(field, abd_file, capsys):
     line = _assert_one_error_line(capsys, ["check-aybe", "--abd", abd_file, "--field", field])
     assert line == "error: unknown field %r (expected 'q' or 'fp:<prime>')" % field

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ybx.jets import JetPrecisionError, JetRing, LaurentJet, exp_jet
@@ -119,6 +119,7 @@ def test_exp_jet_order_floor(fp):
     st.lists(st.fractions(min_value=-4, max_value=4), min_size=1, max_size=5),
     st.lists(st.fractions(min_value=-4, max_value=4), min_size=1, max_size=5),
 )
+@example([Fraction(4), 0, 0], [Fraction(-4), 0, 0])
 def test_mul_commutes_and_distributes(xs, ys):
     a = jet(0, xs, len(xs))
     b = jet(0, ys, len(ys))
@@ -126,7 +127,11 @@ def test_mul_commutes_and_distributes(xs, ys):
     c = jet(0, [1, 1], 2)
     lhs = (a + b) * c
     rhs = a * c + b * c
-    assert lhs == rhs
+    # a + b may cancel to a zero jet, whose order (a + b) * c then keeps:
+    # with a = 4 + O(u^3) and b = -4 + O(u^3), lhs is 0 + O(u^3) and rhs
+    # 0 + O(u^2), so the two agree only below the lower order
+    assert lhs.hi >= rhs.hi
+    assert all(lhs.coefficient(e) == rhs.coefficient(e) for e in range(min(lhs.hi, rhs.hi)))
 
 
 def _jets(field):

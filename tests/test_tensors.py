@@ -679,7 +679,7 @@ def _shared_jobs(data, n, shape, width):
 
 def _compiled_is_zero(n, field, evals, jobs):
     """The verdict of the residual compiled over the evaluations' flats."""
-    program = product_residual(n, [[f for f, _ in rows] for rows, _ in evals], jobs)
+    program = product_residual(n, _row_entries(evals), jobs)
     return program.is_zero(field, [([field.reduce(v) for _, v in rows], den)
                                    for rows, den in evals])
 
@@ -788,15 +788,14 @@ def test_flip_product_terms_match_the_tensor_product(field, data):
         c = _tensor(_as_source(n, *data.draw(_evaluation(n))), n, field)
     jobs = ([(1, 0, (2, 1)), (-1, 3, (1, 2))] if skew
             else [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))])
-    program = product_residual(n, [[f for f, _ in rows] for rows, _ in evals] + [[0], list(c.data)],
-                               jobs)
+    entries = _row_entries(evals) + [flat_entries([0]), flat_entries(list(c.data))]
+    program = product_residual(n, entries, jobs)
     values = ([([field.reduce(v) for _, v in rows], den) for rows, den in evals]
               + [field.integral([field.of_fraction(s)]), field.integral(c.data.values())])
     got = program.is_zero(field, values)
     assert got == (product == c.scale(field.of_fraction(s)))
     weights = _drawn_weights(data, n, field)
-    projected = projected_residual(field, n, _row_entries(evals) + [
-        flat_entries([0]), flat_entries(list(c.data))], jobs, weights)
+    projected = projected_residual(field, n, entries, jobs, weights)
     assert projected.is_zero(field, values) == got
     residual = product - c.scale(field.of_fraction(s))
     assert projected.value(field, values) == _weighted_sum(residual.items(), weights, field)
@@ -818,10 +817,11 @@ def test_entries_sharing_flats_and_values_add_up(field, shape, width, data):
         size = data.draw(st.integers(1, len(rows) + 1))
         nums = [field.reduce(v) for v in data.draw(
             st.lists(st.integers(-4, 4), min_size=size, max_size=size))]
-        entries = [(f, data.draw(st.integers(0, size - 1))) for f, _ in rows]
-        priced.append(((size, entries), (nums, den)))
+        flats = [f for f, _ in rows]
+        reads = [data.draw(st.integers(0, size - 1)) for _ in rows]
+        priced.append(((size, flats, reads), (nums, den)))
         at_flat = {}
-        for f, i in entries:
+        for f, i in zip(flats, reads):
             at_flat[f] = at_flat.get(f, 0) + nums[i]
         summed.append((flat_entries(sorted(at_flat)),
                        ([at_flat[f] for f in sorted(at_flat)], den)))
@@ -831,18 +831,22 @@ def test_entries_sharing_flats_and_values_add_up(field, shape, width, data):
          [v for _, v in evaluations]) for evaluations in (priced, summed)]
     assert read.value(field, read_values) == distinct.value(field, distinct_values)
     assert read.is_zero(field, read_values) == distinct.is_zero(field, distinct_values)
+    exact_read, exact_distinct = [product_residual(n, [e for e, _ in evaluations], jobs)
+                                  for evaluations in (priced, summed)]
+    assert exact_read.is_zero(field, read_values) == exact_distinct.is_zero(field, distinct_values)
 
 
 def test_projected_residual_checks_the_size_not_the_highest_index(field):
     # an evaluation is passed as all its values, whichever its entries read:
-    # the compiled length is the size given, not the highest index + 1
-    weights = [[1, 2]] * 6
-    program = projected_residual(field, 2, [(3, [(0, 0), (5, 1)])] * 2, [(1, 0, (1, 2), 1, (2, 1))],
-                                 weights)
-    assert program.is_zero(field, [([1, 0, 7], 1), ([0, 0, 9], 1)])
-    assert not program.is_zero(field, [([1, 0, 7], 1), ([1, 0, 9], 1)])
-    with pytest.raises(ValueError):
-        program.is_zero(field, [([1, 0], 1), ([0, 0], 1)])
+    # the compiled length is the size given, not the highest index + 1, for
+    # the projected and the exact residual alike
+    evaluations, jobs = [(3, [0, 5], [0, 1])] * 2, [(1, 0, (1, 2), 1, (2, 1))]
+    for program in (projected_residual(field, 2, evaluations, jobs, [[1, 2]] * 6),
+                    product_residual(2, evaluations, jobs)):
+        assert program.is_zero(field, [([1, 0, 7], 1), ([0, 0, 9], 1)])
+        assert not program.is_zero(field, [([1, 0, 7], 1), ([1, 0, 9], 1)])
+        with pytest.raises(ValueError):
+            program.is_zero(field, [([1, 0], 1), ([0, 0], 1)])
 
 
 @pytest.mark.parametrize("change", (-1, 1))
@@ -850,7 +854,7 @@ def test_residual_rejects_an_evaluation_of_the_wrong_length(field, change):
     # a list one entry short or long would shift every later evaluation's
     # entries; the compiled sizes catch it
     flats = [0, 5, 10, 15]
-    program = product_residual(2, [flats] * 3, _CYBE_JOBS)
+    program = product_residual(2, [flat_entries(flats)] * 3, _CYBE_JOBS)
     good = ([1, 2, 3, 4], 1)
     assert program.is_zero(field, [good] * 3) is False
     bad = ([1, 2, 3, 4, 5][:4 + change], 1)
@@ -871,7 +875,7 @@ def test_residual_rejects_a_job_reading_one_evaluation_twice():
     # each job scales its first factor by the dens it does not read, which
     # needs a job's factors to be distinct evaluations
     with pytest.raises(ValueError):
-        product_residual(2, [[0, 5]] * 2, [(1, 0, (1, 2), 0, (1, 3))])
+        product_residual(2, [flat_entries([0, 5])] * 2, [(1, 0, (1, 2), 0, (1, 3))])
 
 
 _MALFORMED_JOBS = pytest.mark.parametrize("jobs", [
@@ -889,7 +893,7 @@ def test_product_residual_rejects_a_malformed_job(jobs):
     # job fills each of them: (1, 2) . (1, 2) is a product of width 2 only;
     # a job's factors are distinct evaluations, as many as every other job's
     with pytest.raises(ValueError):
-        product_residual(2, [[0, 5]] * 2, jobs)
+        product_residual(2, [flat_entries([0, 5])] * 2, jobs)
 
 
 @_MALFORMED_JOBS

@@ -481,22 +481,17 @@ def _weighted(t, weights, field):
 
 class _Pinned:
     """A projected residual as ``trig`` compiles it, whose every zero test
-    must give the verdict of the exact ``Residual`` of the same jobs, fed
-    each entry's value at the entry's flat; it keeps the form's value at
-    each test."""
+    must give the verdict of the exact ``Residual`` compiled from the same
+    evaluations and jobs; it keeps the form's value at each test."""
 
     def __init__(self, values, ring, n, evaluations, jobs, weights):
         self.values = values
         self.projected = projected_residual(ring, n, evaluations, jobs, weights)
-        self.exact = product_residual(n, [[f for f, _ in entries] for _, entries in evaluations],
-                                      jobs)
-        self.reads = [[i for _, i in entries] for _, entries in evaluations]
+        self.exact = product_residual(n, evaluations, jobs)
 
     def is_zero(self, ring, evaluations):
         verdict = self.projected.is_zero(ring, evaluations)
-        at_entries = [([nums[i] for i in reads], den)
-                      for reads, (nums, den) in zip(self.reads, evaluations)]
-        assert verdict == self.exact.is_zero(ring, at_entries)
+        assert verdict == self.exact.is_zero(ring, evaluations)
         self.values.append(self.projected.value(ring, evaluations))
         return verdict
 
