@@ -6,7 +6,7 @@ marks an exact Laurent polynomial (all higher coefficients are zero too).
 Arithmetic tracks the truncation bound exactly: a result never claims a
 coefficient that is not determined by the operands.  Jets add, subtract and
 multiply (with jets and ints) and invert; there is no division and no power,
-since r is priced with none (``trig.price_terms``).
+since r is priced with none (``trig.point_factors`` and ``trig.price_terms``).
 """
 
 from __future__ import annotations

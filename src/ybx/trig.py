@@ -55,6 +55,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
 from operator import mul, ne, pos, sub
 
@@ -140,8 +141,8 @@ def _monomials(x, y, n, reduce):
 
 
 def price_recipe(n, terms):
-    """The two factors of each group's price, as indices into the factor
-    list of ``price_terms``, and the rectangles' k values.
+    """The two factors of each group's price, as indices into the factors
+    of ``point_factors``.
 
     With q_u = a/b, q_v = c/d, A = a^2n - b^2n, C = c^2n - d^2n and
     X = (abcd)^(2n-2), each price of a ``rectangle_terms`` group is a
@@ -154,14 +155,13 @@ def price_recipe(n, terms):
       b^2k a^2(n-1-k) A C (bd)^(2n-2) . d^2m c^2(n-1-m);
     - sign -1, -e^{(ku+mv)/n}: the same with a <-> b and c <-> d, negated.
     """
-    # the factor list of price_terms: the degree-2n monomials in (a, b) and
-    # in (c, d), the degree-(2n-2) ones in (c, d), C X, A X, X, the
-    # diagonal's first factor, then the u factors of the rectangles' k values
-    # with sign +1 and with sign -1
+    # the factors of point_factors: the degree-2n monomials in (a, b) and in
+    # (c, d), the degree-(2n-2) ones in (c, d), C X, A X, X, the diagonal's
+    # first factor, then the rectangles' u factors for k in range(n) with
+    # sign +1 and with sign -1
     ha, hc, mc = 0, n + 1, 2 * n + 2
     cx, ax, x, diag = range(3 * n + 2, 3 * n + 6)
-    ks = sorted({k for kind, k, *_ in terms if kind == "a_rect"})
-    plus, minus = 3 * n + 6, 3 * n + 6 + len(ks)
+    plus, minus = 3 * n + 6, 4 * n + 6
     recipe = []
     for kind, k, m, sign, _, _ in terms:
         if kind == "diagonal":
@@ -171,16 +171,32 @@ def price_recipe(n, terms):
         elif kind == "vertical":
             recipe.append((hc + m, ax))
         elif sign > 0:
-            recipe.append((plus + ks.index(k), mc + n - 1 - m))
+            recipe.append((plus + k, mc + n - 1 - m))
         else:
-            recipe.append((minus + ks.index(k), mc + m))
-    return tuple(zip(*recipe)) + (ks,)
+            recipe.append((minus + k, mc + m))
+    return tuple(zip(*recipe))
 
 
-def price_terms(ring, n, recipe, q_u, q_v):
-    """(nums, den): nums[g] / den is the price of group g of a ``price_recipe``
-    at (q_u, q_v), with no division; q_u = a/b and q_v = c/d come from
-    ``ring.integral`` (b = d = 1 in GF(p)).  Raises PoleError where den = 0.
+#: entries of the memos of structure-independent inputs: one
+#: ``ybx suite --points 25`` run on one field reads 800 distinct points'
+#: ``point_factors`` and 12 check point sets (``_points``) and 8 weight sets
+#: (``_weights``); one repetition of the ``aybe-fp`` benchmark 280, 8 and 8
+_POINT_FACTOR_MEMO = 1024
+_CHECK_MEMO = 32
+
+
+@lru_cache(maxsize=_POINT_FACTOR_MEMO)
+def point_factors(ring, n, q_u, q_v):
+    """(factors, den): the structure-independent part of every price at
+    (q_u, q_v), the factors ``price_recipe`` indexes and the denominator,
+    with no division; q_u = a/b and q_v = c/d come from ``ring.integral``
+    (b = d = 1 in GF(p)).  Raises PoleError where den = 0.
+
+    Memoized per process, as every structure of one n prices at the same
+    sampled points; the sampled reads (``read``, ``values``) go through the
+    memo, and ``price``, the reference that jets and ``eval`` take, calls
+    ``point_factors.__wrapped__``.  The factors are a tuple, since every
+    caller shares them.
     """
     reduce = ring.reduce
     (a,), b = ring.integral((q_u,))
@@ -195,15 +211,19 @@ def price_terms(ring, n, recipe, q_u, q_v):
     den = reduce(ac * x)
     if not den:
         raise PoleError("denominator vanished at the evaluation point")
-    first, second, ks = recipe
-    factors = ha + hc + mc
-    factors += (reduce(big_c * x), reduce(big_a * x), x,
-                reduce(ha[0] * big_c + hc[0] * big_a + ac))
-    if ks:
-        factors += map(reduce, map(mul, [ma[n - 1 - k] for k in ks], repeat(reduce(ac * low))))
-        factors += map(reduce, map(mul, [ma[k] for k in ks], repeat(reduce(-ac * high))))
+    plus, minus = reduce(ac * low), reduce(-ac * high)
+    return (*ha, *hc, *mc, reduce(big_c * x), reduce(big_a * x), x,
+            reduce(ha[0] * big_c + hc[0] * big_a + ac),
+            *[reduce(ma[n - 1 - k] * plus) for k in range(n)],
+            *[reduce(ma[k] * minus) for k in range(n)]), den
+
+
+def price_terms(ring, recipe, point):
+    """(nums, den): nums[g] / den is the price of group g of a ``price_recipe``
+    at a point, gathered from its ``point_factors`` (factors, den)."""
+    (first, second), (factors, den) = recipe, point
     get = factors.__getitem__
-    return list(map(reduce, map(mul, map(get, first), map(get, second)))), den
+    return list(map(ring.reduce, map(mul, map(get, first), map(get, second)))), den
 
 
 def limit_prices(ring, n, terms, which, q):
@@ -294,6 +314,10 @@ class _TableSolution:
     terms at u = 0 or v = 0 the same way (``limit_prices``), and
     ``price_residue(which)`` their residues there (``residue_prices``).
     ``support`` lists the distinct flats in ascending order.
+
+    The sampled reads (``read``, ``values``) price through
+    ``_sampled_price``, which gives what ``price`` gives; a table priced
+    from ``point_factors`` takes them from its memo there.
     """
 
     def _set_rows(self, groups, flats, prices):
@@ -315,7 +339,7 @@ class _TableSolution:
         only where rows outnumber flats, a scaled ``_Image`` such as a
         gauge or the CYBE's rbar0 (``entries``); the nondegeneracy test's
         blocks always do."""
-        nums, den = self.price(ring, *point)
+        nums, den = self._sampled_price(ring, *point)
         ends = list(compress(accumulate(map(nums.__getitem__, self._groups_by_flat)),
                              self._last))
         return list(map(sub, ends, [0] + ends[:-1])), den
@@ -329,6 +353,9 @@ class _TableSolution:
 
     def read(self, ring, *point):
         """The (nums, den) that ``entries`` index at a point: the prices."""
+        return self._sampled_price(ring, *point)
+
+    def _sampled_price(self, ring, *point):
         return self.price(ring, *point)
 
 
@@ -352,7 +379,10 @@ class TrigSolution(_TableSolution):
                        chain.from_iterable(t[-1] for t in self.terms), len(self.terms))
 
     def price(self, ring, q_u, q_v):
-        return price_terms(ring, self.n, self._recipe, q_u, q_v)
+        return price_terms(ring, self._recipe, point_factors.__wrapped__(ring, self.n, q_u, q_v))
+
+    def _sampled_price(self, ring, q_u, q_v):
+        return price_terms(ring, self._recipe, point_factors(ring, self.n, q_u, q_v))
 
     def price_limit(self, ring, which, q):
         return limit_prices(ring, self.n, self.terms, which, q)
@@ -413,15 +443,19 @@ class _Image(_TableSolution):
         return super().entries() if self._scaled is None else flat_entries(self.support)
 
     def read(self, ring, *point):
-        return (self.price if self._scaled is None else self.values)(ring, *point)
+        return (self._sampled_price if self._scaled is None else self.values)(ring, *point)
 
     def _base_which(self, which):
         return ("v" if which == "u" else "u") if self.swap else which
 
-    def price(self, ring, q_u, q_v):
-        if self.swap:
-            q_u, q_v = q_v, q_u
-        return self._scale(self.base.price(ring, q_u, q_v), ring.reduce)
+    def _base_point(self, point):
+        return point[::-1] if self.swap else point
+
+    def price(self, ring, *point):
+        return self._scale(self.base.price(ring, *self._base_point(point)), ring.reduce)
+
+    def _sampled_price(self, ring, *point):
+        return self._scale(self.base._sampled_price(ring, *self._base_point(point)), ring.reduce)
 
     def price_limit(self, ring, which, q):
         return self._scale(self.base.price_limit(ring, self._base_which(which), q), ring.reduce)
@@ -466,6 +500,8 @@ class _ProjectedR0(_Image):
 
     def price(self, ring, q_v):
         return self.price_limit(ring, "u", q_v)
+
+    _sampled_price = price
 
 
 def gauge_transform(sol, phi, field) -> _Image:
@@ -562,23 +598,35 @@ def _corrupted(sol, slot):
     return _PlusOne(sol, _slot_flat(sol.n, slot))
 
 
+@lru_cache(maxsize=_CHECK_MEMO)
+def _points(field, seed, tag, n, count, num_points, poles):
+    """The ``num_points`` pole-free ``count``-tuples of a check, drawn from
+    the RNG derived from (seed, tag, backend), subject to the constraints
+    ``poles(n)`` (none where ``poles`` is None).
+
+    They read no structure, so they are memoized per process: every
+    structure of one n is tested at the same points.
+    """
+    rng = derive_rng(seed, tag, field.name)
+    extra = () if poles is None else poles(n)
+    return tuple(_pole_free(field, rng, n, count, extra) for _ in range(num_points))
+
+
 def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
-                   extra=(), mutate=None) -> CheckReport:
+                   poles=None, mutate=None) -> CheckReport:
     """The seeded Schwartz-Zippel loop behind every identity check.
 
-    Draws ``num_points`` pole-free ``count``-tuples (subject to ``extra``)
-    from the RNG derived from (seed, tag, backend) and calls ``fails(*qs)``
-    at each.  ``fails`` returns a falsy value where the identity holds, and
-    True or a note naming the failure where it does not; the first three
-    notes become the report's details.  A run with ``mutate`` set is
+    Calls ``fails(*qs)`` at each of the ``num_points`` points of
+    ``_points``.  ``fails`` returns a falsy value where the identity holds,
+    and True or a note naming the failure where it does not; the first
+    three notes become the report's details.  A run with ``mutate`` set is
     reported as ``check(mutated)``.
     """
     if mutate is not None:
         check += "(mutated)"
     with CheckReport.timed(check, num_points, seed, field.name) as report:
-        rng = derive_rng(seed, tag, field.name)
-        for _ in range(num_points):
-            failed = fails(*_pole_free(field, rng, sol.n, count, extra))
+        for qs in _points(field, seed, tag, sol.n, count, num_points, poles):
+            failed = fails(*qs)
             if failed:
                 report.failures += 1
                 if failed is not True and len(report.details) < 3:
@@ -589,12 +637,13 @@ def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
 # -- identity checks -----------------------------------------------------------
 
 
+@lru_cache(maxsize=_CHECK_MEMO)
 def _weights(field, seed, tag, n):
-    """The projection weights of one check call: six vectors of n raw
-    weights of ``field``, one per output digit, from their own RNG, so the
-    points drawn do not move."""
+    """The projection weights of a check: six vectors of n raw weights of
+    ``field``, one per output digit, from their own RNG, so the points
+    drawn do not move; memoized per process, as ``_points`` is."""
     rng = derive_rng(seed, tag, "weights", field.name)
-    return [[field.sample_weight(rng) for _ in range(n)] for _ in range(6)]
+    return tuple(tuple(field.sample_weight(rng) for _ in range(n)) for _ in range(6))
 
 
 def _aybe_fails(sol, field, weights, mutate=None):
@@ -634,14 +683,15 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     carries the form's false-pass chance, at most 6/|S| per point (the
     module docstring).
     """
-    n, one = sol.n, field.one
-    extra = (
-        lambda a, b, c, d: (a * b) ** (2 * n) - one,
-        lambda a, b, c, d: (c * d) ** (2 * n) - one,
-    )
     return _sampled_check("aybe", "aybe", sol, num_points, seed, field, 4,
-                          _aybe_fails(sol, field, _weights(field, seed, "aybe", n), mutate),
-                          extra, mutate)
+                          _aybe_fails(sol, field, _weights(field, seed, "aybe", sol.n), mutate),
+                          _aybe_poles, mutate)
+
+
+def _aybe_poles(n):
+    """The AYBE's points also avoid the poles at u + u' and v + v'."""
+    return (lambda a, b, c, d: (a * b) ** (2 * n) - 1,
+            lambda a, b, c, d: (c * d) ** (2 * n) - 1)
 
 
 def _skew_fails(sol, field, weights, mutate=None):
@@ -846,11 +896,14 @@ def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckR
     carries the form's false-pass chance, at most 6/|S| per point (the
     module docstring).
     """
-    n, one = sol.n, field.one
-    extra = (lambda a, b: (a * b) ** (2 * n) - one,)
     return _sampled_check("cybe", "cybe", sol, num_points, seed, field, 2,
-                          _cybe_fails(sol, field, _weights(field, seed, "cybe", n), mutate),
-                          extra, mutate)
+                          _cybe_fails(sol, field, _weights(field, seed, "cybe", sol.n), mutate),
+                          _cybe_poles, mutate)
+
+
+def _cybe_poles(n):
+    """The CYBE's points also avoid the pole at v + v'."""
+    return (lambda a, b: (a * b) ** (2 * n) - 1,)
 
 
 # -- QYBE / unitarity --------------------------------------------------------------
@@ -909,19 +962,24 @@ def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
     also carries the forms' false-pass chance, at most 4/|S| per point for
     unitarity and 6/|S| for the QYBE (the module docstring).
     """
-    n, one = sol.n, field.one
+    return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field, 3,
+                          _qybe_fails(sol, field, _weights(field, seed, "qybe", sol.n)),
+                          _qybe_poles)
+
+
+def _qybe_poles(n):
+    """The QYBE's points also avoid the pole at v + v' and the zeros of
+    sigma's denominators."""
     # R = sigma r is defined only where sigma's denominators at (u,v),
     # (u,v+v'), (u,v') and (u,-v) are nonzero, so the points avoid them even
-    # though the tests above divide by none of them
-    extra = (
-        lambda a, b, c: (b * c) ** (2 * n) - one,
+    # though the tests of _qybe_fails divide by none of them
+    return (
+        lambda a, b, c: (b * c) ** (2 * n) - 1,
         lambda a, b, c: _half(a, n) + _half(b, n),
         lambda a, b, c: _half(a, n) + _half(b * c, n),
         lambda a, b, c: _half(a, n) + _half(c, n),
         lambda a, b, c: _half(a, n) - _half(b, n),
     )
-    return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field, 3,
-                          _qybe_fails(sol, field, _weights(field, seed, "qybe", n)), extra)
 
 
 def qybe_float_shadow(u: float, v: float) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ybx import cli
+from ybx import cli, trig
 from ybx.catalog import example_structure
 from ybx.cli import main, report_payload
 from ybx.perms import Permutation, format_cycles, parse_cycles
@@ -359,7 +359,7 @@ def test_pole_error_is_one_error_line(abd_file, capsys, monkeypatch):
     _assert_one_error_line(capsys, ["check-aybe", "--abd", abd_file, "--field", FP])
 
 
-@pytest.mark.parametrize("extra, sha256", [
+SUITE_PINS = [
     (["--field", FP], "d97c7db4f88b9548bd856de01d9f0733260aa72f8bbcf27dbec80bd196186eaa"),
     (["--field", "q"], "d6581b8f8159909e763e141f2b60abde02b4c5ea7f7b7324dd761b72af86e84c"),
     (["--field", FP, "--mutate", "one-coefficient"],
@@ -367,11 +367,28 @@ def test_pole_error_is_one_error_line(abd_file, capsys, monkeypatch):
     # the one row whose q residuals have nonzero entries
     (["--field", "q", "--mutate", "one-coefficient"],
      "e51d02591e5b1ca75ef7ec1ed4c9e6b56790f9bdc35c0c0e4bc96c7ae7a9a49f"),
-], ids=["fp", "q", "fp-mutated", "q-mutated"])
+]
+
+
+def _pinned_suite_sha256(capsys, extra):
+    _, out = run(capsys, "suite", "--nmax", "3", "--points", "3", "--seed", "7", *extra)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("extra, sha256", SUITE_PINS, ids=["fp", "q", "fp-mutated", "q-mutated"])
 def test_suite_bytes_are_pinned(extra, sha256, capsys):
     # a small-size twin of the `ybx suite --points 25 --seed 7` behaviour contract
-    _, out = run(capsys, "suite", "--nmax", "3", "--points", "3", "--seed", "7", *extra)
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert _pinned_suite_sha256(capsys, extra) == sha256
+
+
+def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
+    # fp from cold memos, then q, then fp again reading the memos warm
+    for memo in (trig.point_factors, trig._points, trig._weights):
+        memo.cache_clear()
+    (fp_args, fp_sha256), (q_args, q_sha256) = SUITE_PINS[:2]
+    got = [_pinned_suite_sha256(capsys, args) for args in (fp_args, q_args, fp_args)]
+    assert got == [fp_sha256, q_sha256, fp_sha256]
+    assert trig.point_factors.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("field, sha256", [

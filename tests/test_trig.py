@@ -1,14 +1,18 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ybx.catalog import corpus, enumerate_structures, example_structure
+from ybx.catalog import acceptance_corpus, corpus, enumerate_structures, example_structure
 from ybx.perms import ABDStructure, Permutation, identity, relabel_abd
-from ybx.scalars import RATIONAL, derive_rng, field_from_name
+from ybx.scalars import RATIONAL, PrimeField, derive_rng, field_from_name
 from ybx import trig as trig_module
 from ybx.tensors import (
     Tensor2,
@@ -814,3 +818,110 @@ def test_corrupted_table_is_r_plus_one_at_the_slot(field):
             bad = trig_module._corrupted(sol, slot)
             assert (bad.eval(field, *point)
                     == sol.eval(field, *point) + Tensor2.basis(n, field, *slot)), (tag, slot)
+
+
+# -- the per-process memos of structure-independent inputs ----------------------
+
+_MEMOS = (trig_module.point_factors, trig_module._points, trig_module._weights)
+
+
+def _clear_memos():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+def test_memoized_prices_equal_the_reference_pricing(field):
+    # every acceptance-corpus table, read twice at each point (cold, then
+    # warm), against ``price``, which calls point_factors unmemoized; the hat
+    # reads at the swapped point, and _PlusOne reads its base plus one row
+    _clear_memos()
+    sol = TrigSolution(example_structure())
+    sol.price(field, field.of_int(2), field.of_int(3))
+    assert trig_module.point_factors.cache_info().currsize == 0
+    points = {}
+    for s in acceptance_corpus():
+        if s.n not in points:
+            rng = derive_rng(43, "memo", s.n, field.name)
+            points[s.n] = [_pole_free(field, rng, s.n, 2) for _ in range(2)]
+        sol = TrigSolution(s)
+        for table in (sol, hat_involution(sol), trig_module._PlusOne(sol, sol.flats[-1])):
+            for point in points[s.n]:
+                want = table.price(field, *point)
+                assert table.read(field, *point) == want == table.read(field, *point), s.label()
+        for point in points[s.n]:
+            nums, den = sol.price(field, *point)
+            sums = dict.fromkeys(sol.support, 0)
+            for g, f in zip(sol.groups, sol.flats):
+                sums[f] += nums[g]
+            assert sol.values(field, *point) == (list(sums.values()), den), s.label()
+    assert trig_module.point_factors.cache_info().hits > 0
+
+
+def test_reports_are_identical_cold_and_warm(field):
+    # each check once with every memo cleared, then all of them again warm
+    sol = TrigSolution(example_structure())
+    runs = [(check_aybe, sol, {}), (check_aybe, sol, {"mutate": (0, 1, 2, 2)}),
+            (check_aybe, hat_involution(sol), {}), (check_skew, sol, {}),
+            (check_cybe, sol, {}), (qybe_unitarity, sol, {}),
+            (qybe_unitarity, _Doubled(sol), {}), (check_strong_nondegeneracy, sol, {})]
+    cold = []
+    for check, table, kwargs in runs:
+        _clear_memos()
+        cold.append(check(table, 4, 9, field, **kwargs).to_json_dict())
+    warm = [check(table, 4, 9, field, **kwargs).to_json_dict() for check, table, kwargs in runs]
+    assert cold == warm
+    assert [r["failures"] for r in cold] == [0, 4, 0, 0, 0, 0, 4, 0]
+
+
+def test_structures_of_one_n_draw_their_points_once(fp, monkeypatch):
+    drawn = []
+    pole_free = trig_module._pole_free
+
+    def counted(field, rng, n, count, extra=()):
+        drawn.append(n)
+        return pole_free(field, rng, n, count, extra)
+
+    monkeypatch.setattr(trig_module, "_pole_free", counted)
+    _clear_memos()
+    first, second = list(enumerate_structures(3))[:2]
+    check_aybe(TrigSolution(first), 3, 7, fp)
+    assert drawn == [3] * 3
+    check_aybe(TrigSolution(second), 3, 7, fp)
+    check_aybe(hat_involution(TrigSolution(second)), 3, 7, fp)
+    check_aybe(TrigSolution(second), 3, 7, fp, mutate=(0, 1, 2, 2))
+    assert drawn == [3] * 3
+    check_aybe(TrigSolution(example_structure()), 3, 7, fp)
+    assert drawn == [3] * 3 + [4] * 3
+
+
+def test_points_of_different_fields_never_share_a_memo_entry(fp):
+    # equal integers in q, in GF(2^61 - 1) and in a smaller prime field
+    _clear_memos()
+    small = PrimeField(1_000_000_007)
+    points = [(RATIONAL, Fraction(100003), Fraction(7)),
+              (fp, fp.of_int(100003), fp.of_int(7)),
+              (small, small.of_int(100003), small.of_int(7))]
+    factors = [trig_module.point_factors(ring, 4, qu, qv) for ring, qu, qv in points]
+    info = trig_module.point_factors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+    assert len(set(factors)) == 3
+    for (ring, qu, qv), got in zip(points, factors):
+        assert got == trig_module.point_factors.__wrapped__(ring, 4, qu, qv)
+    drawn = [trig_module._points(ring, 7, "aybe", 2, 4, 2, trig_module._aybe_poles)
+             for ring in (RATIONAL, fp)]
+    assert trig_module._points.cache_info().misses == 2
+    assert [type(q) for q in drawn[0][0]] == [Fraction] * 4
+    assert [q.field for q in drawn[1][0]] == [fp] * 4
+
+
+def test_every_memo_is_bounded_and_empty_at_import():
+    for memo in _MEMOS:
+        assert 0 < memo.cache_info().maxsize <= 1024, memo.__name__
+    src = str(Path(trig_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from ybx import trig; print([m.cache_info().currsize for m in "
+            "(trig.point_factors, trig._points, trig._weights)])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[0, 0, 0]"
