@@ -12,11 +12,13 @@ evaluation at seeded random points avoiding the poles.
 
 Every solution is one linear table: r(u, v) is the sum of price_g(u, v)
 at flat index f over its rows (g, f), g a group of the rectangle-family
-table.  ``price_terms`` prices all groups at a point as integer numerators
-over one denominator, ``(nums, den)``, with no division; ``eval`` boxes
-them on any ring (fields and jets).  ``limit_prices`` prices the constant
-term of each group at u = 0 (or v = 0) the same way, so r0 is exact, with
-no jets, and ``residue_prices`` the coefficient of 1/u (or 1/v).  The
+table.  ``point_factors`` computes the factors of every price at a point,
+which read no table, and ``price_terms`` gathers a table's prices from them
+as integer numerators over one denominator, ``(nums, den)``, with no
+division; ``eval`` boxes them on any ring (fields and jets).
+``limit_prices`` prices the constant term of each group at u = 0 (or
+v = 0) the same way, so r0 is exact, with no jets, and ``residue_prices``
+the coefficient of 1/u (or 1/v).  The
 hat, a gauge and pr (x) pr are one linear image of a table (``_Image``),
 fixed per solution: rows with integer coefficients over one denominator,
 the hat's a rotation of the flat indices priced with u and v exchanged.
@@ -25,8 +27,12 @@ The AYBE, skew, CYBE, QYBE and unitarity checks state their products in
 the paper's notation, each evaluation of r in the slots it occupies ((1, 2)
 for r12, (2, 1) for flip(r), () for a scalar), and compile them once per
 call into one random linear form of the residual
-(``tensors.projected_residual``), its weights drawn once per call from
-their own RNG (``_weights``), so the points drawn do not move.  Each table
+(``tensors.projected_residual``).  What a check needs and no structure
+decides is computed once per process, in bounded ``functools.lru_cache``
+memos that every structure of one n shares: its points (``_points``), its
+weights, drawn from their own RNG so the points drawn do not move
+(``_weights``), and the factors of the prices at each point
+(``point_factors``), which only the sampled reads take.  Each table
 says how a residual reads it, as the (size, flats, reads) entries that the
 form and the exact ``tensors.product_residual`` both compile (``entries``)
 and the values they read at a point (``read``): r, the hat and a mutated
@@ -35,10 +41,19 @@ and a scaled image (a gauge, pr (x) pr), whose rows outnumber its flats,
 by its support, each flat's rows summed by ``values``; the CYBE reads
 rbar0 that way too.  Each point tests the form on each distinct
 evaluation once, on those integers: no field element is boxed and no
-tensor is built.  A sampled PASS therefore carries, besides each point's
-Schwartz-Zippel bound, the form's false-pass chance of at most 6/|S| per
-point for a triple residual and 4/|S| for a pair one (skew, unitarity),
-|S| = p in GF(p) and 2^61 in q.
+tensor is built.
+
+A sampled PASS carries two false-pass chances per point.  The form's is
+at most 6/|S| for a triple residual and 4/|S| for a pair one (skew,
+unitarity), |S| = p in GF(p) and 2^61 in q.  The point's (Schwartz-Zippel)
+is at most d/(p - 3) in GF(p) for a nonzero residual of degree d in the
+sampled q's, its Laurent monomial cleared: the sampler draws uniformly from
+2..p - 2 (the pole rejection, which discards a share of order n/p of the
+tuples, raises that by a factor 1 + O(n/p)).  On q the sampler has only 96
+values, the likeliest with chance 5/216, so d times that exceeds 1 once
+d > 43 (a mutated AYBE residual has d = 64 already at n = 2), and no useful
+point bound holds there: only a proof at the generic point would say more.
+
 A mutated check reads its corrupted factor off a table with one more row,
 priced 1, at the mutation slot (``_corrupted``).  The residues are read
 off the table exactly (``residue_prices``), with no point and no jets.
