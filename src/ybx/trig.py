@@ -18,10 +18,10 @@ as integer numerators over one denominator, ``(nums, den)``, with no
 division; ``eval`` boxes them on any ring (fields and jets).
 ``limit_prices`` prices the constant term of each group at u = 0 (or
 v = 0) the same way, so r0 is exact, with no jets, and ``residue_prices``
-the coefficient of 1/u (or 1/v).  The
-hat, a gauge and pr (x) pr are one linear image of a table (``_Image``),
-fixed per solution: rows with integer coefficients over one denominator,
-the hat's a rotation of the flat indices priced with u and v exchanged.
+the coefficient of 1/u (or 1/v).  The hat, a gauge and pr (x) pr are one
+linear image of a table (``_Image``), fixed per solution: rows with integer
+coefficients over one denominator, the hat's a rotation of the flat indices
+priced with u and v exchanged (at the ``Point``'s swap).
 
 The AYBE, skew, CYBE, QYBE and unitarity checks state their products in
 the paper's notation, each evaluation of r in the slots it occupies ((1, 2)
@@ -29,10 +29,10 @@ for r12, (2, 1) for flip(r), () for a scalar), and compile them once per
 call into one random linear form of the residual
 (``tensors.projected_residual``).  What a check needs and no structure
 decides is computed once per process, in bounded ``functools.lru_cache``
-memos that every structure of one n shares: its points (``_points``), its
-weights, drawn from their own RNG so the points drawn do not move
-(``_weights``), and the factors of the prices at each point
-(``point_factors``), which only the sampled reads take.  Each table
+memos that every structure of one n shares: its samples (``_points``),
+each the ``Point``s it reads r at, which keep the factors of their prices
+(``point_factors``) once computed, and its weights, drawn from their own
+RNG so the points drawn do not move (``_weights``).  Each table
 says how a residual reads it, as the (size, flats, reads) entries that the
 form and the exact ``tensors.product_residual`` both compile (``entries``)
 and the values they read at a point (``read``): r, the hat and a mutated
@@ -192,26 +192,14 @@ def price_recipe(n, terms):
     return tuple(zip(*recipe))
 
 
-#: entries of the memos of structure-independent inputs: one
-#: ``ybx suite --points 25`` run on one field reads 800 distinct points'
-#: ``point_factors`` and 12 check point sets (``_points``) and 8 weight sets
-#: (``_weights``); one repetition of the ``aybe-fp`` benchmark 280, 8 and 8
-_POINT_FACTOR_MEMO = 1024
-_CHECK_MEMO = 32
-
-
-@lru_cache(maxsize=_POINT_FACTOR_MEMO)
 def point_factors(ring, n, q_u, q_v):
     """(factors, den): the structure-independent part of every price at
     (q_u, q_v), the factors ``price_recipe`` indexes and the denominator,
     with no division; q_u = a/b and q_v = c/d come from ``ring.integral``
     (b = d = 1 in GF(p)).  Raises PoleError where den = 0.
 
-    Memoized per process, as every structure of one n prices at the same
-    sampled points; the sampled reads (``read``, ``values``) go through the
-    memo, and ``price``, the reference that jets and ``eval`` take, calls
-    ``point_factors.__wrapped__``.  The factors are a tuple, since every
-    caller shares them.
+    A ``Point`` keeps them; the factors are a tuple, since every table
+    priced there shares them.
     """
     reduce = ring.reduce
     (a,), b = ring.integral((q_u,))
@@ -233,10 +221,10 @@ def point_factors(ring, n, q_u, q_v):
             *[reduce(ma[k] * minus) for k in range(n)]), den
 
 
-def price_terms(ring, recipe, point):
+def price_terms(ring, recipe, priced):
     """(nums, den): nums[g] / den is the price of group g of a ``price_recipe``
     at a point, gathered from its ``point_factors`` (factors, den)."""
-    (first, second), (factors, den) = recipe, point
+    (first, second), (factors, den) = recipe, priced
     get = factors.__getitem__
     return list(map(ring.reduce, map(mul, map(get, first), map(get, second)))), den
 
@@ -299,6 +287,36 @@ def residue_prices(terms, which):
     return [int(t[0] in polar) for t in terms], 1
 
 
+class Point:
+    """A point (q_u, q_v) at which the tables of one n are priced in
+    ``ring``.  It keeps the factors of its prices (``point_factors``) and
+    its swap (q_v, q_u), the hat's point, once computed, so every table
+    priced there shares them.
+
+    The sampled checks take their points from ``_points``, whose entries
+    are shared by every structure of one n: the factors at a check's points
+    are computed once per process, and held as long as its point set.
+    """
+
+    __slots__ = ("ring", "n", "q_u", "q_v", "_priced", "_swapped")
+
+    def __init__(self, ring, n, q_u, q_v):
+        self.ring, self.n, self.q_u, self.q_v = ring, n, q_u, q_v
+        self._priced = self._swapped = None
+
+    def factors(self):
+        """The point's ``point_factors``, (factors, den)."""
+        if self._priced is None:
+            self._priced = point_factors(self.ring, self.n, self.q_u, self.q_v)
+        return self._priced
+
+    def swapped(self):
+        """The point (q_v, q_u)."""
+        if self._swapped is None:
+            self._swapped = Point(self.ring, self.n, self.q_v, self.q_u)
+        return self._swapped
+
+
 def assemble(sol, ring, prices) -> Tensor2:
     """The tensor with price g at flat f for every row (g, f) of the
     solution's table, summed; a group missing from ``prices`` is 0."""
@@ -324,15 +342,12 @@ def _boxed(sol, ring, prices) -> Tensor2:
 class _TableSolution:
     """An r-matrix as one linear table: rows (groups[i], flats[i]), with
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
-    ``price(ring, q_u, q_v)`` giving every price_g as nums[g] / den, a list
-    of ``prices`` numerators, ``price_limit(ring, which, q)`` their constant
-    terms at u = 0 or v = 0 the same way (``limit_prices``), and
+    ``price(ring, point)`` giving every price_g at a ``Point`` as
+    nums[g] / den, a list of ``prices`` numerators, ``price_limit(ring,
+    which, q)`` their constant terms at u = 0 or v = 0 the same way
+    (``limit_prices``), and
     ``price_residue(which)`` their residues there (``residue_prices``).
     ``support`` lists the distinct flats in ascending order.
-
-    The sampled reads (``read``, ``values``) price through
-    ``_sampled_price``, which gives what ``price`` gives; a table priced
-    from ``point_factors`` takes them from its memo there.
     """
 
     def _set_rows(self, groups, flats, prices):
@@ -343,18 +358,22 @@ class _TableSolution:
         self._last = list(map(ne, by_flat, by_flat[1:])) + [True]
         self.support = tuple(compress(by_flat, self._last))
 
-    def eval(self, ring, *point) -> Tensor2:
-        """r at the point (q_u, q_v); entries live in ``ring``."""
-        return _boxed(self, ring, self.price(ring, *point))
+    def eval(self, ring, *qs) -> Tensor2:
+        """r at (q_u, q_v); entries live in ``ring``."""
+        return _boxed(self, ring, self.price(ring, self.point(ring, *qs)))
 
-    def values(self, ring, *point):
+    def point(self, ring, q_u, q_v):
+        """The point ``price`` reads for (q_u, q_v): a new ``Point``."""
+        return Point(ring, self.n, q_u, q_v)
+
+    def values(self, ring, point):
         """(the integer numerator at every flat of ``support``, their
         denominator) at a point: each flat's rows summed, as running sums
         over the rows sorted by flat.  The projected zero test reads them
         only where rows outnumber flats, a scaled ``_Image`` such as a
         gauge or the CYBE's rbar0 (``entries``); the nondegeneracy test's
         blocks always do."""
-        nums, den = self._sampled_price(ring, *point)
+        nums, den = self.price(ring, point)
         ends = list(compress(accumulate(map(nums.__getitem__, self._groups_by_flat)),
                              self._last))
         return list(map(sub, ends, [0] + ends[:-1])), den
@@ -366,12 +385,9 @@ class _TableSolution:
         residual adds up a flat's rows itself."""
         return self.prices, self.flats, self.groups
 
-    def read(self, ring, *point):
+    def read(self, ring, point):
         """The (nums, den) that ``entries`` index at a point: the prices."""
-        return self._sampled_price(ring, *point)
-
-    def _sampled_price(self, ring, *point):
-        return self.price(ring, *point)
+        return self.price(ring, point)
 
 
 class TrigSolution(_TableSolution):
@@ -393,11 +409,8 @@ class TrigSolution(_TableSolution):
                                            for g, t in enumerate(self.terms)),
                        chain.from_iterable(t[-1] for t in self.terms), len(self.terms))
 
-    def price(self, ring, q_u, q_v):
-        return price_terms(ring, self._recipe, point_factors.__wrapped__(ring, self.n, q_u, q_v))
-
-    def _sampled_price(self, ring, q_u, q_v):
-        return price_terms(ring, self._recipe, point_factors(ring, self.n, q_u, q_v))
+    def price(self, ring, point):
+        return price_terms(ring, self._recipe, point.factors())
 
     def price_limit(self, ring, which, q):
         return limit_prices(ring, self.n, self.terms, which, q)
@@ -457,20 +470,15 @@ class _Image(_TableSolution):
     def entries(self):
         return super().entries() if self._scaled is None else flat_entries(self.support)
 
-    def read(self, ring, *point):
-        return (self._sampled_price if self._scaled is None else self.values)(ring, *point)
+    def read(self, ring, point):
+        return (self.price if self._scaled is None else self.values)(ring, point)
 
     def _base_which(self, which):
         return ("v" if which == "u" else "u") if self.swap else which
 
-    def _base_point(self, point):
-        return point[::-1] if self.swap else point
-
-    def price(self, ring, *point):
-        return self._scale(self.base.price(ring, *self._base_point(point)), ring.reduce)
-
-    def _sampled_price(self, ring, *point):
-        return self._scale(self.base._sampled_price(ring, *self._base_point(point)), ring.reduce)
+    def price(self, ring, point):
+        return self._scale(self.base.price(ring, point.swapped() if self.swap else point),
+                           ring.reduce)
 
     def price_limit(self, ring, which, q):
         return self._scale(self.base.price_limit(ring, self._base_which(which), q), ring.reduce)
@@ -481,7 +489,7 @@ class _Image(_TableSolution):
 
 class _ProjectedR0(_Image):
     """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as a table
-    priced at q_v: the image of the base's r0.
+    priced at q_v, its point: the image of the base's r0.
 
     n^2 (pr (x) pr) X = n^2 X - n (1 (x) tr1 X) - n (tr2 X (x) 1)
     + (tr (x) tr)(X) (1 (x) 1) for each group's part X, the identity of
@@ -513,10 +521,11 @@ class _ProjectedR0(_Image):
             rows += [(grp, f, c) for f, c in image.items() if c]
         super().__init__(base, rows, nn)
 
+    def point(self, ring, q_v):
+        return q_v
+
     def price(self, ring, q_v):
         return self.price_limit(ring, "u", q_v)
-
-    _sampled_price = price
 
 
 def gauge_transform(sol, phi, field) -> _Image:
@@ -592,16 +601,19 @@ class _PlusOne(_TableSolution):
         self._set_rows((0,) + tuple(g + 1 for g in base.groups), (f,) + base.flats,
                        base.prices + 1)
 
-    def price(self, ring, *point):
-        nums, den = self.base.price(ring, *point)
+    def point(self, ring, *qs):
+        return self.base.point(ring, *qs)
+
+    def price(self, ring, point):
+        nums, den = self.base.price(ring, point)
         return [den] + nums, den
 
     def entries(self):
         size, flats, reads = self.base.entries()
         return size + 1, (self.flats[0], *flats), [0] + [i + 1 for i in reads]
 
-    def read(self, ring, *point):
-        nums, den = self.base.read(ring, *point)
+    def read(self, ring, point):
+        nums, den = self.base.read(ring, point)
         return [den] + nums, den
 
 
@@ -613,35 +625,41 @@ def _corrupted(sol, slot):
     return _PlusOne(sol, _slot_flat(sol.n, slot))
 
 
+#: point sets (``_points``) and weight sets (``_weights``) kept per process:
+#: one ``ybx suite --points 25`` run on one field uses 12 point sets and 8
+#: weight sets, one repetition of the ``aybe-fp`` benchmark 8 and 8
+_CHECK_MEMO = 32
+
+
 @lru_cache(maxsize=_CHECK_MEMO)
-def _points(field, seed, tag, n, count, num_points, poles):
-    """The ``num_points`` pole-free ``count``-tuples of a check, drawn from
-    the RNG derived from (seed, tag, backend), subject to the constraints
-    ``poles(n)`` (none where ``poles`` is None).
+def _points(field, seed, tag, n, num_points, sample):
+    """The ``num_points`` samples of a check, each ``sample(field, rng, n)``,
+    drawn from the RNG derived from (seed, tag, backend): the points, as
+    ``Point``s, and any other value the check reads there.
 
     They read no structure, so they are memoized per process: every
-    structure of one n is tested at the same points.
+    structure of one n is tested at the same points, which keep the
+    factors of their prices.
     """
     rng = derive_rng(seed, tag, field.name)
-    extra = () if poles is None else poles(n)
-    return tuple(_pole_free(field, rng, n, count, extra) for _ in range(num_points))
+    return tuple(sample(field, rng, n) for _ in range(num_points))
 
 
-def _sampled_check(check, tag, sol, num_points, seed, field, count, fails,
-                   poles=None, mutate=None) -> CheckReport:
+def _sampled_check(check, tag, sol, num_points, seed, field, sample, fails,
+                   mutate=None) -> CheckReport:
     """The seeded Schwartz-Zippel loop behind every identity check.
 
-    Calls ``fails(*qs)`` at each of the ``num_points`` points of
-    ``_points``.  ``fails`` returns a falsy value where the identity holds,
-    and True or a note naming the failure where it does not; the first
-    three notes become the report's details.  A run with ``mutate`` set is
-    reported as ``check(mutated)``.
+    Calls ``fails(*values)`` at each sample of ``_points``.  ``fails``
+    returns a falsy value where the identity holds, and True or a note
+    naming the failure where it does not; the first three notes become the
+    report's details.  A run with ``mutate`` set is reported as
+    ``check(mutated)``.
     """
     if mutate is not None:
         check += "(mutated)"
     with CheckReport.timed(check, num_points, seed, field.name) as report:
-        for qs in _points(field, seed, tag, sol.n, count, num_points, poles):
-            failed = fails(*qs)
+        for values in _points(field, seed, tag, sol.n, num_points, sample):
+            failed = fails(*values)
             if failed:
                 report.failures += 1
                 if failed is not True and len(report.details) < 3:
@@ -662,7 +680,7 @@ def _weights(field, seed, tag, n):
 
 
 def _aybe_fails(sol, field, weights, mutate=None):
-    """The AYBE test at one point (qu, qu', qv, qv'): True where the
+    """The AYBE test at the points of one ``_aybe_sample``: True where the
     residual's projection, compiled here once from the tables' entries,
     does not vanish."""
     first = _corrupted(sol, mutate)
@@ -671,15 +689,9 @@ def _aybe_fails(sol, field, weights, mutate=None):
         weights)
     read_first, read = first.read, sol.read
 
-    def fails(qu, qup, qv, qvp):
-        return not program.is_zero(field, [
-            read_first(field, qup ** -1, qv),   # r(-u', v), corrupted when mutated
-            read(field, qu * qup, qv * qvp),    # r(u+u', v+v')
-            read(field, qu * qup, qvp),         # r(u+u', v')
-            read(field, qu, qv),                # r(u, v)
-            read(field, qu, qv * qvp),          # r(u, v+v')
-            read(field, qup, qvp),              # r(u', v')
-        ])
+    def fails(at_first, *at):
+        return not program.is_zero(field, [read_first(field, at_first),
+                                           *[read(field, point) for point in at]])
 
     return fails
 
@@ -698,28 +710,40 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     carries the form's false-pass chance, at most 6/|S| per point (the
     module docstring).
     """
-    return _sampled_check("aybe", "aybe", sol, num_points, seed, field, 4,
+    return _sampled_check("aybe", "aybe", sol, num_points, seed, field, _aybe_sample,
                           _aybe_fails(sol, field, _weights(field, seed, "aybe", sol.n), mutate),
-                          _aybe_poles, mutate)
+                          mutate)
 
 
-def _aybe_poles(n):
-    """The AYBE's points also avoid the poles at u + u' and v + v'."""
-    return (lambda a, b, c, d: (a * b) ** (2 * n) - 1,
-            lambda a, b, c, d: (c * d) ** (2 * n) - 1)
+def _aybe_sample(field, rng, n):
+    """``_aybe_at`` a point (u, u', v, v') that also avoids the poles at
+    u + u' and v + v'."""
+    return _aybe_at(field, n, *_pole_free(field, rng, n, 4, (
+        lambda a, b, c, d: (a * b) ** (2 * n) - 1,
+        lambda a, b, c, d: (c * d) ** (2 * n) - 1,
+    )))
+
+
+def _aybe_at(field, n, qu, qup, qv, qvp):
+    """The points of the AYBE's six factors at (u, u', v, v')."""
+    return (Point(field, n, qup ** -1, qv),         # r(-u', v), corrupted when mutated
+            Point(field, n, qu * qup, qv * qvp),    # r(u+u', v+v')
+            Point(field, n, qu * qup, qvp),         # r(u+u', v')
+            Point(field, n, qu, qv),                # r(u, v)
+            Point(field, n, qu, qv * qvp),          # r(u, v+v')
+            Point(field, n, qup, qvp))              # r(u', v')
 
 
 def _skew_fails(sol, field, weights, mutate=None):
-    """The skew test at one point (qu, qv): True where the projection of
-    flip(r(-u,-v)) + r(u,v), compiled here once from the tables' entries,
-    does not vanish."""
+    """The skew test at the points of one ``_skew_sample``: True where the
+    projection of flip(r(-u,-v)) + r(u,v), compiled here once from the
+    tables' entries, does not vanish."""
     right = _corrupted(sol, mutate)
     program = projected_residual(field, sol.n, [sol.entries(), right.entries()],
                                  [(1, 0, (2, 1)), (1, 1, (1, 2))], weights)
 
-    def fails(qu, qv):
-        return not program.is_zero(field, (sol.read(field, qu ** -1, qv ** -1),
-                                           right.read(field, qu, qv)))
+    def fails(at_minus, at):
+        return not program.is_zero(field, (sol.read(field, at_minus), right.read(field, at)))
 
     return fails
 
@@ -731,9 +755,19 @@ def check_skew(sol, num_points, seed, field, mutate=None) -> CheckReport:
     carries the form's false-pass chance, at most 4/|S| per point (the
     module docstring).
     """
-    return _sampled_check("skew", "skew", sol, num_points, seed, field, 2,
+    return _sampled_check("skew", "skew", sol, num_points, seed, field, _skew_sample,
                           _skew_fails(sol, field, _weights(field, seed, "skew", sol.n), mutate),
-                          mutate=mutate)
+                          mutate)
+
+
+def _skew_sample(field, rng, n):
+    """``_skew_at`` a point (u, v)."""
+    return _skew_at(field, n, *_pole_free(field, rng, n, 2))
+
+
+def _skew_at(field, n, qu, qv):
+    """The points (-u, -v) and (u, v) of the skew test at (u, v)."""
+    return Point(field, n, qu ** -1, qv ** -1), Point(field, n, qu, qv)
 
 
 def _block_plan(edges, m):
@@ -769,7 +803,7 @@ def _block_plan(edges, m):
 
 
 def _nondegeneracy_fails(sol, field):
-    """The strong nondegeneracy test at one point (qu, qv): a note where r
+    """The strong nondegeneracy test at a point: a note where r
     or transpose_p(r), as an n^2 x n^2 matrix, is singular.
 
     Both matrices hold the numerators at the support over den, in rows and
@@ -783,14 +817,14 @@ def _nondegeneracy_fails(sol, field):
     plans = [_block_plan([divmod(f, nn) for f in sol.support], nn),
              _block_plan([divmod(f % n3 * n + f // n3, nn) for f in sol.support], nn)]
     if None in plans:
-        return lambda qu, qv: "degenerate point found"
+        return lambda point: "degenerate point found"
     blocks = list(chain.from_iterable(plans))
     singles = [entries[0][2] for size, entries in blocks if size == 1]
     blocks = [block for block in blocks if block[0] > 1]
     reduce = field.reduce
 
-    def fails(qu, qv):
-        vals, _ = sol.values(field, qu, qv)
+    def fails(point):
+        vals, _ = sol.values(field, point)
         if not all(map(reduce, map(vals.__getitem__, singles))):
             return "degenerate point found"
         for size, entries in blocks:
@@ -813,7 +847,12 @@ def check_strong_nondegeneracy(sol, num_points, seed, field) -> CheckReport:
     zero, so a PASS here is exact, not a sampled bound.
     """
     return _sampled_check("strong-nondegeneracy", "nondeg", sol, num_points, seed,
-                          field, 2, _nondegeneracy_fails(sol, field))
+                          field, _nondegeneracy_sample, _nondegeneracy_fails(sol, field))
+
+
+def _nondegeneracy_sample(field, rng, n):
+    """A point (u, v) of the nondegeneracy test."""
+    return (Point(field, n, *_pole_free(field, rng, n, 2)),)
 
 
 # -- residues and the CYBE limit -------------------------------------------------
@@ -878,9 +917,10 @@ def r0_tensor(sol, q_v, field) -> Tensor2:
 
 
 def _cybe_fails(sol, field, weights, mutate=None):
-    """The CYBE test at one point (qv, qv'): True where the projection of
-    [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once from the entries
-    of rbar0 = (pr (x) pr) r0, its support, does not vanish."""
+    """The CYBE test at the points of one ``_cybe_sample``: True where the
+    projection of [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once
+    from the entries of rbar0 = (pr (x) pr) r0, its support, does not
+    vanish."""
     rbar0 = _ProjectedR0(sol)
     x_table = _corrupted(rbar0, mutate)
     x, y, z = 0, 1, 2
@@ -889,9 +929,9 @@ def _cybe_fails(sol, field, weights, mutate=None):
         (-1, z, (2, 3), x, (1, 2)), (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3))],
         weights)
 
-    def fails(qv, qvp):
+    def fails(qv, qv_sum, qvp):
         return not program.is_zero(field, [x_table.read(field, qv),
-                                           rbar0.read(field, qv * qvp),
+                                           rbar0.read(field, qv_sum),
                                            rbar0.read(field, qvp)])
 
     return fails
@@ -911,14 +951,19 @@ def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckR
     carries the form's false-pass chance, at most 6/|S| per point (the
     module docstring).
     """
-    return _sampled_check("cybe", "cybe", sol, num_points, seed, field, 2,
+    return _sampled_check("cybe", "cybe", sol, num_points, seed, field, _cybe_sample,
                           _cybe_fails(sol, field, _weights(field, seed, "cybe", sol.n), mutate),
-                          _cybe_poles, mutate)
+                          mutate)
 
 
-def _cybe_poles(n):
-    """The CYBE's points also avoid the pole at v + v'."""
-    return (lambda a, b: (a * b) ** (2 * n) - 1,)
+def _cybe_sample(field, rng, n):
+    """``_cybe_at`` a point (v, v') that also avoids the pole at v + v'."""
+    return _cybe_at(*_pole_free(field, rng, n, 2, (lambda a, b: (a * b) ** (2 * n) - 1,)))
+
+
+def _cybe_at(qv, qvp):
+    """rbar0's points v, v + v' and v' at (v, v')."""
+    return qv, qv * qvp, qvp
 
 
 # -- QYBE / unitarity --------------------------------------------------------------
@@ -930,8 +975,8 @@ def _half(q, n):
 
 
 def _qybe_fails(sol, field, weights):
-    """The unitarity and QYBE tests at one point (qu, qv, qv'): a note naming
-    the first that fails, from the projections of residuals compiled here
+    """The unitarity and QYBE tests at a sample of ``_qybe_sample``: a note
+    naming the first that fails, from the projections of residuals compiled here
     once from the table's entries.
 
     Unitarity is r(u,v) . flip(r(u,-v)) - s (1 (x) 1), the scalar s one
@@ -949,13 +994,11 @@ def _qybe_fails(sol, field, weights):
                               weights)
     ones = field.integral(unit.values())
 
-    def fails(qu, qv, qvp):
-        r12 = read(field, qu, qv)
-        a, b = _half(qu, n), _half(qv, n)
-        (num, den), _ = field.integral((b * b - a * a, a * a * b * b))
-        if not unitarity.is_zero(field, (r12, read(field, qu, qv ** -1), ([num], den), ones)):
+    def fails(at, at_minus, at_sum, at_prime, scalar):
+        r12 = read(field, at)
+        if not unitarity.is_zero(field, (r12, read(field, at_minus), scalar, ones)):
             return "unitarity failed"
-        if not qybe.is_zero(field, (r12, read(field, qu, qv * qvp), read(field, qu, qvp))):
+        if not qybe.is_zero(field, (r12, read(field, at_sum), read(field, at_prime))):
             return "qybe failed"
         return None
 
@@ -977,24 +1020,32 @@ def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
     also carries the forms' false-pass chance, at most 4/|S| per point for
     unitarity and 6/|S| for the QYBE (the module docstring).
     """
-    return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field, 3,
-                          _qybe_fails(sol, field, _weights(field, seed, "qybe", sol.n)),
-                          _qybe_poles)
+    return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field,
+                          _qybe_sample, _qybe_fails(sol, field, _weights(field, seed, "qybe", sol.n)))
 
 
-def _qybe_poles(n):
-    """The QYBE's points also avoid the pole at v + v' and the zeros of
-    sigma's denominators."""
+def _qybe_sample(field, rng, n):
+    """``_qybe_at`` a point (u, v, v') that also avoids the pole at v + v'
+    and the zeros of sigma's denominators."""
     # R = sigma r is defined only where sigma's denominators at (u,v),
     # (u,v+v'), (u,v') and (u,-v) are nonzero, so the points avoid them even
     # though the tests of _qybe_fails divide by none of them
-    return (
+    return _qybe_at(field, n, *_pole_free(field, rng, n, 3, (
         lambda a, b, c: (b * c) ** (2 * n) - 1,
         lambda a, b, c: _half(a, n) + _half(b, n),
         lambda a, b, c: _half(a, n) + _half(b * c, n),
         lambda a, b, c: _half(a, n) + _half(c, n),
         lambda a, b, c: _half(a, n) - _half(b, n),
-    )
+    )))
+
+
+def _qybe_at(field, n, qu, qv, qvp):
+    """The points (u, v), (u, -v), (u, v + v') and (u, v') and the scalar s
+    of the unitarity and QYBE tests at (u, v, v')."""
+    a, b = _half(qu, n), _half(qv, n)
+    (num, den), _ = field.integral((b * b - a * a, a * a * b * b))
+    return (Point(field, n, qu, qv), Point(field, n, qu, qv ** -1),
+            Point(field, n, qu, qv * qvp), Point(field, n, qu, qvp), ([num], den))
 
 
 def qybe_float_shadow(u: float, v: float) -> float:

@@ -383,12 +383,12 @@ def test_suite_bytes_are_pinned(extra, sha256, capsys):
 
 def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
     # fp from cold memos, then q, then fp again reading the memos warm
-    for memo in (trig.point_factors, trig._points, trig._weights):
+    for memo in (trig._points, trig._weights):
         memo.cache_clear()
     (fp_args, fp_sha256), (q_args, q_sha256) = SUITE_PINS[:2]
     got = [_pinned_suite_sha256(capsys, args) for args in (fp_args, q_args, fp_args)]
     assert got == [fp_sha256, q_sha256, fp_sha256]
-    assert trig.point_factors.cache_info().hits > 0
+    assert trig._points.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("field, sha256", [

@@ -324,8 +324,8 @@ class _Doubled(trig_module._TableSolution):
         self.base, self.n = base, base.n
         self._set_rows(base.groups, base.flats, base.prices)
 
-    def price(self, ring, q_u, q_v):
-        nums, den = self.base.price(ring, q_u, q_v)
+    def price(self, ring, point):
+        nums, den = self.base.price(ring, point)
         return [2 * x for x in nums], den
 
 
@@ -348,8 +348,9 @@ class _EvenGauge(trig_module._TableSolution):
                         for g, e in zip(base.groups, exps)], base.flats, len(groups))
         self._groups = tuple(groups)
 
-    def price(self, ring, q_u, q_v):
-        nums, den = self.base.price(ring, q_u, q_v)
+    def price(self, ring, point):
+        nums, den = self.base.price(ring, point)
+        q_v = point.q_v
         (t,), t_den = ring.integral((q_v ** 2 + q_v ** -2 + ring.one,))
         # t^e = t_num^(e+2) t_den^(2-e) / (t_num t_den)^2
         return ([ring.reduce(nums[g] * t ** (e + 2) * t_den ** (2 - e))
@@ -375,7 +376,7 @@ class _Zero(trig_module._TableSolution):
     def __init__(self):
         self._set_rows((), (), 0)
 
-    def price(self, ring, q_u, q_v):
+    def price(self, ring, point):
         return [], 1
 
 
@@ -444,8 +445,8 @@ class _Corrupted(trig_module._TableSolution):
         self._set_rows(base.groups + (base.groups[row],), base.flats + (base.flats[row],),
                        base.prices)
 
-    def price(self, ring, q_u, q_v):
-        return self.base.price(ring, q_u, q_v)
+    def price(self, ring, point):
+        return self.base.price(ring, point)
 
     def price_limit(self, ring, which, q):
         return self.base.price_limit(ring, which, q)
@@ -528,12 +529,12 @@ def _pin_to_reference(sol, field, slot, points, tag):
         verdicts = []
         for _ in range(points):
             qs = _pole_free(field, rng, n, 4, extra)
-            verdict = aybe(*qs)
+            verdict = aybe(*trig_module._aybe_at(field, n, *qs))
             want = _reference_aybe(sol, field, slot, *qs)
             assert verdict == (not want.is_zero()), tag
             assert values.pop() == _weighted(want, weights, field), tag
             want = _reference_skew(sol, field, slot, *qs[::2])
-            assert skew(*qs[::2]) == (not want.is_zero()), tag
+            assert skew(*trig_module._skew_at(field, n, *qs[::2])) == (not want.is_zero()), tag
             assert values.pop() == _weighted(want, weights, field), tag
             verdicts.append(verdict)
     return verdicts
@@ -648,13 +649,13 @@ def _pin_limits_to_reference(sol, field, slot, points, tag, qybe=True):
         for _ in range(points):
             qu, qv, qvp = _pole_free(field, rng, n, 3,
                                      (lambda a, b, c: (b * c) ** (2 * n) - one,))
-            verdict = cybe(qv, qvp)
+            verdict = cybe(*trig_module._cybe_at(qv, qvp))
             want = _reference_cybe(sol, field, slot, qv, qvp)
             assert verdict == (not want.is_zero()), tag
             assert values.pop() == _weighted(want, weights, field), tag
             verdicts.append(verdict)
             if qybe:
-                note = qybe_fails(qu, qv, qvp)
+                note = qybe_fails(*trig_module._qybe_at(field, n, qu, qv, qvp))
                 unitarity, qybe_residual = _reference_qybe(sol, field, qu, qv, qvp)
                 tested = [unitarity] if note == "unitarity failed" else [unitarity, qybe_residual]
                 assert values == [_weighted(t, weights, field) for t in tested], tag
@@ -777,7 +778,7 @@ def _pin_nondegeneracy(sol, field, tag):
         qu, qv = _pole_free(field, rng, sol.n, 2)
         r = sol.eval(field, qu, qv)
         invertible = r.tensor_rank()[1] and r.transpose_p().tensor_rank()[1]
-        verdict = fails(qu, qv)
+        verdict = fails(trig_module.Point(field, sol.n, qu, qv))
         assert (verdict is None) == invertible, tag
         verdicts.append(verdict)
     return verdicts
@@ -822,7 +823,7 @@ def test_corrupted_table_is_r_plus_one_at_the_slot(field):
 
 # -- the per-process memos of structure-independent inputs ----------------------
 
-_MEMOS = (trig_module.point_factors, trig_module._points, trig_module._weights)
+_MEMOS = (trig_module._points, trig_module._weights)
 
 
 def _clear_memos():
@@ -830,31 +831,39 @@ def _clear_memos():
         memo.cache_clear()
 
 
-def test_memoized_prices_equal_the_reference_pricing(field):
-    # every acceptance-corpus table, read twice at each point (cold, then
-    # warm), against ``price``, which calls point_factors unmemoized; the hat
-    # reads at the swapped point, and _PlusOne reads its base plus one row
-    _clear_memos()
-    sol = TrigSolution(example_structure())
-    sol.price(field, field.of_int(2), field.of_int(3))
-    assert trig_module.point_factors.cache_info().currsize == 0
+def test_points_price_from_the_factors_they_keep(field):
+    # every acceptance-corpus table, read twice at each Point of its n (the
+    # first structure of an n computes the factors, every later read takes
+    # the kept ones), against the gather of point_factors computed afresh;
+    # the hat reads at the swapped point, and _PlusOne reads its base plus
+    # one row
     points = {}
     for s in acceptance_corpus():
         if s.n not in points:
             rng = derive_rng(43, "memo", s.n, field.name)
-            points[s.n] = [_pole_free(field, rng, s.n, 2) for _ in range(2)]
+            points[s.n] = [trig_module.Point(field, s.n, *_pole_free(field, rng, s.n, 2))
+                           for _ in range(2)]
         sol = TrigSolution(s)
-        for table in (sol, hat_involution(sol), trig_module._PlusOne(sol, sol.flats[-1])):
-            for point in points[s.n]:
-                want = table.price(field, *point)
-                assert table.read(field, *point) == want == table.read(field, *point), s.label()
+
+        def reference(q_u, q_v):
+            return trig_module.price_terms(field, sol._recipe,
+                                           trig_module.point_factors(field, s.n, q_u, q_v))
+
         for point in points[s.n]:
-            nums, den = sol.price(field, *point)
+            want = reference(point.q_u, point.q_v)
+            for table, expected in ((sol, want),
+                                    (hat_involution(sol), reference(point.q_v, point.q_u)),
+                                    (trig_module._PlusOne(sol, sol.flats[-1]),
+                                     ([want[1]] + want[0], want[1]))):
+                assert (table.read(field, point) == expected
+                        == table.read(field, point)), s.label()
             sums = dict.fromkeys(sol.support, 0)
             for g, f in zip(sol.groups, sol.flats):
-                sums[f] += nums[g]
-            assert sol.values(field, *point) == (list(sums.values()), den), s.label()
-    assert trig_module.point_factors.cache_info().hits > 0
+                sums[f] += want[0][g]
+            assert sol.values(field, point) == (list(sums.values()), want[1]), s.label()
+            assert point.factors() is point.factors()
+            assert point.swapped() is point.swapped()
+            assert (point.swapped().q_u, point.swapped().q_v) == (point.q_v, point.q_u)
 
 
 def test_reports_are_identical_cold_and_warm(field):
@@ -873,55 +882,64 @@ def test_reports_are_identical_cold_and_warm(field):
     assert [r["failures"] for r in cold] == [0, 4, 0, 0, 0, 0, 4, 0]
 
 
-def test_structures_of_one_n_draw_their_points_once(fp, monkeypatch):
-    drawn = []
-    pole_free = trig_module._pole_free
+def test_structures_of_one_n_draw_and_price_their_points_once(fp, monkeypatch):
+    drawn, priced = [], []
+    pole_free, point_factors = trig_module._pole_free, trig_module.point_factors
 
-    def counted(field, rng, n, count, extra=()):
+    def counted_draw(field, rng, n, count, extra=()):
         drawn.append(n)
         return pole_free(field, rng, n, count, extra)
 
-    monkeypatch.setattr(trig_module, "_pole_free", counted)
+    def counted_price(ring, n, q_u, q_v):
+        priced.append(n)
+        return point_factors(ring, n, q_u, q_v)
+
+    monkeypatch.setattr(trig_module, "_pole_free", counted_draw)
+    monkeypatch.setattr(trig_module, "point_factors", counted_price)
     _clear_memos()
     first, second = list(enumerate_structures(3))[:2]
     check_aybe(TrigSolution(first), 3, 7, fp)
-    assert drawn == [3] * 3
+    assert (drawn, priced) == ([3] * 3, [3] * 18)  # six points per sample
     check_aybe(TrigSolution(second), 3, 7, fp)
-    check_aybe(hat_involution(TrigSolution(second)), 3, 7, fp)
     check_aybe(TrigSolution(second), 3, 7, fp, mutate=(0, 1, 2, 2))
-    assert drawn == [3] * 3
+    assert (drawn, priced) == ([3] * 3, [3] * 18)
+    check_aybe(hat_involution(TrigSolution(second)), 3, 7, fp)
+    assert (drawn, priced) == ([3] * 3, [3] * 36)  # the swapped points
+    check_aybe(hat_involution(TrigSolution(first)), 3, 7, fp)
+    assert (drawn, priced) == ([3] * 3, [3] * 36)
     check_aybe(TrigSolution(example_structure()), 3, 7, fp)
-    assert drawn == [3] * 3 + [4] * 3
+    assert (drawn, priced) == ([3] * 3 + [4] * 3, [3] * 36 + [4] * 18)
 
 
 def test_points_of_different_fields_never_share_a_memo_entry(fp):
     # equal integers in q, in GF(2^61 - 1) and in a smaller prime field
     _clear_memos()
     small = PrimeField(1_000_000_007)
-    points = [(RATIONAL, Fraction(100003), Fraction(7)),
-              (fp, fp.of_int(100003), fp.of_int(7)),
-              (small, small.of_int(100003), small.of_int(7))]
-    factors = [trig_module.point_factors(ring, 4, qu, qv) for ring, qu, qv in points]
-    info = trig_module.point_factors.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+    rings = (RATIONAL, fp, small)
+    points = [trig_module.Point(ring, 4, ring.of_int(100003), ring.of_int(7))
+              for ring in rings]
+    factors = [point.factors() for point in points]
     assert len(set(factors)) == 3
-    for (ring, qu, qv), got in zip(points, factors):
-        assert got == trig_module.point_factors.__wrapped__(ring, 4, qu, qv)
-    drawn = [trig_module._points(ring, 7, "aybe", 2, 4, 2, trig_module._aybe_poles)
-             for ring in (RATIONAL, fp)]
-    assert trig_module._points.cache_info().misses == 2
-    assert [type(q) for q in drawn[0][0]] == [Fraction] * 4
-    assert [q.field for q in drawn[1][0]] == [fp] * 4
+    for ring, got in zip(rings, factors):
+        assert got == trig_module.point_factors(ring, 4, ring.of_int(100003), ring.of_int(7))
+    samples = [trig_module._points(ring, 7, "aybe", 2, 2, trig_module._aybe_sample)
+               for ring in rings]
+    assert trig_module._points.cache_info().misses == 3
+    for ring, drawn in zip(rings, samples):
+        for point in drawn[0]:
+            assert point.ring is ring
+            assert {type(point.q_u), type(point.q_v)} == {type(ring.one)}
+            assert point.factors() == trig_module.point_factors(ring, 2, point.q_u, point.q_v)
 
 
 def test_every_memo_is_bounded_and_empty_at_import():
     for memo in _MEMOS:
-        assert 0 < memo.cache_info().maxsize <= 1024, memo.__name__
+        assert 0 < memo.cache_info().maxsize <= 64, memo.__name__
     src = str(Path(trig_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("from ybx import trig; print([m.cache_info().currsize for m in "
-            "(trig.point_factors, trig._points, trig._weights)])")
+            "(trig._points, trig._weights)])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[0, 0, 0]"
+    assert out.strip() == "[0, 0]"
