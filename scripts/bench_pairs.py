@@ -11,9 +11,12 @@ reach a measurement.  Pair i runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each copy, the parent first in even pairs
 and the change first in odd ones, with S cycling through ``--seeds``.  The
 benchmark runs unchanged; this script only reads the JSON result line it
-prints last.  The summary gives, per end-to-end metric of the parent's
-``BENCHMARK.json``, each side's median and quartiles, the change's wins
-(ties count for neither side) and the ratio of the medians.
+prints last and the ``# {...}`` context line before it, which it keeps in
+the result as ``context``.  The summary gives, per end-to-end metric of the
+parent's ``BENCHMARK.json``, each side's median and quartiles, the change's
+wins (ties count for neither side) and the ratio of the medians, each
+side's median of the raw (unscaled) reading where the context has one, and
+whether both sides' output digests agree at each seed.
 
 ``--workload`` may list several workloads, comma-separated; each runs its
 own pairs in turn.  ``--json PATH`` also writes the record as JSON: the two
@@ -21,11 +24,11 @@ commits, the run settings, the host (CPU count, Python version) and, per
 workload, every pair's two result lines and the summary.
 
 A bad argument, an unknown commit, a benchmark run that exits nonzero and
-one whose last stdout line is missing or not JSON are each one ``error:``
-line on stderr and exit 2; a failed run is named by side, workload and
-seed, with its exit code and the last line of its stderr, or with the line
-it printed last.  A SIGTERM is one ``error:`` line too, and it removes the
-clean copies, as any error does.
+one whose last stdout line is missing or not JSON, or follows no context
+line, are each one ``error:`` line on stderr and exit 2; a failed run is
+named by side, workload and seed, with its exit code and the last line of
+its stderr, or with the line it printed last.  A SIGTERM is one ``error:``
+line too, and it removes the clean copies, as any error does.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ def checkout(rev, dest: Path) -> Path:
 
 def run_benchmark(copy: Path, workload, seed, seconds) -> dict:
     """The JSON result line of one untraced benchmark run in ``copy``, a
-    directory named after its side."""
+    directory named after its side, with the context line before it as
+    ``context``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -80,9 +84,14 @@ def run_benchmark(copy: Path, workload, seed, seconds) -> dict:
     if not lines:
         raise BenchError("%s printed no result line" % run)
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except json.JSONDecodeError:
         raise BenchError("%s printed no JSON result line: %s" % (run, lines[-1])) from None
+    context = lines[-2] if len(lines) > 1 else ""
+    if not context.startswith("# "):
+        raise BenchError("%s printed no context line before its result line" % run)
+    result["context"] = json.loads(context[2:])
+    return result
 
 
 def _quartiles(values):
@@ -93,12 +102,16 @@ def _quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs, metrics) -> dict:
-    """Per metric: each side's quartiles, the change's wins and ties, and
-    the ratio of the medians (change over parent).
+def summarize(pairs, metrics, seeds) -> dict:
+    """Per metric: each side's quartiles, the change's wins and ties, the
+    ratio of the medians (change over parent) and, for a metric the
+    context reads raw (unscaled), each side's median raw reading
+    (``raw_medians``).  ``digests`` maps each seed to whether every run at
+    it, on both sides, printed one output digest.
 
     ``pairs`` lists (parent result, change result), each a parsed result
-    line; ``metrics`` lists the ``end_to_end`` entries of BENCHMARK.json.
+    line with its context; ``metrics`` lists the ``end_to_end`` entries of
+    BENCHMARK.json; ``seeds`` lists each pair's seed.
     """
     out = {}
     for metric in metrics:
@@ -114,28 +127,40 @@ def summarize(pairs, metrics) -> dict:
             "wins": wins, "ties": ties, "pairs": len(pairs),
             "ratio": cq[1] / pq[1] if pq[1] else None,
         }
+        if name in pairs[0][0]["context"]["raw"]:
+            out[name]["raw_medians"] = [statistics.median(r["context"]["raw"][name] for r in side)
+                                        for side in zip(*pairs)]
     out["failed"] = {"parent": sum(p["failed"] for p, _ in pairs),
                      "change": sum(c["failed"] for _, c in pairs),
                      "attempted": [sum(p["attempted"] for p, _ in pairs),
                                    sum(c["attempted"] for _, c in pairs)]}
+    digests = {}
+    for seed, pair in zip(seeds, pairs):
+        digests.setdefault(str(seed), set()).update(r["context"]["digest"] for r in pair)
+    out["digests"] = {seed: len(found) == 1 for seed, found in digests.items()}
     return out
 
 
 def format_summary(workload, summary) -> str:
     lines = ["workload %s" % workload]
     for name, s in summary.items():
-        if name == "failed":
+        if name in ("failed", "digests"):
             continue
         pq, cq = s["parent_quartiles"], s["change_quartiles"]
+        raw = s.get("raw_medians")
         lines.append(
             "%-18s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
-            "ratio %s  wins %d/%d (ties %d)"
+            "ratio %s  wins %d/%d (ties %d)%s"
             % (name, pq[1], pq[0], pq[2], cq[1], cq[0], cq[2],
                "n/a" if s["ratio"] is None else "%.3f" % s["ratio"],
-               s["wins"], s["pairs"], s["ties"]))
+               s["wins"], s["pairs"], s["ties"],
+               "" if raw is None else "  raw parent %.4g change %.4g" % tuple(raw)))
     f = summary["failed"]
     lines.append("failed operations: parent %d of %d, change %d of %d"
                  % (f["parent"], f["attempted"][0], f["change"], f["attempted"][1]))
+    lines.append("digests agree: " + ", ".join(
+        "seed %s %s" % (seed, "yes" if agree else "NO")
+        for seed, agree in summary["digests"].items()))
     return "\n".join(lines)
 
 
@@ -151,7 +176,8 @@ def run_pairs(copies, workload, pairs, seconds, seeds, metrics):
         print("pair %d seed %d: points_per_s parent %.1f change %.1f" % (
             i, seed, result["parent"]["metrics"]["points_per_s"]["value"],
             result["change"]["metrics"]["points_per_s"]["value"]), flush=True)
-    return out, summarize([(p["parent"], p["change"]) for p in out], metrics)
+    return out, summarize([(p["parent"], p["change"]) for p in out], metrics,
+                          [p["seed"] for p in out])
 
 
 def record(revs, settings, runs) -> dict:

@@ -23,14 +23,17 @@ linear image of a table (``_Image``), fixed per solution: rows with integer
 coefficients over one denominator, the hat's a rotation of the flat indices
 priced with u and v exchanged (at the ``Point``'s swap).
 
-The AYBE, skew, CYBE, QYBE and unitarity checks state their products in
-the paper's notation, each evaluation of r in the slots it occupies ((1, 2)
-for r12, (2, 1) for flip(r), () for a scalar), and compile them once per
-call into one random linear form of the residual
+The AYBE, skew, CYBE and QYBE/unitarity checks are one ``_Identity``
+record each: name, tag, arity, pole constraints, the points and tables its
+evaluations read, and its residuals in the paper's notation, each
+evaluation of r in the slots it occupies ((1, 2) for r12, (2, 1) for
+flip(r), () for a scalar).  ``_Identity.fails``, the one compile, turns
+each residual once per call into one random linear form of it
 (``tensors.projected_residual``).  What a check needs and no structure
-decides is computed once per process, in bounded ``functools.lru_cache``
-memos that every structure of one n shares: its samples (``_points``),
-each the ``Point``s it reads r at, which keep the factors of their prices
+decides is computed once per process, in bounded
+``functools.lru_cache`` memos that every structure of one n shares: its
+samples (``_points``, keyed by the record's ``sample``), each the
+``Point``s it reads r at, which keep the factors of their prices
 (``point_factors``) once computed, and its weights, drawn from their own
 RNG so the points drawn do not move (``_weights``).  Each table
 says how a residual reads it, as the (size, flats, reads) entries that the
@@ -67,10 +70,11 @@ reference for the exact pricings.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
 from operator import mul, ne, pos, sub
 
@@ -293,9 +297,10 @@ class Point:
     its swap (q_v, q_u), the hat's point, once computed, so every table
     priced there shares them.
 
-    The sampled checks take their points from ``_points``, whose entries
-    are shared by every structure of one n: the factors at a check's points
-    are computed once per process, and held as long as its point set.
+    The sampled checks take their points from ``_points``, one tuple per
+    sample of an ``_Identity`` record, shared by every structure of one n:
+    the factors at a check's points are computed once per process, and held
+    as long as its point set; the record's one compile (``fails``) reads them.
     """
 
     __slots__ = ("ring", "n", "q_u", "q_v", "_priced", "_swapped")
@@ -679,21 +684,90 @@ def _weights(field, seed, tag, n):
     return tuple(tuple(field.sample_weight(rng) for _ in range(n)) for _ in range(6))
 
 
-def _aybe_fails(sol, field, weights, mutate=None):
-    """The AYBE test at the points of one ``_aybe_sample``: True where the
-    residual's projection, compiled here once from the tables' entries,
-    does not vanish."""
-    first = _corrupted(sol, mutate)
-    program = projected_residual(field, sol.n, [first.entries()] + [sol.entries()] * 5, [
-        (1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3))],
-        weights)
-    read_first, read = first.read, sol.read
+class _Given:
+    """A table whose values at a sample are the sample's own (nums, den):
+    unitarity's scalar, at flat 0, and its unit, at the flats of 1 (x) 1."""
 
-    def fails(at_first, *at):
-        return not program.is_zero(field, [read_first(field, at_first),
-                                           *[read(field, point) for point in at]])
+    def __init__(self, flats):
+        self._entries = flat_entries(flats)
 
-    return fails
+    def entries(self):
+        return self._entries
+
+    def read(self, ring, values):
+        return values
+
+
+@dataclass(frozen=True, eq=False)
+class _Identity:
+    """One sampled product check, as the facts every test of it reads.
+
+    A sample is ``arity`` scalars q, each with q^(2n) != 1 and each of
+    ``poles`` nonzero at (n, *qs); ``at(field, n, *qs)`` gives what each
+    evaluation reads there (a ``Point``, rbar0's q_v, a ``_Given``'s
+    values) and ``tables(sol, field, mutate)`` the table each reads.  Each
+    residual is (jobs in ``tensors.product_residual``'s slot notation, the
+    evaluations they read, the note its failure reports).  Compared and
+    hashed by identity: ``_points`` keys on ``sample``.
+    """
+
+    name: str
+    tag: str
+    arity: int
+    poles: tuple
+    at: Callable
+    tables: Callable
+    residuals: tuple
+
+    def sample(self, field, rng, n):
+        """What the evaluations read at one pole-free sample."""
+        qs = _pole_free(field, rng, n, self.arity, [partial(pole, n) for pole in self.poles])
+        return self.at(field, n, *qs)
+
+    def fails(self, sol, field, weights, mutate=None):
+        """The test at one ``sample``: the note of the first residual whose
+        projection does not vanish, or None.  Each residual is compiled once
+        here, by ``projected_residual`` as looked up at call time."""
+        tables = self.tables(sol, field, mutate)
+        programs = [(projected_residual(field, sol.n, [tables[i].entries() for i in reads],
+                                        jobs, weights), reads, note)
+                    for jobs, reads, note in self.residuals]
+        readers = [table.read for table in tables]
+
+        def fails(*at):
+            values = [read(field, point) for read, point in zip(readers, at)]
+            for program, reads, note in programs:
+                if not program.is_zero(field, list(map(values.__getitem__, reads))):
+                    return note
+            return None
+
+        return fails
+
+    def run(self, sol, num_points, seed, field, mutate=None) -> CheckReport:
+        """The check's report on ``sol`` at ``num_points`` seeded samples."""
+        return _sampled_check(self.name, self.tag, sol, num_points, seed, field, self.sample,
+                              self.fails(sol, field, _weights(field, seed, self.tag, sol.n),
+                                         mutate), mutate)
+
+
+def _aybe_at(field, n, qu, qup, qv, qvp):
+    """The points of the AYBE's six factors at (u, u', v, v')."""
+    return (Point(field, n, qup ** -1, qv),         # r(-u', v), corrupted when mutated
+            Point(field, n, qu * qup, qv * qvp),    # r(u+u', v+v')
+            Point(field, n, qu * qup, qvp),         # r(u+u', v')
+            Point(field, n, qu, qv),                # r(u, v)
+            Point(field, n, qu, qv * qvp),          # r(u, v+v')
+            Point(field, n, qup, qvp))              # r(u', v')
+
+
+_AYBE = _Identity(
+    "aybe", "aybe", 4,
+    (lambda n, a, b, c, d: (a * b) ** (2 * n) - 1,   # the poles at u + u'
+     lambda n, a, b, c, d: (c * d) ** (2 * n) - 1),  # and at v + v'
+    _aybe_at,
+    lambda sol, field, mutate: [_corrupted(sol, mutate)] + [sol] * 5,
+    (([(1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3))],
+      range(6), True),))
 
 
 def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
@@ -710,42 +784,15 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     carries the form's false-pass chance, at most 6/|S| per point (the
     module docstring).
     """
-    return _sampled_check("aybe", "aybe", sol, num_points, seed, field, _aybe_sample,
-                          _aybe_fails(sol, field, _weights(field, seed, "aybe", sol.n), mutate),
-                          mutate)
+    return _AYBE.run(sol, num_points, seed, field, mutate)
 
 
-def _aybe_sample(field, rng, n):
-    """``_aybe_at`` a point (u, u', v, v') that also avoids the poles at
-    u + u' and v + v'."""
-    return _aybe_at(field, n, *_pole_free(field, rng, n, 4, (
-        lambda a, b, c, d: (a * b) ** (2 * n) - 1,
-        lambda a, b, c, d: (c * d) ** (2 * n) - 1,
-    )))
-
-
-def _aybe_at(field, n, qu, qup, qv, qvp):
-    """The points of the AYBE's six factors at (u, u', v, v')."""
-    return (Point(field, n, qup ** -1, qv),         # r(-u', v), corrupted when mutated
-            Point(field, n, qu * qup, qv * qvp),    # r(u+u', v+v')
-            Point(field, n, qu * qup, qvp),         # r(u+u', v')
-            Point(field, n, qu, qv),                # r(u, v)
-            Point(field, n, qu, qv * qvp),          # r(u, v+v')
-            Point(field, n, qup, qvp))              # r(u', v')
-
-
-def _skew_fails(sol, field, weights, mutate=None):
-    """The skew test at the points of one ``_skew_sample``: True where the
-    projection of flip(r(-u,-v)) + r(u,v), compiled here once from the
-    tables' entries, does not vanish."""
-    right = _corrupted(sol, mutate)
-    program = projected_residual(field, sol.n, [sol.entries(), right.entries()],
-                                 [(1, 0, (2, 1)), (1, 1, (1, 2))], weights)
-
-    def fails(at_minus, at):
-        return not program.is_zero(field, (sol.read(field, at_minus), right.read(field, at)))
-
-    return fails
+# flip(r(-u,-v)) + r(u,v), at the points (-u, -v) and (u, v)
+_SKEW = _Identity(
+    "skew", "skew", 2, (),
+    lambda field, n, qu, qv: (Point(field, n, qu ** -1, qv ** -1), Point(field, n, qu, qv)),
+    lambda sol, field, mutate: [sol, _corrupted(sol, mutate)],
+    (([(1, 0, (2, 1)), (1, 1, (1, 2))], range(2), True),))
 
 
 def check_skew(sol, num_points, seed, field, mutate=None) -> CheckReport:
@@ -755,19 +802,7 @@ def check_skew(sol, num_points, seed, field, mutate=None) -> CheckReport:
     carries the form's false-pass chance, at most 4/|S| per point (the
     module docstring).
     """
-    return _sampled_check("skew", "skew", sol, num_points, seed, field, _skew_sample,
-                          _skew_fails(sol, field, _weights(field, seed, "skew", sol.n), mutate),
-                          mutate)
-
-
-def _skew_sample(field, rng, n):
-    """``_skew_at`` a point (u, v)."""
-    return _skew_at(field, n, *_pole_free(field, rng, n, 2))
-
-
-def _skew_at(field, n, qu, qv):
-    """The points (-u, -v) and (u, v) of the skew test at (u, v)."""
-    return Point(field, n, qu ** -1, qv ** -1), Point(field, n, qu, qv)
+    return _SKEW.run(sol, num_points, seed, field, mutate)
 
 
 def _block_plan(edges, m):
@@ -916,25 +951,15 @@ def r0_tensor(sol, q_v, field) -> Tensor2:
     return _boxed(sol, field, sol.price_limit(field, "u", q_v))
 
 
-def _cybe_fails(sol, field, weights, mutate=None):
-    """The CYBE test at the points of one ``_cybe_sample``: True where the
-    projection of [X12,Y13] + [X12,Z23] + [Y13,Z23], compiled here once
-    from the entries of rbar0 = (pr (x) pr) r0, its support, does not
-    vanish."""
-    rbar0 = _ProjectedR0(sol)
-    x_table = _corrupted(rbar0, mutate)
-    x, y, z = 0, 1, 2
-    program = projected_residual(field, sol.n, [x_table.entries()] + [rbar0.entries()] * 2, [
-        (1, x, (1, 2), y, (1, 3)), (-1, y, (1, 3), x, (1, 2)), (1, x, (1, 2), z, (2, 3)),
-        (-1, z, (2, 3), x, (1, 2)), (1, y, (1, 3), z, (2, 3)), (-1, z, (2, 3), y, (1, 3))],
-        weights)
-
-    def fails(qv, qv_sum, qvp):
-        return not program.is_zero(field, [x_table.read(field, qv),
-                                           rbar0.read(field, qv_sum),
-                                           rbar0.read(field, qvp)])
-
-    return fails
+# [X12,Y13] + [X12,Z23] + [Y13,Z23] for rbar0 = (pr (x) pr) r0, read by its
+# support, at v, v + v' and v'; a mutated X is read off rbar0's _corrupted table
+_CYBE = _Identity(
+    "cybe", "cybe", 2, (lambda n, a, b: (a * b) ** (2 * n) - 1,),  # the pole at v + v'
+    lambda field, n, qv, qvp: (qv, qv * qvp, qvp),
+    lambda sol, field, mutate: [_corrupted(rbar0 := _ProjectedR0(sol), mutate), rbar0, rbar0],
+    (([(1, 0, (1, 2), 1, (1, 3)), (-1, 1, (1, 3), 0, (1, 2)), (1, 0, (1, 2), 2, (2, 3)),
+       (-1, 2, (2, 3), 0, (1, 2)), (1, 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3))],
+      range(3), True),))
 
 
 def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckReport:
@@ -951,19 +976,7 @@ def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckR
     carries the form's false-pass chance, at most 6/|S| per point (the
     module docstring).
     """
-    return _sampled_check("cybe", "cybe", sol, num_points, seed, field, _cybe_sample,
-                          _cybe_fails(sol, field, _weights(field, seed, "cybe", sol.n), mutate),
-                          mutate)
-
-
-def _cybe_sample(field, rng, n):
-    """``_cybe_at`` a point (v, v') that also avoids the pole at v + v'."""
-    return _cybe_at(*_pole_free(field, rng, n, 2, (lambda a, b: (a * b) ** (2 * n) - 1,)))
-
-
-def _cybe_at(qv, qvp):
-    """rbar0's points v, v + v' and v' at (v, v')."""
-    return qv, qv * qvp, qvp
+    return _CYBE.run(sol, num_points, seed, field, mutate)
 
 
 # -- QYBE / unitarity --------------------------------------------------------------
@@ -974,35 +987,34 @@ def _half(q, n):
     return q ** n - q ** (-n)
 
 
-def _qybe_fails(sol, field, weights):
-    """The unitarity and QYBE tests at a sample of ``_qybe_sample``: a note
-    naming the first that fails, from the projections of residuals compiled here
-    once from the table's entries.
+def _qybe_at(field, n, qu, qv, qvp):
+    """The points (u, v), (u, -v), (u, v + v') and (u, v') of the unitarity
+    and QYBE tests at (u, v, v'), then unitarity's scalar s = 1/a^2 - 1/b^2,
+    as (b^2 - a^2) / (a^2 b^2) so that no field element is inverted, and
+    its unit 1 (x) 1, each entry 1."""
+    a, b = _half(qu, n), _half(qv, n)
+    (num, den), _ = field.integral((b * b - a * a, a * a * b * b))
+    return (Point(field, n, qu, qv), Point(field, n, qu, qv ** -1),
+            Point(field, n, qu, qv * qvp), Point(field, n, qu, qvp), ([num], den),
+            ([1] * (n * n), 1))
 
-    Unitarity is r(u,v) . flip(r(u,-v)) - s (1 (x) 1), the scalar s one
-    evaluation and the unit another, with s = 1/a^2 - 1/b^2 passed as
-    (b^2 - a^2) / (a^2 b^2), so no field element is inverted; the QYBE is
-    r12 r13 r23 - r23 r13 r12.
-    """
-    n, entries, read = sol.n, sol.entries(), sol.read
-    unit = Tensor2.unit(n, field).data
-    unitarity = projected_residual(field, n, [entries, entries, flat_entries([0]),
-                                              flat_entries(list(unit))],
-                                   [(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))], weights)
-    qybe = projected_residual(field, n, [entries] * 3, [(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)),
-                                                        (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))],
-                              weights)
-    ones = field.integral(unit.values())
 
-    def fails(at, at_minus, at_sum, at_prime, scalar):
-        r12 = read(field, at)
-        if not unitarity.is_zero(field, (r12, read(field, at_minus), scalar, ones)):
-            return "unitarity failed"
-        if not qybe.is_zero(field, (r12, read(field, at_sum), read(field, at_prime))):
-            return "qybe failed"
-        return None
-
-    return fails
+# unitarity, r(u,v) . flip(r(u,-v)) - s (1 (x) 1), then the QYBE, r12 r13 r23 -
+# r23 r13 r12; the samples avoid the zeros of sigma's denominators at (u,v),
+# (u,v+v'), (u,v') and (u,-v), where R = sigma r is undefined, though no test divides
+_QYBE = _Identity(
+    "qybe-unitarity", "qybe", 3,
+    (lambda n, a, b, c: (b * c) ** (2 * n) - 1,
+     lambda n, a, b, c: _half(a, n) + _half(b, n),
+     lambda n, a, b, c: _half(a, n) + _half(b * c, n),
+     lambda n, a, b, c: _half(a, n) + _half(c, n),
+     lambda n, a, b, c: _half(a, n) - _half(b, n)),
+    _qybe_at,
+    lambda sol, field, mutate: [sol] * 4 + [_Given([0]),
+                                            _Given(list(Tensor2.unit(sol.n, field).data))],
+    (([(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))], (0, 1, 4, 5), "unitarity failed"),
+     ([(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))],
+      (0, 2, 3), "qybe failed")))
 
 
 def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
@@ -1020,32 +1032,7 @@ def qybe_unitarity(sol, num_points, seed, field) -> CheckReport:
     also carries the forms' false-pass chance, at most 4/|S| per point for
     unitarity and 6/|S| for the QYBE (the module docstring).
     """
-    return _sampled_check("qybe-unitarity", "qybe", sol, num_points, seed, field,
-                          _qybe_sample, _qybe_fails(sol, field, _weights(field, seed, "qybe", sol.n)))
-
-
-def _qybe_sample(field, rng, n):
-    """``_qybe_at`` a point (u, v, v') that also avoids the pole at v + v'
-    and the zeros of sigma's denominators."""
-    # R = sigma r is defined only where sigma's denominators at (u,v),
-    # (u,v+v'), (u,v') and (u,-v) are nonzero, so the points avoid them even
-    # though the tests of _qybe_fails divide by none of them
-    return _qybe_at(field, n, *_pole_free(field, rng, n, 3, (
-        lambda a, b, c: (b * c) ** (2 * n) - 1,
-        lambda a, b, c: _half(a, n) + _half(b, n),
-        lambda a, b, c: _half(a, n) + _half(b * c, n),
-        lambda a, b, c: _half(a, n) + _half(c, n),
-        lambda a, b, c: _half(a, n) - _half(b, n),
-    )))
-
-
-def _qybe_at(field, n, qu, qv, qvp):
-    """The points (u, v), (u, -v), (u, v + v') and (u, v') and the scalar s
-    of the unitarity and QYBE tests at (u, v, v')."""
-    a, b = _half(qu, n), _half(qv, n)
-    (num, den), _ = field.integral((b * b - a * a, a * a * b * b))
-    return (Point(field, n, qu, qv), Point(field, n, qu, qv ** -1),
-            Point(field, n, qu, qv * qvp), Point(field, n, qu, qvp), ([num], den))
+    return _QYBE.run(sol, num_points, seed, field)
 
 
 def qybe_float_shadow(u: float, v: float) -> float:

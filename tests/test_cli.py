@@ -402,6 +402,35 @@ def test_build_r_bytes_are_pinned(field, sha256, abd_file, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+SINGLE_CHECK_PINS = [
+    (["cybe"], "q", "f851facfe935d45a62d22f8a8c6dba50e5cf7195da8b708c7409292fee54fa48"),
+    (["qybe"], "q", "f5442e696997946c27da5c4e5966bcfc41bedc04408119224dd65f520ab4513a"),
+    (["hat"], "q", "77f2006358cb18a5307753402e2066d7db36228fd383a377adad486bc963f656"),
+    (["check-aybe", "--mutate"], "q",
+     "f4a6476e72f442c78aa7fbdf142a6be081d7d50dd00e46e66bee3dd218772b44"),
+    (["check-skew", "--mutate"], "q",
+     "8cfd4bf786c5501e2138948c05d938c2be56f555c5fad268ebcd055dc24ae10d"),
+    (["cybe"], FP, "bea1b2b635504b4bb3445810d04149a4a63e33803459e0dc0e38e2f99245d9ff"),
+    (["qybe"], FP, "c2b25f061009fd6e4e0088718e017771278582e42d3148e01613d778736d97d4"),
+    (["hat"], FP, "f1f32e355216e64a04d48362a1e4538654c28f7287a0725a158a2f390b047568"),
+    (["check-aybe", "--mutate"], FP,
+     "9bc069179f9278b15f1f573b8aaccb656fc95ff5b5efd71c6af145e2df3508f7"),
+    (["check-skew", "--mutate"], FP,
+     "c540255ca52bfad6c5ac1b59800c32883d807fc247e7e3102e74ef0df94901ed"),
+]
+
+
+@pytest.mark.parametrize("command, field, sha256", SINGLE_CHECK_PINS, ids=[
+    "%s %s" % (" ".join(command), field[:2]) for command, field, _ in SINGLE_CHECK_PINS])
+def test_single_check_bytes_are_pinned(command, field, sha256, abd_file, capsys):
+    # the CYBE, QYBE/unitarity and hat checks and the mutated AYBE and skew
+    # checks of the worked example, each on its own: the suite pins reach
+    # only the n <= 3 corpus
+    _, out = run(capsys, command[0], "--abd", abd_file, "--field", field, "--seed", "7",
+                 *command[1:])
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("command, flag", [
     (["novikov"], ["--field", "garbage"]),
     (["novikov"], ["--jet-order", "99"]),

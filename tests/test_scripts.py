@@ -46,14 +46,16 @@ def _bench_pairs():
     return module
 
 
-# a result line of perfbench/run.py, cut to two metrics
+# a result line of perfbench/run.py, cut to two metrics, and the context
+# line it prints before it, cut to its output digest and one raw reading
 _LINE = ('{"correct": true, "attempted": 100, "failed": %d, "metrics": '
          '{"points_per_s": {"value": %s, "unit": "1/s"}, '
          '"structure_ms_p50": {"value": %s, "unit": "ms"}}}')
+_CONTEXT = {"digest": "d", "raw": {"setup_s": 0.08}}
 
 
 def _result(points_per_s, p50, failed=0):
-    return json.loads(_LINE % (failed, points_per_s, p50))
+    return dict(json.loads(_LINE % (failed, points_per_s, p50)), context=_CONTEXT)
 
 
 def test_bench_pairs_summary_on_canned_results():
@@ -63,7 +65,7 @@ def test_bench_pairs_summary_on_canned_results():
              (_result(90, 21), _result(120, 16, failed=1)),
              (_result(110, 19), _result(110, 19)),
              (_result(100, 20), _result(95, 22))]
-    s = _bench_pairs().summarize(pairs, metrics)
+    s = _bench_pairs().summarize(pairs, metrics, [7, 11, 13, 7])
     pps = s["points_per_s"]
     assert pps["parent"] == [100, 90, 110, 100] and pps["change"] == [130, 120, 110, 95]
     assert (pps["wins"], pps["ties"], pps["pairs"]) == (2, 1, 4)
@@ -74,14 +76,47 @@ def test_bench_pairs_summary_on_canned_results():
     assert (p50["wins"], p50["ties"]) == (2, 1)
     assert p50["ratio"] == 17.5 / 20
     assert s["failed"] == {"parent": 0, "change": 1, "attempted": [400, 400]}
+    assert s["digests"] == {"7": True, "11": True, "13": True}
     text = _bench_pairs().format_summary("aybe-fp", s)
     assert "points_per_s" in text and "wins 2/4 (ties 1)" in text
+    assert "raw parent" not in text
     assert "failed operations: parent 0 of 400, change 1 of 400" in text
+
+
+def _timed(setup_s, raw, digest):
+    """A result line cut to ``setup_s``, with the context line before it."""
+    return {"attempted": 100, "failed": 0, "metrics": {"setup_s": {"value": setup_s}},
+            "context": {"raw": {"setup_s": raw}, "setup_ref_ms": 3.3, "digest": digest}}
+
+
+def test_bench_pairs_summary_reports_raw_readings_and_digests():
+    # seed 7's two pairs print one digest on both sides; seed 11's change differs
+    bench = _bench_pairs()
+    metrics = [{"name": "setup_s", "better": "lower"}]
+    pairs = [(_timed(0.16, 0.08, "aa"), _timed(0.14, 0.07, "aa")),
+             (_timed(0.18, 0.09, "bb"), _timed(0.24, 0.12, "cc")),
+             (_timed(0.20, 0.10, "aa"), _timed(0.22, 0.11, "aa"))]
+    s = bench.summarize(pairs, metrics, [7, 11, 7])
+    assert s["setup_s"]["raw_medians"] == [0.09, 0.11]
+    assert s["digests"] == {"7": True, "11": False}
+    text = bench.format_summary("aybe-fp", s)
+    assert "raw parent 0.09 change 0.11" in text
+    assert "digests agree: seed 7 yes, seed 11 NO" in text
+
+
+def test_bench_pairs_keeps_the_context_line(tmp_path, monkeypatch):
+    bench = _bench_pairs()
+    line = _LINE % (0, 100, 20)
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, cwd, **kw: (
+        subprocess.CompletedProcess(cmd, 0, stdout="warming up\n# %s\n%s\n" % (
+            json.dumps(_CONTEXT), line), stderr="")))
+    result = bench.run_benchmark(tmp_path / "parent", "aybe-fp", 7, 1)
+    assert result == dict(json.loads(line), context=_CONTEXT)
 
 
 def test_bench_pairs_summary_of_one_pair():
     s = _bench_pairs().summarize([(_result(100, 20), _result(150, 10))],
-                                 [{"name": "points_per_s", "better": "higher"}])
+                                 [{"name": "points_per_s", "better": "higher"}], [7])
     assert s["points_per_s"]["parent_quartiles"] == (100, 100, 100)
     assert s["points_per_s"]["wins"] == 1
 
@@ -126,6 +161,7 @@ def test_bench_pairs_writes_the_json_record(tmp_path, monkeypatch):
     assert summary["points_per_s"]["parent_quartiles"] == [92.5, 95, 97.5]
     assert summary["structure_ms_p50"]["ratio"] == 11.5 / 21
     assert summary["failed"] == {"parent": 0, "change": 0, "attempted": [200, 200]}
+    assert summary["digests"] == {"7": True, "11": True}
 
 
 def _no_subprocess(*args, **kwargs):
@@ -185,7 +221,11 @@ def test_bench_pairs_names_a_failed_run(tmp_path, monkeypatch, capsys):
     ("  \n\n", "error: parent run of workload aybe-fp at seed 13 printed no result line\n"),
     ('{"metrics": {}}\nwarming up\n', "error: parent run of workload aybe-fp at seed 13 "
      "printed no JSON result line: warming up\n"),
-], ids=["empty", "blank", "not-json"])
+    ('warming up\n{"metrics": {}}\n', "error: parent run of workload aybe-fp at seed 13 "
+     "printed no context line before its result line\n"),
+    ('{"metrics": {}}\n', "error: parent run of workload aybe-fp at seed 13 "
+     "printed no context line before its result line\n"),
+], ids=["empty", "blank", "not-json", "no-context", "result-only"])
 def test_bench_pairs_names_a_run_with_no_result_line(stdout, message, tmp_path, monkeypatch,
                                                       capsys):
     # the benchmark exits 0 but its last line is no result: one error line,

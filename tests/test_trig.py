@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -518,23 +519,22 @@ def _pin_to_reference(sol, field, slot, points, tag):
     """The compiled AYBE and skew verdicts equal the references' and the
     exact residual's at each point, and the projections' values the
     references' weighted sums."""
-    n, one = sol.n, field.one
+    n, aybe_record, skew_record = sol.n, trig_module._AYBE, trig_module._SKEW
     weights = trig_module._weights(field, 31, tag, n)
     with _pinned_to_the_exact_residual() as values:
-        aybe = trig_module._aybe_fails(sol, field, weights, slot)
-        skew = trig_module._skew_fails(sol, field, weights, slot)
+        aybe = aybe_record.fails(sol, field, weights, slot)
+        skew = skew_record.fails(sol, field, weights, slot)
         rng = derive_rng(31, "compiled", tag, field.name)
-        extra = (lambda a, b, c, d: (a * b) ** (2 * n) - one,
-                 lambda a, b, c, d: (c * d) ** (2 * n) - one)
+        extra = [functools.partial(pole, n) for pole in aybe_record.poles]
         verdicts = []
         for _ in range(points):
             qs = _pole_free(field, rng, n, 4, extra)
-            verdict = aybe(*trig_module._aybe_at(field, n, *qs))
+            verdict = bool(aybe(*aybe_record.at(field, n, *qs)))
             want = _reference_aybe(sol, field, slot, *qs)
             assert verdict == (not want.is_zero()), tag
             assert values.pop() == _weighted(want, weights, field), tag
             want = _reference_skew(sol, field, slot, *qs[::2])
-            assert skew(*trig_module._skew_at(field, n, *qs[::2])) == (not want.is_zero()), tag
+            assert bool(skew(*skew_record.at(field, n, *qs[::2]))) == (not want.is_zero()), tag
             assert values.pop() == _weighted(want, weights, field), tag
             verdicts.append(verdict)
     return verdicts
@@ -642,20 +642,20 @@ def _pin_limits_to_reference(sol, field, slot, points, tag, qybe=True):
     n, one = sol.n, field.one
     weights = trig_module._weights(field, 35, tag, n)
     with _pinned_to_the_exact_residual() as values:
-        cybe = trig_module._cybe_fails(sol, field, weights, slot)
-        qybe_fails = trig_module._qybe_fails(sol, field, weights) if qybe else None
+        cybe = trig_module._CYBE.fails(sol, field, weights, slot)
+        qybe_fails = trig_module._QYBE.fails(sol, field, weights) if qybe else None
         rng = derive_rng(35, "compiled-limits", tag, field.name)
         verdicts, notes = [], []
         for _ in range(points):
             qu, qv, qvp = _pole_free(field, rng, n, 3,
                                      (lambda a, b, c: (b * c) ** (2 * n) - one,))
-            verdict = cybe(*trig_module._cybe_at(qv, qvp))
+            verdict = bool(cybe(*trig_module._CYBE.at(field, n, qv, qvp)))
             want = _reference_cybe(sol, field, slot, qv, qvp)
             assert verdict == (not want.is_zero()), tag
             assert values.pop() == _weighted(want, weights, field), tag
             verdicts.append(verdict)
             if qybe:
-                note = qybe_fails(*trig_module._qybe_at(field, n, qu, qv, qvp))
+                note = qybe_fails(*trig_module._QYBE.at(field, n, qu, qv, qvp))
                 unitarity, qybe_residual = _reference_qybe(sol, field, qu, qv, qvp)
                 tested = [unitarity] if note == "unitarity failed" else [unitarity, qybe_residual]
                 assert values == [_weighted(t, weights, field) for t in tested], tag
@@ -882,7 +882,16 @@ def test_reports_are_identical_cold_and_warm(field):
     assert [r["failures"] for r in cold] == [0, 4, 0, 0, 0, 0, 4, 0]
 
 
-def test_structures_of_one_n_draw_and_price_their_points_once(fp, monkeypatch):
+@pytest.mark.parametrize("check, per_sample, mutate", [
+    (check_aybe, 6, {"mutate": (0, 1, 2, 2)}),
+    (check_skew, 2, {"mutate": (0, 1, 2, 2)}),
+    (check_cybe, 0, {"mutate": (0, 1, 2, 2)}),  # rbar0 reads its q_v, not a Point
+    (qybe_unitarity, 4, {}),
+], ids=["aybe", "skew", "cybe", "qybe"])
+def test_structures_of_one_n_draw_and_price_their_points_once(check, per_sample, mutate, fp,
+                                                              monkeypatch):
+    # each check's samples are drawn and priced once per n: a sample callable
+    # built anew per call would miss the memo silently, costing time only
     drawn, priced = [], []
     pole_free, point_factors = trig_module._pole_free, trig_module.point_factors
 
@@ -898,17 +907,17 @@ def test_structures_of_one_n_draw_and_price_their_points_once(fp, monkeypatch):
     monkeypatch.setattr(trig_module, "point_factors", counted_price)
     _clear_memos()
     first, second = list(enumerate_structures(3))[:2]
-    check_aybe(TrigSolution(first), 3, 7, fp)
-    assert (drawn, priced) == ([3] * 3, [3] * 18)  # six points per sample
-    check_aybe(TrigSolution(second), 3, 7, fp)
-    check_aybe(TrigSolution(second), 3, 7, fp, mutate=(0, 1, 2, 2))
-    assert (drawn, priced) == ([3] * 3, [3] * 18)
-    check_aybe(hat_involution(TrigSolution(second)), 3, 7, fp)
-    assert (drawn, priced) == ([3] * 3, [3] * 36)  # the swapped points
-    check_aybe(hat_involution(TrigSolution(first)), 3, 7, fp)
-    assert (drawn, priced) == ([3] * 3, [3] * 36)
-    check_aybe(TrigSolution(example_structure()), 3, 7, fp)
-    assert (drawn, priced) == ([3] * 3 + [4] * 3, [3] * 36 + [4] * 18)
+    check(TrigSolution(first), 3, 7, fp)
+    assert (drawn, priced) == ([3] * 3, [3] * 3 * per_sample)
+    check(TrigSolution(second), 3, 7, fp)
+    check(TrigSolution(second), 3, 7, fp, **mutate)
+    assert (drawn, priced) == ([3] * 3, [3] * 3 * per_sample)
+    check(hat_involution(TrigSolution(second)), 3, 7, fp)
+    assert (drawn, priced) == ([3] * 3, [3] * 6 * per_sample)  # the swapped points
+    check(hat_involution(TrigSolution(first)), 3, 7, fp)
+    assert (drawn, priced) == ([3] * 3, [3] * 6 * per_sample)
+    check(TrigSolution(example_structure()), 3, 7, fp)
+    assert (drawn, priced) == ([3] * 3 + [4] * 3, [3] * 6 * per_sample + [4] * 3 * per_sample)
 
 
 def test_points_of_different_fields_never_share_a_memo_entry(fp):
@@ -922,7 +931,7 @@ def test_points_of_different_fields_never_share_a_memo_entry(fp):
     assert len(set(factors)) == 3
     for ring, got in zip(rings, factors):
         assert got == trig_module.point_factors(ring, 4, ring.of_int(100003), ring.of_int(7))
-    samples = [trig_module._points(ring, 7, "aybe", 2, 2, trig_module._aybe_sample)
+    samples = [trig_module._points(ring, 7, "aybe", 2, 2, trig_module._AYBE.sample)
                for ring in rings]
     assert trig_module._points.cache_info().misses == 3
     for ring, drawn in zip(rings, samples):
