@@ -193,7 +193,8 @@ def novikov_check(u: complex, v: complex, terms: int) -> NovikovResult:
     closed n=1 form, times the area weight of the smallest rectangle.
 
     The series sums the two rectangle families weighted by e^{-l u} and
-    e^{-l v}; it converges for Re(u), Re(v) > 0.
+    e^{-l v}; it converges for Re(u), Re(v) > 0.  A ValueError outside that
+    region, and where 1 - e^-u or 1 - e^-v rounds to 0 in floats.
     """
     u = complex(u)
     v = complex(v)
@@ -208,6 +209,8 @@ def novikov_check(u: complex, v: complex, terms: int) -> NovikovResult:
     partial = -area_weight * series
     # 1/(1 - e^u) = -e^-u/(1 - e^-u): only e^-u and e^-v, which cannot overflow
     eu_inv, ev_inv = cmath.exp(-u), cmath.exp(-v)
+    if eu_inv == 1 or ev_inv == 1:
+        raise ValueError("1 - e^-u or 1 - e^-v rounds to 0: u or v is too close to 0")
     closed = area_weight * (-eu_inv / (1.0 - eu_inv) + 1.0 / (ev_inv - 1.0))
     return NovikovResult(
         partial=partial,

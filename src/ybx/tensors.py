@@ -25,9 +25,8 @@ at output digit 2k - 1; the next factor in slot k meets it with its row
 and writes its own column there.  One function (``_digit_roles``) tells
 each digit of each factor whether it is an output digit or a key label
 it shares with another factor, and one join (``_key_rows``) matches the
-factors' entries on those labels.  The reference products (``_contract``)
-and the exact residuals (``Residual``) consume the terms
-``_product_terms`` forms from them.
+factors' entries on those labels, and ``_product_terms`` forms the terms
+the exact ``Residual`` sums.
 
 An evaluation is compiled from its entries, (size, flats, reads): its
 k-th entry puts value reads[k] of ``size`` values at flat flats[k], and
@@ -36,8 +35,8 @@ directly.  A ``Residual`` (``product_residual``) and a
 ``ProjectedResidual`` (``projected_residual``) take the same evaluations
 and jobs, each job naming its factors by index; at each point they take
 every evaluation once, as (nums, den), all its values as integers over
-one denominator, and box nothing.  A ``Residual`` tests each output entry
-for zero with C-level gathers, products and running sums.  A
+one denominator, and box nothing.  A ``Residual`` sums each output entry
+with C-level gathers, products and running sums (``sums``).  A
 ``ProjectedResidual``, with one random weight vector per output digit,
 tests one random linear form of the residual: each entry weighed by its
 digits' weights.  The digits two factors share are summed over, so a
@@ -48,15 +47,18 @@ for a residual of w slots and weights drawn from S (Schwartz-Zippel):
 6/|S| for a triple residual, 4/|S| for a pair one.  The sampled checks of
 ``trig`` test the form; ``Residual`` stays exact, the reference the form
 is tested against and the program for a proof, where weights would break
-exactness.  The tensor products stay as the reference both are tested
-against.
+exactness.  The tensor products (``Tensor2.__mul__``, ``embed_triple``,
+``pair_embed_product``, ``aybe_combine``, ``cybe_residual``) run on the
+same ``Residual``, one evaluation per factor, and stay the reference the
+checks are tested against.  pr (x) pr is one ring-generic map,
+``sl_image``, which ``Tensor2.project_sl`` and ``trig``'s rbar0 table share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, product, repeat
-from math import lcm
+from math import prod
 from operator import add, floordiv, mod, mul, ne, sub
 
 from .scalars import BackendMismatchError
@@ -210,29 +212,11 @@ class Tensor2(_SparseTensor):
                        {f % n3 * self.n + f // n3: v for f, v in self.data.items()})
 
     def project_sl(self):
-        """Apply pr (x) pr, pr(X) = X - (tr X / n) 1, in both slots."""
-        n, nn, ring = self.n, self.n * self.n, self.ring
-        zero = ring.zero
-        inv_n = ring.one / ring.of_int(n)
-        # a factor's flat part x is a diagonal e_ii exactly when x % (n + 1) == 0;
-        # tr1 traces slot 1, keyed by the slot-2 part, and tr2 the reverse
-        diag = range(0, nn, n + 1)
-        tr1, tr2 = {}, {}
-        for f, v in self.data.items():
-            a, b = divmod(f, nn)
-            if a % (n + 1) == 0:
-                tr1[b] = tr1.get(b, zero) + v
-            if b % (n + 1) == 0:
-                tr2[a] = tr2.get(a, zero) + v
-        # subtract id/n (x) tr1 and tr2 (x) id/n, add back the double trace
-        full = inv_n * inv_n * sum((tr1.get(d, zero) for d in diag), zero)
-        corrections = [(d * nn + b, -inv_n * v) for b, v in tr1.items() for d in diag]
-        corrections += [(a * nn + d, -inv_n * v) for a, v in tr2.items() for d in diag]
-        corrections += [(d * nn + e, full) for d in diag for e in diag]
-        out = dict(self.data)
-        for f, c in corrections:
-            out[f] = out.get(f, zero) + c
-        return Tensor2(n, ring, {f: v for f, v in out.items() if v})
+        """Apply pr (x) pr, pr(X) = X - (tr X / n) 1, in both slots: ``sl_image``
+        over n^2."""
+        inv = self.ring.one / self.ring.of_int(self.n * self.n)
+        return Tensor2(self.n, self.ring,
+                       {f: inv * v for f, v in sl_image(self.n, self.data).items()})
 
     # -- nondegeneracy ---------------------------------------------------------
 
@@ -282,33 +266,6 @@ def embed_triple(t: Tensor2, slot: int) -> Tensor3:
         raise ValueError("slot must be 12, 13 or 23, got %r" % slot)
     unit = Tensor2.unit(t.n, t.ring)
     return _products(Tensor3, (1, t, _SLOTS[slot], unit, _SLOTS[23 if slot == 12 else 12]))
-
-
-def _contract(cls, n, ring, jobs):
-    """A ``cls`` tensor summing sign * va[x] * vb[y] at flat index out.
-
-    Each job is (sign, (outs, (xs, ys)), va, vb): the terms of a product of
-    two factors (``_product_terms``), as a ``Residual`` takes them, and the
-    values of its two factors.  Each side is cleared of denominators once
-    (``integral``: va = a / den_a), so the sums run on plain ints over the
-    common denominator D, the lcm of the jobs' den_a * den_b, and each
-    output entry is divided by D, reduced and boxed once.  In GF(p) every
-    den is 1.
-    """
-    integral = ring.integral
-    den, sides = 1, []
-    for sign, terms, va, vb in jobs:
-        a, den_a = integral(va)
-        b, den_b = integral(vb)
-        d = den_a * den_b
-        den = lcm(den, d)
-        sides.append((sign, d, terms, a, b))
-    acc = {}
-    for sign, d, (outs, (xs, ys)), a, b in sides:
-        scale = sign * (den // d)
-        for flat, x, y in zip(outs, xs, ys):
-            acc[flat] = acc.get(flat, 0) + scale * a[x] * b[y]
-    return cls(n, ring, ring.box_nonzero(acc, den))
 
 
 def _digit_roles(specs):
@@ -404,7 +361,8 @@ def _job_scales(ring, sizes, jobs, evaluations):
 
 
 class Residual:
-    """A residual compiled once from the entries of its evaluations.
+    """A residual compiled once from the entries of its evaluations: the one
+    exact product program, behind the reference tensor products too.
 
     Its factors are evaluations (size, flats, reads) (``product_residual``).
     A job is (sign, evals, outs, rows): its k-th term adds sign times the
@@ -418,7 +376,8 @@ class Residual:
     output entry once.  Each (job, factor) owns a segment of the values,
     in job order, and ``cols[p]`` indexes the value each term's p-th factor
     reads in the concatenation of those segments, each entry's read folded
-    in here; ``last`` marks each output entry's last term.
+    in here; ``last`` marks each output entry's last term, and ``outs``
+    lists the distinct output entries' flats in ascending order.
     """
 
     def __init__(self, evaluations, jobs):
@@ -434,18 +393,19 @@ class Residual:
                 offset += self.sizes[e]
         self.cols = [list(map(col.__getitem__, order)) for col in cols]
         self.last = list(map(ne, outs, outs[1:])) + [True]
+        self.outs = list(compress(outs, self.last))
 
-    def is_zero(self, ring, evaluations) -> bool:
-        """Whether the residual vanishes when evaluation e is passed as
+    def sums(self, ring, evaluations) -> dict:
+        """The residual's nonzero output entries {flat: int}, each times the
+        product D of the dens, reduced, when evaluation e is passed as
         evaluations[e] = (nums, den), all its values as integer numerators
         over one nonzero denominator; ValueError where the sizes differ from
         the compiled ones.
 
         Each job's first factor is scaled by the dens of the evaluations it
-        does not read (``_job_scales``), so the sums run on plain ints.  The
-        running sum of the sorted terms is zero at every entry's last term
-        iff every entry is, and ``ring.reduce`` tests each of those sums for
-        zero.
+        does not read (``_job_scales``), so the sums run on plain ints: the
+        running sum of the sorted terms, differenced at each entry's last
+        term, is that entry's sum.
         """
         reduce = ring.reduce
         flat = []
@@ -458,7 +418,13 @@ class Residual:
         terms = map(get, self.cols[0])
         for col in self.cols[1:]:
             terms = map(mul, terms, map(get, col))
-        return not any(map(reduce, compress(accumulate(terms), self.last)))
+        ends = list(compress(accumulate(terms), self.last))
+        return {out: v for out, v in zip(self.outs, map(reduce, map(sub, ends, [0] + ends[:-1])))
+                if v}
+
+    def is_zero(self, ring, evaluations) -> bool:
+        """Whether the residual vanishes at the evaluations of ``sums``."""
+        return not self.sums(ring, evaluations)
 
 
 def product_residual(n, evaluations, jobs) -> Residual:
@@ -550,7 +516,7 @@ class ProjectedResidual:
 
     def is_zero(self, ring, evaluations) -> bool:
         """Whether the form vanishes when evaluation e is evaluations[e] =
-        (nums, den), as for ``Residual.is_zero``; ValueError where the sizes
+        (nums, den), as for ``Residual.sums``; ValueError where the sizes
         differ from the compiled ones."""
         return not ring.reduce(self._total(ring, evaluations))
 
@@ -622,12 +588,44 @@ def _label_part(n, keys, places):
 
 def _products(cls, *products) -> _SparseTensor:
     """The ``cls`` tensor summing signed products a . b, each given as
-    (sign, a, sa, b, sb) with the slots each factor occupies."""
-    a = products[0][1]
-    return _contract(cls, a.n, a.ring, [
-        (sign, _product_terms(a.n, [(a.data, sa), (b.data, sb)]),
-         a.data.values(), b.data.values())
-        for sign, a, sa, b, sb in products])
+    (sign, a, sa, b, sb) with the slots each factor occupies: the exact
+    ``Residual`` of one evaluation per factor (``flat_entries`` of its flats,
+    its values cleared of denominators by ``integral``), its ``sums`` boxed
+    over the product D of the dens."""
+    n, ring = products[0][1].n, products[0][1].ring
+    factors = [t for _, a, _, b, _ in products for t in (a, b)]
+    program = product_residual(n, [flat_entries(list(t.data)) for t in factors],
+                               [(sign, 2 * k, sa, 2 * k + 1, sb)
+                                for k, (sign, _, sa, _, sb) in enumerate(products)])
+    evaluations = [ring.integral(t.data.values()) for t in factors]
+    den = prod(d for _, d in evaluations)
+    return cls(n, ring, ring.box_nonzero(program.sums(ring, evaluations), den))
+
+
+def sl_image(n, data):
+    """n^2 (pr (x) pr)(X), pr(X) = X - (tr X / n) 1, of the pair tensor X
+    given as {flat: value}, as its nonzero entries: n^2 X - n (1 (x) tr1 X)
+    - n (tr2 X (x) 1) + (tr (x) tr)(X) (1 (x) 1).  A factor's flat part x is
+    e_ii's exactly when x % (n + 1) == 0; tr1 traces the first factor, keyed
+    by the second's part, and tr2 the reverse.  Nothing is divided, so the
+    values may be ints or elements of either field."""
+    nn = n * n
+    diag = range(0, nn, n + 1)
+    image = {f: nn * v for f, v in data.items()}
+    tr1, tr2 = {}, {}
+    for f, v in data.items():
+        a, b = divmod(f, nn)
+        if a % (n + 1) == 0:
+            tr1[b] = tr1.get(b, 0) + v
+        if b % (n + 1) == 0:
+            tr2[a] = tr2.get(a, 0) + v
+    full = sum(tr1.get(d, 0) for d in diag)
+    corrections = [(d * nn + b, -n * t) for b, t in tr1.items() for d in diag]
+    corrections += [(a * nn + d, -n * t) for a, t in tr2.items() for d in diag]
+    corrections += [(d * nn + e, full) for d in diag for e in diag]
+    for f, c in corrections:
+        image[f] = image.get(f, 0) + c
+    return {f: c for f, c in image.items() if c}
 
 
 _SLOTS = {12: (1, 2), 13: (1, 3), 23: (2, 3)}

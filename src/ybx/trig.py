@@ -81,7 +81,8 @@ from operator import mul, ne, pos, sub
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
-from .tensors import Tensor2, _eliminate, flat_entries, kron2, matrix_inverse, projected_residual
+from .tensors import (Tensor2, _eliminate, flat_entries, kron2, matrix_inverse,
+                      projected_residual, sl_image)
 # unused here: the benchmark tracer wraps these at their trig names
 from .tensors import (  # noqa: F401
     aybe_combine,
@@ -494,37 +495,14 @@ class _Image(_TableSolution):
 
 class _ProjectedR0(_Image):
     """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as a table
-    priced at q_v, its point: the image of the base's r0.
-
-    n^2 (pr (x) pr) X = n^2 X - n (1 (x) tr1 X) - n (tr2 X (x) 1)
-    + (tr (x) tr)(X) (1 (x) 1) for each group's part X, the identity of
-    ``Tensor2.project_sl``: a factor's flat part x is e_ii's exactly when
-    x % (n + 1) == 0, tr1 traces the first factor, keyed by the second's
-    part, and tr2 the reverse.
+    priced at q_v, its point: the image of the base's r0, whose rows are
+    ``tensors.sl_image`` of each group's integer part, over n^2.
     """
 
     def __init__(self, base):
-        n = base.n
-        nn = n * n
-        diag = range(0, nn, n + 1)
-        rows = []
-        for grp, part in _group_parts(base).items():
-            image = {f: nn * mult for f, mult in part.items()}
-            tr1, tr2 = {}, {}
-            for f, mult in part.items():
-                a, b = divmod(f, nn)
-                if a % (n + 1) == 0:
-                    tr1[b] = tr1.get(b, 0) + mult
-                if b % (n + 1) == 0:
-                    tr2[a] = tr2.get(a, 0) + mult
-            full = sum(tr1.get(d, 0) for d in diag)
-            corrections = [(d * nn + b, -n * t) for b, t in tr1.items() for d in diag]
-            corrections += [(a * nn + d, -n * t) for a, t in tr2.items() for d in diag]
-            corrections += [(d * nn + e, full) for d in diag for e in diag]
-            for f, c in corrections:
-                image[f] = image.get(f, 0) + c
-            rows += [(grp, f, c) for f, c in image.items() if c]
-        super().__init__(base, rows, nn)
+        rows = [(grp, f, c) for grp, part in _group_parts(base).items()
+                for f, c in sl_image(base.n, part).items()]
+        super().__init__(base, rows, base.n ** 2)
 
     def point(self, ring, q_v):
         return q_v

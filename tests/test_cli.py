@@ -340,6 +340,8 @@ def test_suite_nmax_out_of_range_is_one_error_line(nmax, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--u", "nan"), ("--v", "nan"), ("--u", "inf"), ("--v", "-inf"), ("--u", "1+nanj"),
     ("--tolerance", "nan"), ("--tolerance", "inf"),
+    # finite, but 1 - e^-u rounds to 0, so the closed form cannot be taken
+    ("--u", "1e-17"), ("--v", "1e-17"),
 ])
 def test_novikov_non_finite_input_is_one_error_line(flag, value, capsys):
     _assert_one_error_line(capsys, ["novikov", "%s=%s" % (flag, value)])

@@ -203,6 +203,8 @@ def test_novikov_rejects_divergent_region():
         novikov_check(1j, 1.0, 10)
     with pytest.raises(ValueError):
         novikov_check(-1.0, 1.0, 10)
+    with pytest.raises(ValueError):
+        novikov_check(1.0, 1e-17, 10)  # 1 - e^-v rounds to 0
 
 
 def test_novikov_complex_parameters():

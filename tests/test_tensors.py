@@ -684,6 +684,16 @@ def _compiled_is_zero(n, field, evals, jobs):
                                    for rows, den in evals])
 
 
+def _compiled_sums(n, field, evals, jobs):
+    """The compiled residual's ``sums`` over D, the product of the dens, as
+    a triple tensor."""
+    program = product_residual(n, _row_entries(evals), jobs)
+    values = [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
+    den = field.of_int(math.prod(d for _, d in values))
+    return Tensor3(n, field, {f: field.box(v) / den
+                              for f, v in program.sums(field, values).items()})
+
+
 def _drawn_weights(data, n, field):
     """Six weight vectors of n, from an RNG seeded by a drawn int."""
     rng = derive_rng(data.draw(st.integers(0, 2 ** 32)), "weights", field.name)
@@ -726,6 +736,7 @@ def test_pair_residual_is_zero_iff_the_reference_is(field, data):
     srcs = [_as_source(n, rows, den) for rows, den in evals]
     want = _reference(n, *[(sign, srcs[a], sa, srcs[b], sb) for sign, a, sa, b, sb in jobs])
     assert got == (not any(field.of_fraction(v) for v in want.values()))
+    _assert_matches_reference(_compiled_sums(n, field, evals, jobs), want, field)
     _assert_projection_matches(data, n, field, evals, jobs,
                                [(idx, field.of_fraction(v)) for idx, v in want.items()], got)
 
@@ -756,6 +767,7 @@ def test_triple_residual_is_zero_iff_the_reference_is(field, data):
         for idx, v in term.items():
             want[idx] = want.get(idx, 0) + v
     assert got == (not any(field.of_fraction(v) for v in want.values()))
+    _assert_matches_reference(_compiled_sums(n, field, evals, jobs), want, field)
     _assert_projection_matches(data, n, field, evals, jobs,
                                [(idx, field.of_fraction(v)) for idx, v in want.items()], got)
 
