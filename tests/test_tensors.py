@@ -677,21 +677,14 @@ def _shared_jobs(data, n, shape, width):
     return evals, jobs
 
 
-def _compiled_is_zero(n, field, evals, jobs):
-    """The verdict of the residual compiled over the evaluations' flats."""
-    program = product_residual(n, _row_entries(evals), jobs)
-    return program.is_zero(field, [([field.reduce(v) for _, v in rows], den)
-                                   for rows, den in evals])
-
-
-def _compiled_sums(n, field, evals, jobs):
-    """The compiled residual's ``sums`` over D, the product of the dens, as
-    a triple tensor."""
+def _compiled(n, field, evals, jobs):
+    """The verdict of the residual compiled over the evaluations' flats, and
+    its ``sums`` over D, the product of the dens, as a triple tensor."""
     program = product_residual(n, _row_entries(evals), jobs)
     values = [([field.reduce(v) for _, v in rows], den) for rows, den in evals]
     den = field.of_int(math.prod(d for _, d in values))
-    return Tensor3(n, field, {f: field.box(v) / den
-                              for f, v in program.sums(field, values).items()})
+    return program.is_zero(field, values), Tensor3(
+        n, field, {f: field.box(v) / den for f, v in program.sums(field, values).items()})
 
 
 def _drawn_weights(data, n, field):
@@ -732,11 +725,11 @@ def _assert_projection_matches(data, n, field, evals, jobs, entries, verdict):
 def test_pair_residual_is_zero_iff_the_reference_is(field, data):
     n = data.draw(st.sampled_from((1, 2, 3)))
     evals, jobs = _shared_jobs(data, n, _CYBE_JOBS, 2)
-    got = _compiled_is_zero(n, field, evals, jobs)
+    got, sums = _compiled(n, field, evals, jobs)
     srcs = [_as_source(n, rows, den) for rows, den in evals]
     want = _reference(n, *[(sign, srcs[a], sa, srcs[b], sb) for sign, a, sa, b, sb in jobs])
     assert got == (not any(field.of_fraction(v) for v in want.values()))
-    _assert_matches_reference(_compiled_sums(n, field, evals, jobs), want, field)
+    _assert_matches_reference(sums, want, field)
     _assert_projection_matches(data, n, field, evals, jobs,
                                [(idx, field.of_fraction(v)) for idx, v in want.items()], got)
 
@@ -759,7 +752,7 @@ def _times_embedded(x, c, sc, n):
 def test_triple_residual_is_zero_iff_the_reference_is(field, data):
     n = data.draw(st.sampled_from((1, 2, 3)))
     evals, jobs = _shared_jobs(data, n, _QYBE_JOBS, 3)
-    got = _compiled_is_zero(n, field, evals, jobs)
+    got, sums = _compiled(n, field, evals, jobs)
     srcs = [_as_source(n, rows, den) for rows, den in evals]
     want = {}
     for sign, a, sa, b, sb, c, sc in jobs:
@@ -767,7 +760,7 @@ def test_triple_residual_is_zero_iff_the_reference_is(field, data):
         for idx, v in term.items():
             want[idx] = want.get(idx, 0) + v
     assert got == (not any(field.of_fraction(v) for v in want.values()))
-    _assert_matches_reference(_compiled_sums(n, field, evals, jobs), want, field)
+    _assert_matches_reference(sums, want, field)
     _assert_projection_matches(data, n, field, evals, jobs,
                                [(idx, field.of_fraction(v)) for idx, v in want.items()], got)
 
