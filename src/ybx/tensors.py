@@ -41,7 +41,11 @@ with C-level gathers, products and running sums (``sums``).  A
 tests one random linear form of the residual: each entry weighed by its
 digits' weights.  The digits two factors share are summed over, so a
 point costs each factor one gather over its entries and each job a sum
-over its shared keys, with no term of the residual formed.  Where the
+over its shared keys, with no term of the residual formed.  A flat's key
+and weight depend on (ring, n, jobs, weights) alone, so they are kept per
+process, in a bounded plan (``_plan``) that every structure of one n
+shares, filled as compiles meet new flats; a compile only gathers them,
+sorts its entries by key and joins the factors' keys.  Where the
 residual does not vanish, the form vanishes with chance at most 2w/|S|
 for a residual of w slots and weights drawn from S (Schwartz-Zippel):
 6/|S| for a triple residual, 4/|S| for a pair one.  The sampled checks of
@@ -57,6 +61,7 @@ checks are tested against.  pr (x) pr is one ring-generic map,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul, ne, sub
@@ -528,22 +533,60 @@ class ProjectedResidual:
         return ring.box(ring.reduce(self._total(ring, evaluations))) / ring.box(den)
 
 
+#: entries kept per process by each bounded memo of the sampled checks: the
+#: compile plans here (``_plan``) and ``trig``'s point sets (``_points``) and
+#: weight sets (``_weights``).  One ``ybx suite --points 25`` run on one
+#: field uses 8 plans, 12 point sets and 8 weight sets, one repetition of the
+#: ``aybe-fp`` benchmark 8, 8 and 8, so none is evicted.
+_CHECK_MEMO = 32
+
+
+@lru_cache(maxsize=_CHECK_MEMO)
+def _plan(ring, n, jobs, weights):
+    """What ``projected_residual`` compiles that no table decides: per job,
+    (sign, evals, factors), each factor (roles, labels, key_of, weight_of):
+    its digits' ``_digit_roles``, its labels and two maps, from each flat of
+    it seen so far to that flat's key and reduced weight (``_keyed``).
+
+    The maps start empty and grow as compiles meet new flats, so they hold
+    the flats the structures of one n actually put there, not all n^4 or
+    n^6; every compile of the same jobs and weights in one ring shares them.
+    """
+    return [(sign, evals, [(roles, [label for label, _ in roles if label is not None], {}, {})
+                           for roles in _digit_roles(specs)])
+            for sign, evals, specs in _parsed_jobs(jobs)]
+
+
 def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual:
     """The ``ProjectedResidual`` of the evaluations and jobs of
     ``product_residual``, with raw int weights of ``ring``, one vector of n
-    per output digit."""
+    per output digit.
+
+    Each flat's key and reduced weight come from the per-process ``_plan``
+    of (ring, n, jobs, weights), computed the first time any compile meets
+    that flat; the compile itself only gathers them for the entries, sorts
+    the entries by key and joins the factors' keys (``_key_rows``).
+    """
     reduce = ring.reduce
+    weights = tuple(map(tuple, weights))
     compiled = []
-    for sign, evals, specs in _parsed_jobs(jobs):
+    for sign, evals, plans in _plan(ring, n, tuple(jobs), weights):
         factors, distinct, owned = [], [], []
-        for e, roles in zip(evals, _digit_roles(specs)):
+        for e, (roles, labels, key_of, weight_of) in zip(evals, plans):
             _, flats, reads = evaluations[e]
-            keys, wts, labels = _keyed(n, flats, roles, weights, mul, 1)
+            try:
+                keys = list(map(key_of.__getitem__, flats))
+            except KeyError:  # flats that no compile of this plan has met
+                new = list(set(flats).difference(key_of))
+                keys, wts, _ = _keyed(n, new, roles, weights, mul, 1)
+                key_of.update(zip(new, keys))
+                weight_of.update(zip(new, map(reduce, wts)))
+                keys = list(map(key_of.__getitem__, flats))
             order = sorted(range(len(flats)), key=keys.__getitem__)
             keys = list(map(keys.__getitem__, order))
             last = list(map(ne, keys, keys[1:])) + [True]
             factors.append((list(map(reads.__getitem__, order)),
-                            list(map(reduce, map(wts.__getitem__, order))), last))
+                            list(map(weight_of.__getitem__, map(flats.__getitem__, order))), last))
             distinct.append(list(compress(keys, last)))
             owned.append(labels)
         compiled.append((sign, evals, factors, _key_rows(n, distinct, owned)))

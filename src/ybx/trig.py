@@ -34,8 +34,10 @@ decides is computed once per process, in bounded
 ``functools.lru_cache`` memos that every structure of one n shares: its
 samples (``_points``, keyed by the record's ``sample``), each the
 ``Point``s it reads r at, which keep the factors of their prices
-(``point_factors``) once computed, and its weights, drawn from their own
-RNG so the points drawn do not move (``_weights``).  Each table
+(``point_factors``) once computed, its weights, drawn from their own
+RNG so the points drawn do not move (``_weights``), and each residual's
+compile plan, the key and weight of every flat its factors meet
+(``tensors._plan``).  Each table
 says how a residual reads it, as the (size, flats, reads) entries that the
 form and the exact ``tensors.product_residual`` both compile (``entries``)
 and the values they read at a point (``read``): r, the hat and a mutated
@@ -81,8 +83,8 @@ from operator import mul, ne, pos, sub
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
-from .tensors import (Tensor2, _eliminate, flat_entries, kron2, matrix_inverse,
-                      projected_residual, sl_image)
+from .tensors import (_CHECK_MEMO, Tensor2, _eliminate, flat_entries, kron2,
+                      matrix_inverse, projected_residual, sl_image)
 # unused here: the benchmark tracer wraps these at their trig names
 from .tensors import (  # noqa: F401
     aybe_combine,
@@ -606,12 +608,6 @@ def _corrupted(sol, slot):
     if slot is None:
         return sol
     return _PlusOne(sol, _slot_flat(sol.n, slot))
-
-
-#: point sets (``_points``) and weight sets (``_weights``) kept per process:
-#: one ``ybx suite --points 25`` run on one field uses 12 point sets and 8
-#: weight sets, one repetition of the ``aybe-fp`` benchmark 8 and 8
-_CHECK_MEMO = 32
 
 
 @lru_cache(maxsize=_CHECK_MEMO)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ybx import cli, trig
+from ybx import cli, tensors, trig
 from ybx.catalog import example_structure
 from ybx.cli import main, report_payload
 from ybx.perms import Permutation, format_cycles, parse_cycles
@@ -385,12 +385,13 @@ def test_suite_bytes_are_pinned(extra, sha256, capsys):
 
 def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
     # fp from cold memos, then q, then fp again reading the memos warm
-    for memo in (trig._points, trig._weights):
+    for memo in (trig._points, trig._weights, tensors._plan):
         memo.cache_clear()
     (fp_args, fp_sha256), (q_args, q_sha256) = SUITE_PINS[:2]
     got = [_pinned_suite_sha256(capsys, args) for args in (fp_args, q_args, fp_args)]
     assert got == [fp_sha256, q_sha256, fp_sha256]
     assert trig._points.cache_info().hits > 0
+    assert tensors._plan.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("field, sha256", [

@@ -14,6 +14,7 @@ import pytest
 from ybx.catalog import acceptance_corpus, corpus, enumerate_structures, example_structure
 from ybx.perms import ABDStructure, Permutation, identity, relabel_abd
 from ybx.scalars import RATIONAL, PrimeField, derive_rng, field_from_name
+from ybx import tensors as tensors_module
 from ybx import trig as trig_module
 from ybx.tensors import (
     Tensor2,
@@ -823,7 +824,7 @@ def test_corrupted_table_is_r_plus_one_at_the_slot(field):
 
 # -- the per-process memos of structure-independent inputs ----------------------
 
-_MEMOS = (trig_module._points, trig_module._weights)
+_MEMOS = (trig_module._points, trig_module._weights, tensors_module._plan)
 
 
 def _clear_memos():
@@ -941,14 +942,47 @@ def test_points_of_different_fields_never_share_a_memo_entry(fp):
             assert point.factors() == trig_module.point_factors(ring, 2, point.q_u, point.q_v)
 
 
+def test_compile_plans_of_different_rings_and_weights_never_mix(fp):
+    # one job list compiled for two structures of one n in three rings, with
+    # two weight sets; each weight set is the same raw ints in every ring, so
+    # only the ring tells their plans apart: a flat's reduced weight, the
+    # product of up to four of them, differs mod p, mod p' and in q.  The
+    # mutated AYBE form does not vanish, so its values show a mixed plan
+    record = trig_module._AYBE
+    (jobs, reads, _), = record.residuals
+    sols = [TrigSolution(s) for s in list(enumerate_structures(3))[:2]]
+    rng = derive_rng(53, "plan-weights")
+    weight_sets = [[[rng.randrange(10 ** 9) for _ in range(3)] for _ in range(6)]
+                   for _ in range(2)]
+    runs = [(ring, weights, sol) for ring in (fp, PrimeField(1_000_000_007), RATIONAL)
+            for weights in weight_sets for sol in sols]
+
+    def values(ring, weights, sol):
+        tables = record.tables(sol, ring, (0, 1, 2, 2))
+        program = projected_residual(ring, 3, [tables[i].entries() for i in reads], jobs,
+                                     weights)
+        return [program.value(ring, [tables[i].read(ring, at[i]) for i in reads])
+                for at in trig_module._points(ring, 7, "aybe", 3, 2, record.sample)]
+
+    _clear_memos()
+    warm = [values(*run) for run in runs]
+    assert tensors_module._plan.cache_info().misses == 6  # one per (ring, weights)
+    cold = []
+    for run in runs:
+        tensors_module._plan.cache_clear()
+        cold.append(values(*run))
+    assert warm == cold
+    assert all(any(got) for got in cold)
+
+
 def test_every_memo_is_bounded_and_empty_at_import():
     for memo in _MEMOS:
         assert 0 < memo.cache_info().maxsize <= 64, memo.__name__
     src = str(Path(trig_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("from ybx import trig; print([m.cache_info().currsize for m in "
-            "(trig._points, trig._weights)])")
+    code = ("from ybx import tensors, trig; print([m.cache_info().currsize for m in "
+            "(trig._points, trig._weights, tensors._plan)])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[0, 0]"
+    assert out.strip() == "[0, 0, 0]"
