@@ -946,7 +946,7 @@ def test_compile_plans_of_different_rings_and_weights_never_mix(fp):
     # one job list compiled for two structures of one n in three rings, with
     # two weight sets; each weight set is the same raw ints in every ring, so
     # only the ring tells their plans apart: a flat's reduced weight, the
-    # product of up to four of them, differs mod p, mod p' and in q.  The
+    # product of three of them, differs mod p, mod p' and in q.  The
     # mutated AYBE form does not vanish, so its values show a mixed plan
     record = trig_module._AYBE
     (jobs, reads, _), = record.residuals
