@@ -285,8 +285,9 @@ def run_suite(structures, points, seed, field, mutate=False):
     exactly off the table, the surface Euler characteristic counted from its
     cells, and the rectangle-count comparison against the closed form at a
     point; then a seeded batch of bundle-chain checks.  In mutation mode the
-    randomized checks and the comparison read r's table with one more row,
-    priced 1, at (0, 0, 0, 0) (``trig._corrupted``), and are expected to fail.
+    randomized checks and the comparison read r plus 1 at (0, 0, 0, 0),
+    the checks in their one compile (``trig._Identity.fails``), and are
+    expected to fail.
     """
     from .surface import euler_characteristic, topological_invariants
 
@@ -312,8 +313,10 @@ def run_suite(structures, points, seed, field, mutate=False):
         with CheckReport.timed("massey-compare[%s]" % tag, 1, seed, field.name) as rep:
             rng = derive_rng(seed, "suite-res", field.name, tag)
             qu, qv = trig._pole_free(field, rng, s.n, 2)
-            mt = massey_tensor(sol, qu, qv, field).tensor
-            rep.failures = int(mt != trig._corrupted(sol, mut).eval(field, qu, qv))
+            want = sol.eval(field, qu, qv)
+            if mut is not None:
+                want += Tensor2.basis(s.n, field, *mut)
+            rep.failures = int(massey_tensor(sol, qu, qv, field).tensor != want)
         reports.append(rep)
     # seeded bundle-chain batch
     rng = derive_rng(seed, "suite-bundles", field.name)

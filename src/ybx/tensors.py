@@ -211,10 +211,10 @@ class Tensor2(_SparseTensor):
                                       for f, v in self.data.items()})
 
     def transpose_p(self):
-        """transpose(self) . P, a relabeling: entry (i,j,k,l) moves to (j,k,l,i)."""
-        n3 = self.n ** 3
-        return Tensor2(self.n, self.ring,
-                       {f % n3 * self.n + f // n3: v for f, v in self.data.items()})
+        """transpose(self) . P, a relabeling: entry (i,j,k,l) moves to (j,k,l,i)
+        (``rotated``)."""
+        return Tensor2(self.n, self.ring, dict(zip(rotated(self.n, self.data),
+                                                   self.data.values())))
 
     def project_sl(self):
         """Apply pr (x) pr, pr(X) = X - (tr X / n) 1, in both slots: ``sl_image``
@@ -247,6 +247,13 @@ class Tensor2(_SparseTensor):
             c = "%d/%d" % (c.numerator, c.denominator) if isinstance(c, Fraction) else str(c)
             out.append({"i": i, "j": j, "k": k, "l": l, "c": c})
         return out
+
+
+def rotated(n, flats) -> list:
+    """The flat index of entry (j,k,l,i) for the entry (i,j,k,l) at each of
+    ``flats``: its digits rotated by one, as transpose(t) . P moves them."""
+    n3 = n ** 3
+    return [f % n3 * n + f // n3 for f in flats]
 
 
 def transposition_p(n, ring) -> Tensor2:
@@ -536,8 +543,9 @@ class ProjectedResidual:
 #: entries kept per process by each bounded memo of the sampled checks: the
 #: compile plans here (``_plan``) and ``trig``'s point sets (``_points``) and
 #: weight sets (``_weights``).  One ``ybx suite --points 25`` run on one
-#: field uses 8 plans, 12 point sets and 8 weight sets, one repetition of the
-#: ``aybe-fp`` benchmark 8, 8 and 8, so none is evicted.
+#: field uses 8 plans, 12 point sets in q (11 in GF(2^61 - 1)) and 8 weight
+#: sets, and its mutated run no more; one repetition of the ``aybe-fp``
+#: benchmark uses 8, 8 and 8, so none is evicted.
 _CHECK_MEMO = 32
 
 

@@ -37,16 +37,15 @@ samples (``_points``, keyed by the record's ``sample``), each the
 (``point_factors``) once computed, its weights, drawn from their own
 RNG so the points drawn do not move (``_weights``), and each residual's
 compile plan, the key and weight of every flat its factors meet
-(``tensors._plan``).  Each table
-says how a residual reads it, as the (size, flats, reads) entries that the
-form and the exact ``tensors.product_residual`` both compile (``entries``)
-and the values they read at a point (``read``): r, the hat and a mutated
-table by their rows, each at its group's price as ``price`` returns it,
-and a scaled image (a gauge, pr (x) pr), whose rows outnumber its flats,
-by its support, each flat's rows summed by ``values``; the CYBE reads
-rbar0 that way too.  Each point tests the form on each distinct
-evaluation once, on those integers: no field element is boxed and no
-tensor is built.
+(``tensors._plan``).  Each table says how a residual reads it, as the
+(size, flats, reads) entries that the form and the exact
+``tensors.product_residual`` both compile (``entries``) and the values
+they read at a point (``read``): r and the hat by their rows, each at its
+group's price as ``price`` returns it, and a scaled image (a gauge,
+pr (x) pr), whose rows outnumber its flats, by its support, each flat's
+rows summed by ``values``; the CYBE reads rbar0 that way too.  Each point
+tests the form on each distinct evaluation once, on those integers: no
+field element is boxed and no tensor is built.
 
 A sampled PASS carries two false-pass chances per point.  The form's is
 at most 6/|S| for a triple residual and 4/|S| for a pair one (skew,
@@ -59,14 +58,15 @@ values, the likeliest with chance 5/216, so d times that exceeds 1 once
 d > 43 (a mutated AYBE residual has d = 64 already at n = 2), and no useful
 point bound holds there: only a proof at the generic point would say more.
 
-A mutated check reads its corrupted factor off a table with one more row,
-priced 1, at the mutation slot (``_corrupted``).  The residues are read
-off the table exactly (``residue_prices``), with no point and no jets.
-Strong nondegeneracy compiles the block-diagonal structure of r and of
-transpose(r).P, as n^2 x n^2 matrices, once per call from the support, and
-tests each block on those integers.  No check evaluates r as a tensor;
-jets serve only ``_jet_eval``, for evaluators with no table and as the
-reference for the exact pricings.
+A mutated check corrupts one evaluation in its one compile: the record
+names which (``corrupts``), and ``fails`` gives it one more entry, at the
+mutation slot, reading den / den = 1, with the honest jobs.  The residues
+are read off the table exactly (``residue_prices``), with no point and no
+jets.  Strong nondegeneracy compiles the block-diagonal structure of r
+and of transpose(r).P, as n^2 x n^2 matrices, once per call from the
+support, and tests each block on those integers.  No check evaluates r
+as a tensor; jets serve only ``_jet_eval``, the reference for the exact
+pricings.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
 from .scalars import derive_rng
 from .tensors import (_CHECK_MEMO, Tensor2, _eliminate, flat_entries, kron2,
-                      matrix_inverse, projected_residual, sl_image)
+                      matrix_inverse, projected_residual, rotated, sl_image)
 # unused here: the benchmark tracer wraps these at their trig names
 from .tensors import (  # noqa: F401
     aybe_combine,
@@ -151,13 +151,11 @@ def _monomials(x, y, n, reduce):
     """The even monomials of degrees 2n and 2n - 2 in (x, y):
     [x^2k y^(2n-2k) for k in 0..n] and [x^2k y^(2n-2-2k) for k < n].
 
-    Where y is 1 (a field's ``integral`` in GF(p), and on jets) they are
-    x's even powers, and y's are never taken.
+    A sampled point's are computed once per process (``Point``), so y = 1
+    (a field's ``integral`` in GF(p), and on jets) is multiplied in as any
+    y is.
     """
-    px = _even_powers(x, n, reduce)
-    if y == 1:
-        return px, px[:n]
-    py = _even_powers(y, n, reduce)
+    px, py = _even_powers(x, n, reduce), _even_powers(y, n, reduce)
     return ([reduce(p * q) for p, q in zip(px, reversed(py))],
             [reduce(p * q) for p, q in zip(px, reversed(py[:n]))])
 
@@ -534,11 +532,10 @@ def hat_involution(sol) -> _Image:
 
     transpose(t) . P relabels t's entries as ``Tensor2.transpose_p`` does,
     (i,j,k,l) -> (j,k,l,i), so hat(r)'s table is r's with every flat index
-    rotated by one digit, priced at the swapped point; hat(hat(r)) is
+    ``rotated`` by one digit, priced at the swapped point; hat(hat(r)) is
     ``flip`` of r.
     """
-    n3 = sol.n ** 3
-    return _Image(sol, [(g, f % n3 * sol.n + f // n3, 1) for g, f in zip(sol.groups, sol.flats)],
+    return _Image(sol, [(g, f, 1) for g, f in zip(sol.groups, rotated(sol.n, sol.flats))],
                   swap=True)
 
 
@@ -575,41 +572,6 @@ def _slot_flat(n, slot) -> int:
     return f
 
 
-class _PlusOne(_TableSolution):
-    """The base table with one more row, at flat ``f`` in group 0, priced
-    den / den = 1; the base's groups are shifted up by one.  ``price``
-    forwards any point, so any base's price works.  It is read as its
-    base is, with one more entry, reading value 0 (``entries``)."""
-
-    def __init__(self, base, f):
-        self.n, self.base = base.n, base
-        self._set_rows((0,) + tuple(g + 1 for g in base.groups), (f,) + base.flats,
-                       base.prices + 1)
-
-    def point(self, ring, *qs):
-        return self.base.point(ring, *qs)
-
-    def price(self, ring, point):
-        nums, den = self.base.price(ring, point)
-        return [den] + nums, den
-
-    def entries(self):
-        size, flats, reads = self.base.entries()
-        return size + 1, (self.flats[0], *flats), [0] + [i + 1 for i in reads]
-
-    def read(self, ring, point):
-        nums, den = self.base.read(ring, point)
-        return [den] + nums, den
-
-
-def _corrupted(sol, slot):
-    """sol with 1 added at the mutation slot (i, j, k, l), as a table with
-    one more row; sol itself when ``slot`` is None."""
-    if slot is None:
-        return sol
-    return _PlusOne(sol, _slot_flat(sol.n, slot))
-
-
 @lru_cache(maxsize=_CHECK_MEMO)
 def _points(field, seed, tag, n, num_points, sample):
     """The ``num_points`` samples of a check, each ``sample(field, rng, n)``,
@@ -624,18 +586,14 @@ def _points(field, seed, tag, n, num_points, sample):
     return tuple(sample(field, rng, n) for _ in range(num_points))
 
 
-def _sampled_check(check, tag, sol, num_points, seed, field, sample, fails,
-                   mutate=None) -> CheckReport:
+def _sampled_check(check, tag, sol, num_points, seed, field, sample, fails) -> CheckReport:
     """The seeded Schwartz-Zippel loop behind every identity check.
 
     Calls ``fails(*values)`` at each sample of ``_points``.  ``fails``
     returns a falsy value where the identity holds, and True or a note
     naming the failure where it does not; the first three notes become the
-    report's details.  A run with ``mutate`` set is reported as
-    ``check(mutated)``.
+    report's details.
     """
-    if mutate is not None:
-        check += "(mutated)"
     with CheckReport.timed(check, num_points, seed, field.name) as report:
         for values in _points(field, seed, tag, sol.n, num_points, sample):
             failed = fails(*values)
@@ -679,7 +637,8 @@ class _Identity:
     A sample is ``arity`` scalars q, each with q^(2n) != 1 and each of
     ``poles`` nonzero at (n, *qs); ``at(field, n, *qs)`` gives what each
     evaluation reads there (a ``Point``, rbar0's q_v, a ``_Given``'s
-    values) and ``tables(sol, field, mutate)`` the table each reads.  Each
+    values), ``tables(sol, field)`` the table each reads, and ``corrupts``
+    the evaluation a mutated run corrupts (None: no run is mutated).  Each
     residual is (jobs in ``tensors.product_residual``'s slot notation, the
     evaluations they read, the note its failure reports).  Compared and
     hashed by identity: ``_points`` keys on ``sample``.
@@ -691,6 +650,7 @@ class _Identity:
     poles: tuple
     at: Callable
     tables: Callable
+    corrupts: int | None
     residuals: tuple
 
     def sample(self, field, rng, n):
@@ -701,12 +661,30 @@ class _Identity:
     def fails(self, sol, field, weights, mutate=None):
         """The test at one ``sample``: the note of the first residual whose
         projection does not vanish, or None.  Each residual is compiled once
-        here, by ``projected_residual`` as looked up at call time."""
-        tables = self.tables(sol, field, mutate)
-        programs = [(projected_residual(field, sol.n, [tables[i].entries() for i in reads],
+        here, by ``projected_residual`` as looked up at call time.
+
+        With ``mutate`` set to a slot (i, j, k, l), evaluation ``corrupts``
+        has one more entry, at the slot's flat, reading one more value,
+        den / den = 1: it reads r + e_ij (x) e_kl.  The jobs stay the
+        honest ones, so the compile shares their plan (``tensors._plan``).
+        """
+        tables = self.tables(sol, field)
+        entries = [table.entries() for table in tables]
+        readers = [table.read for table in tables]
+        if mutate is not None:
+            size, flats, reads = entries[self.corrupts]
+            entries[self.corrupts] = (size + 1, (*flats, _slot_flat(sol.n, mutate)),
+                                      (*reads, size))
+            read = readers[self.corrupts]
+
+            def corrupted(ring, at):
+                nums, den = read(ring, at)
+                return nums + [den], den
+
+            readers[self.corrupts] = corrupted
+        programs = [(projected_residual(field, sol.n, list(map(entries.__getitem__, reads)),
                                         jobs, weights), reads, note)
                     for jobs, reads, note in self.residuals]
-        readers = [table.read for table in tables]
 
         def fails(*at):
             values = [read(field, point) for read, point in zip(readers, at)]
@@ -718,15 +696,17 @@ class _Identity:
         return fails
 
     def run(self, sol, num_points, seed, field, mutate=None) -> CheckReport:
-        """The check's report on ``sol`` at ``num_points`` seeded samples."""
-        return _sampled_check(self.name, self.tag, sol, num_points, seed, field, self.sample,
+        """The check's report on ``sol`` at ``num_points`` seeded samples,
+        ``name(mutated)`` when ``mutate`` is set."""
+        name = self.name if mutate is None else self.name + "(mutated)"
+        return _sampled_check(name, self.tag, sol, num_points, seed, field, self.sample,
                               self.fails(sol, field, _weights(field, seed, self.tag, sol.n),
-                                         mutate), mutate)
+                                         mutate))
 
 
 def _aybe_at(field, n, qu, qup, qv, qvp):
     """The points of the AYBE's six factors at (u, u', v, v')."""
-    return (Point(field, n, qup ** -1, qv),         # r(-u', v), corrupted when mutated
+    return (Point(field, n, qup ** -1, qv),         # r(-u', v)
             Point(field, n, qu * qup, qv * qvp),    # r(u+u', v+v')
             Point(field, n, qu * qup, qvp),         # r(u+u', v')
             Point(field, n, qu, qv),                # r(u, v)
@@ -739,7 +719,7 @@ _AYBE = _Identity(
     (lambda n, a, b, c, d: (a * b) ** (2 * n) - 1,   # the poles at u + u'
      lambda n, a, b, c, d: (c * d) ** (2 * n) - 1),  # and at v + v'
     _aybe_at,
-    lambda sol, field, mutate: [_corrupted(sol, mutate)] + [sol] * 5,
+    lambda sol, field: [sol] * 6, 0,  # a mutated run corrupts r(-u', v)
     (([(1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3))],
       range(6), True),))
 
@@ -748,11 +728,10 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
     """AYBE residual r12(-u',v) r13(u+u',v+v') - r23(u+u',v') r12(u,v)
     + r13(u,v+v') r23(u',v') at seeded random points (must vanish).
 
-    With ``mutate`` set to an index 4-tuple, the first factor is read off
-    r's table with one more row, priced 1, at that entry (``_corrupted``);
-    ``failures`` then counts the points where the corruption was detected
-    (the honest reading: the identity fails there), so a working check
-    reports a failing run.
+    With ``mutate`` set to an index 4-tuple, the first factor reads r plus
+    1 at that entry (``_Identity.fails``); ``failures`` then counts the
+    points where the corruption was detected (the honest reading: the
+    identity fails there), so a working check reports a failing run.
 
     Each point tests one random linear form of the residual, so a PASS also
     carries the form's false-pass chance, at most 6/|S| per point (the
@@ -765,7 +744,7 @@ def check_aybe(sol, num_points, seed, field, mutate=None) -> CheckReport:
 _SKEW = _Identity(
     "skew", "skew", 2, (),
     lambda field, n, qu, qv: (Point(field, n, qu ** -1, qv ** -1), Point(field, n, qu, qv)),
-    lambda sol, field, mutate: [sol, _corrupted(sol, mutate)],
+    lambda sol, field: [sol, sol], 1,  # a mutated run corrupts r(u, v)
     (([(1, 0, (2, 1)), (1, 1, (1, 2))], range(2), True),))
 
 
@@ -816,15 +795,14 @@ def _nondegeneracy_fails(sol, field):
     or transpose_p(r), as an n^2 x n^2 matrix, is singular.
 
     Both matrices hold the numerators at the support over den, in rows and
-    columns read off each flat (``transpose_p`` rotates its digits), so
+    columns read off each flat (``rotated`` for transpose_p), so
     their block plans are compiled here once from the support.  den != 0,
     so the numerators decide: a 1 x 1 block by a nonzero test, a larger one
     by ``_eliminate``.
     """
-    n = sol.n
-    nn, n3 = n * n, n ** 3
-    plans = [_block_plan([divmod(f, nn) for f in sol.support], nn),
-             _block_plan([divmod(f % n3 * n + f // n3, nn) for f in sol.support], nn)]
+    nn = sol.n ** 2
+    plans = [_block_plan([divmod(f, nn) for f in flats], nn)
+             for flats in (sol.support, rotated(sol.n, sol.support))]
     if None in plans:
         return lambda point: "degenerate point found"
     blocks = list(chain.from_iterable(plans))
@@ -868,7 +846,8 @@ def _nondegeneracy_sample(field, rng, n):
 
 
 def _jet_eval(sol, field, jet_order, which, at_other):
-    """Evaluate r with the chosen variable as a Laurent jet.
+    """Evaluate r with the chosen variable as a Laurent jet: the reference
+    for the exact pricings of the table.
 
     Returns a Tensor2 with jet entries; exp(w/(2n)) is realized as
     exp_jet(1/(2n), jet_order) in the jet variable.
@@ -904,18 +883,13 @@ def _jet_coefficient(sol, field, jet_order, which, at_other, power) -> Tensor2:
 
 
 def residues(sol, which, at_other, field) -> Tensor2:
-    """The coefficient of 1/u (resp. 1/v) of r.
-
-    A table solution prices it exactly from its table (``residue_prices``),
-    with no point, so ``at_other`` is not read.  An evaluator with only
-    ``eval`` is expanded as a jet to order 2, which determines every entry
-    through its constant term, with the other variable at ``at_other``;
-    that raises if any entry has a pole worse than simple.
+    """The coefficient of 1/u (resp. 1/v) of r, priced exactly from the
+    table (``residue_prices``), with no point, so ``at_other`` is not read.
+    Its reference is the jet's coefficient (``_jet_coefficient``), which
+    raises if any entry has a pole worse than simple.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    if not isinstance(sol, _TableSolution):
-        return _jet_coefficient(sol, field, 2, which, at_other, -1)
     return _boxed(sol, field, sol.price_residue(which))
 
 
@@ -926,11 +900,11 @@ def r0_tensor(sol, q_v, field) -> Tensor2:
 
 
 # [X12,Y13] + [X12,Z23] + [Y13,Z23] for rbar0 = (pr (x) pr) r0, read by its
-# support, at v, v + v' and v'; a mutated X is read off rbar0's _corrupted table
+# support, at v, v + v' and v'; a mutated run corrupts X
 _CYBE = _Identity(
     "cybe", "cybe", 2, (lambda n, a, b: (a * b) ** (2 * n) - 1,),  # the pole at v + v'
     lambda field, n, qv, qvp: (qv, qv * qvp, qvp),
-    lambda sol, field, mutate: [_corrupted(rbar0 := _ProjectedR0(sol), mutate), rbar0, rbar0],
+    lambda sol, field: [_ProjectedR0(sol)] * 3, 0,
     (([(1, 0, (1, 2), 1, (1, 3)), (-1, 1, (1, 3), 0, (1, 2)), (1, 0, (1, 2), 2, (2, 3)),
        (-1, 2, (2, 3), 0, (1, 2)), (1, 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3))],
       range(3), True),))
@@ -943,8 +917,8 @@ def check_cybe(sol, num_points, seed, field, jet_order=4, mutate=None) -> CheckR
     r0 is priced exactly from the solution's table, and pr (x) pr is a
     linear image of that table, so ``jet_order`` no longer changes the
     result; it is accepted for callers that pass it.  With ``mutate`` set
-    to an index 4-tuple, X is read off rbar0's table with one more row,
-    priced 1, at that entry (``_corrupted``).
+    to an index 4-tuple, X reads rbar0 plus 1 at that entry
+    (``_Identity.fails``).
 
     Each point tests one random linear form of the residual, so a PASS also
     carries the form's false-pass chance, at most 6/|S| per point (the
@@ -984,8 +958,8 @@ _QYBE = _Identity(
      lambda n, a, b, c: _half(a, n) + _half(c, n),
      lambda n, a, b, c: _half(a, n) - _half(b, n)),
     _qybe_at,
-    lambda sol, field, mutate: [sol] * 4 + [_Given([0]),
-                                            _Given(list(Tensor2.unit(sol.n, field).data))],
+    lambda sol, field: [sol] * 4 + [_Given([0]), _Given(list(Tensor2.unit(sol.n, field).data))],
+    None,
     (([(1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2))], (0, 1, 4, 5), "unitarity failed"),
      ([(1, 0, (1, 2), 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3), 0, (1, 2))],
       (0, 2, 3), "qybe failed")))

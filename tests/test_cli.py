@@ -384,14 +384,19 @@ def test_suite_bytes_are_pinned(extra, sha256, capsys):
 
 
 def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
-    # fp from cold memos, then q, then fp again reading the memos warm
+    # fp from cold memos, then q, then fp again reading the memos warm, then
+    # fp mutated: a mutation keeps the honest jobs, so it compiles from the
+    # honest runs' plans and adds no plan
     for memo in (trig._points, trig._weights, tensors._plan):
         memo.cache_clear()
-    (fp_args, fp_sha256), (q_args, q_sha256) = SUITE_PINS[:2]
+    (fp_args, fp_sha256), (q_args, q_sha256), (mutated_args, mutated_sha256) = SUITE_PINS[:3]
     got = [_pinned_suite_sha256(capsys, args) for args in (fp_args, q_args, fp_args)]
     assert got == [fp_sha256, q_sha256, fp_sha256]
     assert trig._points.cache_info().hits > 0
     assert tensors._plan.cache_info().hits > 0
+    misses = tensors._plan.cache_info().misses
+    assert _pinned_suite_sha256(capsys, mutated_args) == mutated_sha256
+    assert tensors._plan.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("field, sha256", [

@@ -135,11 +135,12 @@ class _SquaredEntry:
 
 
 def test_residues_reject_a_double_pole(field):
+    # the jet reference of ``residues``
     sol = _SquaredEntry(TrigSolution(example_structure()))
     (other,) = _pole_free(field, derive_rng(15, "double-pole"), sol.n, 1)
     for which in ("u", "v"):
         with pytest.raises(ArithmeticError, match="pole is not simple"):
-            residues(sol, which, other, field)
+            trig_module._jet_coefficient(sol, field, 2, which, other, -1)
 
 
 def test_residues_n1():
@@ -559,11 +560,15 @@ def test_compiled_checks_match_the_reference(field):
 
 
 def test_compiled_checks_match_the_reference_at_every_slot(field):
+    # r and the hat, read by their rows, and a gauge, read by its support:
+    # the mutated entry at every slot, on and off the support
     for s in [s for n in (1, 2) for s in enumerate_structures(n)]:
         sol = TrigSolution(s)
-        for slot in itertools.product(range(s.n), repeat=4):
-            tag = "%s %s" % (s.label(), slot)
-            assert all(_pin_to_reference(sol, field, slot, 1, tag)), tag
+        for kind, table in (("trig", sol), ("hat", hat_involution(sol)),
+                            ("gauge", gauge_transform(sol, _sparse_phi(s.n, field), field))):
+            for slot in itertools.product(range(s.n), repeat=4):
+                tag = "%s %s %s" % (kind, s.label(), slot)
+                assert all(_pin_to_reference(table, field, slot, 1, tag)), tag
 
 
 def test_a_corrupted_table_coefficient_is_detected(field):
@@ -795,33 +800,6 @@ def test_compiled_nondegeneracy_matches_the_dense_reference(field):
         assert [bool(v) for v in verdicts] == [singular] * len(verdicts), name
 
 
-# -- mutation as a table row ------------------------------------------------------
-
-
-def test_corrupted_table_is_r_plus_one_at_the_slot(field):
-    # every kind of table, and rbar0, priced at one argument; an n = 1 rbar0
-    # and the empty table have no rows at all
-    projected = trig_module._ProjectedR0
-    tables = [("%s %s" % (kind, s.label()), sol)
-              for s in _compiled_corpus() for kind, sol in _kinds(s, field)]
-    tables += [(name, sol) for name, sol, _ in _block_tables()]
-    tables += [(tag + " rbar0", projected(sol)) for tag, sol in tables
-               if not isinstance(sol, _Zero)]
-    for tag, sol in tables:
-        n = sol.n
-        rng = derive_rng(42, "plus-one", tag, field.name)
-        point = _pole_free(field, rng, n, 1 if isinstance(sol, projected) else 2)
-        slots = [tuple(rng.randrange(n) for _ in range(4)), (0, 0, 0, 0)]
-        if sol.support:
-            f = sol.support[len(sol.support) // 2]
-            slots.append(tuple(f // n ** p % n for p in (3, 2, 1, 0)))
-        assert trig_module._corrupted(sol, None) is sol, tag
-        for slot in slots:
-            bad = trig_module._corrupted(sol, slot)
-            assert (bad.eval(field, *point)
-                    == sol.eval(field, *point) + Tensor2.basis(n, field, *slot)), (tag, slot)
-
-
 # -- the per-process memos of structure-independent inputs ----------------------
 
 _MEMOS = (trig_module._points, trig_module._weights, tensors_module._plan)
@@ -836,8 +814,7 @@ def test_points_price_from_the_factors_they_keep(field):
     # every acceptance-corpus table, read twice at each Point of its n (the
     # first structure of an n computes the factors, every later read takes
     # the kept ones), against the gather of point_factors computed afresh;
-    # the hat reads at the swapped point, and _PlusOne reads its base plus
-    # one row
+    # the hat reads at the swapped point
     points = {}
     for s in acceptance_corpus():
         if s.n not in points:
@@ -853,9 +830,7 @@ def test_points_price_from_the_factors_they_keep(field):
         for point in points[s.n]:
             want = reference(point.q_u, point.q_v)
             for table, expected in ((sol, want),
-                                    (hat_involution(sol), reference(point.q_v, point.q_u)),
-                                    (trig_module._PlusOne(sol, sol.flats[-1]),
-                                     ([want[1]] + want[0], want[1]))):
+                                    (hat_involution(sol), reference(point.q_v, point.q_u))):
                 assert (table.read(field, point) == expected
                         == table.read(field, point)), s.label()
             sums = dict.fromkeys(sol.support, 0)
@@ -949,7 +924,6 @@ def test_compile_plans_of_different_rings_and_weights_never_mix(fp):
     # product of three of them, differs mod p, mod p' and in q.  The
     # mutated AYBE form does not vanish, so its values show a mixed plan
     record = trig_module._AYBE
-    (jobs, reads, _), = record.residuals
     sols = [TrigSolution(s) for s in list(enumerate_structures(3))[:2]]
     rng = derive_rng(53, "plan-weights")
     weight_sets = [[[rng.randrange(10 ** 9) for _ in range(3)] for _ in range(6)]
@@ -958,11 +932,11 @@ def test_compile_plans_of_different_rings_and_weights_never_mix(fp):
             for weights in weight_sets for sol in sols]
 
     def values(ring, weights, sol):
-        tables = record.tables(sol, ring, (0, 1, 2, 2))
-        program = projected_residual(ring, 3, [tables[i].entries() for i in reads], jobs,
-                                     weights)
-        return [program.value(ring, [tables[i].read(ring, at[i]) for i in reads])
-                for at in trig_module._points(ring, 7, "aybe", 3, 2, record.sample)]
+        with _pinned_to_the_exact_residual() as got:
+            fails = record.fails(sol, ring, weights, (0, 1, 2, 2))
+            for at in trig_module._points(ring, 7, "aybe", 3, 2, record.sample):
+                fails(*at)
+        return got
 
     _clear_memos()
     warm = [values(*run) for run in runs]
