@@ -4,7 +4,7 @@
 Prints one row per structure with the residual-failure counts (all zeros on
 a healthy build) and a timing summary.  This is the long-form version of
 ``ybx suite``; use --mutate to confirm the checks detect a corrupted
-coefficient.
+coefficient.  A bad --points or --field is one ``error:`` line and exit 2.
 """
 
 import argparse
@@ -33,7 +33,13 @@ def main():
     ap.add_argument("--nmax", type=int, default=3)
     ap.add_argument("--mutate", action="store_true")
     args = ap.parse_args()
-    field = field_from_name(args.field)
+    try:
+        if args.points < 1:
+            raise ValueError("--points must be >= 1")
+        field = field_from_name(args.field)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     structures = corpus(args.nmax) + [
         s for s in pinned_structures() if s.n > args.nmax

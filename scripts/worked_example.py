@@ -5,7 +5,8 @@ Builds the structure (C1 = (1 4 2 3), C2 = (1 2 3 4), A = {3}), prints its
 surface topology, the contributing rectangle families with their exact
 coefficients at a sample point, and cross-checks the combinatorial tensor
 against the closed formula, the polar terms, and the randomized identity
-checks.
+checks.  Exits 1 if any cross-check fails; a bad --points or --field is
+one ``error:`` line and exit 2.
 """
 
 import argparse
@@ -36,7 +37,13 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--points", type=int, default=25)
     args = ap.parse_args()
-    field = field_from_name(args.field)
+    try:
+        if args.points < 1:
+            raise ValueError("--points must be >= 1")
+        field = field_from_name(args.field)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
     s = example_structure()
     print("structure:", s.label())
@@ -56,10 +63,12 @@ def main():
     qu, qv = _pole_free(field, rng, s.n, 2)
     mt = massey_tensor(sol, qu, qv, field)
     closed = sol.eval(field, qu, qv)
-    print("\nmassey tensor == closed form at the sample point:", mt.tensor == closed)
-
-    print("residue at u=0 is 1(x)1:", residues(sol, "u", None, field) == Tensor2.unit(s.n, field))
-    print("residue at v=0 is P:   ", residues(sol, "v", None, field) == transposition_p(s.n, field))
+    passed = [mt.tensor == closed,
+              residues(sol, "u", None, field) == Tensor2.unit(s.n, field),
+              residues(sol, "v", None, field) == transposition_p(s.n, field)]
+    print("\nmassey tensor == closed form at the sample point:", passed[0])
+    print("residue at u=0 is 1(x)1:", passed[1])
+    print("residue at v=0 is P:   ", passed[2])
 
     for name, rep in (
         ("aybe", check_aybe(sol, args.points, args.seed, field)),
@@ -69,7 +78,8 @@ def main():
     ):
         print("%-5s points=%-3d failures=%d  (%.0f ms)"
               % (name, rep.points, rep.failures, rep.elapsed_ms))
-    return 0
+        passed.append(rep.passed)
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

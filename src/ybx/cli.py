@@ -4,6 +4,11 @@ Every command is deterministic for a fixed (inputs, seed, backend) triple;
 the JSON report format is schema-stable and carries no wall-clock fields so
 identical runs emit identical bytes.  Wall-clock timings are kept on the
 report objects (``CheckReport.elapsed_ms``); neither output format shows them.
+
+Each ``cmd_*`` handler returns ``(payload, ok)``: what to report and whether
+the command passed.  ``main`` is the one place that emits the payload, in
+--format, and sets the exit code: 0 if ok, else 1, and 2 on bad input, which
+is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -104,14 +109,11 @@ def report_payload(reports) -> dict:
 def cmd_validate(args):
     s = _load_json(args.abd, ABDStructure.from_json_dict)
     problems = validate_abd(s)
-    emit({"structure": s.label(), "violations": problems, "valid": not problems}, args)
-    return 0 if not problems else 1
+    return {"structure": s.label(), "violations": problems, "valid": not problems}, not problems
 
 
 def cmd_surface(args):
-    s = load_abd(args.abd)
-    emit(surface_summary(build_surface(s)), args)
-    return 0
+    return surface_summary(build_surface(load_abd(args.abd))), True
 
 
 def _sampled(args, tag=None, count=0):
@@ -128,18 +130,7 @@ def _sampled(args, tag=None, count=0):
 
 def cmd_build_r(args):
     sol, field, (qu, qv) = _sampled(args, "build-r", 2)
-    t = sol.eval(field, qu, qv)
-    emit({"n": sol.n, "entries": t.to_sparse_json()}, args)
-    return 0
-
-
-def _emit_checks(args, run):
-    """Load --abd, emit the reports of ``run(sol, points, seed, field)``;
-    exit 1 unless every report passed."""
-    sol, field, _ = _sampled(args)
-    reports = run(sol, args.points, args.seed, field)
-    emit(report_payload(reports), args)
-    return 0 if all(r.passed for r in reports) else 1
+    return {"n": sol.n, "entries": sol.eval(field, qu, qv).to_sparse_json()}, True
 
 
 def _mutation(enabled):
@@ -147,31 +138,32 @@ def _mutation(enabled):
     return (0, 0, 0, 0) if enabled else None
 
 
-def cmd_check_aybe(args):
-    return _emit_checks(args, lambda *a: [check_aybe(*a, mutate=_mutation(args.mutate))])
+def _hat_checks(sol, *rest):
+    """The AYBE and skew reports of the involution image of sol."""
+    hat = hat_involution(sol)
+    reports = [check_aybe(hat, *rest), check_skew(hat, *rest)]
+    for r in reports:
+        r.check = "hat-" + r.check
+    return reports
 
 
-def cmd_check_skew(args):
-    return _emit_checks(args, lambda *a: [check_skew(*a, mutate=_mutation(args.mutate))])
+# the check commands: each row gives the reports of (mutated slot, solution,
+# points, seed, field); the lambdas look the checks up when called, so a
+# check replaced on this module is the one that runs
+_CHECKS = {
+    "check-aybe": lambda mut, *a: [check_aybe(*a, mutate=mut)],
+    "check-skew": lambda mut, *a: [check_skew(*a, mutate=mut)],
+    "cybe": lambda mut, *a: [check_cybe(*a)],
+    "qybe": lambda mut, *a: [qybe_unitarity(*a)],
+    "hat": lambda mut, *a: _hat_checks(*a),
+}
 
 
-def cmd_cybe(args):
-    return _emit_checks(args, lambda *a: [check_cybe(*a)])
-
-
-def cmd_qybe(args):
-    return _emit_checks(args, lambda *a: [qybe_unitarity(*a)])
-
-
-def cmd_hat(args):
-    def run(sol, *rest):
-        hat = hat_involution(sol)
-        reports = [check_aybe(hat, *rest), check_skew(hat, *rest)]
-        for r in reports:
-            r.check = "hat-" + r.check
-        return reports
-
-    return _emit_checks(args, run)
+def cmd_check(args):
+    sol, field, _ = _sampled(args)
+    reports = _CHECKS[args.command](_mutation(args.mutate), sol, args.points, args.seed, field)
+    payload = report_payload(reports)
+    return payload, payload["pass"]
 
 
 def _residues_ok(sol, field):
@@ -184,15 +176,11 @@ def _residues_ok(sol, field):
 def cmd_residues(args):
     sol, field, _ = _sampled(args)
     ok_u, ok_v = _residues_ok(sol, field)
-    emit(
-        {
-            "residue_u_is_unit": ok_u,
-            "residue_v_is_P": ok_v,
-            "pass": ok_u and ok_v,
-        },
-        args,
-    )
-    return 0 if (ok_u and ok_v) else 1
+    return {
+        "residue_u_is_unit": ok_u,
+        "residue_v_is_P": ok_v,
+        "pass": ok_u and ok_v,
+    }, ok_u and ok_v
 
 
 def cmd_massey(args):
@@ -213,12 +201,8 @@ def cmd_massey(args):
         ],
     }
     if args.compare:
-        equal = mt.tensor == sol.eval(field, qu, qv)
-        payload["matches_closed_form"] = equal
-        emit(payload, args)
-        return 0 if equal else 1
-    emit(payload, args)
-    return 0
+        payload["matches_closed_form"] = mt.tensor == sol.eval(field, qu, qv)
+    return payload, payload.get("matches_closed_form", True)
 
 
 def cmd_novikov(args):
@@ -229,17 +213,14 @@ def cmd_novikov(args):
     if args.tolerance <= 0:
         raise ValueError("--tolerance must be positive")
     result = novikov_check(u, v, args.terms)
-    emit(
-        {
-            "partial": repr(result.partial),
-            "closed": repr(result.closed),
-            "abs_error": result.abs_error,
-            "terms": result.terms,
-            "pass": result.abs_error < args.tolerance,
-        },
-        args,
-    )
-    return 0 if result.abs_error < args.tolerance else 1
+    payload = {
+        "partial": repr(result.partial),
+        "closed": repr(result.closed),
+        "abs_error": result.abs_error,
+        "terms": result.terms,
+        "pass": result.abs_error < args.tolerance,
+    }
+    return payload, payload["pass"]
 
 
 def cmd_bundle(args):
@@ -256,10 +237,8 @@ def cmd_bundle(args):
         payload["abd"] = abd.to_json_dict()
         payload["c2_power_of_c1"] = bundles_mod.is_power_of(abd.c2, abd.c1)
         if args.emit_abd:
-            emit(abd.to_json_dict(), args)
-            return 0
-    emit(payload, args)
-    return 0 if rep.simple else 1
+            return abd.to_json_dict(), True
+    return payload, rep.simple
 
 
 def cmd_abd_iso(args):
@@ -268,14 +247,10 @@ def cmd_abd_iso(args):
     s1 = load_abd(args.first)
     s2 = load_abd(args.second)
     sigma = abd_isomorphic(s1, s2)
-    emit(
-        {
-            "isomorphic": sigma is not None,
-            "bijection": list(sigma.images) if sigma else None,
-        },
-        args,
-    )
-    return 0 if sigma is not None else 1
+    return {
+        "isomorphic": sigma is not None,
+        "bijection": list(sigma.images) if sigma else None,
+    }, sigma is not None
 
 
 def run_suite(structures, points, seed, field, mutate=False):
@@ -347,8 +322,7 @@ def cmd_suite(args):
         # mutated runs are expected to fail; surface that in the payload
         payload["mutation_mode"] = True
         payload["failures_reported"] = sum(1 for r in reports if not r.passed)
-    emit(payload, args)
-    return 0 if payload["pass"] else 1
+    return payload, payload["pass"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -376,49 +350,28 @@ def build_parser() -> argparse.ArgumentParser:
     checked.add_argument("--points", type=int, default=25, help="points per check")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[fmt], help="validate a structure file")
-    p.add_argument("--abd", required=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("surface", parents=[fmt], help="square-tiled surface summary")
-    p.add_argument("--abd", required=True)
-    p.set_defaults(func=cmd_surface)
-
-    p = sub.add_parser("build-r", parents=[sampled], help="emit r at a sample point")
-    p.add_argument("--abd", required=True)
-    p.set_defaults(func=cmd_build_r)
-
-    p = sub.add_parser("check-aybe", parents=[checked], help="AYBE residual check")
-    p.add_argument("--abd", required=True)
-    p.add_argument("--mutate", action="store_true", help="corrupt one coefficient")
-    p.set_defaults(func=cmd_check_aybe)
-
-    p = sub.add_parser("check-skew", parents=[checked], help="skew-symmetry check")
-    p.add_argument("--abd", required=True)
-    p.add_argument("--mutate", action="store_true")
-    p.set_defaults(func=cmd_check_skew)
-
-    p = sub.add_parser("residues", parents=[exact], help="polar term extraction")
-    p.add_argument("--abd", required=True)
-    p.set_defaults(func=cmd_residues)
-
-    p = sub.add_parser("cybe", parents=[checked], help="CYBE check for rbar0")
-    p.add_argument("--abd", required=True)
-    p.set_defaults(func=cmd_cybe)
-
-    p = sub.add_parser("qybe", parents=[checked], help="QYBE and unitarity check")
-    p.add_argument("--abd", required=True)
-    p.set_defaults(func=cmd_qybe)
-
-    p = sub.add_parser("hat", parents=[checked], help="checks for the involution image")
-    p.add_argument("--abd", required=True)
-    p.set_defaults(func=cmd_hat)
-
-    p = sub.add_parser("massey", parents=[sampled], help="rectangle-count tensor")
-    p.add_argument("--abd", required=True)
-    p.add_argument("--compare", action="store_true",
-                   help="compare against the closed form")
-    p.set_defaults(func=cmd_massey)
+    # the commands that read one structure file: (name, shared flags,
+    # handler, help, their own flags after --abd)
+    for name, parent, func, help_, extra in (
+        ("validate", fmt, cmd_validate, "validate a structure file", ()),
+        ("surface", fmt, cmd_surface, "square-tiled surface summary", ()),
+        ("build-r", sampled, cmd_build_r, "emit r at a sample point", ()),
+        ("check-aybe", checked, cmd_check, "AYBE residual check",
+         [("--mutate", {"action": "store_true", "help": "corrupt one coefficient"})]),
+        ("check-skew", checked, cmd_check, "skew-symmetry check",
+         [("--mutate", {"action": "store_true"})]),
+        ("residues", exact, cmd_residues, "polar term extraction", ()),
+        ("cybe", checked, cmd_check, "CYBE check for rbar0", ()),
+        ("qybe", checked, cmd_check, "QYBE and unitarity check", ()),
+        ("hat", checked, cmd_check, "checks for the involution image", ()),
+        ("massey", sampled, cmd_massey, "rectangle-count tensor",
+         [("--compare", {"action": "store_true", "help": "compare against the closed form"})]),
+    ):
+        p = sub.add_parser(name, parents=[parent], help=help_)
+        p.add_argument("--abd", required=True)
+        for flag, kwargs in extra:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func, mutate=False)
 
     p = sub.add_parser("novikov", parents=[fmt], help="Novikov series cross-check")
     p.add_argument("--u", default="1.0")
@@ -454,10 +407,12 @@ def main(argv=None) -> int:
         print("error: --nmax must be between 1 and 4", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        payload, ok = args.func(args)
     except (PermutationError, ValueError, PoleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    emit(payload, args)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

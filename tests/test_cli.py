@@ -332,9 +332,18 @@ def test_python_dash_m_runs_the_cli(abd_file, tmp_path):
     assert missing.returncode == 2 and missing.stderr.startswith("error: cannot read ")
 
 
-@pytest.mark.parametrize("nmax", ["0", "5"])
-def test_suite_nmax_out_of_range_is_one_error_line(nmax, capsys):
-    _assert_one_error_line(capsys, ["suite", "--nmax", nmax, "--points", "1", "--field", FP])
+@pytest.mark.parametrize("argv, message", [
+    (["suite", "--nmax", "0", "--points", "1", "--field", FP], "--nmax must be between 1 and 4"),
+    (["suite", "--nmax", "5", "--points", "1", "--field", FP], "--nmax must be between 1 and 4"),
+    # with no guard, zero points would be a vacuous pass
+    (["check-aybe", "--abd", "{abd}", "--points", "0"], "--points must be >= 1"),
+    (["check-aybe", "--abd", "{abd}", "--points", "-1"], "--points must be >= 1"),
+    (["suite", "--points", "0"], "--points must be >= 1"),
+], ids=["0", "5", "check-aybe-points-0", "check-aybe-points-negative", "suite-points-0"])
+def test_suite_nmax_out_of_range_is_one_error_line(argv, message, abd_file, capsys):
+    # main's range guards on --nmax and --points
+    line = _assert_one_error_line(capsys, [a.format(abd=abd_file) for a in argv])
+    assert line == "error: " + message
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -361,26 +370,29 @@ def test_pole_error_is_one_error_line(abd_file, capsys, monkeypatch):
     _assert_one_error_line(capsys, ["check-aybe", "--abd", abd_file, "--field", FP])
 
 
+# (flags, exit code, stdout sha256): an honest run exits 0, a mutated one 1
 SUITE_PINS = [
-    (["--field", FP], "d97c7db4f88b9548bd856de01d9f0733260aa72f8bbcf27dbec80bd196186eaa"),
-    (["--field", "q"], "d6581b8f8159909e763e141f2b60abde02b4c5ea7f7b7324dd761b72af86e84c"),
-    (["--field", FP, "--mutate", "one-coefficient"],
+    (["--field", FP], 0, "d97c7db4f88b9548bd856de01d9f0733260aa72f8bbcf27dbec80bd196186eaa"),
+    (["--field", "q"], 0, "d6581b8f8159909e763e141f2b60abde02b4c5ea7f7b7324dd761b72af86e84c"),
+    (["--field", FP, "--mutate", "one-coefficient"], 1,
      "509e3428508c3abfa156a076fd6802da6545f3ead777b5773933888aa6d9587b"),
     # the one row whose q residuals have nonzero entries
-    (["--field", "q", "--mutate", "one-coefficient"],
+    (["--field", "q", "--mutate", "one-coefficient"], 1,
      "e51d02591e5b1ca75ef7ec1ed4c9e6b56790f9bdc35c0c0e4bc96c7ae7a9a49f"),
 ]
 
 
-def _pinned_suite_sha256(capsys, extra):
-    _, out = run(capsys, "suite", "--nmax", "3", "--points", "3", "--seed", "7", *extra)
-    return hashlib.sha256(out.encode()).hexdigest()
+def _pinned_suite_run(capsys, extra):
+    """(exit code, stdout sha256) of the small pinned suite run."""
+    code, out = run(capsys, "suite", "--nmax", "3", "--points", "3", "--seed", "7", *extra)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("extra, sha256", SUITE_PINS, ids=["fp", "q", "fp-mutated", "q-mutated"])
-def test_suite_bytes_are_pinned(extra, sha256, capsys):
+@pytest.mark.parametrize("extra, code, sha256", SUITE_PINS,
+                         ids=["fp", "q", "fp-mutated", "q-mutated"])
+def test_suite_bytes_are_pinned(extra, code, sha256, capsys):
     # a small-size twin of the `ybx suite --points 25 --seed 7` behaviour contract
-    assert _pinned_suite_sha256(capsys, extra) == sha256
+    assert _pinned_suite_run(capsys, extra) == (code, sha256)
 
 
 def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
@@ -389,13 +401,13 @@ def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
     # honest runs' plans and adds no plan
     for memo in (trig._points, trig._weights, tensors._plan):
         memo.cache_clear()
-    (fp_args, fp_sha256), (q_args, q_sha256), (mutated_args, mutated_sha256) = SUITE_PINS[:3]
-    got = [_pinned_suite_sha256(capsys, args) for args in (fp_args, q_args, fp_args)]
-    assert got == [fp_sha256, q_sha256, fp_sha256]
+    fp, q, mutated = SUITE_PINS[:3]
+    got = [_pinned_suite_run(capsys, args) for args, _, _ in (fp, q, fp)]
+    assert got == [pin[1:] for pin in (fp, q, fp)]
     assert trig._points.cache_info().hits > 0
     assert tensors._plan.cache_info().hits > 0
     misses = tensors._plan.cache_info().misses
-    assert _pinned_suite_sha256(capsys, mutated_args) == mutated_sha256
+    assert _pinned_suite_run(capsys, mutated[0]) == mutated[1:]
     assert tensors._plan.cache_info().misses == misses
 
 
@@ -410,33 +422,61 @@ def test_build_r_bytes_are_pinned(field, sha256, abd_file, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# (argv, exit code, stdout sha256); {abd} is the worked example, {bundle}
+# a simple rank-2 bundle, and --seed is 7 where a command reads it
 SINGLE_CHECK_PINS = [
-    (["cybe"], "q", "f851facfe935d45a62d22f8a8c6dba50e5cf7195da8b708c7409292fee54fa48"),
-    (["qybe"], "q", "f5442e696997946c27da5c4e5966bcfc41bedc04408119224dd65f520ab4513a"),
-    (["hat"], "q", "77f2006358cb18a5307753402e2066d7db36228fd383a377adad486bc963f656"),
-    (["check-aybe", "--mutate"], "q",
+    (["cybe", "--abd", "{abd}", "--field", "q"], 0,
+     "f851facfe935d45a62d22f8a8c6dba50e5cf7195da8b708c7409292fee54fa48"),
+    (["qybe", "--abd", "{abd}", "--field", "q"], 0,
+     "f5442e696997946c27da5c4e5966bcfc41bedc04408119224dd65f520ab4513a"),
+    (["hat", "--abd", "{abd}", "--field", "q"], 0,
+     "77f2006358cb18a5307753402e2066d7db36228fd383a377adad486bc963f656"),
+    (["check-aybe", "--abd", "{abd}", "--mutate", "--field", "q"], 1,
      "f4a6476e72f442c78aa7fbdf142a6be081d7d50dd00e46e66bee3dd218772b44"),
-    (["check-skew", "--mutate"], "q",
+    (["check-skew", "--abd", "{abd}", "--mutate", "--field", "q"], 1,
      "8cfd4bf786c5501e2138948c05d938c2be56f555c5fad268ebcd055dc24ae10d"),
-    (["cybe"], FP, "bea1b2b635504b4bb3445810d04149a4a63e33803459e0dc0e38e2f99245d9ff"),
-    (["qybe"], FP, "c2b25f061009fd6e4e0088718e017771278582e42d3148e01613d778736d97d4"),
-    (["hat"], FP, "f1f32e355216e64a04d48362a1e4538654c28f7287a0725a158a2f390b047568"),
-    (["check-aybe", "--mutate"], FP,
+    (["cybe", "--abd", "{abd}", "--field", FP], 0,
+     "bea1b2b635504b4bb3445810d04149a4a63e33803459e0dc0e38e2f99245d9ff"),
+    (["qybe", "--abd", "{abd}", "--field", FP], 0,
+     "c2b25f061009fd6e4e0088718e017771278582e42d3148e01613d778736d97d4"),
+    (["hat", "--abd", "{abd}", "--field", FP], 0,
+     "f1f32e355216e64a04d48362a1e4538654c28f7287a0725a158a2f390b047568"),
+    (["check-aybe", "--abd", "{abd}", "--mutate", "--field", FP], 1,
      "9bc069179f9278b15f1f573b8aaccb656fc95ff5b5efd71c6af145e2df3508f7"),
-    (["check-skew", "--mutate"], FP,
+    (["check-skew", "--abd", "{abd}", "--mutate", "--field", FP], 1,
      "c540255ca52bfad6c5ac1b59800c32883d807fc247e7e3102e74ef0df94901ed"),
+    # --format text, which prints each payload in its key order
+    (["validate", "--abd", "{abd}", "--format", "text"], 0,
+     "9188f651a4718acebf72939ab34d12cfcd475927341ae8a93fdec0689243bbb5"),
+    (["residues", "--abd", "{abd}", "--format", "text"], 0,
+     "5eaf642d579688e0dc50d5a30b6336aeaa093af04ad6de4c6041d3d3641f968f"),
+    (["massey", "--abd", "{abd}", "--compare", "--format", "text"], 0,
+     "61816aa774fc7f6b4102336a5991438bce9bcb03d8d56c534117f9fac681531f"),
+    # every float is an exact 0 at this u, whatever the platform's exp
+    (["novikov", "--u", "1000", "--format", "text"], 0,
+     "793bbd20977e8825a54ed8bdb7e4b25f96a7112b8061b776882341f2b39e1a72"),
+    (["bundle", "--in", "{bundle}", "--format", "text"], 0,
+     "f18b75e7c64d458346e8288bf18a2323e628c0f7ceb8700528b0e023bca4693a"),
+    (["abd-iso", "{abd}", "{abd}", "--format", "text"], 0,
+     "f51a18d0a00225f4e50c667e2ebd242396e569d8c35d518ed8e21efd1795da0d"),
+    (["check-aybe", "--abd", "{abd}", "--format", "text"], 0,
+     "ebb878d3945ea6ce4b53af1992b965a2208257eb2ea4e21a20e6388bde3fe1e7"),
 ]
 
 
-@pytest.mark.parametrize("command, field, sha256", SINGLE_CHECK_PINS, ids=[
-    "%s %s" % (" ".join(command), field[:2]) for command, field, _ in SINGLE_CHECK_PINS])
-def test_single_check_bytes_are_pinned(command, field, sha256, abd_file, capsys):
+def _pin_id(argv):
+    """``cybe q`` for ``cybe --abd {abd} --field q``."""
+    return " ".join(a for a in argv if a not in ("--abd", "{abd}", "--field")).replace(FP, "fp")
+
+
+@pytest.mark.parametrize("argv, code, sha256", SINGLE_CHECK_PINS,
+                         ids=[_pin_id(argv) for argv, _, _ in SINGLE_CHECK_PINS])
+def test_single_check_bytes_are_pinned(argv, code, sha256, abd_file, bundle_file, capsys):
     # the CYBE, QYBE/unitarity and hat checks and the mutated AYBE and skew
-    # checks of the worked example, each on its own: the suite pins reach
-    # only the n <= 3 corpus
-    _, out = run(capsys, command[0], "--abd", abd_file, "--field", field, "--seed", "7",
-                 *command[1:])
-    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    # checks of the worked example, each on its own (the suite pins reach
+    # only the n <= 3 corpus), and each command's text format
+    status, out = run(capsys, *[a.format(abd=abd_file, bundle=bundle_file) for a in argv])
+    assert (status, hashlib.sha256(out.encode()).hexdigest()) == (code, sha256)
 
 
 @pytest.mark.parametrize("command, flag", [

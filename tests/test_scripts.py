@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts, each run as a subprocess, and of the
 benchmark-pair summary on canned result lines."""
 
+import dataclasses
 import importlib.util
 import json
 import signal
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ybx.tensors import Tensor2
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -39,11 +42,63 @@ def test_worked_example():
         assert "%-5s points=2   failures=0" % name in out
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+@pytest.mark.parametrize("script", ["verify_catalog.py", "worked_example.py"])
+@pytest.mark.parametrize("args, message", [
+    (["--points", "0"], "error: --points must be >= 1"),
+    (["--points", "-1"], "error: --points must be >= 1"),
+    (["--field", "fp:7"], "error: prime-field modulus must exceed 10**9, got 7"),
+    (["--field", "garbage"], "error: unknown field 'garbage' (expected 'q' or 'fp:<prime>')"),
+], ids=["points-0", "points-negative", "small-prime", "unknown-field"])
+def test_script_bad_argument_is_one_error_line(script, args, message):
+    # zero points would be a vacuous pass; a bad field was a traceback
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _load_script("bench_pairs")
+
+
+def _wrong_massey(honest):
+    def massey_tensor(sol, qu, qv, field):
+        mt = honest(sol, qu, qv, field)
+        return dataclasses.replace(mt, tensor=mt.tensor + Tensor2.basis(sol.n, field, 0, 0, 0, 0))
+    return massey_tensor
+
+
+def _wrong_residues(honest):
+    def residues(sol, which, at_other, field):
+        return honest(sol, which, at_other, field) + Tensor2.basis(sol.n, field, 0, 0, 0, 0)
+    return residues
+
+
+def _failing_check(honest):
+    def check(*args):
+        return dataclasses.replace(honest(*args), failures=1)
+    return check
+
+
+@pytest.mark.parametrize("name, wrong, line", [
+    ("massey_tensor", _wrong_massey, "massey tensor == closed form at the sample point: False"),
+    ("residues", _wrong_residues, "residue at u=0 is 1(x)1: False"),
+    ("check_cybe", _failing_check, "cybe  points=2   failures=1"),
+], ids=["massey", "residues", "cybe"])
+def test_worked_example_exits_1_when_a_cross_check_fails(name, wrong, line, monkeypatch,
+                                                          capsys):
+    script = _load_script("worked_example")
+    monkeypatch.setattr(sys, "argv", ["worked_example.py", "--points", "2"])
+    assert script.main() == 0
+    monkeypatch.setattr(script, name, wrong(getattr(script, name)))
+    assert script.main() == 1
+    assert line in capsys.readouterr().out
 
 
 # a result line of perfbench/run.py, cut to two metrics, and the context
