@@ -4,7 +4,8 @@
 Prints one row per structure with the residual-failure counts (all zeros on
 a healthy build) and a timing summary.  This is the long-form version of
 ``ybx suite``; use --mutate to confirm the checks detect a corrupted
-coefficient.  A bad --points or --field is one ``error:`` line and exit 2.
+coefficient.  A bad --points, --nmax (outside 1..4, as in ``ybx suite``) or
+--field is one ``error:`` line and exit 2.
 """
 
 import argparse
@@ -36,6 +37,8 @@ def main():
     try:
         if args.points < 1:
             raise ValueError("--points must be >= 1")
+        if not 1 <= args.nmax <= 4:
+            raise ValueError("--nmax must be between 1 and 4")
         field = field_from_name(args.field)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -6,7 +6,8 @@ marks an exact Laurent polynomial (all higher coefficients are zero too).
 Arithmetic tracks the truncation bound exactly: a result never claims a
 coefficient that is not determined by the operands.  Jets add, subtract and
 multiply (with jets and ints) and invert; there is no division and no power,
-since r is priced with none (``trig.point_factors`` and ``trig.price_terms``).
+since r is priced with none (``trig.side_prices``, ``trig.point_factors``
+and ``trig.price_terms``).
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ class LaurentJet:
         lo = min(self.lo, other.lo, hi)
         coeffs = [self.coefficient(e) + other.coefficient(e) for e in range(lo, hi)]
         return LaurentJet(self.field, lo, coeffs, hi, self.var)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return LaurentJet(self.field, self.lo, [-c for c in self.coeffs], self.hi, self.var)

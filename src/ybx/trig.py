@@ -12,16 +12,20 @@ evaluation at seeded random points avoiding the poles.
 
 Every solution is one linear table: r(u, v) is the sum of price_g(u, v)
 at flat index f over its rows (g, f), g a group of the rectangle-family
-table.  ``point_factors`` computes the factors of every price at a point,
-which read no table, and ``price_terms`` gathers a table's prices from them
-as integer numerators over one denominator, ``(nums, den)``, with no
-division; ``eval`` boxes them on any ring (fields and jets).
-``limit_prices`` prices the constant term of each group at u = 0 (or
-v = 0) the same way, so r0 is exact, with no jets, and ``residue_prices``
-the coefficient of 1/u (or 1/v).  The hat, a gauge and pr (x) pr are one
-linear image of a table (``_Image``), fixed per solution: rows with integer
-coefficients over one denominator, the hat's a rotation of the flat indices
-priced with u and v exchanged (at the ``Point``'s swap).
+table.  r is described once, in one table of each group's price as a
+sum of monomials (``_monomial_table``, the only place a group's kind is
+read), and three generic readers of its exponents (``_layout``):
+``point_factors`` gives the factors of every price at a point, each
+variable's ``side_prices``, and ``price_terms`` gathers a table's prices
+from them as integer numerators over one denominator, ``(nums, den)``,
+with no division; ``eval`` boxes them on any ring (fields and jets).
+At a point whose u side is None the u parts read their constant terms at
+u = 0, so ``limit_prices`` gives r0 exactly, with no jets, and
+``residue_prices`` sums the coefs of the monomials with a pole at u = 0
+(or v = 0), with no point.  The hat, a gauge and pr (x) pr are one linear
+image of a table (``_Image``), fixed per solution: rows with integer
+coefficients over one denominator, the hat's a rotation of the flat
+indices priced with u and v exchanged (at the ``Point``'s swap).
 
 The AYBE, skew, CYBE and QYBE/unitarity checks are one ``_Identity``
 record each: name, tag, arity, pole constraints, the points and tables its
@@ -60,12 +64,11 @@ point bound holds there: only a proof at the generic point would say more.
 
 A mutated check corrupts one evaluation in its one compile: the record
 names which (``corrupts``), and ``fails`` gives it one more entry, at the
-mutation slot, reading den / den = 1, with the honest jobs.  The residues
-are read off the table exactly (``residue_prices``), with no point and no
-jets.  Strong nondegeneracy compiles the block-diagonal structure of r
-and of transpose(r).P, as n^2 x n^2 matrices, once per call from the
-support, and tests each block on those integers.  No check evaluates r
-as a tensor; jets serve only ``_jet_eval``, the reference for the exact
+mutation slot, reading den / den = 1, with the honest jobs.  Strong
+nondegeneracy compiles the block-diagonal structure of r and of
+transpose(r).P, as n^2 x n^2 matrices, once per call from the support,
+and tests each block on those integers.  No check evaluates r as a
+tensor; jets serve only ``_jet_eval``, the reference for the exact
 pricings.
 """
 
@@ -73,6 +76,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -138,92 +142,106 @@ class CheckReport:
         return d
 
 
-def _even_powers(x, n, reduce):
-    """[x^0, x^2, ..., x^(2n)]."""
-    x2 = reduce(x * x)
-    out = [1]
-    for _ in range(n):
-        out.append(reduce(out[-1] * x2))
-    return out
+def _monomial_table(n):
+    """The one description of r: the price of every group (kind, k, m,
+    sign) a ``rectangle_terms`` table at n can hold, as a sum of monomials
+    (c, α, p_u, β, p_v), each c e^{(αu+βv)/n} / ((e^u - 1)^p_u (e^v - 1)^p_v):
 
+    - diagonal, 1/(e^u - 1) + e^v/(e^v - 1): (1, 0, 1, 0, 0), (1, 0, 0, n, 1);
+    - horizontal, e^{ku/n}/(e^u - 1): (1, k, 1, 0, 0);
+    - vertical, e^{mv/n}/(e^v - 1): (1, 0, 0, m, 1);
+    - A-rectangle, sign +1, e^{-(ku+mv)/n}: (1, -k, 0, -m, 0);
+    - sign -1, -e^{(ku+mv)/n}: (-1, k, 0, m, 0).
 
-def _monomials(x, y, n, reduce):
-    """The even monomials of degrees 2n and 2n - 2 in (x, y):
-    [x^2k y^(2n-2k) for k in 0..n] and [x^2k y^(2n-2-2k) for k < n].
-
-    A sampled point's are computed once per process (``Point``), so y = 1
-    (a field's ``integral`` in GF(p), and on jets) is multiplied in as any
-    y is.
+    Every price, r0 and residue is read off these exponents (``_layout``).
     """
-    px, py = _even_powers(x, n, reduce), _even_powers(y, n, reduce)
-    return ([reduce(p * q) for p, q in zip(px, reversed(py))],
-            [reduce(p * q) for p, q in zip(px, reversed(py[:n]))])
+    table = {("diagonal", 0, 0, 1): ((1, 0, 1, 0, 0), (1, 0, 0, n, 1))}
+    for k in range(1, n):
+        table["horizontal", k, 0, 1] = ((1, k, 1, 0, 0),)
+        table["vertical", 0, k, 1] = ((1, 0, 0, k, 1),)
+        for m in range(1, n):
+            table["a_rect", k, m, 1] = ((1, -k, 0, -m, 0),)
+            table["a_rect", k, m, -1] = ((-1, k, 0, m, 0),)
+    return table
 
 
-def price_recipe(n, terms):
-    """The two factors of each group's price, as indices into the factors
-    of ``point_factors``.
+def price_monomials(n, terms):
+    """Each ``rectangle_terms`` group's monomials (``_monomial_table``), as
+    tuples shared by every table at n."""
+    table = _layout(n).table
+    return tuple(table[t[:4]] for t in terms)
 
-    With q_u = a/b, q_v = c/d, A = a^2n - b^2n, C = c^2n - d^2n and
-    X = (abcd)^(2n-2), each price of a ``rectangle_terms`` group is a
-    polynomial over den = A C X:
 
-    - diagonal, 1/(e^u - 1) + 1/(1 - e^-v): (b^2n C + d^2n A + A C) . X;
-    - horizontal, e^{ku/n}/(e^u - 1): a^2k b^(2n-2k) . C X;
-    - vertical, e^{mv/n}/(e^v - 1): c^2m d^(2n-2m) . A X;
-    - A-rectangle, sign +1, e^{-(ku+mv)/n}:
-      b^2k a^2(n-1-k) A C (bd)^(2n-2) . d^2m c^2(n-1-m);
-    - sign -1, -e^{(ku+mv)/n}: the same with a <-> b and c <-> d, negated.
+def side_prices(ring, n, q, parts):
+    """(nums, den): nums[i] / den is c e^{αw/n} / (e^w - 1)^p for part i,
+    (c, α, p), at q = e^{w/(2n)} = a/b (``ring.integral``), over
+    den = (a^2n - b^2n)(ab)^(2n-2) with no division: c a^2α b^(2n-2α)
+    (ab)^(2n-2) where p = 1 (0 <= α <= n), c a^2(n-1+α) b^2(n-1-α)
+    (a^2n - b^2n) where p = 0 (|α| < n).  Raises PoleError where den = 0.
     """
-    # the factors of point_factors: the degree-2n monomials in (a, b) and in
-    # (c, d), the degree-(2n-2) ones in (c, d), C X, A X, X, the diagonal's
-    # first factor, then the rectangles' u factors for k in range(n) with
-    # sign +1 and with sign -1
-    ha, hc, mc = 0, n + 1, 2 * n + 2
-    cx, ax, x, diag = range(3 * n + 2, 3 * n + 6)
-    plus, minus = 3 * n + 6, 4 * n + 6
-    recipe = []
-    for kind, k, m, sign, _, _ in terms:
-        if kind == "diagonal":
-            recipe.append((diag, x))
-        elif kind == "horizontal":
-            recipe.append((ha + k, cx))
-        elif kind == "vertical":
-            recipe.append((hc + m, ax))
-        elif sign > 0:
-            recipe.append((plus + k, mc + n - 1 - m))
-        else:
-            recipe.append((minus + k, mc + m))
-    return tuple(zip(*recipe))
+    reduce = ring.reduce
+    (a,), b = ring.integral((q,))
+    a2, b2 = reduce(a * a), reduce(b * b)
+    pa, pb = [1], [1]
+    for _ in range(max(n, 2 * n - 2)):
+        pa.append(reduce(pa[-1] * a2))
+        pb.append(reduce(pb[-1] * b2))
+    s, y = reduce(pa[n] - pb[n]), reduce(pa[n - 1] * pb[n - 1])
+    den = reduce(s * y)
+    if not den:
+        raise PoleError("denominator vanished at the evaluation point")
+    return [reduce(c * pa[alpha] * pb[n - alpha] * y) if p
+            else reduce(c * pa[n - 1 + alpha] * pb[n - 1 - alpha] * s)
+            for c, alpha, p in parts], den
+
+
+#: how every price at n is read off the monomial table (``table``): its
+#: distinct u parts (c, α, p_u) and v parts (1, β, p_v) (``sides``), their
+#: constant terms at w = 0 over 2n, c (2α - n) where p = 1 and 2n c where
+#: p = 0 (``limits``), each group of two monomials (the diagonal) as index
+#: pairs into the sides (``sums``), and each group's two factors in
+#: (*u, *v, *sums, 1) (``at``)
+_Layout = namedtuple("_Layout", "sides limits sums at table")
+
+
+@lru_cache(maxsize=_CHECK_MEMO)
+def _layout(n):
+    """The ``_Layout`` of the monomial table at n."""
+    table = _monomial_table(n)
+    u, v = {}, {}
+    for mon in chain.from_iterable(table.values()):
+        u.setdefault(mon[:3], len(u))
+        v.setdefault((1, *mon[3:]), len(v))
+    pairs = {mons: [(u[mon[:3]], len(u) + v[(1, *mon[3:])]) for mon in mons]
+             for mons in table.values()}
+    sums = [p for p in pairs.values() if len(p) > 1]
+    base = len(u) + len(v)
+    return _Layout((tuple(u), tuple(v)),
+                   [([c * (2 * alpha - n) if p else 2 * n * c for c, alpha, p in side], 2 * n)
+                    for side in (u, v)],
+                   sums, {mons: p[0] if len(p) == 1 else (base + sums.index(p), base + len(sums))
+                          for mons, p in pairs.items()}, table)
+
+
+def price_recipe(n, table):
+    """The two factors of each group's price in a ``price_monomials``
+    table, as indices into the factors of ``point_factors``."""
+    return tuple(zip(*map(_layout(n).at.__getitem__, table)))
 
 
 def point_factors(ring, n, q_u, q_v):
-    """(factors, den): the structure-independent part of every price at
-    (q_u, q_v), the factors ``price_recipe`` indexes and the denominator,
-    with no division; q_u = a/b and q_v = c/d come from ``ring.integral``
-    (b = d = 1 in GF(p)).  Raises PoleError where den = 0.
-
-    A ``Point`` keeps them; the factors are a tuple, since every table
-    priced there shares them.
-    """
-    reduce = ring.reduce
-    (a,), b = ring.integral((q_u,))
-    (c,), d = ring.integral((q_v,))
-    ha, ma = _monomials(a, b, n, reduce)
-    hc, mc = _monomials(c, d, n, reduce)
-    big_a, big_c = reduce(ha[n] - ha[0]), reduce(hc[n] - hc[0])
-    ac = reduce(big_a * big_c)
-    # (bd)^(2n-2) and (ac)^(2n-2)
-    low, high = reduce(ma[0] * mc[0]), reduce(ma[n - 1] * mc[n - 1])
-    x = reduce(high * low)
-    den = reduce(ac * x)
-    if not den:
-        raise PoleError("denominator vanished at the evaluation point")
-    plus, minus = reduce(ac * low), reduce(-ac * high)
-    return (*ha, *hc, *mc, reduce(big_c * x), reduce(big_a * x), x,
-            reduce(ha[0] * big_c + hc[0] * big_a + ac),
-            *[reduce(ma[n - 1 - k] * plus) for k in range(n)],
-            *[reduce(ma[k] * minus) for k in range(n)]), den
+    """(factors, den): every u part's side price at q_u = a/b and v part's
+    at q_v = c/d, then the diagonal's sum, over den = (a^2n - b^2n)
+    (c^2n - d^2n)(abcd)^(2n-2); no structure decides them, and a ``Point``
+    keeps them, as a tuple, for every table priced there.  A side at None
+    holds its parts' constant terms at u = 0 (or v = 0), over 2n instead."""
+    layout, reduce = _layout(n), ring.reduce
+    (u, den_u), (v, den_v) = [
+        limit if q is None else side_prices(ring, n, q, parts)
+        for q, parts, limit in zip((q_u, q_v), layout.sides, layout.limits)]
+    uv = u + v
+    summed = [reduce(sum(uv[i] * uv[j] for i, j in pairs)) for pairs in layout.sums]
+    return (*uv, *summed, 1), reduce(den_u * den_v)
 
 
 def price_terms(ring, recipe, priced):
@@ -234,69 +252,28 @@ def price_terms(ring, recipe, priced):
     return list(map(ring.reduce, map(mul, map(get, first), map(get, second)))), den
 
 
-def limit_prices(ring, n, terms, which, q):
-    """(nums, den): nums[g] / den is the constant term of the price of group
-    g of ``terms`` in the Laurent expansion at u = 0 (``which`` "u", q = q_v)
-    or at v = 0 (``which`` "v", q = q_u), exactly and with no division.
-
-    At u = 0, with q_v = c/d, C = c^2n - d^2n and Y = (cd)^(2n-2), each
-    price is a polynomial over den = 2n C Y:
-
-    - diagonal, -1/2 + e^v/(e^v - 1): n (c^2n + d^2n) Y;
-    - horizontal, k/n - 1/2: (2k - n) C Y;
-    - vertical, e^{mv/n}/(e^v - 1): 2n c^2m d^(2n-2m) Y;
-    - A-rectangle, sign +1, e^{-mv/n}: 2n C d^(2n-2) . d^2m c^2(n-1-m);
-    - sign -1, -e^{mv/n}: -2n C c^(2n-2) . c^2m d^2(n-1-m).
-
-    At v = 0 the same holds with q_u = a/b for q_v, k for m, and the
-    horizontal and vertical groups swapped.
-    """
-    reduce = ring.reduce
-    (c,), d = ring.integral((q,))
-    h, m = _monomials(c, d, n, reduce)
-    big_c = reduce(h[n] - h[0])
-    y = reduce(m[0] * m[n - 1])
-    cy = reduce(big_c * y)
-    den = reduce(2 * n * cy)
-    if not den:
-        raise PoleError("denominator vanished at the evaluation point")
-    diag, two_n_y = reduce(n * (h[n] + h[0]) * y), 2 * n * y
-    plus, minus = reduce(2 * n * big_c * m[0]), reduce(-2 * n * big_c * m[n - 1])
-    constant = "horizontal" if which == "u" else "vertical"
-    nums = []
-    for kind, k, mm, sign, _, _ in terms:
-        j = mm if which == "u" else k
-        if kind == "diagonal":
-            nums.append(diag)
-        elif kind == constant:
-            nums.append(reduce((2 * (k + mm) - n) * cy))
-        elif kind != "a_rect":
-            nums.append(reduce(two_n_y * h[j]))
-        elif sign > 0:
-            nums.append(reduce(plus * m[n - 1 - j]))
-        else:
-            nums.append(reduce(minus * m[j]))
-    return nums, den
+def limit_prices(ring, n, recipe, which, q):
+    """(nums, den): each price's constant term at u = 0 (``which`` "u",
+    q = q_v) or v = 0 ("v", q = q_u), exactly: ``price_terms`` at the
+    point whose side ``which`` is None."""
+    q_u, q_v = (None, q) if which == "u" else (q, None)
+    return price_terms(ring, recipe, point_factors(ring, n, q_u, q_v))
 
 
-def residue_prices(terms, which):
-    """(nums, den): nums[g] / den is the coefficient of 1/u (``which`` "u")
-    or of 1/v ("v") in the price of group g of ``terms``, exactly.
-
-    Every pole of a price is simple, with residue 1: the diagonal's
-    1/(e^u - 1) + 1/(1 - e^-v) has one at u = 0 and one at v = 0, a
-    horizontal group's e^{ku/n}/(e^u - 1) one at u = 0, and a vertical
-    group's e^{mv/n}/(e^v - 1) one at v = 0; the A-rectangles have none.
-    """
-    polar = ("diagonal", "horizontal" if which == "u" else "vertical")
-    return [int(t[0] in polar) for t in terms], 1
+def residue_prices(table, which):
+    """(nums, 1): each group's coefficient of 1/u (``which`` "u") or 1/v,
+    the sum of the coefs of its monomials with a pole there, all simple and
+    constant in the other variable, so no point is read."""
+    p = 2 if which == "u" else 4  # the monomial's p_u or p_v
+    return [sum(mon[0] for mon in mons if mon[p]) for mons in table], 1
 
 
 class Point:
     """A point (q_u, q_v) at which the tables of one n are priced in
-    ``ring``.  It keeps the factors of its prices (``point_factors``) and
-    its swap (q_v, q_u), the hat's point, once computed, so every table
-    priced there shares them.
+    ``ring``, a side at None meaning u = 0 (or v = 0), where each price
+    is its constant term (r0).  It keeps the factors of its prices
+    (``point_factors``) and its swap (q_v, q_u), the hat's point, once
+    computed, so every table priced there shares them.
 
     The sampled checks take their points from ``_points``, one tuple per
     sample of an ``_Identity`` record, shared by every structure of one n:
@@ -351,8 +328,8 @@ class _TableSolution:
     ``price(ring, point)`` giving every price_g at a ``Point`` as
     nums[g] / den, a list of ``prices`` numerators, ``price_limit(ring,
     which, q)`` their constant terms at u = 0 or v = 0 the same way
-    (``limit_prices``), and
-    ``price_residue(which)`` their residues there (``residue_prices``).
+    (``limit_prices``), and ``price_residue(which)`` their residues there
+    (``residue_prices``).
     ``support`` lists the distinct flats in ascending order.
     """
 
@@ -410,7 +387,8 @@ class TrigSolution(_TableSolution):
         self.abd = abd
         self.n = abd.n
         self.terms = rectangle_terms(abd)
-        self._recipe = price_recipe(self.n, self.terms)
+        self._table = price_monomials(self.n, self.terms)
+        self._recipe = price_recipe(self.n, self._table)
         self._set_rows(chain.from_iterable(repeat(g, len(t[-1]))
                                            for g, t in enumerate(self.terms)),
                        chain.from_iterable(t[-1] for t in self.terms), len(self.terms))
@@ -419,10 +397,10 @@ class TrigSolution(_TableSolution):
         return price_terms(ring, self._recipe, point.factors())
 
     def price_limit(self, ring, which, q):
-        return limit_prices(ring, self.n, self.terms, which, q)
+        return limit_prices(ring, self.n, self._recipe, which, q)
 
     def price_residue(self, which):
-        return residue_prices(self.terms, which)
+        return residue_prices(self._table, which)
 
 
 def _group_parts(sol):
@@ -495,8 +473,9 @@ class _Image(_TableSolution):
 
 class _ProjectedR0(_Image):
     """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as a table
-    priced at q_v, its point: the image of the base's r0, whose rows are
-    ``tensors.sl_image`` of each group's integer part, over n^2.
+    priced at the ``Point`` (u = 0, q_v), where r's prices are r0's: the
+    image of the base, whose rows are ``tensors.sl_image`` of each group's
+    integer part, over n^2.
     """
 
     def __init__(self, base):
@@ -505,10 +484,7 @@ class _ProjectedR0(_Image):
         super().__init__(base, rows, base.n ** 2)
 
     def point(self, ring, q_v):
-        return q_v
-
-    def price(self, ring, q_v):
-        return self.price_limit(ring, "u", q_v)
+        return Point(ring, self.n, None, q_v)
 
 
 def gauge_transform(sol, phi, field) -> _Image:
@@ -900,10 +876,11 @@ def r0_tensor(sol, q_v, field) -> Tensor2:
 
 
 # [X12,Y13] + [X12,Z23] + [Y13,Z23] for rbar0 = (pr (x) pr) r0, read by its
-# support, at v, v + v' and v'; a mutated run corrupts X
+# support, at the points (0, v), (0, v + v') and (0, v'); a mutated run
+# corrupts X
 _CYBE = _Identity(
     "cybe", "cybe", 2, (lambda n, a, b: (a * b) ** (2 * n) - 1,),  # the pole at v + v'
-    lambda field, n, qv, qvp: (qv, qv * qvp, qvp),
+    lambda field, n, qv, qvp: tuple(Point(field, n, None, q) for q in (qv, qv * qvp, qvp)),
     lambda sol, field: [_ProjectedR0(sol)] * 3, 0,
     (([(1, 0, (1, 2), 1, (1, 3)), (-1, 1, (1, 3), 0, (1, 2)), (1, 0, (1, 2), 2, (2, 3)),
        (-1, 2, (2, 3), 0, (1, 2)), (1, 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3))],

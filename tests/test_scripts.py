@@ -42,15 +42,27 @@ def test_worked_example():
         assert "%-5s points=2   failures=0" % name in out
 
 
-@pytest.mark.parametrize("script", ["verify_catalog.py", "worked_example.py"])
-@pytest.mark.parametrize("args, message", [
-    (["--points", "0"], "error: --points must be >= 1"),
-    (["--points", "-1"], "error: --points must be >= 1"),
-    (["--field", "fp:7"], "error: prime-field modulus must exceed 10**9, got 7"),
-    (["--field", "garbage"], "error: unknown field 'garbage' (expected 'q' or 'fp:<prime>')"),
-], ids=["points-0", "points-negative", "small-prime", "unknown-field"])
+_BOTH = ("verify_catalog.py", "worked_example.py")
+_NMAX = "error: --nmax must be between 1 and 4"
+_BAD_ARGUMENTS = [  # (name, scripts, args, message)
+    ("points-0", _BOTH, ["--points", "0"], "error: --points must be >= 1"),
+    ("points-negative", _BOTH, ["--points", "-1"], "error: --points must be >= 1"),
+    ("small-prime", _BOTH, ["--field", "fp:7"],
+     "error: prime-field modulus must exceed 10**9, got 7"),
+    ("unknown-field", _BOTH, ["--field", "garbage"],
+     "error: unknown field 'garbage' (expected 'q' or 'fp:<prime>')"),
+    ("nmax-0", _BOTH[:1], ["--nmax", "0"], _NMAX),
+    ("nmax-negative", _BOTH[:1], ["--nmax", "-3"], _NMAX),
+    ("nmax-5", _BOTH[:1], ["--nmax", "5"], _NMAX),
+]
+
+
+@pytest.mark.parametrize("script, args, message", [
+    pytest.param(script, args, message, id="%s-%s" % (name, script))
+    for name, scripts, args, message in _BAD_ARGUMENTS for script in scripts])
 def test_script_bad_argument_is_one_error_line(script, args, message):
-    # zero points would be a vacuous pass; a bad field was a traceback
+    # zero points would be a vacuous pass; a bad field was a traceback; an
+    # --nmax of 0 checked nothing and passed, and a large one never ended
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")

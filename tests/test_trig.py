@@ -672,6 +672,34 @@ def _pin_limits_to_reference(sol, field, slot, points, tag, qybe=True):
     return verdicts, notes
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_side_prices_are_the_monomials_over_one_den(n, field):
+    # every part (c, α, p) a side reads, nums[i] / den against
+    # c q^2α / (q^2n - 1)^p computed in the field; the table's parts are
+    # among them, and q = -1 is a pole
+    parts = ([(c, alpha, 1) for c in (1, -1) for alpha in range(n + 1)]
+             + [(c, alpha, 0) for c in (1, -1) for alpha in range(1 - n, n)])
+    sides = trig_module._layout(n).sides
+    assert set(sides[0]) | set(sides[1]) <= set(parts)
+    rng = derive_rng(44, "side", n, field.name)
+    for q in _pole_free(field, rng, n, 3):
+        nums, den = trig_module.side_prices(field, n, q, parts)
+        for (c, alpha, p), num in zip(parts, nums):
+            want = field.of_int(c) * q ** (2 * alpha) / (q ** (2 * n) - field.one) ** p
+            assert field.box(num) / field.box(den) == want, (c, alpha, p)
+    with pytest.raises(PoleError):
+        trig_module.side_prices(field, n, -field.one, parts)
+
+
+def test_every_polar_monomial_is_constant_in_the_other_variable():
+    # what lets the residues read no point
+    for s in acceptance_corpus():
+        for mons in trig_module.price_monomials(s.n, TrigSolution(s).terms):
+            for c, alpha, p_u, beta, p_v in mons:
+                assert not p_u or (beta, p_v) == (0, 0), s.label()
+                assert not p_v or (alpha, p_u) == (0, 0), s.label()
+
+
 def test_table_r0_equals_the_jet_coefficient(field):
     for s in _compiled_corpus():
         for kind, sol in _kinds(s, field):
@@ -861,7 +889,7 @@ def test_reports_are_identical_cold_and_warm(field):
 @pytest.mark.parametrize("check, per_sample, mutate", [
     (check_aybe, 6, {"mutate": (0, 1, 2, 2)}),
     (check_skew, 2, {"mutate": (0, 1, 2, 2)}),
-    (check_cybe, 0, {"mutate": (0, 1, 2, 2)}),  # rbar0 reads its q_v, not a Point
+    (check_cybe, 3, {"mutate": (0, 1, 2, 2)}),  # rbar0 at (0, v), (0, v + v'), (0, v')
     (qybe_unitarity, 4, {}),
 ], ids=["aybe", "skew", "cybe", "qybe"])
 def test_structures_of_one_n_draw_and_price_their_points_once(check, per_sample, mutate, fp,
