@@ -14,18 +14,19 @@ Every solution is one linear table: r(u, v) is the sum of price_g(u, v)
 at flat index f over its rows (g, f), g a group of the rectangle-family
 table.  r is described once, in one table of each group's price as a
 sum of monomials (``_monomial_table``, the only place a group's kind is
-read), and three generic readers of its exponents (``_layout``):
+read), and generic readers of its exponents (``_layout``):
 ``point_factors`` gives the factors of every price at a point, each
 variable's ``side_prices``, and ``price_terms`` gathers a table's prices
 from them as integer numerators over one denominator, ``(nums, den)``,
 with no division; ``eval`` boxes them on any ring (fields and jets).
-At a point whose u side is None the u parts read their constant terms at
-u = 0, so ``limit_prices`` gives r0 exactly, with no jets, and
-``residue_prices`` sums the coefs of the monomials with a pole at u = 0
-(or v = 0), with no point.  The hat, a gauge and pr (x) pr are one linear
-image of a table (``_Image``), fixed per solution: rows with integer
-coefficients over one denominator, the hat's a rotation of the flat
-indices priced with u and v exchanged (at the ``Point``'s swap).
+At a ``Point`` whose u side is None the u parts read their constant terms
+at u = 0, so r0 is r priced there (``r0_tensor``), exactly, with no jets,
+and ``residue_prices`` reads each group's residue at u = 0 (or v = 0),
+the sum of the coefs of its monomials with a pole there, with no point.
+The hat, a gauge and pr (x) pr are one linear image of a table
+(``_Image``), fixed per solution: rows with integer coefficients over one
+denominator, the hat's a rotation of the flat indices priced with u and v
+exchanged (at the ``Point``'s swap).
 
 The AYBE, skew, CYBE and QYBE/unitarity checks are one ``_Identity``
 record each: name, tag, arity, pole constraints, the points and tables its
@@ -153,7 +154,8 @@ def _monomial_table(n):
     - A-rectangle, sign +1, e^{-(ku+mv)/n}: (1, -k, 0, -m, 0);
     - sign -1, -e^{(ku+mv)/n}: (-1, k, 0, m, 0).
 
-    Every price, r0 and residue is read off these exponents (``_layout``).
+    Every price, r0 and residue is read off these exponents (``_layout``);
+    no other code reads a group's kind.
     """
     table = {("diagonal", 0, 0, 1): ((1, 0, 1, 0, 0), (1, 0, 0, n, 1))}
     for k in range(1, n):
@@ -163,13 +165,6 @@ def _monomial_table(n):
             table["a_rect", k, m, 1] = ((1, -k, 0, -m, 0),)
             table["a_rect", k, m, -1] = ((-1, k, 0, m, 0),)
     return table
-
-
-def price_monomials(n, terms):
-    """Each ``rectangle_terms`` group's monomials (``_monomial_table``), as
-    tuples shared by every table at n."""
-    table = _layout(n).table
-    return tuple(table[t[:4]] for t in terms)
 
 
 def side_prices(ring, n, q, parts):
@@ -195,38 +190,46 @@ def side_prices(ring, n, q, parts):
             for c, alpha, p in parts], den
 
 
-#: how every price at n is read off the monomial table (``table``): its
-#: distinct u parts (c, α, p_u) and v parts (1, β, p_v) (``sides``), their
-#: constant terms at w = 0 over 2n, c (2α - n) where p = 1 and 2n c where
-#: p = 0 (``limits``), each group of two monomials (the diagonal) as index
-#: pairs into the sides (``sums``), and each group's two factors in
-#: (*u, *v, *sums, 1) (``at``)
-_Layout = namedtuple("_Layout", "sides limits sums at table")
+#: how every price at n is read off the monomial table: its distinct u
+#: parts (c, α, p_u) and v parts (1, β, p_v) (``sides``), their constant
+#: terms at w = 0 over 2n, c (2α - n) where p = 1 and 2n c where p = 0
+#: (``limits``), each group of two monomials (the diagonal) as index pairs
+#: into the sides (``sums``), and each group (kind, k, m, sign) as its two
+#: factors in (*u, *v, *sums, 1) and its residues at u = 0 and at v = 0
+#: (``groups``)
+_Layout = namedtuple("_Layout", "sides limits sums groups")
 
 
 @lru_cache(maxsize=_CHECK_MEMO)
 def _layout(n):
-    """The ``_Layout`` of the monomial table at n."""
+    """The ``_Layout`` of the monomial table at n.  A group's residue at
+    u = 0 (or v = 0) is the sum of the coefs of its monomials with a pole
+    there: every such pole is simple, and the monomial constant in the
+    other variable."""
     table = _monomial_table(n)
     u, v = {}, {}
     for mon in chain.from_iterable(table.values()):
         u.setdefault(mon[:3], len(u))
         v.setdefault((1, *mon[3:]), len(v))
-    pairs = {mons: [(u[mon[:3]], len(u) + v[(1, *mon[3:])]) for mon in mons]
-             for mons in table.values()}
-    sums = [p for p in pairs.values() if len(p) > 1]
-    base = len(u) + len(v)
+    base, sums, groups = len(u) + len(v), [], {}
+    for key, mons in table.items():
+        pair = [(u[mon[:3]], len(u) + v[(1, *mon[3:])]) for mon in mons]
+        if len(pair) > 1:  # a factor of its own, times the final 1
+            sums.append(pair)
+            pair = [(base + len(sums) - 1, -1)]
+        groups[key] = (*pair[0], *(sum(mon[0] for mon in mons if mon[p]) for p in (2, 4)))
     return _Layout((tuple(u), tuple(v)),
                    [([c * (2 * alpha - n) if p else 2 * n * c for c, alpha, p in side], 2 * n)
                     for side in (u, v)],
-                   sums, {mons: p[0] if len(p) == 1 else (base + sums.index(p), base + len(sums))
-                          for mons, p in pairs.items()}, table)
+                   sums, groups)
 
 
-def price_recipe(n, table):
-    """The two factors of each group's price in a ``price_monomials``
-    table, as indices into the factors of ``point_factors``."""
-    return tuple(zip(*map(_layout(n).at.__getitem__, table)))
+def price_recipe(n, terms):
+    """Each ``rectangle_terms`` group's two price factors, as indices into
+    the factors of ``point_factors``, and its residues at u = 0 and at
+    v = 0: four tuples, one ``_layout`` lookup per group."""
+    groups = _layout(n).groups
+    return tuple(zip(*[groups[t[:4]] for t in terms]))
 
 
 def point_factors(ring, n, q_u, q_v):
@@ -247,25 +250,15 @@ def point_factors(ring, n, q_u, q_v):
 def price_terms(ring, recipe, priced):
     """(nums, den): nums[g] / den is the price of group g of a ``price_recipe``
     at a point, gathered from its ``point_factors`` (factors, den)."""
-    (first, second), (factors, den) = recipe, priced
+    (first, second, *_), (factors, den) = recipe, priced
     get = factors.__getitem__
     return list(map(ring.reduce, map(mul, map(get, first), map(get, second)))), den
 
 
-def limit_prices(ring, n, recipe, which, q):
-    """(nums, den): each price's constant term at u = 0 (``which`` "u",
-    q = q_v) or v = 0 ("v", q = q_u), exactly: ``price_terms`` at the
-    point whose side ``which`` is None."""
-    q_u, q_v = (None, q) if which == "u" else (q, None)
-    return price_terms(ring, recipe, point_factors(ring, n, q_u, q_v))
-
-
-def residue_prices(table, which):
-    """(nums, 1): each group's coefficient of 1/u (``which`` "u") or 1/v,
-    the sum of the coefs of its monomials with a pole there, all simple and
-    constant in the other variable, so no point is read."""
-    p = 2 if which == "u" else 4  # the monomial's p_u or p_v
-    return [sum(mon[0] for mon in mons if mon[p]) for mons in table], 1
+def residue_prices(recipe, which):
+    """(nums, 1): each group's residue at u = 0 (``which`` "u") or v = 0,
+    as its ``price_recipe`` holds it; no point is read."""
+    return list(recipe[2 if which == "u" else 3]), 1
 
 
 class Point:
@@ -326,9 +319,9 @@ class _TableSolution:
     """An r-matrix as one linear table: rows (groups[i], flats[i]), with
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
     ``price(ring, point)`` giving every price_g at a ``Point`` as
-    nums[g] / den, a list of ``prices`` numerators, ``price_limit(ring,
-    which, q)`` their constant terms at u = 0 or v = 0 the same way
-    (``limit_prices``), and ``price_residue(which)`` their residues there
+    nums[g] / den, a list of ``prices`` numerators (at a ``Point`` whose
+    u or v side is None, their constant terms there), and
+    ``price_residue(which)`` their residues at u = 0 or v = 0
     (``residue_prices``).
     ``support`` lists the distinct flats in ascending order.
     """
@@ -387,8 +380,7 @@ class TrigSolution(_TableSolution):
         self.abd = abd
         self.n = abd.n
         self.terms = rectangle_terms(abd)
-        self._table = price_monomials(self.n, self.terms)
-        self._recipe = price_recipe(self.n, self._table)
+        self._recipe = price_recipe(self.n, self.terms)
         self._set_rows(chain.from_iterable(repeat(g, len(t[-1]))
                                            for g, t in enumerate(self.terms)),
                        chain.from_iterable(t[-1] for t in self.terms), len(self.terms))
@@ -396,11 +388,8 @@ class TrigSolution(_TableSolution):
     def price(self, ring, point):
         return price_terms(ring, self._recipe, point.factors())
 
-    def price_limit(self, ring, which, q):
-        return limit_prices(ring, self.n, self._recipe, which, q)
-
     def price_residue(self, which):
-        return residue_prices(self._table, which)
+        return residue_prices(self._recipe, which)
 
 
 def _group_parts(sol):
@@ -457,18 +446,14 @@ class _Image(_TableSolution):
     def read(self, ring, point):
         return (self.price if self._scaled is None else self.values)(ring, point)
 
-    def _base_which(self, which):
-        return ("v" if which == "u" else "u") if self.swap else which
-
     def price(self, ring, point):
         return self._scale(self.base.price(ring, point.swapped() if self.swap else point),
                            ring.reduce)
 
-    def price_limit(self, ring, which, q):
-        return self._scale(self.base.price_limit(ring, self._base_which(which), q), ring.reduce)
-
     def price_residue(self, which):
-        return self._scale(self.base.price_residue(self._base_which(which)))
+        if self.swap:
+            which = "v" if which == "u" else "u"
+        return self._scale(self.base.price_residue(which))
 
 
 class _ProjectedR0(_Image):
@@ -870,9 +855,10 @@ def residues(sol, which, at_other, field) -> Tensor2:
 
 
 def r0_tensor(sol, q_v, field) -> Tensor2:
-    """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0, priced
-    exactly from the solution's table (``limit_prices``) and boxed."""
-    return _boxed(sol, field, sol.price_limit(field, "u", q_v))
+    """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0, exactly: the
+    solution's prices at the ``Point`` (None, q_v), whose u side reads its
+    parts' constant terms, boxed."""
+    return _boxed(sol, field, sol.price(field, Point(field, sol.n, None, q_v)))
 
 
 # [X12,Y13] + [X12,Z23] + [Y13,Z23] for rbar0 = (pr (x) pr) r0, read by its
