@@ -7,7 +7,7 @@ Arithmetic tracks the truncation bound exactly: a result never claims a
 coefficient that is not determined by the operands.  Jets add, subtract and
 multiply (with jets and ints) and invert; there is no division and no power,
 since r is priced with none (``trig.side_prices``, ``trig.point_factors``
-and ``trig.price_terms``).
+and ``trig.Point.prices``).
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ def massey_tensor(sol: TrigSolution, q_u, q_v, ring) -> MasseyTensor:
     h1 correction, the vertical one the h2 correction, and the A-rectangle
     pair none; dualization multiplies everything by -1.  Every family of a
     ``rectangle_terms`` group gets the same coefficient, so each group is
-    priced once.
+    priced once, and assembled at the key its rows read (``sol.keys``).
     """
     n, terms = sol.n, sol.terms
     one = ring.one
@@ -142,7 +142,8 @@ def massey_tensor(sol: TrigSolution, q_u, q_v, ring) -> MasseyTensor:
             mp = -hol if sign > 0 else hol
         prices.append(-mp)  # dualization brings in an overall sign
     breakdown = [(fam, prices[g]) for fam, g in _families(n, terms)]
-    return MasseyTensor(tensor=assemble(sol, ring, dict(enumerate(prices))), breakdown=breakdown)
+    return MasseyTensor(tensor=assemble(sol, ring, dict(zip(sol.keys, prices))),
+                        breakdown=breakdown)
 
 
 @dataclass

@@ -14,11 +14,15 @@ Every solution is one linear table: r(u, v) is the sum of price_g(u, v)
 at flat index f over its rows (g, f), g a group of the rectangle-family
 table.  r is described once, in one table of each group's price as a
 sum of monomials (``_monomial_table``, the only place a group's kind is
-read), and generic readers of its exponents (``_layout``):
+read), and generic readers of its exponents (``_layout``, which also
+numbers the group keys (kind, k, m, sign) of each n):
 ``point_factors`` gives the factors of every price at a point, each
-variable's ``side_prices``, and ``price_terms`` gathers a table's prices
-from them as integer numerators over one denominator, ``(nums, den)``,
-with no division; ``eval`` boxes them on any ring (fields and jets).
+variable's ``side_prices``, and a ``Point`` gathers from them one price
+table for its n, integer numerators by key number over one denominator,
+``(nums, den)``, with no division, filling each key the first time a
+table reads it there; r's rows name their group by key number, so every
+structure of one n reads that one table, and ``eval`` boxes its groups'
+prices on any ring (fields and jets).
 At a ``Point`` whose u side is None the u parts read their constant terms
 at u = 0, so r0 is r priced there (``r0_tensor``), exactly, with no jets,
 and ``residue_prices`` reads each group's residue at u = 0 (or v = 0),
@@ -39,14 +43,15 @@ decides is computed once per process, in bounded
 ``functools.lru_cache`` memos that every structure of one n shares: its
 samples (``_points``, keyed by the record's ``sample``), each the
 ``Point``s it reads r at, which keep the factors of their prices
-(``point_factors``) once computed, its weights, drawn from their own
-RNG so the points drawn do not move (``_weights``), and each residual's
-compile plan, the key and weight of every flat its factors meet
-(``tensors._plan``).  Each table says how a residual reads it, as the
+(``point_factors``) and each key's price once computed, so a point is
+priced once per group key for every structure, its weights, drawn from
+their own RNG so the points drawn do not move (``_weights``), and each
+residual's compile plan, the key and weight of every flat its factors
+meet (``tensors._plan``).  Each table says how a residual reads it, as the
 (size, flats, reads) entries that the form and the exact
 ``tensors.product_residual`` both compile (``entries``) and the values
 they read at a point (``read``): r and the hat by their rows, each at its
-group's price as ``price`` returns it, and a scaled image (a gauge,
+group key's price in the ``Point``'s table, and a scaled image (a gauge,
 pr (x) pr), whose rows outnumber its flats, by its support, each flat's
 rows summed by ``values``; the CYBE reads rbar0 that way too.  Each point
 tests the form on each distinct evaluation once, on those integers: no
@@ -194,10 +199,12 @@ def side_prices(ring, n, q, parts):
 #: parts (c, α, p_u) and v parts (1, β, p_v) (``sides``), their constant
 #: terms at w = 0 over 2n, c (2α - n) where p = 1 and 2n c where p = 0
 #: (``limits``), each group of two monomials (the diagonal) as index pairs
-#: into the sides (``sums``), and each group (kind, k, m, sign) as its two
-#: factors in (*u, *v, *sums, 1) and its residues at u = 0 and at v = 0
-#: (``groups``)
-_Layout = namedtuple("_Layout", "sides limits sums groups")
+#: into the sides (``sums``), each group key (kind, k, m, sign) to its
+#: position in the table's key order, the index of its price in every
+#: ``Point``'s table (``keys``), and, over the keys in that order, each
+#: key's two factors in (*u, *v, *sums, 1) and its residues at u = 0 and at
+#: v = 0, four tuples (``recipe``)
+_Layout = namedtuple("_Layout", "sides limits sums keys recipe")
 
 
 @lru_cache(maxsize=_CHECK_MEMO)
@@ -211,33 +218,25 @@ def _layout(n):
     for mon in chain.from_iterable(table.values()):
         u.setdefault(mon[:3], len(u))
         v.setdefault((1, *mon[3:]), len(v))
-    base, sums, groups = len(u) + len(v), [], {}
-    for key, mons in table.items():
+    base, sums, recipe = len(u) + len(v), [], []
+    for mons in table.values():
         pair = [(u[mon[:3]], len(u) + v[(1, *mon[3:])]) for mon in mons]
         if len(pair) > 1:  # a factor of its own, times the final 1
             sums.append(pair)
             pair = [(base + len(sums) - 1, -1)]
-        groups[key] = (*pair[0], *(sum(mon[0] for mon in mons if mon[p]) for p in (2, 4)))
+        recipe.append((*pair[0], *(sum(mon[0] for mon in mons if mon[p]) for p in (2, 4))))
     return _Layout((tuple(u), tuple(v)),
                    [([c * (2 * alpha - n) if p else 2 * n * c for c, alpha, p in side], 2 * n)
                     for side in (u, v)],
-                   sums, groups)
-
-
-def price_recipe(n, terms):
-    """Each ``rectangle_terms`` group's two price factors, as indices into
-    the factors of ``point_factors``, and its residues at u = 0 and at
-    v = 0: four tuples, one ``_layout`` lookup per group."""
-    groups = _layout(n).groups
-    return tuple(zip(*[groups[t[:4]] for t in terms]))
+                   sums, {key: i for i, key in enumerate(table)}, tuple(zip(*recipe)))
 
 
 def point_factors(ring, n, q_u, q_v):
     """(factors, den): every u part's side price at q_u = a/b and v part's
     at q_v = c/d, then the diagonal's sum, over den = (a^2n - b^2n)
     (c^2n - d^2n)(abcd)^(2n-2); no structure decides them, and a ``Point``
-    keeps them, as a tuple, for every table priced there.  A side at None
-    holds its parts' constant terms at u = 0 (or v = 0), over 2n instead."""
+    keeps them, as a tuple, to price any key there.  A side at None holds
+    its parts' constant terms at u = 0 (or v = 0), over 2n instead."""
     layout, reduce = _layout(n), ring.reduce
     (u, den_u), (v, den_v) = [
         limit if q is None else side_prices(ring, n, q, parts)
@@ -247,44 +246,69 @@ def point_factors(ring, n, q_u, q_v):
     return (*uv, *summed, 1), reduce(den_u * den_v)
 
 
-def price_terms(ring, recipe, priced):
-    """(nums, den): nums[g] / den is the price of group g of a ``price_recipe``
-    at a point, gathered from its ``point_factors`` (factors, den)."""
-    (first, second, *_), (factors, den) = recipe, priced
-    get = factors.__getitem__
-    return list(map(ring.reduce, map(mul, map(get, first), map(get, second)))), den
-
-
-def residue_prices(recipe, which):
-    """(nums, 1): each group's residue at u = 0 (``which`` "u") or v = 0,
-    as its ``price_recipe`` holds it; no point is read."""
-    return list(recipe[2 if which == "u" else 3]), 1
+def residue_prices(n, which):
+    """(nums, 1): the residue at u = 0 (``which`` "u") or v = 0 of every
+    group key at n, in ``_layout``'s key order; no point is read."""
+    return _layout(n).recipe[2 if which == "u" else 3], 1
 
 
 class Point:
     """A point (q_u, q_v) at which the tables of one n are priced in
     ``ring``, a side at None meaning u = 0 (or v = 0), where each price
     is its constant term (r0).  It keeps the factors of its prices
-    (``point_factors``) and its swap (q_v, q_u), the hat's point, once
-    computed, so every table priced there shares them.
+    (``point_factors``), one price table for its n and its swap (q_v, q_u),
+    the hat's point, once computed, so every table priced there shares
+    them.  The price table is a tuple over the group keys of ``_layout``
+    (``keys``); a key's slot holds None until a table reads that key here,
+    and is then filled from the kept factors, once (``prices``).
 
     The sampled checks take their points from ``_points``, one tuple per
     sample of an ``_Identity`` record, shared by every structure of one n:
-    the factors at a check's points are computed once per process, and held
-    as long as its point set; the record's one compile (``fails``) reads them.
+    each point is priced once per group key for all of them, and what it
+    keeps is held as long as its point set; the record's one compile
+    (``fails``) reads it.
     """
 
-    __slots__ = ("ring", "n", "q_u", "q_v", "_priced", "_swapped")
+    __slots__ = ("ring", "n", "q_u", "q_v", "_priced", "_table", "_swapped")
 
     def __init__(self, ring, n, q_u, q_v):
         self.ring, self.n, self.q_u, self.q_v = ring, n, q_u, q_v
-        self._priced = self._swapped = None
+        self._priced = self._table = self._swapped = None
 
     def factors(self):
         """The point's ``point_factors``, (factors, den)."""
         if self._priced is None:
             self._priced = point_factors(self.ring, self.n, self.q_u, self.q_v)
         return self._priced
+
+    def prices(self, keys):
+        """(nums, den): the point's price table, nums[i] / den the price of
+        the i-th group key of ``_layout`` here, filled at least at the key
+        indices ``keys``."""
+        table = self._table
+        if table is None or None in map(table.__getitem__, keys):
+            table = self._fill(keys)
+        return table, self._priced[1]
+
+    def _fill(self, keys):
+        """The price table with every empty slot of ``keys`` filled: each
+        key's two factors gathered and multiplied, as one C-level pass.
+
+        The table is a tuple, built anew on each fill, so no reader can
+        change what the others read, and the garbage collector, once it
+        finds that a table holds only ints and None, no longer scans it:
+        kept as lists of 32513 slots at n = 128, the tables made each full
+        collection during strong nondegeneracy about 4x as long."""
+        (factors, _), (first, second, *_) = self.factors(), _layout(self.n).recipe
+        table = [None] * len(first) if self._table is None else list(self._table)
+        missing = [k for k in keys if table[k] is None]
+        get = factors.__getitem__
+        for k, price in zip(missing, map(self.ring.reduce, map(
+                mul, map(get, map(first.__getitem__, missing)),
+                map(get, map(second.__getitem__, missing))))):
+            table[k] = price
+        self._table = tuple(table)
+        return self._table
 
     def swapped(self):
         """The point (q_v, q_u)."""
@@ -310,19 +334,21 @@ def assemble(sol, ring, prices) -> Tensor2:
 
 def _boxed(sol, ring, prices) -> Tensor2:
     """The tensor of the solution's table at prices (nums, den), boxed in
-    ``ring``."""
+    ``ring``: only the groups its rows read, so a ``Point``'s price slots
+    of other keys, empty or not, are never boxed."""
     nums, den = prices
-    return assemble(sol, ring, ring.box_nonzero(dict(enumerate(nums)), den))
+    return assemble(sol, ring, ring.box_nonzero({g: nums[g] for g in set(sol.groups)}, den))
 
 
 class _TableSolution:
     """An r-matrix as one linear table: rows (groups[i], flats[i]), with
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
-    ``price(ring, point)`` giving every price_g at a ``Point`` as
-    nums[g] / den, a list of ``prices`` numerators (at a ``Point`` whose
-    u or v side is None, their constant terms there), and
-    ``price_residue(which)`` their residues at u = 0 or v = 0
-    (``residue_prices``).
+    ``price(ring, point)`` giving price_g at a ``Point`` as nums[g] / den
+    for every group g of the rows, nums a sequence of ``prices``
+    numerators (at a ``Point`` whose u or v side is None, their constant
+    terms there) that may hold other slots, which no row reads, such as
+    a ``Point``'s table, and ``price_residue(which)`` their residues at
+    u = 0 or v = 0 (``residue_prices``).
     ``support`` lists the distinct flats in ascending order.
     """
 
@@ -369,8 +395,11 @@ class _TableSolution:
 class TrigSolution(_TableSolution):
     """Evaluator for the closed-form trigonometric solution of an ABD structure.
 
-    ``terms`` is the rectangle-family table of ``perms.rectangle_terms``;
-    the linear table has one row (g, f) per target f of each group g.
+    ``terms`` is the rectangle-family table of ``perms.rectangle_terms``,
+    and ``keys`` the index of each term's group key (kind, k, m, sign) in
+    ``_layout``'s key order; the linear table has one row (keys[t], f) per
+    target f of each term t, so it reads its prices straight off a
+    ``Point``'s table, over all the keys of its n.
     """
 
     def __init__(self, abd: ABDStructure):
@@ -380,16 +409,17 @@ class TrigSolution(_TableSolution):
         self.abd = abd
         self.n = abd.n
         self.terms = rectangle_terms(abd)
-        self._recipe = price_recipe(self.n, self.terms)
-        self._set_rows(chain.from_iterable(repeat(g, len(t[-1]))
-                                           for g, t in enumerate(self.terms)),
-                       chain.from_iterable(t[-1] for t in self.terms), len(self.terms))
+        index = _layout(self.n).keys
+        self.keys = tuple(index[t[:4]] for t in self.terms)
+        self._set_rows(chain.from_iterable(repeat(key, len(t[-1]))
+                                           for key, t in zip(self.keys, self.terms)),
+                       chain.from_iterable(t[-1] for t in self.terms), len(index))
 
     def price(self, ring, point):
-        return price_terms(ring, self._recipe, point.factors())
+        return point.prices(self.keys)
 
     def price_residue(self, which):
-        return residue_prices(self._recipe, which)
+        return residue_prices(self.n, which)
 
 
 def _group_parts(sol):
@@ -640,7 +670,7 @@ class _Identity:
 
             def corrupted(ring, at):
                 nums, den = read(ring, at)
-                return nums + [den], den
+                return [*nums, den], den
 
             readers[self.corrupts] = corrupted
         programs = [(projected_residual(field, sol.n, list(map(entries.__getitem__, reads)),

@@ -398,7 +398,9 @@ def test_suite_bytes_are_pinned(extra, code, sha256, capsys):
 def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
     # fp from cold memos, then q, then fp again reading the memos warm, then
     # fp mutated: a mutation keeps the honest jobs, so it compiles from the
-    # honest runs' plans and adds no plan
+    # honest runs' plans and adds no plan.  Then fp honest once more: every
+    # run reads the points' shared price tables, so a reader that changed
+    # one (a mutation writing its extra value into it) would move these bytes
     for memo in (trig._points, trig._weights, tensors._plan):
         memo.cache_clear()
     fp, q, mutated = SUITE_PINS[:3]
@@ -409,6 +411,7 @@ def test_suite_bytes_stay_pinned_with_a_warm_memo(capsys):
     misses = tensors._plan.cache_info().misses
     assert _pinned_suite_run(capsys, mutated[0]) == mutated[1:]
     assert tensors._plan.cache_info().misses == misses
+    assert _pinned_suite_run(capsys, fp[0]) == fp[1:]
 
 
 @pytest.mark.parametrize("field, sha256", [

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -329,7 +330,7 @@ class _Doubled(trig_module._TableSolution):
 
     def price(self, ring, point):
         nums, den = self.base.price(ring, point)
-        return [2 * x for x in nums], den
+        return [x if x is None else 2 * x for x in nums], den
 
 
 class _EvenGauge(trig_module._TableSolution):
@@ -496,7 +497,11 @@ class _Pinned:
 
     def is_zero(self, ring, evaluations):
         verdict = self.projected.is_zero(ring, evaluations)
-        assert verdict == self.exact.is_zero(ring, evaluations)
+        # r's values are a Point's price table, None at the keys no table has
+        # read there; the exact Residual scales every value of a job's first
+        # factor, read or not, so it is passed those slots as 0
+        exact = [([0 if v is None else v for v in nums], den) for nums, den in evaluations]
+        assert verdict == self.exact.is_zero(ring, exact)
         self.values.append(self.projected.value(ring, evaluations))
         return verdict
 
@@ -837,9 +842,11 @@ def _clear_memos():
 
 def test_points_price_from_the_factors_they_keep(field):
     # every acceptance-corpus table, read twice at each Point of its n (the
-    # first structure of an n computes the factors, every later read takes
-    # the kept ones), against the gather of point_factors computed afresh;
-    # the hat reads at the swapped point
+    # first structure of an n fills its keys' slots, every later read takes
+    # the kept ones and fills only keys not yet read there): each slot its
+    # rows read, against its key's two factors of point_factors computed
+    # afresh, through _layout; the hat reads at the swapped point.  Every
+    # table reads the point's own price table, not a copy
     points = {}
     for s in acceptance_corpus():
         if s.n not in points:
@@ -847,17 +854,22 @@ def test_points_price_from_the_factors_they_keep(field):
             points[s.n] = [trig_module.Point(field, s.n, *_pole_free(field, rng, s.n, 2))
                            for _ in range(2)]
         sol = TrigSolution(s)
+        first, second, *_ = trig_module._layout(s.n).recipe
 
         def reference(q_u, q_v):
-            return trig_module.price_terms(field, sol._recipe,
-                                           trig_module.point_factors(field, s.n, q_u, q_v))
+            factors, den = trig_module.point_factors(field, s.n, q_u, q_v)
+            return ({k: field.reduce(factors[first[k]] * factors[second[k]]) for k in sol.keys},
+                    den)
 
         for point in points[s.n]:
             want = reference(point.q_u, point.q_v)
-            for table, expected in ((sol, want),
-                                    (hat_involution(sol), reference(point.q_v, point.q_u))):
-                assert (table.read(field, point) == expected
-                        == table.read(field, point)), s.label()
+            for table, at, expected in ((sol, point, want),
+                                        (hat_involution(sol), point.swapped(),
+                                         reference(point.q_v, point.q_u))):
+                for _ in range(2):
+                    nums, den = table.read(field, point)
+                    assert ({g: nums[g] for g in set(table.groups)}, den) == expected, s.label()
+                    assert nums is at._table, s.label()
             sums = dict.fromkeys(sol.support, 0)
             for g, f in zip(sol.groups, sol.flats):
                 sums[f] += want[0][g]
@@ -892,9 +904,24 @@ def test_reports_are_identical_cold_and_warm(field):
 def test_structures_of_one_n_draw_and_price_their_points_once(check, per_sample, mutate, fp,
                                                               monkeypatch):
     # each check's samples are drawn and priced once per n: a sample callable
-    # built anew per call would miss the memo silently, costing time only
-    drawn, priced = [], []
+    # built anew per call would miss the memo silently, costing time only.
+    # Each (Point, group key) is priced at most once across every run, and
+    # a point's table holds only the keys read there: after the first
+    # structure's check, exactly that structure's
+    drawn, priced, fills = [], [], Counter()
     pole_free, point_factors = trig_module._pole_free, trig_module.point_factors
+    fill = trig_module.Point._fill
+
+    def counted_fill(point, keys):
+        # a slot priced by this call holds a new object
+        before = list(point._table or ())
+        table = fill(point, keys)
+        fills.update((point, k) for k, price in enumerate(table) if price is not None
+                     and (k >= len(before) or price is not before[k]))
+        return table
+
+    def filled(point):
+        return {k for k, price in enumerate(point._table) if price is not None}
 
     def counted_draw(field, rng, n, count, extra=()):
         drawn.append(n)
@@ -906,10 +933,14 @@ def test_structures_of_one_n_draw_and_price_their_points_once(check, per_sample,
 
     monkeypatch.setattr(trig_module, "_pole_free", counted_draw)
     monkeypatch.setattr(trig_module, "point_factors", counted_price)
+    monkeypatch.setattr(trig_module.Point, "_fill", counted_fill)
     _clear_memos()
     first, second = list(enumerate_structures(3))[:2]
     check(TrigSolution(first), 3, 7, fp)
     assert (drawn, priced) == ([3] * 3, [3] * 3 * per_sample)
+    read = {point for point, _ in fills}
+    assert len(read) == 3 * per_sample
+    assert all(filled(point) == set(TrigSolution(first).keys) for point in read)
     check(TrigSolution(second), 3, 7, fp)
     check(TrigSolution(second), 3, 7, fp, **mutate)
     assert (drawn, priced) == ([3] * 3, [3] * 3 * per_sample)
@@ -919,6 +950,7 @@ def test_structures_of_one_n_draw_and_price_their_points_once(check, per_sample,
     assert (drawn, priced) == ([3] * 3, [3] * 6 * per_sample)
     check(TrigSolution(example_structure()), 3, 7, fp)
     assert (drawn, priced) == ([3] * 3 + [4] * 3, [3] * 6 * per_sample + [4] * 3 * per_sample)
+    assert max(fills.values()) == 1
 
 
 def test_points_of_different_fields_never_share_a_memo_entry(fp):
