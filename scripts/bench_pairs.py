@@ -23,12 +23,14 @@ own pairs in turn.  ``--json PATH`` also writes the record as JSON: the two
 commits, the run settings, the host (CPU count, Python version) and, per
 workload, every pair's two result lines and the summary.
 
-A bad argument, an unknown commit, a benchmark run that exits nonzero and
-one whose last stdout line is missing or not JSON, or follows no context
-line, are each one ``error:`` line on stderr and exit 2; a failed run is
-named by side, workload and seed, with its exit code and the last line of
-its stderr, or with the line it printed last.  A SIGTERM is one ``error:``
-line too, and it removes the clean copies, as any error does.
+A bad argument (a ``--pairs`` below 1, a ``--seconds`` that is not a
+positive finite number), an unknown commit, a benchmark run that exits
+nonzero and one whose last stdout line is missing or not JSON, or follows
+no context line, are each one ``error:`` line on stderr and exit 2; a
+failed run is named by side, workload and seed, with its exit code and the
+last line of its stderr, or with the line it printed last.  A SIGTERM is
+one ``error:`` line too, and it removes the clean copies, as any error
+does.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import signal
@@ -221,6 +224,8 @@ def parse_args(argv):
         raise BenchError("--seeds must be comma-separated integers, got %r" % args.seeds) from None
     if args.pairs < 1:
         raise BenchError("--pairs must be at least 1, got %d" % args.pairs)
+    if not 0 < args.seconds < math.inf:  # nan fails both
+        raise BenchError("--seconds must be a positive finite number, got %g" % args.seconds)
     return args
 
 

@@ -4,11 +4,10 @@
 Prints one row per structure with the residual-failure counts (all zeros on
 a healthy build) and a timing summary.  This is the long-form version of
 ``ybx suite``; use --mutate to confirm the checks detect a corrupted
-coefficient.  A bad --points, --nmax (outside 1..4, as in ``ybx suite``) or
---field is one ``error:`` line and exit 2.
+coefficient.  A usage error, or a bad --points, --nmax (outside 1..4, as
+in ``ybx suite``) or --field, is one ``error:`` line and exit 2.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ybx.catalog import corpus, pinned_structures
+from ybx.cli import _Parser
 from ybx.scalars import field_from_name
 from ybx.trig import (
     TrigSolution,
@@ -27,7 +27,7 @@ from ybx.trig import (
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--field", default="fp:2305843009213693951")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--points", type=int, default=10)

@@ -5,17 +5,17 @@ Builds the structure (C1 = (1 4 2 3), C2 = (1 2 3 4), A = {3}), prints its
 surface topology, the contributing rectangle families with their exact
 coefficients at a sample point, and cross-checks the combinatorial tensor
 against the closed formula, the polar terms, and the randomized identity
-checks.  Exits 1 if any cross-check fails; a bad --points or --field is
-one ``error:`` line and exit 2.
+checks.  Exits 1 if any cross-check fails; a usage error, or a bad
+--points or --field, is one ``error:`` line and exit 2.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ybx.catalog import example_structure
+from ybx.cli import _Parser
 from ybx.massey import enumerate_rectangles, massey_tensor
 from ybx.scalars import derive_rng, field_from_name
 from ybx.surface import build_surface, surface_summary
@@ -32,7 +32,7 @@ from ybx.trig import (
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--field", default="fp:2305843009213693951")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--points", type=int, default=25)

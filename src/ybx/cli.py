@@ -206,13 +206,12 @@ def cmd_massey(args):
 
 
 def cmd_novikov(args):
-    u, v = complex(args.u), complex(args.v)
-    for flag, x in (("--u", u), ("--v", v), ("--tolerance", args.tolerance)):
+    for flag, x in (("--u", args.u), ("--v", args.v), ("--tolerance", args.tolerance)):
         if not cmath.isfinite(x):
             raise ValueError("%s must be finite" % flag)
     if args.tolerance <= 0:
         raise ValueError("--tolerance must be positive")
-    result = novikov_check(u, v, args.terms)
+    result = novikov_check(args.u, args.v, args.terms)
     payload = {
         "partial": repr(result.partial),
         "closed": repr(result.closed),
@@ -374,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, mutate=False)
 
     p = sub.add_parser("novikov", parents=[fmt], help="Novikov series cross-check")
-    p.add_argument("--u", default="1.0")
-    p.add_argument("--v", default="1.0")
+    p.add_argument("--u", type=complex, default="1.0")
+    p.add_argument("--v", type=complex, default="1.0")
     p.add_argument("--terms", type=int, default=60, dest="terms")
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.set_defaults(func=cmd_novikov)

@@ -357,19 +357,18 @@ def _product_terms(n, factors):
 
 def _job_scales(ring, sizes, jobs, evaluations):
     """Each job's sign times the dens of the evaluations it does not read,
-    reduced, evaluation e being evaluations[e] = (nums, den); ValueError
-    where the evaluations' sizes differ from the compiled ``sizes``."""
+    ``rest`` in (sign, evals, rest, ...), reduced, evaluation e being
+    evaluations[e] = (nums, den); ValueError where the sizes differ."""
     got = [len(nums) for nums, _ in evaluations]
     if got != sizes:
         raise ValueError("evaluation sizes %r, compiled for %r" % (got, sizes))
-    reduce, scales = ring.reduce, []
-    for sign, evals, *_ in jobs:
-        scale = sign
-        for e, (_, den) in enumerate(evaluations):
-            if e not in evals:
-                scale = reduce(scale * den)
-        scales.append(scale)
-    return scales
+    reduce, dens = ring.reduce, [den for _, den in evaluations]
+    return [reduce(sign * prod(map(dens.__getitem__, rest))) for sign, _, rest, *_ in jobs]
+
+
+def _rest(evals, size):
+    """The evaluations of ``range(size)`` that a job reading ``evals`` does not."""
+    return tuple(e for e in range(size) if e not in evals)
 
 
 class Residual:
@@ -382,27 +381,31 @@ class Residual:
     rows[p][k] of evals[p] reads to the output entry outs[k], as
     ``_product_terms`` derives them.  Every job has the same number of
     factors, and a job's factors are distinct evaluations (``_parsed_jobs``);
-    an evaluation may be a factor of any number of jobs.
+    an evaluation may be a factor of any number of jobs.  ``jobs`` keeps
+    each job's (sign, evals, rest) for ``_job_scales``.
 
     Only the values change from point to point, so the terms are sorted by
     output entry once.  Each (job, factor) owns a segment of the values,
-    in job order, and ``cols[p]`` indexes the value each term's p-th factor
-    reads in the concatenation of those segments, each entry's read folded
-    in here; ``last`` marks each output entry's last term, and ``outs``
-    lists the distinct output entries' flats in ascending order.
+    in job order, then the job's scale; ``cols[p]`` indexes the value each
+    term's p-th factor reads (the last, its scale) in the concatenation of
+    those segments, each entry's read folded in here; ``last`` marks each
+    output entry's last term, and ``outs`` lists the distinct output
+    entries' flats in ascending order.
     """
 
     def __init__(self, evaluations, jobs):
         self.sizes = [size for size, _, _ in evaluations]
-        self.jobs = [(sign, evals) for sign, evals, _, _ in jobs]
+        self.jobs = [(sign, evals, _rest(evals, len(evaluations))) for sign, evals, _, _ in jobs]
         outs = list(chain.from_iterable(job_outs for _, _, job_outs, _ in jobs))
         order = sorted(range(len(outs)), key=outs.__getitem__)
         outs = list(map(outs.__getitem__, order))
-        cols, offset = [[] for _ in jobs[0][1]], 0
-        for _, evals, _, rows in jobs:
+        cols, offset = [[] for _ in range(len(jobs[0][1]) + 1)], 0
+        for _, evals, job_outs, rows in jobs:
             for col, e, factor_rows in zip(cols, evals, rows):
                 col += map(add, map(evaluations[e][2].__getitem__, factor_rows), repeat(offset))
                 offset += self.sizes[e]
+            cols[-1] += repeat(offset, len(job_outs))
+            offset += 1
         self.cols = [list(map(col.__getitem__, order)) for col in cols]
         self.last = list(map(ne, outs, outs[1:])) + [True]
         self.outs = list(compress(outs, self.last))
@@ -414,18 +417,19 @@ class Residual:
         over one nonzero denominator; ValueError where the sizes differ from
         the compiled ones.
 
-        Each job's first factor is scaled by the dens of the evaluations it
-        does not read (``_job_scales``), so the sums run on plain ints: the
-        running sum of the sorted terms, differenced at each entry's last
-        term, is that entry's sum.
+        Each term is also multiplied by its job's scale, the dens of the
+        evaluations it does not read (``_job_scales``), so the sums run on
+        plain ints and read only the values the entries name: the running
+        sum of the sorted terms, differenced at each entry's last term, is
+        that entry's sum.
         """
         reduce = ring.reduce
         flat = []
         scales = _job_scales(ring, self.sizes, self.jobs, evaluations)
-        for (_, evals), scale in zip(self.jobs, scales):
-            flat += map(reduce, map(mul, evaluations[evals[0]][0], repeat(scale)))
-            for e in evals[1:]:
+        for (_, evals, _), scale in zip(self.jobs, scales):
+            for e in evals:
                 flat += evaluations[e][0]
+            flat.append(scale)
         get = flat.__getitem__
         terms = map(get, self.cols[0])
         for col in self.cols[1:]:
@@ -490,7 +494,8 @@ class ProjectedResidual:
     A digit of a factor's entry that meets another factor's (``_digit_roles``)
     is summed over, not weighed, so each entry of a factor compiles to a
     key, its flat's summed digits, and a weight, the product of its other
-    digits' (``_keyed``).  A job is (sign, evals, factors, rows): factor p
+    digits' (``_keyed``).  A job is (sign, evals, rest, factors, rows),
+    ``rest`` the evaluations it does not read (``_job_scales``): factor p
     sorts its entries by key (``factors[p]`` = (the value each entry reads,
     in that order, their weights in that order, last entry of each key)),
     and the job sums, over the key tuples at which all its factors have
@@ -514,7 +519,7 @@ class ProjectedResidual:
         reduce = ring.reduce
         total = 0
         scales = _job_scales(ring, self.sizes, self.jobs, evaluations)
-        for (_, evals, factors, rows), scale in zip(self.jobs, scales):
+        for (_, evals, _, factors, rows), scale in zip(self.jobs, scales):
             terms = None
             for e, (order, weights, last), picks in zip(evals, factors, rows):
                 nums = evaluations[e][0]
@@ -541,11 +546,12 @@ class ProjectedResidual:
 
 
 #: entries kept per process by each bounded memo of the sampled checks: the
-#: compile plans here (``_plan``) and ``trig``'s point sets (``_points``) and
-#: weight sets (``_weights``).  One ``ybx suite --points 25`` run on one
-#: field uses 8 plans, 12 point sets in q (11 in GF(2^61 - 1)) and 8 weight
-#: sets, and its mutated run no more; one repetition of the ``aybe-fp``
-#: benchmark uses 8, 8 and 8, so none is evicted.
+#: compile plans here (``_plan``) and ``trig``'s point sets (``_points``),
+#: weight sets (``_weights``) and residue points (``_residue_point``, one
+#: per ring and n).  One ``ybx suite --points 25`` run on one field uses 8
+#: plans, 12 point sets in q (11 in GF(2^61 - 1)), 8 weight sets and 4
+#: residue points, and its mutated run no more; one repetition of the
+#: ``aybe-fp`` benchmark uses 8, 8, 8 and none, so none is evicted.
 _CHECK_MEMO = 32
 
 
@@ -597,7 +603,8 @@ def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual
                             list(map(weight_of.__getitem__, map(flats.__getitem__, order))), last))
             distinct.append(list(compress(keys, last)))
             owned.append(labels)
-        compiled.append((sign, evals, factors, _key_rows(n, distinct, owned)))
+        compiled.append((sign, evals, _rest(evals, len(evaluations)), factors,
+                         _key_rows(n, distinct, owned)))
     return ProjectedResidual([size for size, _, _ in evaluations], compiled)
 
 

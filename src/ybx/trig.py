@@ -23,10 +23,11 @@ table for its n, integer numerators by key number over one denominator,
 table reads it there; r's rows name their group by key number, so every
 structure of one n reads that one table, and ``eval`` boxes its groups'
 prices on any ring (fields and jets).
-At a ``Point`` whose u side is None the u parts read their constant terms
-at u = 0, so r0 is r priced there (``r0_tensor``), exactly, with no jets,
-and ``residue_prices`` reads each group's residue at u = 0 (or v = 0),
-the sum of the coefs of its monomials with a pole there, with no point.
+Every reading of r is a price at a ``Point``.  A side at None reads its
+parts' constant terms at w = 0, so r0 is r priced at (None, q_v)
+(``r0_tensor``), exactly, with no jets; a side at ``RESIDUE`` reads their
+residues there, so r's residue at u = 0 is r priced at (``RESIDUE``,
+None) and at v = 0 at its swap (``residues``).
 The hat, a gauge and pr (x) pr are one linear image of a table
 (``_Image``), fixed per solution: rows with integer coefficients over one
 denominator, the hat's a rotation of the flat indices priced with u and v
@@ -88,7 +89,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, repeat
-from operator import mul, ne, pos, sub
+from operator import mul, ne, sub
 
 from .jets import JetRing, exp_jet
 from .perms import ABDStructure, rectangle_terms, validate_abd
@@ -195,24 +196,24 @@ def side_prices(ring, n, q, parts):
             for c, alpha, p in parts], den
 
 
+#: the side of a ``Point`` that reads each part's residue at w = 0
+RESIDUE = "residue"
+
 #: how every price at n is read off the monomial table: its distinct u
 #: parts (c, α, p_u) and v parts (1, β, p_v) (``sides``), their constant
 #: terms at w = 0 over 2n, c (2α - n) where p = 1 and 2n c where p = 0
-#: (``limits``), each group of two monomials (the diagonal) as index pairs
-#: into the sides (``sums``), each group key (kind, k, m, sign) to its
-#: position in the table's key order, the index of its price in every
-#: ``Point``'s table (``keys``), and, over the keys in that order, each
-#: key's two factors in (*u, *v, *sums, 1) and its residues at u = 0 and at
-#: v = 0, four tuples (``recipe``)
-_Layout = namedtuple("_Layout", "sides limits sums keys recipe")
+#: (``limits``), and their residues there over 1, c where p = 1 and 0
+#: where p = 0 (``residues``), each group of two monomials (the diagonal)
+#: as index pairs into the sides (``sums``), each group key (kind, k, m,
+#: sign) to its position in the table's key order, the index of its price
+#: in every ``Point``'s table (``keys``), and, over the keys in that order,
+#: each key's two factors in (*u, *v, *sums, 1), two tuples (``recipe``)
+_Layout = namedtuple("_Layout", "sides limits residues sums keys recipe")
 
 
 @lru_cache(maxsize=_CHECK_MEMO)
 def _layout(n):
-    """The ``_Layout`` of the monomial table at n.  A group's residue at
-    u = 0 (or v = 0) is the sum of the coefs of its monomials with a pole
-    there: every such pole is simple, and the monomial constant in the
-    other variable."""
+    """The ``_Layout`` of the monomial table at n."""
     table = _monomial_table(n)
     u, v = {}, {}
     for mon in chain.from_iterable(table.values()):
@@ -224,10 +225,11 @@ def _layout(n):
         if len(pair) > 1:  # a factor of its own, times the final 1
             sums.append(pair)
             pair = [(base + len(sums) - 1, -1)]
-        recipe.append((*pair[0], *(sum(mon[0] for mon in mons if mon[p]) for p in (2, 4))))
+        recipe.append(pair[0])
     return _Layout((tuple(u), tuple(v)),
                    [([c * (2 * alpha - n) if p else 2 * n * c for c, alpha, p in side], 2 * n)
                     for side in (u, v)],
+                   [([c if p else 0 for c, _, p in side], 1) for side in (u, v)],
                    sums, {key: i for i, key in enumerate(table)}, tuple(zip(*recipe)))
 
 
@@ -236,26 +238,23 @@ def point_factors(ring, n, q_u, q_v):
     at q_v = c/d, then the diagonal's sum, over den = (a^2n - b^2n)
     (c^2n - d^2n)(abcd)^(2n-2); no structure decides them, and a ``Point``
     keeps them, as a tuple, to price any key there.  A side at None holds
-    its parts' constant terms at u = 0 (or v = 0), over 2n instead."""
+    its parts' constant terms at u = 0 (or v = 0), over 2n instead, and a
+    side at ``RESIDUE`` their residues there, over 1 (``_layout``)."""
     layout, reduce = _layout(n), ring.reduce
     (u, den_u), (v, den_v) = [
-        limit if q is None else side_prices(ring, n, q, parts)
-        for q, parts, limit in zip((q_u, q_v), layout.sides, layout.limits)]
+        limit if q is None else residue if q is RESIDUE else side_prices(ring, n, q, parts)
+        for q, parts, limit, residue in zip((q_u, q_v), layout.sides, layout.limits,
+                                            layout.residues)]
     uv = u + v
     summed = [reduce(sum(uv[i] * uv[j] for i, j in pairs)) for pairs in layout.sums]
     return (*uv, *summed, 1), reduce(den_u * den_v)
 
 
-def residue_prices(n, which):
-    """(nums, 1): the residue at u = 0 (``which`` "u") or v = 0 of every
-    group key at n, in ``_layout``'s key order; no point is read."""
-    return _layout(n).recipe[2 if which == "u" else 3], 1
-
-
 class Point:
     """A point (q_u, q_v) at which the tables of one n are priced in
     ``ring``, a side at None meaning u = 0 (or v = 0), where each price
-    is its constant term (r0).  It keeps the factors of its prices
+    is its constant term (r0), and a side at ``RESIDUE`` its residue there
+    (``residues``).  It keeps the factors of its prices
     (``point_factors``), one price table for its n and its swap (q_v, q_u),
     the hat's point, once computed, so every table priced there shares
     them.  The price table is a tuple over the group keys of ``_layout``
@@ -299,7 +298,7 @@ class Point:
         finds that a table holds only ints and None, no longer scans it:
         kept as lists of 32513 slots at n = 128, the tables made each full
         collection during strong nondegeneracy about 4x as long."""
-        (factors, _), (first, second, *_) = self.factors(), _layout(self.n).recipe
+        (factors, _), (first, second) = self.factors(), _layout(self.n).recipe
         table = [None] * len(first) if self._table is None else list(self._table)
         missing = [k for k in keys if table[k] is None]
         get = factors.__getitem__
@@ -345,10 +344,10 @@ class _TableSolution:
     r(u, v) the sum of price_g(u, v) at flat f over the rows, and
     ``price(ring, point)`` giving price_g at a ``Point`` as nums[g] / den
     for every group g of the rows, nums a sequence of ``prices``
-    numerators (at a ``Point`` whose u or v side is None, their constant
-    terms there) that may hold other slots, which no row reads, such as
-    a ``Point``'s table, and ``price_residue(which)`` their residues at
-    u = 0 or v = 0 (``residue_prices``).
+    numerators that may hold other slots, which no row reads, such as a
+    ``Point``'s table.  Every reading of the table is such a price: at
+    (q_u, q_v) (``eval``), its constant terms at (None, q_v) (r0) and its
+    residues at (``RESIDUE``, None) and its swap (``residues``).
     ``support`` lists the distinct flats in ascending order.
     """
 
@@ -360,13 +359,9 @@ class _TableSolution:
         self._last = list(map(ne, by_flat, by_flat[1:])) + [True]
         self.support = tuple(compress(by_flat, self._last))
 
-    def eval(self, ring, *qs) -> Tensor2:
-        """r at (q_u, q_v); entries live in ``ring``."""
-        return _boxed(self, ring, self.price(ring, self.point(ring, *qs)))
-
-    def point(self, ring, q_u, q_v):
-        """The point ``price`` reads for (q_u, q_v): a new ``Point``."""
-        return Point(ring, self.n, q_u, q_v)
+    def eval(self, ring, q_u, q_v) -> Tensor2:
+        """r at (q_u, q_v), priced at a new ``Point``; entries live in ``ring``."""
+        return _boxed(self, ring, self.price(ring, Point(ring, self.n, q_u, q_v)))
 
     def values(self, ring, point):
         """(the integer numerator at every flat of ``support``, their
@@ -418,9 +413,6 @@ class TrigSolution(_TableSolution):
     def price(self, ring, point):
         return point.prices(self.keys)
 
-    def price_residue(self, which):
-        return residue_prices(self.n, which)
-
 
 def _group_parts(sol):
     """Each group's part of the solution's table: {group: {flat: multiplicity}}."""
@@ -461,15 +453,6 @@ class _Image(_TableSolution):
         self._set_rows(groups, [f for _, f, _ in rows],
                        base.prices if self._scaled is None else len(self._scaled))
 
-    def _scale(self, prices, reduce=pos):
-        """The base's prices (nums, den) as the image's; plain integer
-        prices, such as the residues', need no ``reduce``."""
-        if self._scaled is None:
-            return prices
-        nums, den = prices
-        return ([reduce(c * nums[g]) for g, c in self._scaled],
-                reduce(den * self.coef_den))
-
     def entries(self):
         return super().entries() if self._scaled is None else flat_entries(self.support)
 
@@ -477,29 +460,21 @@ class _Image(_TableSolution):
         return (self.price if self._scaled is None else self.values)(ring, point)
 
     def price(self, ring, point):
-        return self._scale(self.base.price(ring, point.swapped() if self.swap else point),
-                           ring.reduce)
-
-    def price_residue(self, which):
-        if self.swap:
-            which = "v" if which == "u" else "u"
-        return self._scale(self.base.price_residue(which))
+        prices = self.base.price(ring, point.swapped() if self.swap else point)
+        if self._scaled is None:
+            return prices
+        (nums, den), reduce = prices, ring.reduce
+        return [reduce(c * nums[g]) for g, c in self._scaled], reduce(den * self.coef_den)
 
 
-class _ProjectedR0(_Image):
-    """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as a table
-    priced at the ``Point`` (u = 0, q_v), where r's prices are r0's: the
-    image of the base, whose rows are ``tensors.sl_image`` of each group's
-    integer part, over n^2.
+def projected_r0(sol) -> _Image:
+    """rbar0(v) = (pr (x) pr) r0(v), pr(X) = X - (tr X / n) 1, as the
+    image of r's table whose rows are ``tensors.sl_image`` of each group's
+    integer part, over n^2, priced at the ``Point`` (None, q_v), where r's
+    prices are r0's.
     """
-
-    def __init__(self, base):
-        rows = [(grp, f, c) for grp, part in _group_parts(base).items()
-                for f, c in sl_image(base.n, part).items()]
-        super().__init__(base, rows, base.n ** 2)
-
-    def point(self, ring, q_v):
-        return Point(ring, self.n, None, q_v)
+    return _Image(sol, [(grp, f, c) for grp, part in _group_parts(sol).items()
+                        for f, c in sl_image(sol.n, part).items()], sol.n ** 2)
 
 
 def gauge_transform(sol, phi, field) -> _Image:
@@ -873,22 +848,31 @@ def _jet_coefficient(sol, field, jet_order, which, at_other, power) -> Tensor2:
                                   if (c := v.coefficient(power))})
 
 
+@lru_cache(maxsize=_CHECK_MEMO)
+def _residue_point(ring, n):
+    """The ``Point`` (``RESIDUE``, None) of n in ``ring``, kept per process
+    as ``_points`` are, so it and its swap are priced once per group key."""
+    return Point(ring, n, RESIDUE, None)
+
+
 def residues(sol, which, at_other, field) -> Tensor2:
-    """The coefficient of 1/u (resp. 1/v) of r, priced exactly from the
-    table (``residue_prices``), with no point, so ``at_other`` is not read.
-    Its reference is the jet's coefficient (``_jet_coefficient``), which
+    """The coefficient of 1/u (resp. 1/v) of r, exactly: r priced at the
+    ``Point`` (``RESIDUE``, None) (resp. its swap).  Every polar monomial
+    is constant in the other variable, so ``at_other`` is not read.  Its
+    reference is the jet's coefficient (``_jet_coefficient``), which
     raises if any entry has a pole worse than simple.
     """
     if which not in ("u", "v"):
         raise ValueError("which must be 'u' or 'v'")
-    return _boxed(sol, field, sol.price_residue(which))
+    point = _residue_point(field, sol.n)
+    return _boxed(sol, field, sol.price(field, point if which == "u" else point.swapped()))
 
 
 def r0_tensor(sol, q_v, field) -> Tensor2:
-    """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0, exactly: the
-    solution's prices at the ``Point`` (None, q_v), whose u side reads its
-    parts' constant terms, boxed."""
-    return _boxed(sol, field, sol.price(field, Point(field, sol.n, None, q_v)))
+    """r0(v): the u^0 Laurent coefficient of r(u, v) at u = 0, exactly: r
+    at the ``Point`` (None, q_v), whose u side reads its parts' constant
+    terms."""
+    return sol.eval(field, None, q_v)
 
 
 # [X12,Y13] + [X12,Z23] + [Y13,Z23] for rbar0 = (pr (x) pr) r0, read by its
@@ -897,7 +881,7 @@ def r0_tensor(sol, q_v, field) -> Tensor2:
 _CYBE = _Identity(
     "cybe", "cybe", 2, (lambda n, a, b: (a * b) ** (2 * n) - 1,),  # the pole at v + v'
     lambda field, n, qv, qvp: tuple(Point(field, n, None, q) for q in (qv, qv * qvp, qvp)),
-    lambda sol, field: [_ProjectedR0(sol)] * 3, 0,
+    lambda sol, field: [projected_r0(sol)] * 3, 0,
     (([(1, 0, (1, 2), 1, (1, 3)), (-1, 1, (1, 3), 0, (1, 2)), (1, 0, (1, 2), 2, (2, 3)),
        (-1, 2, (2, 3), 0, (1, 2)), (1, 1, (1, 3), 2, (2, 3)), (-1, 2, (2, 3), 1, (1, 3))],
       range(3), True),))

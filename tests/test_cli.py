@@ -519,6 +519,17 @@ def test_usage_error_is_one_error_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+@pytest.mark.parametrize("flag, value", [("--u", "abc"), ("--v", "1+")])
+def test_novikov_malformed_complex_names_its_flag(flag, value, capsys):
+    # complex() of the raw string raised "complex() arg is a malformed
+    # string", which named no flag
+    with pytest.raises(SystemExit) as exc:
+        main(["novikov", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: argument %s: invalid complex value: '%s'\n" % (flag, value))
+
+
 def test_novikov_large_u_does_not_overflow(capsys):
     code, out = run(capsys, "novikov", "--u", "1000")
     assert code == 0

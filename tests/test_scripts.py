@@ -54,6 +54,9 @@ _BAD_ARGUMENTS = [  # (name, scripts, args, message)
     ("nmax-0", _BOTH[:1], ["--nmax", "0"], _NMAX),
     ("nmax-negative", _BOTH[:1], ["--nmax", "-3"], _NMAX),
     ("nmax-5", _BOTH[:1], ["--nmax", "5"], _NMAX),
+    ("points-not-int", _BOTH, ["--points", "abc"],
+     "error: argument --points: invalid int value: 'abc'"),
+    ("unknown-flag", _BOTH, ["--bogus"], "error: unrecognized arguments: --bogus"),
 ]
 
 
@@ -62,7 +65,8 @@ _BAD_ARGUMENTS = [  # (name, scripts, args, message)
     for name, scripts, args, message in _BAD_ARGUMENTS for script in scripts])
 def test_script_bad_argument_is_one_error_line(script, args, message):
     # zero points would be a vacuous pass; a bad field was a traceback; an
-    # --nmax of 0 checked nothing and passed, and a large one never ended
+    # --nmax of 0 checked nothing and passed, and a large one never ended;
+    # a usage error printed argparse's usage block before its error line
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
@@ -240,7 +244,12 @@ def _no_subprocess(*args, **kwargs):
     (["--seeds", ""], "error: --seeds must be comma-separated integers, got ''\n"),
     (["--seeds", "7,x"], "error: --seeds must be comma-separated integers, got '7,x'\n"),
     (["--pairs", "ten"], "error: argument --pairs: invalid int value: 'ten'\n"),
-], ids=["no-pairs", "no-seeds", "bad-seed", "bad-pairs"])
+    (["--seconds", "0"], "error: --seconds must be a positive finite number, got 0\n"),
+    (["--seconds", "-1"], "error: --seconds must be a positive finite number, got -1\n"),
+    (["--seconds", "nan"], "error: --seconds must be a positive finite number, got nan\n"),
+    (["--seconds", "inf"], "error: --seconds must be a positive finite number, got inf\n"),
+], ids=["no-pairs", "no-seeds", "bad-seed", "bad-pairs", "no-seconds", "negative-seconds",
+        "nan-seconds", "infinite-seconds"])
 def test_bench_pairs_rejects_a_bad_argument(args, message, monkeypatch, capsys):
     bench = _bench_pairs()
     monkeypatch.setattr(bench.subprocess, "run", _no_subprocess)

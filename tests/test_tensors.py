@@ -876,9 +876,25 @@ def test_residual_rejects_an_evaluation_of_the_wrong_length(field, change):
             projected.is_zero(field, evaluations)
 
 
+def test_residual_reads_only_the_values_its_entries_name(field):
+    # a Point's price table holds None at the keys no table has read there;
+    # each evaluation here is the first factor of some job, and the exact
+    # residual reads such a table as it is, its sums those of the table
+    # with those slots zero-filled
+    flats = [0, 5, 10, 15]
+    evaluations = [(6, flats, [0, 2, 4, 2]), (5, flats, [4, 3, 1, 0]), (4, flats, [1, 1, 2, 3])]
+    program = product_residual(2, evaluations, _CYBE_JOBS)
+    held = [([3, None, 7, None, field.reduce(-2), None], 2),
+            ([1, 2, None, 9, 4], 5),
+            ([None, 4, field.reduce(-1), 6], 3)]
+    filled = [([0 if v is None else v for v in nums], den) for nums, den in held]
+    sums = program.sums(field, held)
+    assert sums and sums == program.sums(field, filled)
+
+
 def test_residual_rejects_a_job_reading_one_evaluation_twice():
-    # each job scales its first factor by the dens it does not read, which
-    # needs a job's factors to be distinct evaluations
+    # each job is scaled by the dens of the evaluations it does not read,
+    # which needs a job's factors to be distinct evaluations
     with pytest.raises(ValueError):
         product_residual(2, [flat_entries([0, 5])] * 2, [(1, 0, (1, 2), 0, (1, 3))])
 

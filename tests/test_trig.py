@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from ybx.catalog import acceptance_corpus, corpus, enumerate_structures, example_structure
+from ybx.catalog import (acceptance_corpus, corpus, enumerate_structures, example_structure,
+                         suite_catalog)
 from ybx.perms import ABDStructure, Permutation, identity, relabel_abd
 from ybx.scalars import RATIONAL, PrimeField, derive_rng, field_from_name
 from ybx import tensors as tensors_module
@@ -452,9 +453,6 @@ class _Corrupted(trig_module._TableSolution):
     def price(self, ring, point):
         return self.base.price(ring, point)
 
-    def price_residue(self, which):
-        return self.base.price_residue(which)
-
 
 def _reference_aybe(sol, field, slot, qu, qup, qv, qvp):
     """The AYBE residual, by tensor products."""
@@ -498,10 +496,8 @@ class _Pinned:
     def is_zero(self, ring, evaluations):
         verdict = self.projected.is_zero(ring, evaluations)
         # r's values are a Point's price table, None at the keys no table has
-        # read there; the exact Residual scales every value of a job's first
-        # factor, read or not, so it is passed those slots as 0
-        exact = [([0 if v is None else v for v in nums], den) for nums, den in evaluations]
-        assert verdict == self.exact.is_zero(ring, exact)
+        # read there, which neither program reads
+        assert verdict == self.exact.is_zero(ring, evaluations)
         self.values.append(self.projected.value(ring, evaluations))
         return verdict
 
@@ -736,7 +732,7 @@ def test_projected_table_equals_project_sl(field):
         for kind, sol in _kinds(s, field):
             rng = derive_rng(39, "rbar0", kind, s.label(), field.name)
             (qv,) = _pole_free(field, rng, s.n, 1)
-            rbar0 = trig_module._ProjectedR0(sol).eval(field, qv)
+            rbar0 = trig_module.projected_r0(sol).eval(field, None, qv)
             assert rbar0 == r0_tensor(sol, qv, field).project_sl(), (kind, s.label())
 
 
@@ -832,7 +828,8 @@ def test_compiled_nondegeneracy_matches_the_dense_reference(field):
 
 # -- the per-process memos of structure-independent inputs ----------------------
 
-_MEMOS = (trig_module._points, trig_module._weights, tensors_module._plan)
+_MEMOS = (trig_module._points, trig_module._weights, trig_module._residue_point,
+          tensors_module._plan)
 
 
 def _clear_memos():
@@ -854,7 +851,7 @@ def test_points_price_from_the_factors_they_keep(field):
             points[s.n] = [trig_module.Point(field, s.n, *_pole_free(field, rng, s.n, 2))
                            for _ in range(2)]
         sol = TrigSolution(s)
-        first, second, *_ = trig_module._layout(s.n).recipe
+        first, second = trig_module._layout(s.n).recipe
 
         def reference(q_u, q_v):
             factors, den = trig_module.point_factors(field, s.n, q_u, q_v)
@@ -877,6 +874,29 @@ def test_points_price_from_the_factors_they_keep(field):
             assert point.factors() is point.factors()
             assert point.swapped() is point.swapped()
             assert (point.swapped().q_u, point.swapped().q_v) == (point.q_v, point.q_u)
+
+
+def test_residues_price_one_point_per_ring_n_and_side(fp, monkeypatch):
+    # both residues of every n <= 4 suite structure, in q and in
+    # GF(2^61 - 1), read the Point (RESIDUE, None) of their ring and n, or
+    # its swap: each is priced once, whatever number of structures reads it
+    priced = Counter()
+    point_factors = trig_module.point_factors
+
+    def counted_price(ring, n, q_u, q_v):
+        priced[ring.name, n, q_u is trig_module.RESIDUE] += 1
+        return point_factors(ring, n, q_u, q_v)
+
+    monkeypatch.setattr(trig_module, "point_factors", counted_price)
+    _clear_memos()
+    structures = suite_catalog()
+    for ring in (RATIONAL, fp):
+        for s in structures:
+            sol = TrigSolution(s)
+            assert residues(sol, "u", None, ring) == Tensor2.unit(s.n, ring), s.label()
+            assert residues(sol, "v", None, ring) == transposition_p(s.n, ring), s.label()
+    assert priced == Counter({(ring.name, n, side): 1 for ring in (RATIONAL, fp)
+                              for n in {s.n for s in structures} for side in (True, False)})
 
 
 def test_reports_are_identical_cold_and_warm(field):
@@ -1013,7 +1033,7 @@ def test_every_memo_is_bounded_and_empty_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("from ybx import tensors, trig; print([m.cache_info().currsize for m in "
-            "(trig._points, trig._weights, tensors._plan)])")
+            "(trig._points, trig._weights, trig._residue_point, tensors._plan)])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[0, 0, 0]"
+    assert out.strip() == "[0, 0, 0, 0]"
