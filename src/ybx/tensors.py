@@ -25,8 +25,10 @@ at output digit 2k - 1; the next factor in slot k meets it with its row
 and writes its own column there.  One function (``_digit_roles``) tells
 each digit of each factor whether it is an output digit or a key label
 it shares with another factor, and one join (``_key_rows``) matches the
-factors' entries on those labels, and ``_product_terms`` forms the terms
-the exact ``Residual`` sums.
+factors' distinct keys on those labels, and ``_product_terms`` forms the
+terms the exact ``Residual`` sums.  The join reads only n and the keys,
+so it is memoized per process: every structure of one n, in any ring,
+joins each key pattern once.
 
 An evaluation is compiled from its entries, (size, flats, reads): its
 k-th entry puts value reads[k] of ``size`` values at flat flats[k], and
@@ -39,13 +41,16 @@ one denominator, and box nothing.  A ``Residual`` sums each output entry
 with C-level gathers, products and running sums (``sums``).  A
 ``ProjectedResidual``, with one random weight vector per output digit,
 tests one random linear form of the residual: each entry weighed by its
-digits' weights.  The digits two factors share are summed over, so a
-point costs each factor one gather over its entries and each job a sum
-over its shared keys, with no term of the residual formed.  A flat's key
-and weight depend on (ring, n, jobs, weights) alone, so they are kept per
+digits' weights.  The digits two factors share are summed over, so the
+compiled program is flat: a point lays every evaluation's values end to
+end and takes one gather-multiply-running-sum pass over every factor's
+entries, sorted by key, giving each factor's weighted sum at each of its
+keys, then each job one sum over its joined keys of the products of its
+factors' sums, with no term of the residual formed.  A flat's key and
+weight depend on (ring, n, jobs, weights) alone, so they are kept per
 process, in a bounded plan (``_plan``) that every structure of one n
 shares, filled as compiles meet new flats; a compile only gathers them,
-sorts its entries by key and joins the factors' keys.  Where the
+sorts its entries by key and reads the memoized join.  Where the
 residual does not vanish, the form vanishes with chance at most 2w/|S|
 for a residual of w slots and weights drawn from S (Schwartz-Zippel):
 6/|S| for a triple residual, 4/|S| for a pair one.  The sampled checks of
@@ -343,10 +348,10 @@ def _product_terms(n, factors):
         for i, key in enumerate(keys):
             by_key.setdefault(key, []).append(i)
         groups.append(list(by_key.values()))
-        distinct.append(list(by_key))
+        distinct.append(tuple(by_key))
         offsets.append(offs)
-        owned.append(labels)
-    terms = [term for picks in zip(*_key_rows(n, distinct, owned))
+        owned.append(tuple(labels))
+    terms = [term for picks in zip(*_key_rows(n, tuple(distinct), tuple(owned)))
              for term in product(*map(list.__getitem__, groups, picks))]
     rows = [list(row) for row in zip(*terms)] or [[] for _ in factors]
     outs = [0] * len(terms)
@@ -494,13 +499,19 @@ class ProjectedResidual:
     A digit of a factor's entry that meets another factor's (``_digit_roles``)
     is summed over, not weighed, so each entry of a factor compiles to a
     key, its flat's summed digits, and a weight, the product of its other
-    digits' (``_keyed``).  A job is (sign, evals, rest, factors, rows),
-    ``rest`` the evaluations it does not read (``_job_scales``): factor p
-    sorts its entries by key (``factors[p]`` = (the value each entry reads,
-    in that order, their weights in that order, last entry of each key)),
-    and the job sums, over the key tuples at which all its factors have
-    entries, the products of each factor's weighted sum at its key there,
-    ``rows[p]`` indexing factor p's distinct keys.  That is a dot product
+    digits' (``_keyed``).  The program is flat.  At a point the values of
+    every evaluation are laid end to end, each evaluation once, and every
+    factor of every job owns a segment of one list over those values: each
+    entry's value (``gather``, its index there) and weight (``weights``),
+    sorted by key within the segment, and whether it is its key's last
+    (``ends``).  One gather-multiply-running-sum pass, differenced at the
+    key ends, gives every factor's weighted sum at each of its keys, in
+    segment order.  A job is (sign, evals, rest, spans, rows), ``rest``
+    the evaluations it does not read (``_job_scales``): factor p's key sums
+    are the slice spans[p] of those sums, and the job sums, over the key
+    tuples at which all its factors have entries, the products of each
+    factor's sum at its key there, ``rows[p]`` indexing factor p's keys as
+    the memoized join gives them (``_key_rows``).  That is a dot product
     over n or n^2 keys for a pair and a sum over at most n^3 key triples
     for the QYBE's triple, with no term of the residual formed.
 
@@ -510,23 +521,24 @@ class ProjectedResidual:
     most 2w/|S| (Schwartz-Zippel).
     """
 
-    def __init__(self, sizes, jobs):
+    def __init__(self, sizes, jobs, gather, weights, ends):
         self.sizes, self.jobs = list(sizes), jobs
+        self.gather, self.weights, self.ends = gather, weights, ends
 
     def _total(self, ring, evaluations):
         """The form's value times the product D of the evaluations' dens, as
         an unreduced int: each job scaled by the dens it does not read."""
         reduce = ring.reduce
-        total = 0
         scales = _job_scales(ring, self.sizes, self.jobs, evaluations)
-        for (_, evals, _, factors, rows), scale in zip(self.jobs, scales):
+        values = list(chain.from_iterable(nums for nums, _ in evaluations))
+        ends = list(compress(accumulate(map(mul, map(values.__getitem__, self.gather),
+                                            self.weights)), self.ends))
+        sums = list(map(reduce, map(sub, ends, chain((0,), ends))))
+        total = 0
+        for (_, _, _, spans, rows), scale in zip(self.jobs, scales):
             terms = None
-            for e, (order, weights, last), picks in zip(evals, factors, rows):
-                nums = evaluations[e][0]
-                ends = list(compress(accumulate(map(mul, map(nums.__getitem__, order), weights)),
-                                     last))
-                sums = list(map(reduce, map(sub, ends, [0] + ends[:-1])))
-                picked = map(sums.__getitem__, picks)
+            for span, picks in zip(spans, rows):
+                picked = map(sums[span].__getitem__, picks)
                 terms = picked if terms is None else map(mul, terms, picked)
             total += scale * sum(terms)
         return total
@@ -546,12 +558,15 @@ class ProjectedResidual:
 
 
 #: entries kept per process by each bounded memo of the sampled checks: the
-#: compile plans here (``_plan``) and ``trig``'s point sets (``_points``),
-#: weight sets (``_weights``) and residue points (``_residue_point``, one
-#: per ring and n).  One ``ybx suite --points 25`` run on one field uses 8
-#: plans, 12 point sets in q (11 in GF(2^61 - 1)), 8 weight sets and 4
-#: residue points, and its mutated run no more; one repetition of the
-#: ``aybe-fp`` benchmark uses 8, 8, 8 and none, so none is evicted.
+#: compile plans here (``_plan``), the key join patterns (``_key_rows``) and
+#: ``trig``'s point sets (``_points``), weight sets (``_weights``) and
+#: residue points (``_residue_point``, one per ring and n).  One ``ybx
+#: suite --points 25`` run on one field uses 8 plans, 8 join patterns, 12
+#: point sets in q (11 in GF(2^61 - 1)), 8 weight sets and 4 residue
+#: points, and its mutated run no more (nor a run on the other field, for
+#: the joins, which read no ring); one repetition of the ``aybe-fp``
+#: benchmark uses 8, 8, 8, 8 and none, and of ``limits-fp`` 15 join
+#: patterns, so none is evicted (``cache_info``).
 _CHECK_MEMO = 32
 
 
@@ -566,7 +581,7 @@ def _plan(ring, n, jobs, weights):
     the flats the structures of one n actually put there, not all n^4 or
     n^6; every compile of the same jobs and weights in one ring shares them.
     """
-    return [(sign, evals, [(roles, [label for label, _ in roles if label is not None], {}, {})
+    return [(sign, evals, [(roles, tuple(label for label, _ in roles if label is not None), {}, {})
                            for roles in _digit_roles(specs)])
             for sign, evals, specs in _parsed_jobs(jobs)]
 
@@ -574,18 +589,24 @@ def _plan(ring, n, jobs, weights):
 def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual:
     """The ``ProjectedResidual`` of the evaluations and jobs of
     ``product_residual``, with raw int weights of ``ring``, one vector of n
-    per output digit.
+    per output digit: one flat program, whose every point costs one
+    gather-multiply-running-sum pass over all its factors' entries and,
+    per job, one product of the factors' key sums over the job's join.
 
     Each flat's key and reduced weight come from the per-process ``_plan``
     of (ring, n, jobs, weights), computed the first time any compile meets
-    that flat; the compile itself only gathers them for the entries, sorts
-    the entries by key and joins the factors' keys (``_key_rows``).
+    that flat; the compile itself only gathers them for the entries and
+    sorts each factor's entries by key.  Each job's join of its factors'
+    distinct keys is the memoized ``_key_rows``, which reads no ring,
+    weight or table, so every structure of one n joins each key pattern
+    once per process; the program reads its rows as they are.
     """
     reduce = ring.reduce
     weights = tuple(map(tuple, weights))
-    compiled = []
+    offsets = list(accumulate((size for size, _, _ in evaluations), initial=0))
+    gather, weighed, ends, compiled, summed = [], [], [], [], 0
     for sign, evals, plans in _plan(ring, n, tuple(jobs), weights):
-        factors, distinct, owned = [], [], []
+        spans, distinct, owned = [], [], []
         for e, (roles, labels, key_of, weight_of) in zip(evals, plans):
             _, flats, reads = evaluations[e]
             try:
@@ -598,14 +619,18 @@ def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual
                 keys = list(map(key_of.__getitem__, flats))
             order = sorted(range(len(flats)), key=keys.__getitem__)
             keys = list(map(keys.__getitem__, order))
-            last = list(map(ne, keys, keys[1:])) + [True]
-            factors.append((list(map(reads.__getitem__, order)),
-                            list(map(weight_of.__getitem__, map(flats.__getitem__, order))), last))
-            distinct.append(list(compress(keys, last)))
+            last = list(map(ne, keys, keys[1:] + [None]))
+            gather += map(add, map(reads.__getitem__, order), repeat(offsets[e]))
+            weighed += map(weight_of.__getitem__, map(flats.__getitem__, order))
+            ends += last
+            distinct.append(tuple(compress(keys, last)))
+            spans.append(slice(summed, summed + len(distinct[-1])))
+            summed += len(distinct[-1])
             owned.append(labels)
-        compiled.append((sign, evals, _rest(evals, len(evaluations)), factors,
-                         _key_rows(n, distinct, owned)))
-    return ProjectedResidual([size for size, _, _ in evaluations], compiled)
+        compiled.append((sign, evals, _rest(evals, len(evaluations)), spans,
+                         _key_rows(n, tuple(distinct), tuple(owned))))
+    return ProjectedResidual([size for size, _, _ in evaluations], compiled, gather, weighed,
+                             ends)
 
 
 def flat_entries(flats):
@@ -614,24 +639,39 @@ def flat_entries(flats):
     return len(flats), flats, range(len(flats))
 
 
+@lru_cache(maxsize=_CHECK_MEMO)
 def _key_rows(n, keys, owned):
     """rows[p]: the index among factor p's distinct ``keys[p]`` of its key
     at each assignment of the job's labels where every factor has one; a
     key holds digit d of label L as d * n^L, and factor p owns the labels
     ``owned[p]``.  Found factor by factor, as a join on the labels that the
-    factors before it assign."""
-    combos = [(key, (i,)) for i, key in enumerate(keys[0])]
+    factors before it assign.
+
+    The join reads no ring, weight or table, only n and each factor's
+    distinct keys and labels, given as tuples, so it is memoized per
+    process: every structure of one n, in any ring, joins each key pattern
+    once.  Its rows are tuples, shared by every caller as they are, and
+    each factor's are gathered at C level from the combinations before it
+    (``src``), with no tuple built per combination."""
+    combined, rows = keys[0], (range(len(keys[0])),)
     assigned = set(owned[0])
     for distinct, mine in zip(keys[1:], owned[1:]):
         places = [n ** at for at in mine if at in assigned]
-        by_shared = {}
+        picks, rests = {}, {}
         for i, key, part in zip(count(), distinct, _label_part(n, distinct, places)):
-            by_shared.setdefault(part, []).append((key - part, i))
-        parts = _label_part(n, [c for c, _ in combos], places)
-        combos = [(c + rest, picks + (i,)) for (c, picks), part in zip(combos, parts)
-                  for rest, i in by_shared.get(part, ())]
+            picks.setdefault(part, []).append(i)
+            rests.setdefault(part, []).append(key - part)
+        parts = _label_part(n, combined, places)
+        # each combination so far, once per key of this factor that meets it
+        src = list(chain.from_iterable(map(repeat, count(), map(len, map(
+            picks.get, parts, repeat(()))))))
+        if len(rows) + 1 < len(keys):  # the last factor's combined keys go unread
+            combined = list(map(add, map(combined.__getitem__, src),
+                                chain.from_iterable(map(rests.get, parts, repeat(())))))
+        rows = (*(tuple(map(row.__getitem__, src)) for row in rows),
+                tuple(chain.from_iterable(map(picks.get, parts, repeat(())))))
         assigned.update(mine)
-    return [list(row) for row in zip(*[picks for _, picks in combos])] or [[] for _ in keys]
+    return tuple(map(tuple, rows))
 
 
 def _label_part(n, keys, places):

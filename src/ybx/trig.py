@@ -259,7 +259,11 @@ class Point:
     the hat's point, once computed, so every table priced there shares
     them.  The price table is a tuple over the group keys of ``_layout``
     (``keys``); a key's slot holds None until a table reads that key here,
-    and is then filled from the kept factors, once (``prices``).
+    and is then filled from the kept factors, once (``prices``).  A point
+    and its swap link each other, so ``p.swapped().swapped() is p`` and a
+    hat of a hat reads the points its table does; the pair is a reference
+    cycle, which the cyclic garbage collector frees once ``_points`` (or
+    ``_residue_point``) evicts it.
 
     The sampled checks take their points from ``_points``, one tuple per
     sample of an ``_Identity`` record, shared by every structure of one n:
@@ -310,9 +314,10 @@ class Point:
         return self._table
 
     def swapped(self):
-        """The point (q_v, q_u)."""
+        """The point (q_v, q_u), whose own swap is this point."""
         if self._swapped is None:
             self._swapped = Point(self.ring, self.n, self.q_v, self.q_u)
+            self._swapped._swapped = self
         return self._swapped
 
 

@@ -892,6 +892,58 @@ def test_residual_reads_only_the_values_its_entries_name(field):
     assert sums and sums == program.sums(field, filled)
 
 
+def _at(*digits):
+    """The flat index at n = 2 of the entry ``digits``, most significant first."""
+    return sum(d << k for k, d in enumerate(reversed(digits)))
+
+
+# evaluations (size, flats, reads) and their (nums, den) for the one-pass
+# layout of the projected residual, at n = 2: X's columns are all 0 and Y's
+# rows all 1, so X^12 Y^13 and X^12 Z^23-type jobs keep a join where the
+# other factor order has none; an evaluation with no entries, sitting
+# between two with entries; values that hold None at every slot no entry
+# reads, as a Point's price table does
+_X = ((3, [_at(0, 0, 1, 1), _at(1, 0, 0, 1), _at(0, 0, 0, 0), _at(1, 0, 0, 1)], [0, 1, 2, 2]),
+      ([3, -2, 5], 2))
+_Y = ((2, [_at(1, 1, 0, 0), _at(1, 0, 1, 1)], [0, 1]), ([4, -1], 3))
+_Z = ((3, [_at(0, 1, 1, 0), _at(1, 1, 1, 1), _at(0, 0, 1, 1)], [2, 0, 1]), ([1, 6, -3], 1))
+_EMPTY = ((2, [], []), ([5, 7], 3))
+_HELD = ((6, [_at(1, 0, 1, 0), _at(0, 1, 0, 1), _at(1, 0, 1, 0)], [4, 0, 2]),
+         ([2, None, -5, None, 3, None], 4))
+
+
+@pytest.mark.parametrize("shape", [_CYBE_JOBS, _QYBE_JOBS], ids=["pair", "triple"])
+@pytest.mark.parametrize("evaluations, vanishes", [  # vanishes: (pair, triple)
+    ((_X, _Y, _Z), (False, False)),
+    ((_X, _EMPTY, _Z), (False, True)),
+    ((_EMPTY, _EMPTY, _EMPTY), (True, True)),
+    ((_HELD, _Y, _HELD), (False, False)),
+    ((_Z, _HELD, _EMPTY), (False, True)),
+], ids=["empty-join", "no-entries", "all-empty", "none-at-unread", "none-and-empty"])
+def test_projected_residual_segments_match_the_exact_residual(field, shape, evaluations,
+                                                              vanishes):
+    # the projected program lays every evaluation's values end to end and
+    # every factor's entries in one list, its key sums cut into one slice
+    # per (job, factor): a job with an empty join, an evaluation with no
+    # entries and values holding None where no entry reads must leave every
+    # other slice where it is.  The form's value is the weighted sum of the
+    # exact residual, whose verdict it shares; the triple vanishes wherever
+    # one evaluation has no entries
+    entries = [e for e, _ in evaluations]
+    values = [([None if v is None else field.reduce(v) for v in nums], den)
+              for _, (nums, den) in evaluations]
+    rng = derive_rng(61, "one-pass", field.name)
+    weights = [[field.sample_weight(rng) for _ in range(2)] for _ in range(6)]
+    exact = product_residual(2, entries, shape)
+    den = field.box(field.reduce(math.prod(d for _, d in values)))
+    residual = Tensor3(2, field, {f: field.box(v) / den
+                                  for f, v in exact.sums(field, values).items()})
+    projected = projected_residual(field, 2, entries, shape, weights)
+    assert projected.value(field, values) == _weighted_sum(residual.items(), weights, field)
+    assert (projected.is_zero(field, values) == exact.is_zero(field, values)
+            == vanishes[shape is _QYBE_JOBS])
+
+
 def test_residual_rejects_a_job_reading_one_evaluation_twice():
     # each job is scaled by the dens of the evaluations it does not read,
     # which needs a job's factors to be distinct evaluations

@@ -829,7 +829,7 @@ def test_compiled_nondegeneracy_matches_the_dense_reference(field):
 # -- the per-process memos of structure-independent inputs ----------------------
 
 _MEMOS = (trig_module._points, trig_module._weights, trig_module._residue_point,
-          tensors_module._plan)
+          tensors_module._plan, tensors_module._key_rows)
 
 
 def _clear_memos():
@@ -873,13 +873,17 @@ def test_points_price_from_the_factors_they_keep(field):
             assert sol.values(field, point) == (list(sums.values()), want[1]), s.label()
             assert point.factors() is point.factors()
             assert point.swapped() is point.swapped()
+            assert point.swapped().swapped() is point
             assert (point.swapped().q_u, point.swapped().q_v) == (point.q_v, point.q_u)
 
 
 def test_residues_price_one_point_per_ring_n_and_side(fp, monkeypatch):
-    # both residues of every n <= 4 suite structure, in q and in
-    # GF(2^61 - 1), read the Point (RESIDUE, None) of their ring and n, or
-    # its swap: each is priced once, whatever number of structures reads it
+    # both residues of every n <= 4 suite structure and of its hat, in q and
+    # in GF(2^61 - 1), read the Point (RESIDUE, None) of their ring and n, or
+    # its swap, and the hat's v residue the swap of that swap, the point
+    # itself: each is priced once, whatever number of structures reads it.
+    # The hat rotates r(v, u)'s flats by one digit, which takes P to 1 (x) 1
+    # and back
     priced = Counter()
     point_factors = trig_module.point_factors
 
@@ -892,9 +896,9 @@ def test_residues_price_one_point_per_ring_n_and_side(fp, monkeypatch):
     structures = suite_catalog()
     for ring in (RATIONAL, fp):
         for s in structures:
-            sol = TrigSolution(s)
-            assert residues(sol, "u", None, ring) == Tensor2.unit(s.n, ring), s.label()
-            assert residues(sol, "v", None, ring) == transposition_p(s.n, ring), s.label()
+            for sol in (TrigSolution(s), hat_involution(TrigSolution(s))):
+                assert residues(sol, "u", None, ring) == Tensor2.unit(s.n, ring), s.label()
+                assert residues(sol, "v", None, ring) == transposition_p(s.n, ring), s.label()
     assert priced == Counter({(ring.name, n, side): 1 for ring in (RATIONAL, fp)
                               for n in {s.n for s in structures} for side in (True, False)})
 
@@ -973,6 +977,31 @@ def test_structures_of_one_n_draw_and_price_their_points_once(check, per_sample,
     assert max(fills.values()) == 1
 
 
+def test_structures_of_one_n_join_once_per_key_pattern(fp, monkeypatch):
+    # the AYBE of two n = 3 structures, the second's mutated run and both
+    # hats, in GF(2^61 - 1), then the first in q: 6 compiles of 3 jobs each,
+    # every one joining its factors' keys through the memo.  The join reads
+    # no ring or table, and at n = 3 every factor's keys are all 3 values
+    # of its one label, so it runs once, for all 18 joins
+    seen = []
+    join = tensors_module._key_rows
+
+    def counted_join(n, keys, owned):
+        seen.append((n, keys, owned))
+        return join(n, keys, owned)
+
+    monkeypatch.setattr(tensors_module, "_key_rows", counted_join)
+    _clear_memos()
+    first, second = [TrigSolution(s) for s in list(enumerate_structures(3))[:2]]
+    for sol, ring, mutate in ((first, fp, None), (second, fp, None), (second, fp, (0, 1, 2, 2)),
+                              (hat_involution(first), fp, None),
+                              (hat_involution(second), fp, None), (first, RATIONAL, None)):
+        check_aybe(sol, 3, 7, ring, mutate=mutate)
+    info = join.cache_info()
+    assert len(seen) == info.hits + info.misses == 18
+    assert info.misses == len(set(seen)) == 1
+
+
 def test_points_of_different_fields_never_share_a_memo_entry(fp):
     # equal integers in q, in GF(2^61 - 1) and in a smaller prime field
     _clear_memos()
@@ -1032,8 +1061,9 @@ def test_every_memo_is_bounded_and_empty_at_import():
     src = str(Path(trig_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("from ybx import tensors, trig; print([m.cache_info().currsize for m in "
-            "(trig._points, trig._weights, trig._residue_point, tensors._plan)])")
+    # every memo of _MEMOS, named by its module and name
+    code = "import ybx.tensors, ybx.trig; print([m.cache_info().currsize for m in (%s,)])" % (
+        ", ".join("%s.%s" % (memo.__module__, memo.__name__) for memo in _MEMOS))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[0, 0, 0, 0]"
+    assert out.strip() == str([0] * len(_MEMOS))
