@@ -24,11 +24,7 @@ factors occupy: a factor in slots (1, 2) is r^12, in (2, 1) flip(r), in
 at output digit 2k - 1; the next factor in slot k meets it with its row
 and writes its own column there.  One function (``_digit_roles``) tells
 each digit of each factor whether it is an output digit or a key label
-it shares with another factor, and one join (``_key_rows``) matches the
-factors' distinct keys on those labels, and ``_product_terms`` forms the
-terms the exact ``Residual`` sums.  The join reads only n and the keys,
-so it is memoized per process: every structure of one n, in any ring,
-joins each key pattern once.
+it shares with exactly one other factor.
 
 An evaluation is compiled from its entries, (size, flats, reads): its
 k-th entry puts value reads[k] of ``size`` values at flat flats[k], and
@@ -38,19 +34,18 @@ directly.  A ``Residual`` (``product_residual``) and a
 and jobs, each job naming its factors by index; at each point they take
 every evaluation once, as (nums, den), all its values as integers over
 one denominator, and box nothing.  A ``Residual`` sums each output entry
-with C-level gathers, products and running sums (``sums``).  A
+with C-level gathers, products and running sums (``sums``), its terms
+found by a walk over the assignments of the labels (``_key_rows``).  A
 ``ProjectedResidual``, with one random weight vector per output digit,
 tests one random linear form of the residual: each entry weighed by its
-digits' weights.  The digits two factors share are summed over, so the
-compiled program is flat: a point lays every evaluation's values end to
-end and takes one gather-multiply-running-sum pass over every factor's
-entries, sorted by key, giving each factor's weighted sum at each of its
-keys, then each job one sum over its joined keys of the products of its
-factors' sums, with no term of the residual formed.  A flat's key and
-weight depend on (ring, n, jobs, weights) alone, so they are kept per
-process, in a bounded plan (``_plan``) that every structure of one n
-shares, filled as compiles meet new flats; a compile only gathers them,
-sorts its entries by key and reads the memoized join.  Where the
+digits' weights.  The digits two factors share are summed over, so a
+point takes one gather-multiply-running-sum pass over every factor's
+entries, giving each factor's weighted sums as a dense array over all n^L
+keys of its L labels, then contracts each job's arrays: a dot product for
+a pair, a staged matrix product for the QYBE's triple.  What no table
+decides, each flat's key and weight and where each array sits, depends
+on (ring, n, jobs, weights) alone, so it is kept per process, in a
+bounded plan (``_plan``) that every structure of one n shares.  Where the
 residual does not vanish, the form vanishes with chance at most 2w/|S|
 for a residual of w slots and weights drawn from S (Schwartz-Zippel):
 6/|S| for a triple residual, 4/|S| for a pair one.  The sampled checks of
@@ -67,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, compress, count, islice, product, repeat
+from itertools import accumulate, chain, compress, islice, product, repeat
 from math import prod
 from operator import add, floordiv, mod, mul, ne, sub
 
@@ -335,24 +330,23 @@ def _product_terms(n, factors):
     """(outs, rows) of the product of factors (flats, slots), in order: its
     k-th term multiplies the entry at flats[rows[p][k]] of every factor p
     into the output entry outs[k].  Each factor's entries are grouped by
-    key (``_keyed``), the groups joined on the labels the factors share
-    (``_key_rows``), and each entry's output digits place it in the output.
+    key (``_keyed``), the groups met at each assignment of the labels the
+    factors share (``_key_rows``), and each entry's output digits place it
+    in the output.
     """
     specs = [slots for _, slots in factors]
     width = 2 * max(chain.from_iterable(specs), default=0)
     digit_offsets = [[d * n ** (width - 1 - out) for d in range(n)] for out in range(width)]
-    groups, offsets, distinct, owned = [], [], [], []
+    groups, offsets, owned = [], [], []
     for (flats, _), roles in zip(factors, _digit_roles(specs)):
         keys, offs, labels = _keyed(n, flats, roles, digit_offsets, add, 0)
         by_key = {}
         for i, key in enumerate(keys):
             by_key.setdefault(key, []).append(i)
-        groups.append(list(by_key.values()))
-        distinct.append(tuple(by_key))
+        groups.append(by_key)
         offsets.append(offs)
-        owned.append(tuple(labels))
-    terms = [term for picks in zip(*_key_rows(n, tuple(distinct), tuple(owned)))
-             for term in product(*map(list.__getitem__, groups, picks))]
+        owned.append(labels)
+    terms = [term for picks in _key_rows(n, groups, owned) for term in product(*picks)]
     rows = [list(row) for row in zip(*terms)] or [[] for _ in factors]
     outs = [0] * len(terms)
     for offs, row in zip(offsets, rows):
@@ -499,21 +493,20 @@ class ProjectedResidual:
     A digit of a factor's entry that meets another factor's (``_digit_roles``)
     is summed over, not weighed, so each entry of a factor compiles to a
     key, its flat's summed digits, and a weight, the product of its other
-    digits' (``_keyed``).  The program is flat.  At a point the values of
-    every evaluation are laid end to end, each evaluation once, and every
-    factor of every job owns a segment of one list over those values: each
-    entry's value (``gather``, its index there) and weight (``weights``),
-    sorted by key within the segment, and whether it is its key's last
-    (``ends``).  One gather-multiply-running-sum pass, differenced at the
-    key ends, gives every factor's weighted sum at each of its keys, in
-    segment order.  A job is (sign, evals, rest, spans, rows), ``rest``
-    the evaluations it does not read (``_job_scales``): factor p's key sums
-    are the slice spans[p] of those sums, and the job sums, over the key
-    tuples at which all its factors have entries, the products of each
-    factor's sum at its key there, ``rows[p]`` indexing factor p's keys as
-    the memoized join gives them (``_key_rows``).  That is a dot product
-    over n or n^2 keys for a pair and a sum over at most n^3 key triples
-    for the QYBE's triple, with no term of the residual formed.
+    digits' (``_keyed``).  At a point the values of every evaluation are
+    laid end to end, each once, then one 0, and every factor of every job
+    owns a segment of one list over them: each entry's value (``gather``,
+    its index there) and weight (``weights``), sorted by key, and whether
+    it is its key's last (``ends``), with one entry reading the trailing 0
+    at each key the factor has no entry at.  One gather-multiply-running-
+    sum pass, differenced at the key ends, gives every factor's weighted
+    sums densely, at all n^L keys of its L labels.  A job is (sign, evals,
+    rest, segments), ``rest`` the evaluations it does not read
+    (``_job_scales``): for one or two factors, which share all their
+    labels, ``segments`` are slices of those sums that line up key by key,
+    and the job is their dot product; a triple is sum_a sum_b X[a][b]
+    (Y[a] . Z[b]), its ``segments`` each factor's sums as an index matrix
+    (``_plan``).  No term of the residual is formed.
 
     The form is a polynomial of degree 2w in the weights, and distinct output
     entries weigh distinct monomials, so where the residual does not vanish,
@@ -531,16 +524,19 @@ class ProjectedResidual:
         reduce = ring.reduce
         scales = _job_scales(ring, self.sizes, self.jobs, evaluations)
         values = list(chain.from_iterable(nums for nums, _ in evaluations))
+        values.append(0)
         ends = list(compress(accumulate(map(mul, map(values.__getitem__, self.gather),
                                             self.weights)), self.ends))
         sums = list(map(reduce, map(sub, ends, chain((0,), ends))))
         total = 0
-        for (_, _, _, spans, rows), scale in zip(self.jobs, scales):
-            terms = None
-            for span, picks in zip(spans, rows):
-                picked = map(sums[span].__getitem__, picks)
-                terms = picked if terms is None else map(mul, terms, picked)
-            total += scale * sum(terms)
+        for (_, evals, _, segments), scale in zip(self.jobs, scales):
+            if len(evals) == 3:
+                x, y, z = ([list(map(sums.__getitem__, row)) for row in grid] for grid in segments)
+                total += scale * sum(sum(map(mul, xa, [sum(map(mul, ya, zb)) for zb in z]))
+                                     for xa, ya in zip(x, y))
+            else:
+                segments = [sums[span] for span in segments]
+                total += scale * sum(map(mul, *segments) if segments[1:] else segments[0])
         return total
 
     def is_zero(self, ring, evaluations) -> bool:
@@ -558,32 +554,60 @@ class ProjectedResidual:
 
 
 #: entries kept per process by each bounded memo of the sampled checks: the
-#: compile plans here (``_plan``), the key join patterns (``_key_rows``) and
-#: ``trig``'s point sets (``_points``), weight sets (``_weights``) and
-#: residue points (``_residue_point``, one per ring and n).  One ``ybx
-#: suite --points 25`` run on one field uses 8 plans, 8 join patterns, 12
-#: point sets in q (11 in GF(2^61 - 1)), 8 weight sets and 4 residue
-#: points, and its mutated run no more (nor a run on the other field, for
-#: the joins, which read no ring); one repetition of the ``aybe-fp``
-#: benchmark uses 8, 8, 8, 8 and none, and of ``limits-fp`` 15 join
-#: patterns, so none is evicted (``cache_info``).
+#: compile plans here (``_plan``) and ``trig``'s point sets (``_points``),
+#: weight sets (``_weights``) and residue points (``_residue_point``, one per
+#: ring and n).  One ``ybx suite --points 25`` run on one field uses 8
+#: plans, 12 point sets in q (11 in GF(2^61 - 1)), 8 weight sets and 4
+#: residue points, and its mutated run no more; one repetition of the
+#: ``aybe-fp`` benchmark uses 8, 8, 8 and none, so none is evicted
+#: (``cache_info``).
 _CHECK_MEMO = 32
 
 
 @lru_cache(maxsize=_CHECK_MEMO)
 def _plan(ring, n, jobs, weights):
     """What ``projected_residual`` compiles that no table decides: per job,
-    (sign, evals, factors), each factor (roles, labels, key_of, weight_of):
-    its digits' ``_digit_roles``, its labels and two maps, from each flat of
-    it seen so far to that flat's key and reduced weight (``_keyed``).
+    (sign, evals, factors, segments), each factor (roles, size, key_of,
+    weight_of): its digits' ``_digit_roles``, each label renumbered by its
+    rank k among the factor's own, so a key holds digit d of it as d * n^k
+    and is the key's place among all ``size`` = n^L; and two maps, from
+    each flat of it seen so far to that flat's key and reduced weight
+    (``_keyed``).  ``segments`` place each factor's key sums among every
+    factor's: a slice each for one or two factors, and for a triple each
+    factor's places as a matrix (``_grid``), by the labels it shares with
+    the first and the second of the other two.  More factors: ValueError.
 
     The maps start empty and grow as compiles meet new flats, so they hold
     the flats the structures of one n actually put there, not all n^4 or
     n^6; every compile of the same jobs and weights in one ring shares them.
     """
-    return [(sign, evals, [(roles, tuple(label for label, _ in roles if label is not None), {}, {})
-                           for roles in _digit_roles(specs)])
-            for sign, evals, specs in _parsed_jobs(jobs)]
+    plans, start = [], 0
+    for sign, evals, specs in _parsed_jobs(jobs):
+        if len(evals) > 3:
+            raise ValueError("a projected job has at most three factors")
+        roles = _digit_roles(specs)
+        owned = [sorted(label for label, _ in mine if label is not None) for mine in roles]
+        starts = list(accumulate((n ** len(own) for own in owned), initial=start))
+        if len(evals) == 3:
+            segments = [_grid(n, own, at, *(sorted(set(own).intersection(other))
+                                            for other in owned if other is not own))
+                        for own, at in zip(owned, starts)]
+        else:
+            segments = list(map(slice, starts, starts[1:]))
+        factors = [([(None if label is None else own.index(label), out) for label, out in mine],
+                    n ** len(own), {}, {}) for mine, own in zip(roles, owned)]
+        plans.append((sign, evals, factors, segments))
+        start = starts[-1]
+    return plans
+
+
+def _grid(n, own, start, rows, cols):
+    """The places of a factor's key sums, from ``start`` on, as a matrix
+    over the assignments of its labels ``rows`` and ``cols``, the factor's
+    key holding digit d of the k-th of its sorted labels ``own`` as d * n^k."""
+    rows, cols = ([sum(map(mul, digits, [n ** own.index(label) for label in labels]))
+                   for digits in product(range(n), repeat=len(labels))] for labels in (rows, cols))
+    return [[start + a + b for b in cols] for a in rows]
 
 
 def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual:
@@ -591,23 +615,19 @@ def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual
     ``product_residual``, with raw int weights of ``ring``, one vector of n
     per output digit: one flat program, whose every point costs one
     gather-multiply-running-sum pass over all its factors' entries and,
-    per job, one product of the factors' key sums over the job's join.
+    per job, one contraction of its factors' dense key sums.
 
     Each flat's key and reduced weight come from the per-process ``_plan``
     of (ring, n, jobs, weights), computed the first time any compile meets
-    that flat; the compile itself only gathers them for the entries and
-    sorts each factor's entries by key.  Each job's join of its factors'
-    distinct keys is the memoized ``_key_rows``, which reads no ring,
-    weight or table, so every structure of one n joins each key pattern
-    once per process; the program reads its rows as they are.
+    that flat; the compile only gathers them, pads each factor's missing
+    keys and sorts its entries by key.
     """
     reduce = ring.reduce
     weights = tuple(map(tuple, weights))
     offsets = list(accumulate((size for size, _, _ in evaluations), initial=0))
-    gather, weighed, ends, compiled, summed = [], [], [], [], 0
-    for sign, evals, plans in _plan(ring, n, tuple(jobs), weights):
-        spans, distinct, owned = [], [], []
-        for e, (roles, labels, key_of, weight_of) in zip(evals, plans):
+    gather, weighed, ends, compiled = [], [], [], []
+    for sign, evals, factors, segments in _plan(ring, n, tuple(jobs), weights):
+        for e, (roles, size, key_of, weight_of) in zip(evals, factors):
             _, flats, reads = evaluations[e]
             try:
                 keys = list(map(key_of.__getitem__, flats))
@@ -617,18 +637,16 @@ def projected_residual(ring, n, evaluations, jobs, weights) -> ProjectedResidual
                 key_of.update(zip(new, keys))
                 weight_of.update(zip(new, map(reduce, wts)))
                 keys = list(map(key_of.__getitem__, flats))
-            order = sorted(range(len(flats)), key=keys.__getitem__)
+            missing = set(range(size)).difference(keys)
+            at = [*map(add, reads, repeat(offsets[e])), *repeat(offsets[-1], len(missing))]
+            wts = [*map(weight_of.__getitem__, flats), *repeat(1, len(missing))]
+            keys += missing
+            order = sorted(range(len(keys)), key=keys.__getitem__)
             keys = list(map(keys.__getitem__, order))
-            last = list(map(ne, keys, keys[1:] + [None]))
-            gather += map(add, map(reads.__getitem__, order), repeat(offsets[e]))
-            weighed += map(weight_of.__getitem__, map(flats.__getitem__, order))
-            ends += last
-            distinct.append(tuple(compress(keys, last)))
-            spans.append(slice(summed, summed + len(distinct[-1])))
-            summed += len(distinct[-1])
-            owned.append(labels)
-        compiled.append((sign, evals, _rest(evals, len(evaluations)), spans,
-                         _key_rows(n, tuple(distinct), tuple(owned))))
+            gather += map(at.__getitem__, order)
+            weighed += map(wts.__getitem__, order)
+            ends += map(ne, keys, keys[1:] + [None])
+        compiled.append((sign, evals, _rest(evals, len(evaluations)), segments))
     return ProjectedResidual([size for size, _, _ in evaluations], compiled, gather, weighed,
                              ends)
 
@@ -639,49 +657,15 @@ def flat_entries(flats):
     return len(flats), flats, range(len(flats))
 
 
-@lru_cache(maxsize=_CHECK_MEMO)
-def _key_rows(n, keys, owned):
-    """rows[p]: the index among factor p's distinct ``keys[p]`` of its key
-    at each assignment of the job's labels where every factor has one; a
-    key holds digit d of label L as d * n^L, and factor p owns the labels
-    ``owned[p]``.  Found factor by factor, as a join on the labels that the
-    factors before it assign.
-
-    The join reads no ring, weight or table, only n and each factor's
-    distinct keys and labels, given as tuples, so it is memoized per
-    process: every structure of one n, in any ring, joins each key pattern
-    once.  Its rows are tuples, shared by every caller as they are, and
-    each factor's are gathered at C level from the combinations before it
-    (``src``), with no tuple built per combination."""
-    combined, rows = keys[0], (range(len(keys[0])),)
-    assigned = set(owned[0])
-    for distinct, mine in zip(keys[1:], owned[1:]):
-        places = [n ** at for at in mine if at in assigned]
-        picks, rests = {}, {}
-        for i, key, part in zip(count(), distinct, _label_part(n, distinct, places)):
-            picks.setdefault(part, []).append(i)
-            rests.setdefault(part, []).append(key - part)
-        parts = _label_part(n, combined, places)
-        # each combination so far, once per key of this factor that meets it
-        src = list(chain.from_iterable(map(repeat, count(), map(len, map(
-            picks.get, parts, repeat(()))))))
-        if len(rows) + 1 < len(keys):  # the last factor's combined keys go unread
-            combined = list(map(add, map(combined.__getitem__, src),
-                                chain.from_iterable(map(rests.get, parts, repeat(())))))
-        rows = (*(tuple(map(row.__getitem__, src)) for row in rows),
-                tuple(chain.from_iterable(map(picks.get, parts, repeat(())))))
-        assigned.update(mine)
-    return tuple(map(tuple, rows))
-
-
-def _label_part(n, keys, places):
-    """The part of each key that holds the digits at ``places``, the n^L of
-    some labels L."""
-    part = [0] * len(keys)
-    for w in places:
-        digits = map(mod, map(floordiv, keys, repeat(w)), repeat(n))
-        part = list(map(add, part, map(mul, digits, repeat(w))))
-    return part
+def _key_rows(n, groups, owned):
+    """Each assignment of a product's labels, numbered 0, 1, ..., as the
+    entries of every factor at it: ``groups[p]`` maps factor p's keys to its
+    entries, a key holding digit d of label L as d * n^L, and factor p owns
+    the labels ``owned[p]``.  A walk over all n^m assignments of the m
+    labels, kept for the exact products, whose reference tensors are sparse."""
+    for digits in product(range(n), repeat=len(set(chain.from_iterable(owned)))):
+        yield [group.get(sum(digits[label] * n ** label for label in mine), ())
+               for group, mine in zip(groups, owned)]
 
 
 def _products(cls, *products) -> _SparseTensor:

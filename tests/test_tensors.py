@@ -944,6 +944,44 @@ def test_projected_residual_segments_match_the_exact_residual(field, shape, eval
             == vanishes[shape is _QYBE_JOBS])
 
 
+_AYBE_JOBS = ((1, 0, (1, 2), 1, (1, 3)), (-1, 2, (2, 3), 3, (1, 2)), (1, 4, (1, 3), 5, (2, 3)))
+_UNITARITY_JOBS = ((1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2)))
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("shape, lacks", [
+    (_AYBE_JOBS, "row"), (_UNITARITY_JOBS, "entry"), (_CYBE_JOBS, "row"), (_QYBE_JOBS, "entry"),
+], ids=["aybe", "unitarity", "cybe", "qybe"])
+def test_dense_projected_residual_matches_the_exact_residual(field, n, shape, lacks):
+    # past the n <= 3 of the drawn tests: every factor holds an entry at
+    # (p(a), a, s(b), b) for all digits a, b, p and s permutations of its
+    # own, so it has every key of its labels in each role these shapes give
+    # it, while the exact residual stays small.  Evaluation 0 lacks the
+    # entries at a = 0 (one key of its one label in the pair shapes) or the
+    # one at a = b = 0 (one key of its two labels in the others), so its
+    # segment is padded: a dropped pad, or a triple factor reshaped the
+    # wrong way round, moves the form off the exact residual's weighted sum
+    rng = derive_rng(n, "dense", field.name)
+    slots = {e: s for job in shape for e, s in zip(job[1::2], job[2::2])}
+    entries, values = [], []
+    for e in range(len(slots)):
+        p, s = rng.sample(range(n), n), rng.sample(range(n), n)
+        flats = ([0] if slots[e] == () else
+                 [((p[a] * n + a) * n + s[b]) * n + b for a in range(n) for b in range(n)
+                  if e or (a if lacks == "row" else a or b)])
+        entries.append(flat_entries(flats))
+        values.append(([field.reduce(rng.randrange(-99, 100)) for _ in flats],
+                       rng.randrange(1, 9)))
+    weights = [[field.sample_weight(rng) for _ in range(n)] for _ in range(6)]
+    exact = product_residual(n, entries, shape)
+    den = field.box(field.reduce(math.prod(d for _, d in values)))
+    cls = Tensor3 if any(3 in s for s in slots.values()) else Tensor2
+    residual = cls(n, field, {f: field.box(v) / den for f, v in exact.sums(field, values).items()})
+    assert not residual.is_zero()
+    projected = projected_residual(field, n, entries, shape, weights)
+    assert projected.value(field, values) == _weighted_sum(residual.items(), weights, field)
+
+
 def test_residual_rejects_a_job_reading_one_evaluation_twice():
     # each job is scaled by the dens of the evaluations it does not read,
     # which needs a job's factors to be distinct evaluations
@@ -973,3 +1011,12 @@ def test_product_residual_rejects_a_malformed_job(jobs):
 def test_projected_residual_rejects_a_malformed_job(field, jobs):
     with pytest.raises(ValueError):
         projected_residual(field, 2, [flat_entries([0, 5])] * 2, jobs, [[1, 2]] * 6)
+
+
+def test_projected_residual_rejects_a_job_of_four_factors(field):
+    # the form contracts a job of one, two or three factors; the exact
+    # residual takes any number
+    jobs = [(1, 0, (1, 2), 1, (1, 2), 2, (1, 2), 3, (1, 2))]
+    product_residual(2, [flat_entries([0, 5])] * 4, jobs)
+    with pytest.raises(ValueError):
+        projected_residual(field, 2, [flat_entries([0, 5])] * 4, jobs, [[1, 2]] * 4)

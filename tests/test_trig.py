@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,7 +15,8 @@ import pytest
 
 from ybx.catalog import (acceptance_corpus, corpus, enumerate_structures, example_structure,
                          suite_catalog)
-from ybx.perms import ABDStructure, Permutation, identity, relabel_abd
+from ybx.perms import (ABDStructure, Permutation, commutator, fixed_points, identity,
+                       relabel_abd, validate_abd)
 from ybx.scalars import RATIONAL, PrimeField, derive_rng, field_from_name
 from ybx import tensors as tensors_module
 from ybx import trig as trig_module
@@ -294,6 +296,40 @@ def test_n5_spot_check_both_backends(field):
         sol = TrigSolution(s)
         assert check_aybe(sol, 3, 7, field).passed, s.label()
         assert check_skew(sol, 3, 7, field).passed, s.label()
+
+
+def _seeded_structure(n):
+    """The first valid structure of random.Random("large-n:<n>"): c1 and c2
+    random n-cycles (a shuffled order, each point mapped to the next) and A
+    each fixed point of their commutator with chance 1/2."""
+    rng = random.Random("large-n:%d" % n)
+
+    def cycle():
+        order = list(range(n))
+        rng.shuffle(order)
+        images = [0] * n
+        for x, y in zip(order, order[1:] + order[:1]):
+            images[x] = y
+        return Permutation(tuple(images))
+
+    while True:
+        c1, c2 = cycle(), cycle()
+        a = tuple(x for x in fixed_points(commutator(c1, c2)) if rng.random() < 0.5)
+        if len(a) < n:
+            s = ABDStructure(n=n, c1=c1, c2=c2, a=a)
+            if not validate_abd(s):
+                return s
+
+
+def test_a_seeded_structure_at_n_16_passes_and_its_mutants_fail(fp):
+    # no benchmark workload goes past n = 7; at n = 16 every factor of the
+    # projected checks holds all n or n^2 keys of its labels, and a corrupted
+    # coefficient must still show in the AYBE and the CYBE
+    sol = TrigSolution(_seeded_structure(16))
+    for check in (check_aybe, check_cybe, qybe_unitarity):
+        assert check(sol, 3, 7, fp).failures == 0, check.__name__
+    for check in (check_aybe, check_cybe):
+        assert check(sol, 3, 7, fp, mutate=(0, 1, 1, 0)).failures == 3, check.__name__
 
 
 @pytest.mark.parametrize("check, mutate, name, failures", [
@@ -829,7 +865,7 @@ def test_compiled_nondegeneracy_matches_the_dense_reference(field):
 # -- the per-process memos of structure-independent inputs ----------------------
 
 _MEMOS = (trig_module._points, trig_module._weights, trig_module._residue_point,
-          tensors_module._plan, tensors_module._key_rows)
+          tensors_module._plan)
 
 
 def _clear_memos():
@@ -975,31 +1011,6 @@ def test_structures_of_one_n_draw_and_price_their_points_once(check, per_sample,
     check(TrigSolution(example_structure()), 3, 7, fp)
     assert (drawn, priced) == ([3] * 3 + [4] * 3, [3] * 6 * per_sample + [4] * 3 * per_sample)
     assert max(fills.values()) == 1
-
-
-def test_structures_of_one_n_join_once_per_key_pattern(fp, monkeypatch):
-    # the AYBE of two n = 3 structures, the second's mutated run and both
-    # hats, in GF(2^61 - 1), then the first in q: 6 compiles of 3 jobs each,
-    # every one joining its factors' keys through the memo.  The join reads
-    # no ring or table, and at n = 3 every factor's keys are all 3 values
-    # of its one label, so it runs once, for all 18 joins
-    seen = []
-    join = tensors_module._key_rows
-
-    def counted_join(n, keys, owned):
-        seen.append((n, keys, owned))
-        return join(n, keys, owned)
-
-    monkeypatch.setattr(tensors_module, "_key_rows", counted_join)
-    _clear_memos()
-    first, second = [TrigSolution(s) for s in list(enumerate_structures(3))[:2]]
-    for sol, ring, mutate in ((first, fp, None), (second, fp, None), (second, fp, (0, 1, 2, 2)),
-                              (hat_involution(first), fp, None),
-                              (hat_involution(second), fp, None), (first, RATIONAL, None)):
-        check_aybe(sol, 3, 7, ring, mutate=mutate)
-    info = join.cache_info()
-    assert len(seen) == info.hits + info.misses == 18
-    assert info.misses == len(set(seen)) == 1
 
 
 def test_points_of_different_fields_never_share_a_memo_entry(fp):
