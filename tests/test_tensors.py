@@ -954,7 +954,7 @@ _UNITARITY_JOBS = ((1, 0, (1, 2), 1, (2, 1)), (-1, 2, (), 3, (1, 2)))
 ], ids=["aybe", "unitarity", "cybe", "qybe"])
 def test_dense_projected_residual_matches_the_exact_residual(field, n, shape, lacks):
     # past the n <= 3 of the drawn tests: every factor holds an entry at
-    # (p(a), a, s(b), b) for all digits a, b, p and s permutations of its
+    # (p(a), a, q(b), b) for all digits a, b, p and q permutations of its
     # own, so it has every key of its labels in each role these shapes give
     # it, while the exact residual stays small.  Evaluation 0 lacks the
     # entries at a = 0 (one key of its one label in the pair shapes) or the
@@ -965,9 +965,9 @@ def test_dense_projected_residual_matches_the_exact_residual(field, n, shape, la
     slots = {e: s for job in shape for e, s in zip(job[1::2], job[2::2])}
     entries, values = [], []
     for e in range(len(slots)):
-        p, s = rng.sample(range(n), n), rng.sample(range(n), n)
+        p, q = rng.sample(range(n), n), rng.sample(range(n), n)
         flats = ([0] if slots[e] == () else
-                 [((p[a] * n + a) * n + s[b]) * n + b for a in range(n) for b in range(n)
+                 [((p[a] * n + a) * n + q[b]) * n + b for a in range(n) for b in range(n)
                   if e or (a if lacks == "row" else a or b)])
         entries.append(flat_entries(flats))
         values.append(([field.reduce(rng.randrange(-99, 100)) for _ in flats],
